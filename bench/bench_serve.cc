@@ -1,28 +1,16 @@
-// Daemon A/B benchmark for campion_serve (src/server): measures what the
-// resident service buys over the one-shot CLI pipeline.
+// Daemon benchmark for campion_serve (src/server): what the resident
+// service's own telemetry and concurrency cost and buy, measured on the
+// university-core pair.
 //
-//   1. Cold vs warm template cache on the university-core pair: the first
-//      request pays the encoding-template build plus its one-time sift;
-//      subsequent requests with the same structural keys reuse the cached,
-//      sifted, compacted template. The acceptance bar is warm < 0.5x cold
-//      wall, and the response body must be byte-identical either way.
-//   2. Cache-off baseline: every request pays the full build, which is the
-//      per-request cost the cache amortizes away.
-//   3. GC on/off over a long request sequence (>= 100, cycling three
-//      distinct config pairs): per-request bdd.mem_arena_bytes (from the
-//      obs envelope) must not grow across rounds, and the daemon-side
-//      server.template_cache_resident_bytes must plateau once every
-//      template is cached — with the ratio off/on showing what
-//      mark-and-compact reclaims.
-//   4. Latency quantiles as the daemon itself reports them: after a warm
-//      request burst, server.latency.diff.{p50,p99}_ns are scraped from
-//      /metrics and recorded — the daemon's own histogram, not a
-//      client-side stopwatch.
-//   5. Flight recorder on/off A/B: mean warm-request wall over a burst
-//      with the recorder enabled vs disabled. The recorder's Record() is
-//      one mutex acquisition plus a summary copy per request; target
-//      overhead is < 2% (noise-dominated on small configs).
-//   6. HTTP-thread scaling: wall for a fixed request count pushed by 4
+//   1. Latency quantiles as the daemon itself reports them: after a request
+//      burst, server.latency.diff.{p50,p99}_ns are scraped from /metrics
+//      and recorded — the daemon's own histogram, not a client-side
+//      stopwatch.
+//   2. Flight recorder on/off A/B: mean request wall over a burst with the
+//      recorder enabled vs disabled. The recorder's Record() is one mutex
+//      acquisition plus a summary copy per request; target overhead is
+//      < 2% (noise-dominated on small configs).
+//   3. HTTP-thread scaling: wall for a fixed request count pushed by 4
 //      concurrent client connections against 1 vs 4 connection workers.
 //      Requests run the pipeline concurrently (no serialization), so on
 //      multi-core hosts the 4-worker wall should approach 1/4x; on a
@@ -36,7 +24,6 @@
 #include <chrono>
 #include <iomanip>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -102,54 +89,27 @@ struct Daemon {
 };
 
 ServiceOptions DaemonDefaults() {
-  // Mirrors campion_serve's defaults: cache on, one-time sift per cache
-  // entry, GC on. Serial diff execution keeps the wall times comparable.
-  // The result cache is OFF here — every section measures the template
-  // cache / GC / recorder pipeline, and a result-cache replay would short-
-  // circuit exactly the machinery under test (bench_fleet covers it).
+  // campion_serve's defaults, with serial diff execution so the wall times
+  // stay comparable. The result cache is OFF here — every section measures
+  // the full pipeline, and a result-cache replay would short-circuit it
+  // (bench_fleet covers the cache).
   ServiceOptions options;
   options.diff.num_threads = 1;
-  options.diff.reorder = campion::core::DiffOptions::ReorderMode::kSift;
   options.result_cache = false;
   return options;
 }
 
-std::string DiffBody(const std::string& config1, const std::string& config2,
-                     bool want_obs) {
-  std::string body = "{\"config1\":\"" + campion::util::JsonEscape(config1) +
-                     "\",\"config2\":\"" + campion::util::JsonEscape(config2) +
-                     "\"";
-  if (want_obs) body += ",\"obs\":true";
-  body += "}";
-  return body;
-}
-
-struct ConfigPair {
-  std::string name;
-  std::string config1;  // Cisco text.
-  std::string config2;  // Juniper text.
-};
-
-// Three pairs with distinct structural keys, so the long sequence exercises
-// three cache entries rather than hammering one.
-std::vector<ConfigPair> BuildPairs() {
+// The /diff body for the university-core pair: Cisco text vs JunOS text.
+std::string CoreBody() {
   campion::gen::UniversityScenario university =
       campion::gen::BuildUniversityScenario();
-  std::vector<ConfigPair> pairs;
-  pairs.push_back(
-      {"university_core",
-       campion::cisco::UnparseCiscoConfig(university.core.config1),
-       campion::juniper::UnparseJuniperConfig(university.core.config2)});
-  pairs.push_back(
-      {"university_border",
-       campion::cisco::UnparseCiscoConfig(university.border.config1),
-       campion::juniper::UnparseJuniperConfig(university.border.config2)});
-  // Cross pair: core vs border differ structurally, giving a third key.
-  pairs.push_back(
-      {"core_vs_border",
-       campion::cisco::UnparseCiscoConfig(university.core.config1),
-       campion::juniper::UnparseJuniperConfig(university.border.config2)});
-  return pairs;
+  return "{\"config1\":\"" +
+         campion::util::JsonEscape(
+             campion::cisco::UnparseCiscoConfig(university.core.config1)) +
+         "\",\"config2\":\"" +
+         campion::util::JsonEscape(
+             campion::juniper::UnparseJuniperConfig(university.core.config2)) +
+         "\"}";
 }
 
 double Seconds(std::chrono::steady_clock::time_point t0,
@@ -170,163 +130,16 @@ double ScrapeMetric(const std::string& metrics, const std::string& name) {
   return std::strtod(metrics.c_str() + pos + needle.size(), nullptr);
 }
 
-// Per-request bdd.mem_arena_bytes out of the obs response envelope.
-double ArenaBytesOf(const HttpClientResponse& response) {
-  campion::util::JsonValue envelope;
-  if (!campion::util::ParseJson(response.body, envelope)) return 0.0;
-  const campion::util::JsonValue* obs = envelope.Find("obs");
-  if (obs == nullptr) return 0.0;
-  const campion::util::JsonValue* metrics = obs->Find("metrics");
-  if (metrics == nullptr) return 0.0;
-  return metrics->NumberOr("bdd.mem_arena_bytes", 0.0);
-}
-
 void PrintSummary() {
   auto& metrics = campion::benchutil::BenchMetrics::Instance();
-  const std::vector<ConfigPair> pairs = BuildPairs();
-  const ConfigPair& core = pairs[0];
-  const std::string core_body = DiffBody(core.config1, core.config2, false);
+  const std::string core_body = CoreBody();
 
-  // --- 1. cold vs warm cache on university-core -------------------------
-  std::cout << "cold vs warm template cache (university core):\n";
-  double cold_seconds = 0.0;
-  double warm_seconds = 0.0;
-  std::string cold_report;
-  bool parity = true;
-  {
-    Daemon daemon(DaemonDefaults());
-    auto t0 = std::chrono::steady_clock::now();
-    HttpClientResponse cold = daemon.Post("/diff", core_body);
-    auto t1 = std::chrono::steady_clock::now();
-    cold_seconds = Seconds(t0, t1);
-    cold_report = cold.body;
-    constexpr int kWarmRuns = 10;
-    warm_seconds = 1e9;
-    for (int i = 0; i < kWarmRuns; ++i) {
-      auto w0 = std::chrono::steady_clock::now();
-      HttpClientResponse warm = daemon.Post("/diff", core_body);
-      auto w1 = std::chrono::steady_clock::now();
-      warm_seconds = std::min(warm_seconds, Seconds(w0, w1));
-      parity = parity && warm.body == cold_report;
-    }
-  }
-  const double ratio = cold_seconds > 0 ? warm_seconds / cold_seconds : 1.0;
-  std::cout << "  cold (cache miss, build+sift): " << std::fixed
-            << std::setprecision(4) << cold_seconds << " s\n"
-            << "  warm (cache hit, best of 10):  " << warm_seconds << " s\n"
-            << "  warm/cold ratio: " << std::setprecision(3) << ratio
-            << (ratio < 0.5 ? "  (< 0.5: PASS)" : "  (>= 0.5: FAIL)") << "\n"
-            << "  response parity: "
-            << (parity ? "OK (byte-identical)" : "BROKEN") << "\n";
-  metrics.Record("cold_request_seconds", cold_seconds);
-  metrics.Record("warm_request_seconds", warm_seconds);
-  metrics.RecordUnit("warm_request_seconds",
-                     "best of 10 cache-hit requests over loopback HTTP");
-  metrics.Record("warm_over_cold_ratio", ratio);
-  metrics.RecordUnit("warm_over_cold_ratio",
-                     "warm request wall / cold request wall (< 0.5 required)");
-  metrics.Record("cold_warm_parity", parity ? 1.0 : 0.0);
-
-  // --- 2. cache-off baseline -------------------------------------------
-  {
-    ServiceOptions options = DaemonDefaults();
-    options.cache = false;
-    Daemon daemon(options);
-    daemon.Post("/diff", core_body);  // Warm allocators and page cache.
-    auto t0 = std::chrono::steady_clock::now();
-    HttpClientResponse response = daemon.Post("/diff", core_body);
-    auto t1 = std::chrono::steady_clock::now();
-    const double nocache_seconds = Seconds(t0, t1);
-    std::cout << "  cache off (every request rebuilds): " << std::fixed
-              << std::setprecision(4) << nocache_seconds << " s\n";
-    metrics.Record("nocache_request_seconds", nocache_seconds);
-    metrics.Record("nocache_parity", response.body == cold_report ? 1.0 : 0.0);
-  }
-
-  // --- 3. GC on/off over a long request sequence ------------------------
-  constexpr int kSequenceRequests = 120;  // >= 100 per the acceptance bar.
-  std::cout << "\n" << kSequenceRequests
-            << " sequential requests cycling " << pairs.size()
-            << " config pairs:\n";
-  double resident_final_gc_on = 0.0;
-  for (const bool gc : {true, false}) {
-    ServiceOptions options = DaemonDefaults();
-    options.gc = gc;
-    Daemon daemon(options);
-    // Arena bytes per pair, first and last round, from the obs envelope.
-    std::vector<double> first_round(pairs.size(), 0.0);
-    std::vector<double> last_round(pairs.size(), 0.0);
-    double resident_peak = 0.0;
-    double resident_after_first_cycle = 0.0;
-    for (int i = 0; i < kSequenceRequests; ++i) {
-      const std::size_t which = i % pairs.size();
-      HttpClientResponse response = daemon.Post(
-          "/diff",
-          DiffBody(pairs[which].config1, pairs[which].config2, true));
-      const double arena = ArenaBytesOf(response);
-      if (first_round[which] == 0.0) first_round[which] = arena;
-      last_round[which] = arena;
-      const double resident = ScrapeMetric(
-          daemon.Get("/metrics").body, "server.template_cache_resident_bytes");
-      resident_peak = std::max(resident_peak, resident);
-      if (i == static_cast<int>(pairs.size()) - 1) {
-        resident_after_first_cycle = resident;
-      }
-    }
-    const std::string metrics_body = daemon.Get("/metrics").body;
-    const double resident_final =
-        ScrapeMetric(metrics_body, "server.template_cache_resident_bytes");
-    bool arena_bounded = true;
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      arena_bounded = arena_bounded && last_round[i] <= first_round[i];
-    }
-    // Bounded = the cache plateaus after the first full cycle (every
-    // template built) and per-request arena bytes never grow.
-    const bool resident_bounded = resident_final <= resident_after_first_cycle;
-    const std::string tag = gc ? "gc_on" : "gc_off";
-    std::cout << "  " << (gc ? "gc on: " : "gc off:")
-              << "  resident " << static_cast<long long>(resident_final)
-              << " B (peak " << static_cast<long long>(resident_peak)
-              << " B), per-request arena "
-              << (arena_bounded ? "bounded" : "GROWING (BUG)")
-              << ", cache resident "
-              << (resident_bounded ? "plateaued" : "GROWING (BUG)") << "\n";
-    metrics.Record(tag + "_resident_bytes_final", resident_final);
-    metrics.RecordUnit(tag + "_resident_bytes_final",
-                       "server.template_cache_resident_bytes after " +
-                           std::to_string(kSequenceRequests) + " requests");
-    metrics.Record(tag + "_resident_bytes_peak", resident_peak);
-    metrics.Record(tag + "_arena_bounded", arena_bounded ? 1.0 : 0.0);
-    metrics.Record(tag + "_resident_bounded", resident_bounded ? 1.0 : 0.0);
-    if (gc) {
-      resident_final_gc_on = resident_final;
-      metrics.Record(
-          "gc_reclaimed_nodes",
-          ScrapeMetric(metrics_body,
-                       "server.template_cache_gc_reclaimed_nodes"));
-      metrics.Record(
-          "gc_compacted_bytes",
-          ScrapeMetric(metrics_body,
-                       "server.template_cache_gc_compacted_bytes"));
-    } else if (resident_final > 0.0 && resident_final_gc_on > 0.0) {
-      const double shrink = resident_final_gc_on / resident_final;
-      std::cout << "  gc on/off resident ratio: " << std::setprecision(3)
-                << shrink << "\n";
-      metrics.Record("gc_resident_ratio", shrink);
-      metrics.RecordUnit("gc_resident_ratio",
-                         "cached template resident bytes with GC / without "
-                         "(< 1 = compaction reclaims memory)");
-    }
-  }
-  metrics.Record("sequence_requests", kSequenceRequests);
-
-  // --- 4. daemon-reported latency quantiles -----------------------------
+  // --- 1. daemon-reported latency quantiles -----------------------------
   constexpr int kQuantileBurst = 50;
-  std::cout << "\ndaemon-reported diff latency over " << kQuantileBurst
-            << " warm requests:\n";
+  std::cout << "daemon-reported diff latency over " << kQuantileBurst
+            << " requests:\n";
   {
     Daemon daemon(DaemonDefaults());
-    daemon.Post("/diff", core_body);  // The one cache miss.
     for (int i = 0; i < kQuantileBurst; ++i) daemon.Post("/diff", core_body);
     const std::string metrics_body = daemon.Get("/metrics").body;
     const double p50_ns = ScrapeMetric(metrics_body, "server.latency.diff.p50_ns");
@@ -344,16 +157,16 @@ void PrintSummary() {
     metrics.Record("diff_latency_mean_seconds", mean_ns / 1e9);
   }
 
-  // --- 5. flight recorder on/off A/B ------------------------------------
+  // --- 2. flight recorder on/off A/B ------------------------------------
   constexpr int kRecorderBurst = 60;
   std::cout << "\nflight recorder on/off (" << kRecorderBurst
-            << " warm requests each):\n";
+            << " requests each):\n";
   double recorder_on_seconds = 0.0;
   for (const bool recorder : {true, false}) {
     ServiceOptions options = DaemonDefaults();
     options.flight_recorder = recorder;
     Daemon daemon(options);
-    daemon.Post("/diff", core_body);  // Cache miss outside the timed burst.
+    daemon.Post("/diff", core_body);  // Warm allocators outside the burst.
     auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < kRecorderBurst; ++i) daemon.Post("/diff", core_body);
     auto t1 = std::chrono::steady_clock::now();
@@ -372,12 +185,12 @@ void PrintSummary() {
                    "noise-dominated)\n";
       metrics.Record("flight_recorder_overhead_ratio", overhead);
       metrics.RecordUnit("flight_recorder_overhead_ratio",
-                         "mean warm request wall with recorder / without - 1 "
+                         "mean request wall with recorder / without - 1 "
                          "(< 0.02 target)");
     }
   }
 
-  // --- 6. HTTP-thread scaling -------------------------------------------
+  // --- 3. HTTP-thread scaling -------------------------------------------
   if (std::thread::hardware_concurrency() <= 1) {
     // A 1-vs-4-worker wall ratio is meaningless without CPUs to scale
     // onto; recording the ~1x it produces would read as a scaling failure.
@@ -394,12 +207,12 @@ void PrintSummary() {
   constexpr int kClients = 4;
   constexpr int kRequestsPerClient = 15;
   std::cout << "\n" << kClients << " concurrent clients x "
-            << kRequestsPerClient << " warm requests:\n";
+            << kRequestsPerClient << " requests:\n";
   metrics.Record("http_threads_scaling_skipped", 0.0);
   double single_thread_seconds = 0.0;
   for (const int http_threads : {1, 4}) {
     Daemon daemon(DaemonDefaults(), http_threads);
-    daemon.Post("/diff", core_body);  // Populate the cache first.
+    daemon.Post("/diff", core_body);  // Warm allocators first.
     auto t0 = std::chrono::steady_clock::now();
     std::vector<std::thread> clients;
     for (int c = 0; c < kClients; ++c) {
@@ -436,10 +249,9 @@ void PrintSummary() {
 }
 
 void BM_WarmDiffRequest(benchmark::State& state) {
-  const std::vector<ConfigPair> pairs = BuildPairs();
-  const std::string body = DiffBody(pairs[0].config1, pairs[0].config2, false);
+  const std::string body = CoreBody();
   Daemon daemon(DaemonDefaults());
-  daemon.Post("/diff", body);  // Populate the cache.
+  daemon.Post("/diff", body);  // Warm allocators.
   for (auto _ : state) {
     HttpClientResponse response = daemon.Post("/diff", body);
     benchmark::DoNotOptimize(response.body);
@@ -452,6 +264,6 @@ BENCHMARK(BM_WarmDiffRequest)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   return campion::benchutil::RunBench(
       argc, argv,
-      "campion_serve daemon A/B (template cache cold/warm, GC on/off)",
+      "campion_serve daemon (latency, flight recorder, HTTP threads)",
       PrintSummary);
 }

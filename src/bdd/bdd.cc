@@ -690,134 +690,6 @@ void BddManager::MaybeAutoSift() {
   Sift(auto_sift_mode_, nullptr);
 }
 
-// --- Garbage collection -----------------------------------------------------
-
-GcResult BddManager::GarbageCollect(const std::vector<BddRef*>& roots) {
-  GcResult result;
-  // Refuse to move nodes while a sift or an in-flight operation holds raw
-  // indices; the caller sees zeros and can retry at a real safepoint.
-  if (sifting_ || op_depth_ != 0) return result;
-  result.live_before = unique_size_;
-  result.arena_bytes_before = nodes_.capacity() * sizeof(Node);
-
-  // Mark phase: everything reachable from the declared roots plus the
-  // single-variable cache (VarTrue handles are external refs too).
-  BeginVisit();
-  visit_stack_.clear();
-  auto push = [&](BddRef r) {
-    if (!IsTerminal(r)) visit_stack_.push_back(r);
-  };
-  for (const BddRef* r : roots) push(*r);
-  for (const BddRef r : var_true_) {
-    if (r != kFalse) push(r);
-  }
-  while (!visit_stack_.empty()) {
-    const BddRef f = visit_stack_.back();
-    visit_stack_.pop_back();
-    const BddRef idx = f >> 1;
-    if (Visited(idx)) continue;
-    MarkVisited(idx);
-    const Node& n = nodes_[idx];
-    if ((n.low >> 1) != 0) visit_stack_.push_back(n.low);
-    if ((n.high >> 1) != 0) visit_stack_.push_back(n.high);
-  }
-
-  // Remap table: survivor at old index i moves to the count of survivors
-  // at or below it, preserving ascending index order (and therefore the
-  // RankBefore triple canonicalization of any function rebuilt from the
-  // survivors alone). remap[0] stays 0, so terminal edges pass through.
-  std::vector<BddRef> remap(nodes_.size(), 0);
-  BddRef next = 1;
-  for (BddRef idx = 1; idx < nodes_.size(); ++idx) {
-    if (nodes_[idx].var != kFreeVar && Visited(idx)) remap[idx] = next++;
-  }
-  result.live_after = static_cast<std::size_t>(next) - 1;
-  result.reclaimed = result.live_before - result.live_after;
-
-  // Compact into a fresh arena sized exactly to the survivors (the swap
-  // releases the old capacity — the whole point for a resident process).
-  // Children are survivors whenever the parent is (reachability is closed
-  // downward), so every child remap is already assigned; parity rides along
-  // untouched on bit 0.
-  {
-    std::vector<Node> compact;
-    compact.reserve(next);
-    compact.push_back(nodes_[0]);
-    for (BddRef idx = 1; idx < nodes_.size(); ++idx) {
-      if (remap[idx] == 0) continue;
-      Node n = nodes_[idx];
-      n.low = (remap[n.low >> 1] << 1) | (n.low & kComplementBit);
-      n.high = (remap[n.high >> 1] << 1) | (n.high & kComplementBit);
-      compact.push_back(n);
-    }
-    nodes_ = std::move(compact);
-  }
-  std::vector<BddRef>().swap(free_list_);
-
-  // Rewrite external handles. Values are read before any is written back,
-  // so a pointer listed twice is remapped once, not twice.
-  auto remap_edge = [&](BddRef e) {
-    return (remap[e >> 1] << 1) | (e & kComplementBit);
-  };
-  std::vector<BddRef> remapped;
-  remapped.reserve(roots.size());
-  for (const BddRef* r : roots) remapped.push_back(remap_edge(*r));
-  for (std::size_t i = 0; i < roots.size(); ++i) *roots[i] = remapped[i];
-  for (BddRef& r : var_true_) r = remap_edge(r);
-
-  // Rebuild the unique table at the smallest power of two that keeps the
-  // survivors under the 50% rehash threshold, and the computed cache at
-  // what MaybeGrowCache would reach for the compacted arena. Both use the
-  // swap idiom so capacity actually shrinks.
-  std::size_t unique_capacity = kInitialUniqueCapacity;
-  while (unique_capacity <= 2 * result.live_after) unique_capacity *= 2;
-  std::vector<BddRef>(unique_capacity, 0).swap(unique_slots_);
-  unique_mask_ = unique_capacity - 1;
-  unique_size_ = result.live_after;
-  for (BddRef idx = 1; idx < nodes_.size(); ++idx) {
-    const Node& n = nodes_[idx];
-    std::size_t slot = MixHash(n.var, n.low, n.high) & unique_mask_;
-    while (unique_slots_[slot] != 0) slot = (slot + 1) & unique_mask_;
-    unique_slots_[slot] = idx;
-  }
-  std::size_t cache_capacity = kInitialCacheCapacity;
-  while (cache_capacity < kMaxCacheCapacity &&
-         cache_capacity <= nodes_.size()) {
-    cache_capacity *= 2;
-  }
-  std::vector<CacheEntry>(cache_capacity).swap(ite_cache_);
-  cache_mask_ = cache_capacity - 1;
-
-  // Every structure keyed by arena index is stale: the transfer memo, the
-  // view built from it, the visit stamps (also sized to the old arena),
-  // and the operation scratch vectors.
-  decl_view_memo_.clear();
-  decl_view_.reset();
-  std::vector<std::uint32_t>().swap(visit_mark_);
-  visit_stamp_ = 0;
-  std::vector<BddRef>().swap(visit_stack_);
-  std::vector<IteFrame>().swap(ite_frames_);
-  std::vector<BddRef>().swap(ite_values_);
-  std::vector<std::uint32_t>().swap(sift_refs_);
-
-  result.arena_bytes_after = nodes_.capacity() * sizeof(Node);
-  ++stat_gc_runs_;
-  stat_gc_reclaimed_ += result.reclaimed;
-  if (result.arena_bytes_before > result.arena_bytes_after) {
-    stat_gc_compacted_bytes_ +=
-        result.arena_bytes_before - result.arena_bytes_after;
-  }
-  assert(CheckInvariants());
-  return result;
-}
-
-GcResult BddManager::MaybeGarbageCollect(const std::vector<BddRef*>& roots) {
-  if (gc_watermark_slots_ == 0 || nodes_.size() < gc_watermark_slots_) {
-    return GcResult{};
-  }
-  return GarbageCollect(roots);
-}
-
 BddManager::OrderedView BddManager::DeclarationOrderView(BddRef f) const {
   if (order_is_identity_) return {this, f};
   if (!decl_view_) {
@@ -1044,9 +916,6 @@ BddStats BddManager::Stats() const {
   stats.sift_swaps = stat_sift_swaps_;
   stats.sift_nodes_before = stat_sift_nodes_before_;
   stats.sift_nodes_after = stat_sift_nodes_after_;
-  stats.gc_runs = stat_gc_runs_;
-  stats.gc_reclaimed = stat_gc_reclaimed_;
-  stats.gc_compacted_bytes = stat_gc_compacted_bytes_;
   return stats;
 }
 

@@ -8,18 +8,7 @@
 // ranges are all encoded as BDDs over a variable order (see src/encode).
 // Managers are cheap and each differencing task owns one, so nodes live
 // for the task and nothing needs collecting; the reordering pass below
-// reclaims provably dead nodes through a free list. Long-lived managers —
-// the resident daemon's cached encoding templates — additionally get an
-// explicit mark-and-compact collector (GarbageCollect below): callers that
-// can name their live roots hand them in as mutable pointers, dead nodes
-// are dropped, survivors slide down to a dense prefix of the arena, and
-// the caller's roots are rewritten through the move. Compaction never
-// touches the level↔index indirection (nodes carry variable ids; levels
-// are a property of variables, not of arena slots), and a manager seeded
-// from a compacted template (SeedFrom) copies the compacted arena
-// verbatim, so the remapped template refs stay valid in every seeded
-// manager — the same index+parity stability contract SeedFrom has always
-// had, just against the post-compaction arena.
+// reclaims provably dead nodes through a free list.
 //
 // The kernel is laid out for speed, CUDD-style:
 //   * references carry a complement bit: a BddRef packs a node-arena index
@@ -128,18 +117,6 @@ struct SiftResult {
   std::size_t nodes_after = 0;   // Live nodes after settling at the best order.
 };
 
-// One GarbageCollect() invocation's outcome. Node counts are live internal
-// nodes; byte counts are the node arena's reserved capacity (the dominant
-// term of a frozen template's footprint — the unique table and computed
-// cache are resized alongside and show up in MemoryStats()).
-struct GcResult {
-  std::size_t live_before = 0;        // Live internal nodes entering the GC.
-  std::size_t live_after = 0;         // == nodes reachable from the roots.
-  std::size_t reclaimed = 0;          // Dead nodes dropped (before - after).
-  std::size_t arena_bytes_before = 0; // Node arena capacity entering.
-  std::size_t arena_bytes_after = 0;  // Node arena capacity after compaction.
-};
-
 // Kernel instrumentation, exposed through BddManager::Stats(). Counters
 // accumulate over the manager's lifetime; benchmarks snapshot them before
 // and after a workload to report per-phase numbers.
@@ -158,9 +135,6 @@ struct BddStats {
   std::uint64_t sift_swaps = 0;     // Adjacent-level swaps ever performed.
   std::uint64_t sift_nodes_before = 0;  // Sum of live nodes entering sifts.
   std::uint64_t sift_nodes_after = 0;   // Sum of live nodes after sifts.
-  std::uint64_t gc_runs = 0;            // GarbageCollect() invocations.
-  std::uint64_t gc_reclaimed = 0;       // Dead nodes dropped across all GCs.
-  std::uint64_t gc_compacted_bytes = 0; // Arena bytes released across all GCs.
 
   double CacheHitRate() const {
     return cache_lookups == 0
@@ -275,38 +249,6 @@ class BddManager {
   // it), so recursions never observe the order changing under them.
   void SetAutoSift(SiftMode mode, double trigger_ratio);
   void DisableAutoSift() { auto_sift_enabled_ = false; }
-
-  // --- Garbage collection --------------------------------------------------
-  // Mark-and-compact collection for long-lived managers (the daemon's
-  // cached encoding templates). Marks every node reachable from `roots`
-  // (plus the single-variable cache, so VarTrue handles stay valid), drops
-  // the rest, and compacts survivors into a dense arena prefix in
-  // ascending-index order. Because compaction moves nodes, every
-  // outstanding reference must be reachable through `roots`: each root is
-  // rewritten in place to the moved node (same parity, same denoted
-  // function). References NOT handed in as roots are invalidated — this is
-  // the one operation in the kernel that breaks ref stability, which is
-  // why per-task managers never call it and the template compacts strictly
-  // before any SeedFrom snapshot is taken. The unique table, computed
-  // cache, and scratch vectors are rebuilt at capacities sized to the
-  // surviving arena (memory actually shrinks, not just the live count);
-  // the level↔index indirection is untouched. No-op (zeros) when called
-  // mid-sift or mid-operation.
-  GcResult GarbageCollect(const std::vector<BddRef*>& roots);
-
-  // Watermark trigger for GarbageCollect: MaybeGarbageCollect runs a
-  // collection only once the arena (live + free-listed slots) has grown to
-  // at least `arena_slots`. 0 disables the trigger. Unlike the auto-sift
-  // trigger this is never consulted inside kernel operations — only the
-  // explicit MaybeGarbageCollect safepoint checks it, because only callers
-  // who can name their roots may collect.
-  void SetGcWatermark(std::size_t arena_slots) {
-    gc_watermark_slots_ = arena_slots;
-  }
-  std::size_t GcWatermark() const { return gc_watermark_slots_; }
-  // Runs GarbageCollect(roots) if the watermark is set and reached;
-  // returns the result (zeros when the collection did not run).
-  GcResult MaybeGarbageCollect(const std::vector<BddRef*>& roots);
 
   // An order-insensitive handle on f: `mgr->...(ref)` queried on the
   // returned pair behaves exactly as `this` would with reordering off.
@@ -576,12 +518,6 @@ class BddManager {
   std::uint64_t stat_sift_swaps_ = 0;
   std::uint64_t stat_sift_nodes_before_ = 0;
   std::uint64_t stat_sift_nodes_after_ = 0;
-
-  // Garbage collection (SetGcWatermark / GarbageCollect).
-  std::size_t gc_watermark_slots_ = 0;  // 0 = watermark trigger disabled.
-  std::uint64_t stat_gc_runs_ = 0;
-  std::uint64_t stat_gc_reclaimed_ = 0;
-  std::uint64_t stat_gc_compacted_bytes_ = 0;
 };
 
 }  // namespace campion::bdd

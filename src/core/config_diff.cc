@@ -314,18 +314,7 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
   bool want_acls = options.check_acls && !pairing.acls.empty();
   std::optional<encode::EncodingTemplate> template_storage;
   const encode::EncodingTemplate* tmpl = nullptr;
-  // A caller-provided template (the daemon's cross-request cache) replaces
-  // the per-call build AND the per-call sift below: the cache already
-  // sifted and compacted it once for its generation, which is the whole
-  // amortization. Build/sift spans and template-manager stats are then the
-  // cache's to report, not this request's — this call did not do that
-  // work, and per-request metrics must say so.
-  const bool external_template =
-      options.external_template != nullptr && options.use_encoding_template &&
-      (want_route_maps || want_acls);
-  if (external_template) {
-    tmpl = options.external_template;
-  } else if (options.use_encoding_template && (want_route_maps || want_acls)) {
+  if (options.use_encoding_template && (want_route_maps || want_acls)) {
     obs::ScopedSpan span("encode_template",
                          config1.hostname + " vs " + config2.hostname);
     template_storage.emplace(config1, config2, want_route_maps, want_acls,
@@ -356,7 +345,7 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
   // template's lookup refs stay valid everywhere. (The alternative —
   // letting each pair sift privately and invalidating the template's refs
   // per manager — would re-pay the sift per pair and forfeit ref sharing.)
-  if (tmpl != nullptr && !external_template) {
+  if (tmpl != nullptr) {
     if (std::optional<bdd::SiftMode> mode = SiftModeFor(options.reorder)) {
       obs::ScopedSpan span("bdd_sift",
                            config1.hostname + " vs " + config2.hostname);

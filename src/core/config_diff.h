@@ -13,10 +13,6 @@
 #include "core/present.h"
 #include "ir/config.h"
 
-namespace campion::encode {
-class EncodingTemplate;
-}  // namespace campion::encode
-
 namespace campion::obs {
 class MetricsSink;
 }  // namespace campion::obs
@@ -73,17 +69,6 @@ struct DiffOptions {
   // Auto-sift growth trigger for pair managers (clamped to >= 1.1 by the
   // kernel); only consulted when `reorder` is not kOff.
   double reorder_trigger_ratio = 2.0;
-  // A pre-built frozen template to seed pair managers from, instead of
-  // building one inside ConfigDiff. The daemon's cross-request cache hands
-  // in the same template for every request that hits it, which is how the
-  // one-time sift and compaction amortize. Must outlive the call, must
-  // have been built for these two configurations (same structural keys and
-  // community universe — the cache key guarantees it), and must have both
-  // sides the enabled checks need. Ignored when null or when
-  // `use_encoding_template` is false. Because any sound template yields
-  // the same canonical BDDs, the report stays byte-identical to an
-  // internally built template and to no template at all.
-  const encode::EncodingTemplate* external_template = nullptr;
   // Scoped metrics capture: when set, ConfigDiff installs this sink on the
   // calling thread AND on every worker-pool task it fans out, so the whole
   // run's metrics land here instead of in the ambient sink

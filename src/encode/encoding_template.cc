@@ -209,31 +209,6 @@ bdd::SiftResult EncodingTemplate::Reorder(bdd::SiftMode mode) {
   return total;
 }
 
-bdd::GcResult EncodingTemplate::Compact() {
-  bdd::GcResult total;
-  auto accumulate = [&total](const bdd::GcResult& r) {
-    total.live_before += r.live_before;
-    total.live_after += r.live_after;
-    total.reclaimed += r.reclaimed;
-    total.arena_bytes_before += r.arena_bytes_before;
-    total.arena_bytes_after += r.arena_bytes_after;
-  };
-  if (route_layout_) {
-    std::vector<bdd::BddRef*> roots = route_layout_->GcRoots();
-    for (auto& [key, ref] : prefix_lists_) roots.push_back(&ref);
-    for (auto& [key, ref] : community_lists_) roots.push_back(&ref);
-    for (bdd::BddRef& ref : route_sift_witnesses_) roots.push_back(&ref);
-    accumulate(route_mgr_.GarbageCollect(roots));
-  }
-  if (packet_layout_) {
-    std::vector<bdd::BddRef*> roots;
-    for (auto& [key, ref] : acl_lines_) roots.push_back(&ref);
-    for (bdd::BddRef& ref : packet_sift_witnesses_) roots.push_back(&ref);
-    accumulate(packet_mgr_.GarbageCollect(roots));
-  }
-  return total;
-}
-
 std::optional<bdd::BddRef> EncodingTemplate::PrefixListPermits(
     const ir::PrefixList& list) const {
   auto it = prefix_lists_.find(PrefixListKey(list));

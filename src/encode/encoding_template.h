@@ -90,18 +90,6 @@ class EncodingTemplate {
   // compilation left behind. Returns the two sifts' combined tallies.
   bdd::SiftResult Reorder(bdd::SiftMode mode);
 
-  // Mark-and-compact both template managers, rewriting every ref the
-  // template holds (list maps, layout caches, sift witnesses) through the
-  // collector's remap. For a one-shot run this is pointless — Reorder
-  // already reclaims dead intermediates — but a template that lives in the
-  // daemon's cross-request cache pays for its construction garbage on
-  // every byte of resident memory, so the cache compacts each template
-  // once, after the one-time sift and BEFORE the first SeedFrom snapshot
-  // (seeding copies the compacted arena, so seeded refs stay stable; the
-  // template itself must never be compacted again once shared). Returns
-  // the two collections' combined tallies.
-  bdd::GcResult Compact();
-
   // The frozen managers and prototype layouts pair tasks seed from.
   const bdd::BddManager& route_manager() const { return route_mgr_; }
   const RouteAdvLayout& route_layout() const { return *route_layout_; }

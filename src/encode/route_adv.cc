@@ -84,13 +84,6 @@ std::vector<bdd::BddRef> RouteAdvLayout::SiftRoots() const {
   return roots;
 }
 
-std::vector<bdd::BddRef*> RouteAdvLayout::GcRoots() {
-  std::vector<bdd::BddRef*> roots;
-  roots.push_back(&valid_);
-  for (auto& [label, ref] : uninterpreted_) roots.push_back(&ref);
-  return roots;
-}
-
 RouteAdvLayout::RouteAdvLayout(bdd::BddManager& mgr,
                                const RouteAdvLayout& proto)
     : mgr_(mgr),

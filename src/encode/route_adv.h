@@ -94,11 +94,6 @@ class RouteAdvLayout {
   // dead nodes without invalidating the layout.
   std::vector<bdd::BddRef> SiftRoots() const;
 
-  // The same handles as mutable pointers, for BddManager::GarbageCollect:
-  // compaction moves nodes, so the collector rewrites these in place. Any
-  // ref the layout holds but does not list here would dangle.
-  std::vector<bdd::BddRef*> GcRoots();
-
   // Variable masks for quantification.
   // True exactly on the prefix address + length variables.
   std::vector<bool> PrefixVarMask() const;

@@ -42,15 +42,6 @@ inline void RecordBddStats(const bdd::BddStats& stats) {
     registry.Add("bdd.sift_nodes_after",
                  static_cast<double>(stats.sift_nodes_after));
   }
-  // Same contract for the collector: absent unless a GC actually ran in
-  // this manager, so one-shot CLI traces stay byte-identical.
-  if (stats.gc_runs > 0) {
-    registry.Add("bdd.gc_runs", static_cast<double>(stats.gc_runs));
-    registry.Add("bdd.gc_reclaimed_nodes",
-                 static_cast<double>(stats.gc_reclaimed));
-    registry.Add("bdd.gc_compacted_bytes",
-                 static_cast<double>(stats.gc_compacted_bytes));
-  }
 }
 
 // Exports a manager's memory accounting (bdd::BddMemoryStats). Counters

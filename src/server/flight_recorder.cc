@@ -23,17 +23,9 @@ void AppendSummary(std::ostringstream& out, const FlightRecord& record) {
       << util::JsonEscape(record.endpoint) << "\",\"status\":" << record.status
       << ",\"wall_ns\":" << record.wall_ns
       << ",\"phases\":{\"parse_ns\":" << record.parse_ns
-      << ",\"template_ns\":" << record.template_ns
       << ",\"diff_ns\":" << record.diff_ns
       << ",\"render_ns\":" << record.render_ns << '}'
-      << ",\"cache\":\"" << util::JsonEscape(record.cache) << '"';
-  if (record.template_key_hash != 0) {
-    out << ",\"template_key\":\"" << KeyHashHex(record.template_key_hash)
-        << '"';
-  } else {
-    out << ",\"template_key\":null";
-  }
-  out << ",\"result_cache\":\"" << util::JsonEscape(record.result_cache)
+      << ",\"result_cache\":\"" << util::JsonEscape(record.result_cache)
       << '"';
   if (record.result_key_hash != 0) {
     out << ",\"result_key\":\"" << KeyHashHex(record.result_key_hash) << '"';

@@ -1,8 +1,8 @@
 #pragma once
 
 // Per-request flight recorder for the campion_serve daemon: a bounded ring
-// of the last N diff executions — wall time, phase breakdown, cache
-// disposition, template-key digest, status — with the full span tree and
+// of the last N diff executions — wall time, phase breakdown, result-cache
+// disposition and key digest, status — with the full span tree and
 // metrics snapshot retained only for the K slowest entries still in the
 // ring. The point is post-hoc debugging of a live daemon ("why was that
 // request slow?") at strictly bounded memory: summaries are a few hundred
@@ -27,16 +27,14 @@ struct FlightRecord {
   std::string endpoint;        // "/diff" or "/sessions/<name>/diff".
   int status = 0;              // HTTP status of the response.
   std::uint64_t wall_ns = 0;   // Whole RunDiff wall time.
-  // Fixed pipeline phases, zero when skipped (e.g. template_ns on a
-  // cache-ineligible request, everything after parse on a 422).
+  // Fixed pipeline phases, zero when skipped (everything after parse on a
+  // 422; diff and render on a result-cache hit). diff_ns includes the
+  // encoding-template build, which runs inside ConfigDiff.
   std::uint64_t parse_ns = 0;
-  std::uint64_t template_ns = 0;
   std::uint64_t diff_ns = 0;
   std::uint64_t render_ns = 0;
-  std::string cache;           // Template cache: "hit", "miss", or "off".
-  std::uint64_t template_key_hash = 0;  // FNV-1a of the cache key; 0 = off.
   // Result cache: "hit", "miss", "bypass" (obs envelope requested), or
-  // "off". On a hit the template phases above are zero — the response was
+  // "off". On a hit the diff and render phases are zero — the response was
   // replayed, not recomputed.
   std::string result_cache = "off";
   std::uint64_t result_key_hash = 0;    // FNV-1a of the result key; 0 = off.

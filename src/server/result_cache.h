@@ -2,16 +2,15 @@
 
 // Incremental result cache: the fleet-scale re-diff shortcut.
 //
-// The template cache (template_cache.h) amortizes the encoding build; the
-// whole pipeline after it — seeding pair managers, the semantic diff, the
-// render — is still paid on every request. For fleet workloads that is the
+// Without it the whole pipeline — template build, the semantic diff, the
+// render — is paid on every request. For fleet workloads that is the
 // dominant cost: a 64-pair batch where one router changed re-pays 63
 // identical diffs. This cache stores the RENDERED RESPONSE per pair,
 // keyed by the full canonical serialization of both parsed configs
 // (encode::ConfigCanonicalKey — PR 5 structural keys plus names, actions,
 // declaration order, and source spans) concatenated with the diff-relevant
-// options (the check_* set and the output format). A hit skips template
-// fetch, diff, and render entirely, paying only the parse (cheap next to
+// options (the check_* set and the output format). A hit skips the diff
+// and render entirely, paying only the parse (cheap next to
 // the semantic diff — the same trade the session store already makes).
 //
 // Soundness: the map keys on the FULL key string, not a digest, so a hit
@@ -24,8 +23,8 @@
 // across all of them.
 //
 // Residency is LRU-bounded by a bytes watermark over the stored bodies +
-// keys, mirroring the template cache (never evicting the entry just
-// inserted), plus an optional entry cap.
+// keys (never evicting the entry just inserted), plus an optional entry
+// cap.
 
 #include <cstddef>
 #include <cstdint>
@@ -61,12 +60,6 @@ class ResultCache {
     std::string content_type;
     bool equivalent = false;
     std::size_t differences = 0;
-    // The template-cache disposition recorded when this result was
-    // computed ("hit", "miss", or "off") — replayed in the
-    // X-Campion-Template-Cache header so a warm response carries the same
-    // provenance the original did.
-    std::string template_cache;
-    std::uint64_t template_key_hash = 0;
   };
 
   explicit ResultCache(Options options) : options_(options) {}

@@ -186,16 +186,6 @@ std::string ResultCacheKeyFor(const ir::RouterConfig& config1,
 
 DiffService::DiffService(ServiceOptions options)
     : options_(std::move(options)),
-      cache_([&] {
-        TemplateCache::Options cache_options;
-        cache_options.reorder = options_.diff.reorder;
-        cache_options.reorder_trigger_ratio =
-            options_.diff.reorder_trigger_ratio;
-        cache_options.gc = options_.gc;
-        cache_options.max_resident_bytes = options_.gc_watermark_bytes;
-        cache_options.max_entries = options_.cache_max_entries;
-        return cache_options;
-      }()),
       result_cache_([&] {
         ResultCache::Options result_options;
         result_options.max_resident_bytes =
@@ -340,7 +330,6 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
 
   FlightRecord record;
   record.endpoint = task.endpoint;
-  record.cache = "off";
   PairOutcome outcome;
   const std::uint64_t wall_start = obs::NowNs();
   auto finish = [&] {
@@ -349,9 +338,6 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
     record.status = outcome.status;
     record.wall_ns = obs::NowNs() - wall_start;
     phase_latency_.parse.Record(record.parse_ns);
-    if (record.template_ns > 0) {
-      phase_latency_.template_fetch.Record(record.template_ns);
-    }
     if (record.diff_ns > 0) phase_latency_.diff.Record(record.diff_ns);
     if (record.render_ns > 0) phase_latency_.render.Record(record.render_ns);
     if (options_.flight_recorder) flight_.Record(std::move(record));
@@ -382,9 +368,9 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
   record.parse_ns = obs::NowNs() - parse_start;
 
   // Result-cache consult: a hit replays the rendered response and skips
-  // template fetch, diff, and render — the incremental re-diff shortcut.
-  // Only the parse above was paid (the fingerprint needs the IR). Obs
-  // requests bypass: their envelope carries this request's live trace.
+  // diff and render — the incremental re-diff shortcut. Only the parse
+  // above was paid (the fingerprint needs the IR). Obs requests bypass:
+  // their envelope carries this request's live trace.
   std::string result_key;
   const bool result_eligible = options_.result_cache && !task.want_obs;
   if (result_eligible) {
@@ -399,9 +385,6 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
       outcome.content_type = cached->content_type;
       outcome.equivalent = cached->equivalent;
       outcome.differences = cached->differences;
-      outcome.template_cache = cached->template_cache;
-      record.cache = cached->template_cache;
-      record.template_key_hash = cached->template_key_hash;
       record.equivalent = cached->equivalent;
       record.differences = cached->differences;
       record.spans = obs::TakeThreadSpans();
@@ -417,23 +400,6 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
 
   core::DiffOptions diff_options = task.options;
   diff_options.metrics_sink = &sink;
-  std::shared_ptr<const encode::EncodingTemplate> tmpl;
-  bool cache_hit = false;
-  const bool cache_eligible =
-      options_.cache && diff_options.use_encoding_template &&
-      (diff_options.check_route_maps || diff_options.check_acls);
-  if (cache_eligible) {
-    const std::uint64_t template_start = obs::NowNs();
-    std::uint64_t key_hash = 0;
-    tmpl = cache_.Get(loaded1.config, loaded2.config, &cache_hit, &key_hash);
-    diff_options.external_template = tmpl.get();
-    record.template_ns = obs::NowNs() - template_start;
-    record.template_key_hash = key_hash;
-    record.cache = cache_hit ? "hit" : "miss";
-  }
-  outcome.template_cache = cache_eligible ? (cache_hit ? "hit" : "miss")
-                                          : "off";
-
   core::DiffReport report;
   const std::uint64_t diff_start = obs::NowNs();
   try {
@@ -480,8 +446,6 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
     cached->content_type = outcome.content_type;
     cached->equivalent = outcome.equivalent;
     cached->differences = outcome.differences;
-    cached->template_cache = outcome.template_cache;
-    cached->template_key_hash = record.template_key_hash;
     result_cache_.Put(result_key, std::move(cached));
   }
 
@@ -521,8 +485,6 @@ HttpResponse DiffService::RunDiff(const std::string& endpoint,
                                   outcome.equivalent ? "true" : "false");
     response.headers.emplace_back("X-Campion-Differences",
                                   std::to_string(outcome.differences));
-    response.headers.emplace_back("X-Campion-Template-Cache",
-                                  outcome.template_cache);
     response.headers.emplace_back("X-Campion-Result-Cache",
                                   outcome.result_cache);
   }
@@ -730,25 +692,12 @@ std::string DiffService::RenderMetricsText() {
                       phase_latency_.parse.Snapshot());
   AppendTextQuantiles(out, "server.phase.render",
                       phase_latency_.render.Snapshot());
-  AppendTextQuantiles(out, "server.phase.template",
-                      phase_latency_.template_fetch.Snapshot());
   const ResultCache::Stats results = result_cache_.GetStats();
   out << "server.result_cache_entries " << results.entries << '\n';
   out << "server.result_cache_evictions " << results.evictions << '\n';
   out << "server.result_cache_hits " << results.hits << '\n';
   out << "server.result_cache_misses " << results.misses << '\n';
   out << "server.result_cache_resident_bytes " << results.resident_bytes
-      << '\n';
-  const TemplateCache::Stats cache = cache_.GetStats();
-  out << "server.template_cache_entries " << cache.entries << '\n';
-  out << "server.template_cache_evictions " << cache.evictions << '\n';
-  out << "server.template_cache_gc_compacted_bytes "
-      << cache.gc_compacted_bytes << '\n';
-  out << "server.template_cache_gc_reclaimed_nodes "
-      << cache.gc_reclaimed_nodes << '\n';
-  out << "server.template_cache_hits " << cache.hits << '\n';
-  out << "server.template_cache_misses " << cache.misses << '\n';
-  out << "server.template_cache_resident_bytes " << cache.resident_bytes
       << '\n';
   {
     std::lock_guard<std::mutex> lock(sessions_mutex_);
@@ -773,18 +722,12 @@ std::string DiffService::RenderMetricsPrometheus() {
   const std::uint64_t reuses = keepalive_reuses_ ? keepalive_reuses_() : 0;
   out << "# TYPE campion_server_keepalive_reuses counter\n";
   out << "campion_server_keepalive_reuses " << reuses << '\n';
-  const TemplateCache::Stats cache = cache_.GetStats();
   const auto counter = [&](const char* name, std::uint64_t value) {
     out << "# TYPE " << name << " counter\n" << name << ' ' << value << '\n';
   };
   const auto gauge = [&](const char* name, std::uint64_t value) {
     out << "# TYPE " << name << " gauge\n" << name << ' ' << value << '\n';
   };
-  counter("campion_server_template_cache_hits", cache.hits);
-  counter("campion_server_template_cache_misses", cache.misses);
-  counter("campion_server_template_cache_evictions", cache.evictions);
-  gauge("campion_server_template_cache_entries", cache.entries);
-  gauge("campion_server_template_cache_resident_bytes", cache.resident_bytes);
   const ResultCache::Stats results = result_cache_.GetStats();
   counter("campion_server_result_cache_hits", results.hits);
   counter("campion_server_result_cache_misses", results.misses);
@@ -818,7 +761,6 @@ std::string DiffService::RenderMetricsPrometheus() {
   out << "# TYPE campion_phase_duration_ns histogram\n";
   const std::pair<const char*, const obs::LatencyHistogram*> phases[] = {
       {"parse", &phase_latency_.parse},
-      {"template", &phase_latency_.template_fetch},
       {"diff", &phase_latency_.diff},
       {"render", &phase_latency_.render},
   };
@@ -856,24 +798,6 @@ HttpResponse DiffService::HandleDebug(const HttpRequest& request) {
       return JsonError(404, "no request " + id_text + " in the ring");
     }
     return JsonOk(body);
-  }
-  if (request.path == "/debug/cache") {
-    std::ostringstream out;
-    const TemplateCache::Stats stats = cache_.GetStats();
-    out << "{\"hits\":" << stats.hits << ",\"misses\":" << stats.misses
-        << ",\"evictions\":" << stats.evictions
-        << ",\"resident_bytes\":" << stats.resident_bytes << ",\"entries\":[";
-    bool first = true;
-    for (const TemplateCache::EntryInfo& info : cache_.EntryInfos()) {
-      if (!first) out << ',';
-      first = false;
-      out << "{\"key\":\"" << KeyHashHex(info.key_hash)
-          << "\",\"resident_bytes\":" << info.resident_bytes
-          << ",\"hits\":" << info.hits << ",\"build_seq\":" << info.build_seq
-          << '}';
-    }
-    out << "]}\n";
-    return JsonOk(out.str());
   }
   if (request.path == "/debug/result_cache") {
     std::ostringstream out;

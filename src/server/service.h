@@ -22,7 +22,6 @@
 //   DELETE /sessions/<name>             drop the session
 //   GET  /debug/requests                flight recorder: last-N summaries
 //   GET  /debug/requests/<id>           one entry, with trace when retained
-//   GET  /debug/cache                   per-entry template-cache view
 //   GET  /debug/result_cache            per-entry result-cache view
 //   GET  /debug/sessions                session detail (sizes, vendors)
 //
@@ -34,16 +33,16 @@
 // (`"obs": true` / `?obs=1`) is the one deliberate exception: it wraps the
 // report in JSON together with the request's span tree and metrics.
 //
-// Concurrency model: requests run the full parse→template→diff→render
-// pipeline CONCURRENTLY, one per connection worker, each still fanning out
+// Concurrency model: requests run the full parse→diff→render pipeline
+// CONCURRENTLY, one per connection worker, each still fanning out
 // over `--threads` workers inside ConfigDiff. What makes that sound is
 // scoped observability capture: every request records into its own
 // obs::MetricsSink (threaded through DiffOptions::metrics_sink so the
 // pooled pair tasks land there too) and its own thread-local span buffer,
 // and the service folds the private snapshot into the daemon cumulative
-// map only at request completion. The only cross-request serialization
-// left is the template cache's build lock, which exists to deduplicate
-// simultaneous misses on one key, not to order requests.
+// map only at request completion. No lock is held across a pipeline run:
+// each request builds its own encoding template inside ConfigDiff, exactly
+// as the one-shot CLI does.
 
 #include <atomic>
 #include <cstdint>
@@ -59,7 +58,6 @@
 #include "server/flight_recorder.h"
 #include "server/http.h"
 #include "server/result_cache.h"
-#include "server/template_cache.h"
 
 namespace campion::server {
 
@@ -68,14 +66,6 @@ struct ServiceOptions {
   // reorder mode. Per-request JSON fields override checks/format only,
   // never the performance knobs (those are fleet configuration).
   core::DiffOptions diff;
-  // Cross-request template cache (off = every request builds privately,
-  // exactly like the CLI).
-  bool cache = true;
-  // Template-manager GC: per-template compaction after build plus the LRU
-  // byte watermark below. Off = the bench_serve A/B baseline.
-  bool gc = true;
-  std::size_t gc_watermark_bytes = 256 * 1024 * 1024;
-  std::size_t cache_max_entries = 0;  // 0 = unlimited.
   // Incremental result cache (src/server/result_cache.h): rendered pair
   // responses keyed by the full canonical structure of both configs plus
   // the diff-relevant options. Off = every request re-runs the pipeline
@@ -99,7 +89,6 @@ class DiffService {
   // Thread-safe: called concurrently by HttpServer's connection workers.
   HttpResponse Handle(const HttpRequest& request);
 
-  TemplateCache::Stats CacheStats() const { return cache_.GetStats(); }
   ResultCache::Stats ResultCacheStats() const {
     return result_cache_.GetStats();
   }
@@ -140,8 +129,7 @@ class DiffService {
   // Pipeline-phase histograms, recorded per diff execution in RunDiff.
   struct PhaseLatency {
     obs::LatencyHistogram parse;
-    obs::LatencyHistogram template_fetch;  // Cache Get (build on a miss).
-    obs::LatencyHistogram diff;
+    obs::LatencyHistogram diff;  // ConfigDiff, template build included.
     obs::LatencyHistogram render;
   };
 
@@ -170,9 +158,6 @@ class DiffService {
     std::string content_type;
     bool equivalent = false;
     std::size_t differences = 0;
-    std::string template_cache = "off";  // "hit", "miss", or "off"; on a
-                                         // result-cache hit, replayed from
-                                         // the run that computed the entry.
     std::string result_cache = "off";    // "hit", "miss", "bypass", "off".
     std::uint64_t result_key_hash = 0;   // FNV-1a of the result-cache key.
     std::string error;                   // Non-empty when status != 200.
@@ -181,9 +166,8 @@ class DiffService {
   // Parses, diffs, and renders one comparison with task-private
   // observability capture (no cross-request lock — safe to call
   // concurrently from batch workers). Consults the result cache first
-  // (a hit skips template fetch, diff, and render), folds the task's
-  // metrics, and leaves one flight-recorder entry behind when the
-  // recorder is on.
+  // (a hit skips diff and render), folds the task's metrics, and leaves
+  // one flight-recorder entry behind when the recorder is on.
   PairOutcome ExecutePair(const PairTask& task);
 
   // ExecutePair wrapped back into an HTTP response (headers + error
@@ -202,7 +186,6 @@ class DiffService {
   void BumpCounter(const std::string& name, double delta = 1.0);
 
   ServiceOptions options_;
-  TemplateCache cache_;
   ResultCache result_cache_;
   FlightRecorder flight_;
   EndpointLatency endpoint_latency_;

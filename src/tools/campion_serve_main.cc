@@ -1,7 +1,7 @@
 // campion_serve: the resident comparison daemon. Accepts diff requests
-// over HTTP, amortizes the encoding-template build / one-time sift across
-// requests via a cross-request cache, and bounds resident BDD memory with
-// mark-and-compact GC. docs/daemon.md is the authoritative API reference.
+// over HTTP, runs each through the same pipeline as the one-shot CLI, and
+// replays unchanged pairs from a result cache. docs/daemon.md is the
+// authoritative API reference.
 //
 //   campion_serve [options]
 //
@@ -14,20 +14,14 @@
 //   --http_threads=N         Connection-handling threads (default 4).
 //   --encoding_template=on|off  Seed pair managers from a shared template
 //                            (default on; reports byte-identical).
-//   --cache=on|off           Cross-request template cache (default on).
-//   --cache_entries=N        Max cached templates (0 = unlimited).
 //   --result_cache=on|off    Incremental result cache keyed by structural
 //                            fingerprints (default on).
 //   --result_cache_mb=N      Cached response bytes before LRU eviction
 //                            (default 64).
 //   --result_cache_entries=N Max cached results (0 = unlimited).
-//   --reorder=off|sift|group_sift  One-time template sift per cache entry
-//                            (default sift: the daemon amortizes it).
+//   --reorder=off|sift|group_sift  BDD variable reordering, as in the CLI
+//                            (default off).
 //   --reorder_trigger_ratio=R  Pair-manager auto-sift trigger (min 1.1).
-//   --gc=on|off              Template compaction + resident-byte watermark
-//                            (default on).
-//   --gc_watermark_mb=N      Resident template bytes before LRU eviction
-//                            (default 256).
 //   --flight_recorder=on|off Per-request flight recorder behind
 //                            /debug/requests (default on).
 //   --flight_recorder_entries=N  Ring capacity: last N diff executions
@@ -72,10 +66,6 @@ void PrintUsage(std::ostream& out) {
          "                  seed per-pair BDD managers from a shared\n"
          "                  read-only encoding template (default on; the\n"
          "                  report is byte-identical either way)\n"
-         "  --cache=on|off  cross-request template cache keyed by the\n"
-         "                  canonical structural keys (default on)\n"
-         "  --cache_entries=N\n"
-         "                  max cached templates (0 = unlimited)\n"
          "  --result_cache=on|off\n"
          "                  incremental result cache: rendered responses\n"
          "                  keyed by the full canonical structure of both\n"
@@ -87,19 +77,13 @@ void PrintUsage(std::ostream& out) {
          "  --result_cache_entries=N\n"
          "                  max cached results (0 = unlimited)\n"
          "  --reorder=off|sift|group_sift\n"
-         "                  one-time template sift per cache entry\n"
-         "                  (default sift; the report is byte-identical\n"
+         "                  dynamic BDD variable reordering, as in the\n"
+         "                  CLI (default off; the report is byte-identical\n"
          "                  at every mode)\n"
          "  --reorder_trigger_ratio=R\n"
          "                  auto-sift a pair manager when its live node\n"
          "                  count grows past R x the count at the last\n"
          "                  sift (default 2.0, min 1.1)\n"
-         "  --gc=on|off     BDD arena mark-and-compact GC for cached\n"
-         "                  templates plus the resident-byte watermark\n"
-         "                  (default on)\n"
-         "  --gc_watermark_mb=N\n"
-         "                  resident template bytes before least-recently-\n"
-         "                  used cache eviction (default 256)\n"
          "  --flight_recorder=on|off\n"
          "                  record the last N diff executions (wall time,\n"
          "                  phase breakdown, cache disposition) for\n"
@@ -180,17 +164,6 @@ bool ParseArgs(int argc, char** argv, Options* options, int* exit_code) {
                       &options->service.diff.use_encoding_template)) {
         return false;
       }
-    } else if (arg.rfind("--cache=", 0) == 0) {
-      if (!ParseOnOff(value_of("--cache="), "--cache",
-                      &options->service.cache)) {
-        return false;
-      }
-    } else if (arg.rfind("--cache_entries=", 0) == 0) {
-      if (!ParseUnsigned(value_of("--cache_entries="), "--cache_entries",
-                         &number)) {
-        return false;
-      }
-      options->service.cache_max_entries = number;
     } else if (arg.rfind("--result_cache=", 0) == 0) {
       if (!ParseOnOff(value_of("--result_cache="), "--result_cache",
                       &options->service.result_cache)) {
@@ -234,16 +207,6 @@ bool ParseArgs(int argc, char** argv, Options* options, int* exit_code) {
         return false;
       }
       options->service.diff.reorder_trigger_ratio = ratio;
-    } else if (arg.rfind("--gc=", 0) == 0) {
-      if (!ParseOnOff(value_of("--gc="), "--gc", &options->service.gc)) {
-        return false;
-      }
-    } else if (arg.rfind("--gc_watermark_mb=", 0) == 0) {
-      if (!ParseUnsigned(value_of("--gc_watermark_mb="), "--gc_watermark_mb",
-                         &number)) {
-        return false;
-      }
-      options->service.gc_watermark_bytes = number * 1024 * 1024;
     } else if (arg.rfind("--flight_recorder=", 0) == 0) {
       if (!ParseOnOff(value_of("--flight_recorder="), "--flight_recorder",
                       &options->service.flight_recorder)) {

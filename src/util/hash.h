@@ -2,7 +2,7 @@
 
 // FNV-1a 64-bit: the repo's one string digest. Used where a stable,
 // dependency-free fingerprint of a potentially large key is wanted in
-// logs and debug endpoints (e.g. the daemon's template-cache key digests)
+// logs and debug endpoints (e.g. the daemon's result-cache key digests)
 // — NOT a cryptographic hash, and not for adversarial inputs.
 
 #include <cstdint>

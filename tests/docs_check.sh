@@ -136,7 +136,7 @@ else
     fi
   done
   # The daemon's endpoint table, kept in sync with DiffService::Handle.
-  for endpoint in /healthz /metrics /diff /batch /sessions /debug/requests /debug/cache /debug/result_cache /debug/sessions; do
+  for endpoint in /healthz /metrics /diff /batch /sessions /debug/requests /debug/result_cache /debug/sessions; do
     if ! grep -qF -- "$endpoint" "$DAEMON_MD"; then
       echo "FAIL docs/daemon.md does not document endpoint $endpoint"
       failures=$((failures + 1))
@@ -146,7 +146,7 @@ else
   # any `/word` rendered in backticks must be a known prefix.
   while IFS= read -r documented; do
     case $documented in
-      /healthz|/metrics|/diff|/batch|/sessions|/sessions/*|/debug/requests|/debug/requests/*|/debug/cache|/debug/result_cache|/debug/sessions) ;;
+      /healthz|/metrics|/diff|/batch|/sessions|/sessions/*|/debug/requests|/debug/requests/*|/debug/result_cache|/debug/sessions) ;;
       *)
         echo "FAIL docs/daemon.md documents unknown endpoint $documented"
         failures=$((failures + 1))

@@ -1,25 +1,23 @@
 // Validates real `campion --trace_out` output against the schema documented
 // in docs/trace_format.md: runs the built CLI on the Fig.1 pair, parses the
-// emitted JSON with a minimal parser written here (the repo deliberately
-// has no general JSON dependency), and checks the document shape, the span
-// vocabulary, the kernel metrics, and structural determinism across
+// emitted JSON with util::ParseJson, and checks the document shape, the
+// span vocabulary, the kernel metrics, and structural determinism across
 // `--threads` values.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "tests/testdata.h"
+#include "util/json.h"
 
 #ifndef CAMPION_CLI_PATH
 #error "CAMPION_CLI_PATH must be defined by the build"
@@ -28,163 +26,7 @@
 namespace campion {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON model + recursive-descent parser (objects keep key order).
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool Parse(JsonValue& out) {
-    bool ok = ParseValue(out);
-    SkipSpace();
-    return ok && pos_ == text_.size();
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ParseValue(JsonValue& out) {
-    SkipSpace();
-    if (pos_ >= text_.size()) return false;
-    char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
-    if (c == '"') {
-      out.type = JsonValue::Type::kString;
-      return ParseString(out.string);
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out.type = JsonValue::Type::kBool;
-      out.boolean = true;
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out.type = JsonValue::Type::kBool;
-      pos_ += 5;
-      return true;
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    return ParseNumber(out);
-  }
-
-  bool ParseObject(JsonValue& out) {
-    out.type = JsonValue::Type::kObject;
-    if (!Consume('{')) return false;
-    if (Consume('}')) return true;
-    do {
-      SkipSpace();
-      std::string key;
-      if (!ParseString(key)) return false;
-      if (!Consume(':')) return false;
-      JsonValue value;
-      if (!ParseValue(value)) return false;
-      out.object.emplace_back(std::move(key), std::move(value));
-    } while (Consume(','));
-    return Consume('}');
-  }
-
-  bool ParseArray(JsonValue& out) {
-    out.type = JsonValue::Type::kArray;
-    if (!Consume('[')) return false;
-    if (Consume(']')) return true;
-    do {
-      JsonValue value;
-      if (!ParseValue(value)) return false;
-      out.array.push_back(std::move(value));
-    } while (Consume(','));
-    return Consume(']');
-  }
-
-  bool ParseString(std::string& out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u':
-            // The emitter only \u-escapes control characters; decode to '?'.
-            if (pos_ + 4 > text_.size()) return false;
-            pos_ += 4;
-            out += '?';
-            break;
-          default: return false;
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (pos_ >= text_.size()) return false;
-    ++pos_;  // Closing quote.
-    return true;
-  }
-
-  bool ParseNumber(JsonValue& out) {
-    std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    out.type = JsonValue::Type::kNumber;
-    out.number = std::stod(text_.substr(start, pos_ - start));
-    return true;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+using util::JsonValue;
 
 // ---------------------------------------------------------------------------
 // Test fixture: writes the Fig.1 pair once and runs the CLI per test.
@@ -228,8 +70,9 @@ class TraceSchemaTest : public ::testing::Test {
     std::stringstream buffer;
     buffer << file.rdbuf();
     JsonValue doc;
-    EXPECT_TRUE(JsonParser(buffer.str()).Parse(doc))
-        << "trace is not valid JSON: " << trace_path;
+    std::string error;
+    EXPECT_TRUE(util::ParseJson(buffer.str(), doc, &error))
+        << "trace is not valid JSON: " << trace_path << ": " << error;
     return doc;
   }
 

@@ -141,8 +141,8 @@ TEST_F(ResultCacheServerTest, WarmDiffReplaysByteIdentical) {
   // Replayed metadata matches the computed request's.
   EXPECT_EQ(warm.headers["x-campion-equivalent"],
             cold.headers["x-campion-equivalent"]);
-  EXPECT_EQ(warm.headers["x-campion-template-cache"],
-            cold.headers["x-campion-template-cache"]);
+  EXPECT_EQ(warm.headers["x-campion-differences"],
+            cold.headers["x-campion-differences"]);
 
   HttpClientResponse metrics = Fetch("GET", "/metrics");
   EXPECT_NE(metrics.body.find("server.result_cache_hits 1"),
@@ -170,10 +170,9 @@ TEST_F(ResultCacheServerTest, ResultCacheOffReportsOffAndStillMatches) {
 }
 
 // The adversarial collision: two configs whose PR 5 structural keys are
-// identical (matches untouched) but whose ACL actions differ. They share
-// ONE template-cache entry and must occupy TWO result-cache entries with
-// distinct bodies — a fingerprint keyed on the structural key alone would
-// replay the wrong report here.
+// identical (matches untouched) but whose ACL actions differ. They must
+// occupy TWO result-cache entries with distinct bodies — a fingerprint
+// keyed on the structural key alone would replay the wrong report here.
 TEST_F(ResultCacheServerTest, StructuralCollisionDoesNotCrossReplay) {
   constexpr const char* kPermitSide =
       "hostname left\n"
@@ -206,11 +205,7 @@ TEST_F(ResultCacheServerTest, StructuralCollisionDoesNotCrossReplay) {
   EXPECT_EQ(second.headers["x-campion-result-cache"], "miss");
   EXPECT_NE(first.body, second.body);
 
-  // Same structural key -> one template entry; different canonical key ->
-  // two result entries.
-  const TemplateCache::Stats template_stats = service_->CacheStats();
-  EXPECT_EQ(template_stats.entries, 1u);
-  EXPECT_EQ(template_stats.hits, 1u);
+  // Same structural key, different canonical key -> two result entries.
   const ResultCache::Stats result_stats = service_->ResultCacheStats();
   EXPECT_EQ(result_stats.entries, 2u);
   EXPECT_EQ(result_stats.misses, 2u);
@@ -271,11 +266,14 @@ TEST_F(ResultCacheServerTest, FlightRecorderReplaysStoredDisposition) {
   const util::JsonValue& computed = requests->array[1];
   EXPECT_EQ(computed.Find("result_cache")->string, "miss");
   EXPECT_EQ(replay.Find("result_cache")->string, "hit");
-  // The template disposition and key are REPLAYED from the computed
-  // request — the hit never touched the template cache.
-  EXPECT_EQ(replay.Find("cache")->string, "miss");
-  EXPECT_EQ(replay.Find("template_key")->string,
-            computed.Find("template_key")->string);
+  // The verdict is REPLAYED from the computed request; the hit ran no
+  // diff.
+  EXPECT_EQ(replay.Find("equivalent")->boolean,
+            computed.Find("equivalent")->boolean);
+  EXPECT_EQ(replay.Find("differences")->number,
+            computed.Find("differences")->number);
+  EXPECT_EQ(replay.Find("phases")->Find("diff_ns")->number, 0.0);
+  EXPECT_GT(computed.Find("phases")->Find("diff_ns")->number, 0.0);
   EXPECT_EQ(replay.Find("result_key")->string,
             computed.Find("result_key")->string);
   EXPECT_FALSE(replay.Find("result_key")->string.empty());

@@ -1,7 +1,7 @@
 // End-to-end daemon tests: HTTP responses byte-identical to the one-shot
-// CLI (text and JSON, --threads 1 and 4, cold cache and warm), the session
-// commit/rollback lifecycle, the template-cache hit/miss/off metadata
-// headers, the /metrics exposition, the obs envelope, and the API's error
+// CLI (text and JSON, --threads 1 and 4, first and repeated request,
+// caches on and off), the session commit/rollback lifecycle, the /metrics
+// exposition, the debug views, the obs envelope, and the API's error
 // statuses. The server runs in-process on an ephemeral loopback port; the
 // CLI reference output comes from the real `campion` binary via
 // CAMPION_CLI_PATH, so this is a genuine cross-binary determinism check.
@@ -145,12 +145,10 @@ TEST_F(ServerCliParityTest, DiffBodyMatchesCliAtThreads1And4) {
   for (const unsigned threads : {1u, 4u}) {
     ServiceOptions options;
     options.diff.num_threads = threads;
-    // The daemon's defaults differ from the CLI's (reorder=sift via
-    // campion_serve) — assert parity under the daemon-like setup too.
+    // Reordering is a performance knob: the bytes must not change with it.
     options.diff.reorder = core::DiffOptions::ReorderMode::kSift;
-    // This test exercises the TEMPLATE cache cold/warm; with the result
-    // cache on, the warm request would replay before touching it
-    // (result_cache_test covers that path).
+    // Both requests must run the full pipeline; with the result cache on,
+    // the second would replay (result_cache_test covers that path).
     options.result_cache = false;
     StartServer(options);
 
@@ -163,20 +161,18 @@ TEST_F(ServerCliParityTest, DiffBodyMatchesCliAtThreads1And4) {
     ASSERT_EQ(cli_exit, 2);  // fig1 has differences.
     ASSERT_FALSE(cli.empty());
 
-    // Cold cache (miss) and warm cache (hit) must both match the CLI byte
-    // for byte.
+    // The first request and a repeat must both match the CLI byte for
+    // byte.
     const std::string body =
         DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper);
-    HttpClientResponse cold = Fetch("POST", "/diff", body);
-    ASSERT_EQ(cold.status, 200);
-    EXPECT_EQ(cold.headers["x-campion-template-cache"], "miss");
-    EXPECT_EQ(cold.headers["x-campion-equivalent"], "false");
-    EXPECT_EQ(cold.body, cli) << "threads=" << threads << " (cold)";
+    HttpClientResponse first = Fetch("POST", "/diff", body);
+    ASSERT_EQ(first.status, 200);
+    EXPECT_EQ(first.headers["x-campion-equivalent"], "false");
+    EXPECT_EQ(first.body, cli) << "threads=" << threads << " (first)";
 
-    HttpClientResponse warm = Fetch("POST", "/diff", body);
-    ASSERT_EQ(warm.status, 200);
-    EXPECT_EQ(warm.headers["x-campion-template-cache"], "hit");
-    EXPECT_EQ(warm.body, cli) << "threads=" << threads << " (warm)";
+    HttpClientResponse repeat = Fetch("POST", "/diff", body);
+    ASSERT_EQ(repeat.status, 200);
+    EXPECT_EQ(repeat.body, cli) << "threads=" << threads << " (repeat)";
 
     server_->Stop();
     server_.reset();
@@ -262,21 +258,20 @@ TEST_F(ServerTest, MetricsExposesCacheAndRequestCounters) {
   HttpClientResponse metrics = Fetch("GET", "/metrics");
   ASSERT_EQ(metrics.status, 200);
   EXPECT_NE(metrics.body.find("server.diff_requests 2"), std::string::npos);
-  // The second identical request replays from the result cache before the
-  // template cache is consulted: one template miss, one result hit.
-  EXPECT_NE(metrics.body.find("server.template_cache_misses 1"),
-            std::string::npos);
+  // The second identical request replays from the result cache.
   EXPECT_NE(metrics.body.find("server.result_cache_hits 1"),
             std::string::npos);
   EXPECT_NE(metrics.body.find("server.result_cache_misses 1"),
             std::string::npos);
   // Per-request obs metrics folded into the daemon totals.
   EXPECT_NE(metrics.body.find("diff.route_map_pairs"), std::string::npos);
+  EXPECT_EQ(metrics.body.find("template_cache"), std::string::npos);
 }
 
+// Every form of reuse off — no result cache, no shared encoding template —
+// must change nothing but the cache header.
 TEST_F(ServerTest, CacheOffReportsOffAndStillMatches) {
-  ServiceOptions cached;
-  StartServer(cached);
+  StartServer(ServiceOptions{});
   const std::string body =
       DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper);
   const std::string with_cache = Fetch("POST", "/diff", body).body;
@@ -285,10 +280,12 @@ TEST_F(ServerTest, CacheOffReportsOffAndStillMatches) {
   service_.reset();
 
   ServiceOptions uncached;
-  uncached.cache = false;
+  uncached.result_cache = false;
+  uncached.diff.use_encoding_template = false;
   StartServer(uncached);
   HttpClientResponse response = Fetch("POST", "/diff", body);
-  EXPECT_EQ(response.headers["x-campion-template-cache"], "off");
+  ASSERT_EQ(response.status, 200);
+  EXPECT_EQ(response.headers["x-campion-result-cache"], "off");
   EXPECT_EQ(response.body, with_cache);
 }
 
@@ -316,8 +313,8 @@ TEST_F(ServerTest, ObsEnvelopeCarriesSpansAndMetrics) {
 TEST_F(ServerCliParityTest, ConcurrentDiffRequestsMatchCliByteParity) {
   ServiceOptions options;
   options.diff.num_threads = 2;  // Fan out inside requests too.
-  // Template-dedup assertions below need every request to actually reach
-  // the template cache; a result-cache replay would make the counts racy.
+  // Every request must run the whole pipeline concurrently; a result-cache
+  // replay would short-circuit the race this test is about.
   options.result_cache = false;
   StartServer(options);
 
@@ -350,13 +347,9 @@ TEST_F(ServerCliParityTest, ConcurrentDiffRequestsMatchCliByteParity) {
     EXPECT_EQ(statuses[i], 200) << "client " << i;
     EXPECT_EQ(bodies[i], cli) << "client " << i;
   }
-  // Every request's metrics were captured: 4 diffs folded, exactly one
-  // template build among them.
+  // Every request's metrics were captured: 4 diffs folded.
   HttpClientResponse metrics = Fetch("GET", "/metrics");
   EXPECT_NE(metrics.body.find("server.diff_requests 4"), std::string::npos);
-  const TemplateCache::Stats stats = service_->CacheStats();
-  EXPECT_EQ(stats.hits + stats.misses, 4u);
-  EXPECT_GE(stats.hits, 3u);  // Concurrent misses dedup through the build lock.
 }
 
 TEST_F(ServerTest, KeepAliveConnectionReuseIsCountedAndExposed) {
@@ -455,8 +448,8 @@ TEST_F(ServerTest, PlainMetricsExposeLatencyQuantiles) {
 TEST_F(ServerTest, DebugRequestsExposeFlightRecorderRing) {
   ServiceOptions options;
   // Both requests must run the full pipeline so both records carry phase
-  // timings and a template disposition (the replay path is covered by
-  // result_cache_test's FlightRecorderReplaysStoredDisposition).
+  // timings (the replay path is covered by result_cache_test's
+  // FlightRecorderReplaysStoredDisposition).
   options.result_cache = false;
   StartServer(options);
   const std::string body =
@@ -477,14 +470,10 @@ TEST_F(ServerTest, DebugRequestsExposeFlightRecorderRing) {
   const util::JsonValue& newest = requests->array[0];
   EXPECT_EQ(newest.Find("id")->number, 2.0);
   EXPECT_EQ(newest.Find("endpoint")->string, "/diff");
-  EXPECT_EQ(newest.Find("cache")->string, "hit");
-  EXPECT_EQ(requests->array[1].Find("cache")->string, "miss");
+  EXPECT_EQ(newest.Find("result_cache")->string, "off");
+  EXPECT_EQ(requests->array[1].Find("id")->number, 1.0);
   EXPECT_GT(newest.Find("wall_ns")->number, 0.0);
   EXPECT_GT(newest.Find("phases")->Find("diff_ns")->number, 0.0);
-  EXPECT_FALSE(newest.Find("template_key")->string.empty());
-  // Both requests hit the same template: identical key digests.
-  EXPECT_EQ(newest.Find("template_key")->string,
-            requests->array[1].Find("template_key")->string);
 
   // Detail view carries the span tree while the entry ranks in the
   // slowest-K.
@@ -501,9 +490,7 @@ TEST_F(ServerTest, DebugRequestsExposeFlightRecorderRing) {
 }
 
 TEST_F(ServerTest, DebugCacheAndSessionsViews) {
-  ServiceOptions options;
-  options.result_cache = false;  // Both diffs must reach the template cache.
-  StartServer(options);
+  StartServer(ServiceOptions{});
   const std::string body =
       DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper);
   ASSERT_EQ(Fetch("POST", "/diff", body).status, 200);
@@ -511,7 +498,7 @@ TEST_F(ServerTest, DebugCacheAndSessionsViews) {
   ASSERT_EQ(Fetch("PUT", "/sessions/core1/running", testing::kFig1Cisco).status,
             200);
 
-  HttpClientResponse cache = Fetch("GET", "/debug/cache");
+  HttpClientResponse cache = Fetch("GET", "/debug/result_cache");
   ASSERT_EQ(cache.status, 200);
   util::JsonValue parsed;
   std::string error;
@@ -590,6 +577,7 @@ TEST_F(ServerTest, FlightRecorderMemoryStaysBoundedOver200Requests) {
 TEST_F(ServerTest, ErrorStatuses) {
   StartServer(ServiceOptions{});
   EXPECT_EQ(Fetch("GET", "/nope").status, 404);
+  EXPECT_EQ(Fetch("GET", "/debug/cache").status, 404);
   EXPECT_EQ(Fetch("GET", "/diff").status, 405);
   EXPECT_EQ(Fetch("POST", "/diff", "not json").status, 400);
   EXPECT_EQ(Fetch("POST", "/diff", "{\"config1\":\"x\"}").status, 400);
