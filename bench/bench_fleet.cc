@@ -8,9 +8,9 @@
 //      the result cache (X-Campion-Result-Cache: hit), byte-identical.
 //   3. Incremental re-diff: one pair of the fleet regenerated, the batch
 //      re-POSTed — 63 replays + 1 recompute. The acceptance bar is
-//      cold / incremental >= --fleet_min_speedup (default 3: with the
-//      daemon's default --reorder=off a generated ACL pair diffs in under
-//      a millisecond, so the replays' parse and transfer bound the ratio).
+//      cold / incremental >= --fleet_min_speedup (default 3: a generated
+//      ACL pair diffs in under a millisecond, so the replays' parse and
+//      transfer bound the ratio).
 //   4. Parity: the incremental response must be byte-identical to a
 //      result-cache-OFF daemon's response to the same batch at
 //      http_threads 1 and 4 (the batch merge is declaration-ordered, so

@@ -32,7 +32,6 @@ run() {
 
 run bench_bdd
 run bench_full_pipeline
-run bench_reorder
 run bench_serve
 run bench_fleet
 run bench_scalability_acl
@@ -85,28 +84,6 @@ echo "stdout parity: OK (report byte-identical with the template off and on)"
 "$BUILD_DIR/src/tools/campion_trace_diff" \
     "$AB_DIR/trace_off.json" "$AB_DIR/trace_on.json" || true
 
-# Reorder A/B on the same pair: like the template, dynamic variable
-# reordering must be invisible in the report (byte-identical stdout with
-# --reorder off or sift) and visible in the trace (a bdd_sift span,
-# bdd.sift_* metrics). Report-only trace diff — the bdd_sift span is a
-# deliberate structural difference.
-echo
-echo "--- reorder A/B (off vs sift) ---"
-run_reorder() {
-  local mode="$1"
-  "$BUILD_DIR/src/tools/campion" --threads=1 --reorder="$mode" \
-      --trace_out="$AB_DIR/trace_reorder_$mode.json" \
-      examples/configs/university_core_cisco.cfg \
-      examples/configs/university_core_juniper.conf \
-      > "$AB_DIR/report_reorder_$mode.txt" || test $? -eq 2
-}
-run_reorder off
-run_reorder sift
-cmp "$AB_DIR/report_reorder_off.txt" "$AB_DIR/report_reorder_sift.txt"
-echo "stdout parity: OK (report byte-identical with reordering off and on)"
-"$BUILD_DIR/src/tools/campion_trace_diff" \
-    "$AB_DIR/trace_reorder_off.json" "$AB_DIR/trace_reorder_sift.json" || true
-
 # Dual-stack (IPv6) parity on the committed dual-stack edge pair: 128-bit
 # symbolic address fields run through the same pipeline, so the same
 # threads/template invariants must hold there.
@@ -130,5 +107,5 @@ cmp "$AB_DIR/report_v6_1_on.txt" "$AB_DIR/report_v6_4_off.txt"
 echo "stdout parity: OK (dual-stack report byte-identical at 1/4 threads, template off/on)"
 
 echo
-echo "Wrote BENCH_bdd.json, BENCH_full_pipeline.json, BENCH_reorder.json," \
-     "BENCH_serve.json, BENCH_fleet.json, BENCH_scalability_acl.json, and $TRACE"
+echo "Wrote BENCH_bdd.json, BENCH_full_pipeline.json, BENCH_serve.json," \
+     "BENCH_fleet.json, BENCH_scalability_acl.json, and $TRACE"

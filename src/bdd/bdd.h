@@ -7,8 +7,7 @@
 // used by the paper. Sets of packets, route advertisements, and IP prefix
 // ranges are all encoded as BDDs over a variable order (see src/encode).
 // Managers are cheap and each differencing task owns one, so nodes live
-// for the task and nothing needs collecting; the reordering pass below
-// reclaims provably dead nodes through a free list.
+// for the task and nothing needs collecting.
 //
 // The kernel is laid out for speed, CUDD-style:
 //   * references carry a complement bit: a BddRef packs a node-arena index
@@ -37,33 +36,11 @@
 //   * traversals (NodeCount, Support) reuse a per-manager visited-stamp
 //     vector instead of allocating set containers.
 //
-// Dynamic variable reordering (Rudell sifting). The variable order is no
-// longer fixed at declaration time: the manager keeps a level↔index
-// indirection (level_of_ / var_at_level_), nodes store variable *ids*, and
-// all order-sensitive decisions (Ite's top-variable selection, invariant
-// checks) compare levels. The reorder primitive is an in-place adjacent
-// level swap: a node labeled x whose children branch on the variable y
-// directly below is rewritten to branch on y first, keeping its arena
-// index, its complement parity, and — critically — the exact Boolean
-// function it denotes, so every outstanding BddRef (including refs held by
-// managers seeded from this one) survives any sequence of swaps untouched.
-// The rewrite preserves the regular-then-edge invariant by construction:
-// the new then-child (x ? T|y=1 : E|y=1) has a regular then-edge because
-// the original then-edge T is regular and the y=1 cofactor of a regular
-// edge is regular. Sift() runs Rudell's algorithm over single variables or
-// declared variable blocks (DeclareVarBlock), reclaiming dead nodes when
-// the caller can name its live roots; an auto-sift trigger (SetAutoSift)
-// reorders CUDD-style when the arena grows past a ratio since the last
-// sift, checked only between top-level operations so no in-flight
-// recursion ever observes the order changing.
-//
-// Ordering changes node counts, never semantics — but a few queries walk
-// the DAG in level order and would otherwise *present* differently
-// (AnySat/MinSat/ForEachSatPath pick branches top-down). Those are routed
-// through DeclarationOrderView(), which lazily rebuilds the queried
-// function inside a private identity-order manager; by canonicity the
-// rebuilt DAG is exactly what an unreordered manager would hold, so
-// reports stay byte-identical whether reordering ran or not.
+// The variable order is the declaration order: variable 0 sits at the top
+// and every node branches on a smaller variable id than its children. The
+// paper's algorithms need nothing more, and a fixed order makes the
+// top-down walks (AnySat/MinSat/ForEachSatPath, interval extraction in
+// src/encode) deterministic by construction.
 //
 // Node references (BddRef) are only meaningful with respect to the manager
 // that produced them. There is a single terminal node at arena index 0;
@@ -77,10 +54,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 namespace campion::bdd {
@@ -98,32 +73,11 @@ inline constexpr BddRef kTrue = 1;   // Terminal node 0, complemented.
 // -1 = don't care, 0 = false, 1 = true.
 using Cube = std::vector<std::int8_t>;
 
-// What Sift() moves: single variables, or the blocks declared with
-// DeclareVarBlock as indivisible units (variables without a block still
-// move alone). Group sifting keeps multi-bit encoded fields (addresses,
-// ports) contiguous, which the interval-extraction walks in src/encode
-// are fastest on.
-enum class SiftMode {
-  kVars,
-  kGroups,
-};
-
-// One Sift() invocation's outcome. Node counts are live internal nodes
-// (the terminal and free-listed slots excluded).
-struct SiftResult {
-  std::size_t passes = 0;        // Rudell passes executed.
-  std::size_t swaps = 0;         // Adjacent-level swaps performed.
-  std::size_t nodes_before = 0;  // Live nodes entering the sift.
-  std::size_t nodes_after = 0;   // Live nodes after settling at the best order.
-};
-
 // Kernel instrumentation, exposed through BddManager::Stats(). Counters
 // accumulate over the manager's lifetime; benchmarks snapshot them before
 // and after a workload to report per-phase numbers.
 struct BddStats {
-  std::size_t arena_size = 0;       // Live nodes, including the terminal
-                                    // (free-listed slots excluded).
-  std::size_t arena_free = 0;       // Reclaimed slots awaiting reuse.
+  std::size_t arena_size = 0;       // Nodes, including the terminal.
   std::size_t unique_capacity = 0;  // Open-addressing table slots.
   std::uint64_t unique_lookups = 0; // MakeNode calls that consulted the table.
   std::uint64_t unique_probes = 0;  // Total probe steps across all lookups.
@@ -131,10 +85,6 @@ struct BddStats {
   std::size_t cache_capacity = 0;   // Computed-cache slots.
   std::uint64_t cache_lookups = 0;  // ITE cache probes.
   std::uint64_t cache_hits = 0;     // ITE cache hits.
-  std::uint64_t sift_passes = 0;    // Rudell passes across all Sift() calls.
-  std::uint64_t sift_swaps = 0;     // Adjacent-level swaps ever performed.
-  std::uint64_t sift_nodes_before = 0;  // Sum of live nodes entering sifts.
-  std::uint64_t sift_nodes_after = 0;   // Sum of live nodes after sifts.
 
   double CacheHitRate() const {
     return cache_lookups == 0
@@ -171,97 +121,36 @@ class BddManager {
  public:
   // `num_vars` fixes the declaration order up front (variables
   // 0..num_vars-1, variable 0 at the top). More variables may be added
-  // later with AddVars; Sift() may rearrange levels afterwards.
+  // later with AddVars.
   explicit BddManager(Var num_vars = 0);
 
   BddManager(const BddManager&) = delete;
   BddManager& operator=(const BddManager&) = delete;
 
   // Seeds this manager with a copy-on-write snapshot of `other`'s arena:
-  // copies the node arena, unique table, free list, block declarations,
-  // and variable order verbatim, so every BddRef produced by `other`
-  // denotes the same function here — refs are index+parity stable because
-  // nodes keep their arena indices. If `other` was sifted, the sifted
-  // order is inherited (this is why the encoding template reorders once,
-  // before seeding). The ITE computed cache is NOT copied (it is a lossy
-  // performance structure whose contents depend on `other`'s call history;
-  // a fresh cache sized to the seeded arena behaves identically and keeps
-  // managers independent), and all instrumentation counters restart at
-  // zero so per-task stats measure only post-seed work. This manager must
-  // be freshly constructed (no variables, no nodes beyond the terminal);
-  // `other` is typically a frozen encoding template shared read-only
-  // across concurrent seeds.
+  // copies the node arena and unique table verbatim, so every BddRef
+  // produced by `other` denotes the same function here — refs are
+  // index+parity stable because nodes keep their arena indices. The ITE
+  // computed cache is NOT copied (it is a lossy performance structure whose
+  // contents depend on `other`'s call history; a fresh cache sized to the
+  // seeded arena behaves identically and keeps managers independent), and
+  // all instrumentation counters restart at zero so per-task stats measure
+  // only post-seed work. This manager must be freshly constructed (no
+  // variables, no nodes beyond the terminal); `other` is typically a frozen
+  // encoding template shared read-only across concurrent seeds.
   void SeedFrom(const BddManager& other);
 
-  // Structural self-check: terminal at index 0, level_of_/var_at_level_
-  // mutually inverse, every live node obeys the regular-then-edge
-  // invariant and sits strictly above its children in the current level
-  // order, free-listed slots are marked and unreferenced by the unique
-  // table, and the unique table indexes exactly the live arena. Used by
-  // tests and (in debug builds) by SeedFrom/Sift to prove refs stay
-  // index+parity stable.
+  // Structural self-check: terminal at index 0, every node obeys the
+  // regular-then-edge invariant and branches on a smaller variable than
+  // its children, and the unique table indexes exactly the arena. Used by
+  // tests and (in debug builds) by SeedFrom to prove refs stay index+parity
+  // stable.
   bool CheckInvariants() const;
 
   Var num_vars() const { return num_vars_; }
-  // Extends the order with `count` fresh variables at the bottom levels;
-  // returns the index of the first new variable.
+  // Extends the order with `count` fresh variables at the bottom; returns
+  // the index of the first new variable.
   Var AddVars(Var count);
-
-  // --- Variable order ------------------------------------------------------
-  // Declares variables [first, first+count) an indivisible block for
-  // SiftMode::kGroups: group sifting moves the block as a unit and never
-  // reorders within it. Blocks must not overlap. Declared once, at layout
-  // construction time, while the order is still the declaration order.
-  void DeclareVarBlock(Var first, Var count);
-
-  // Current level of a variable / variable at a level. Levels permute
-  // under Sift(); variable ids (and therefore refs) never change.
-  Var LevelOf(Var v) const { return level_of_[v]; }
-  Var VarAtLevel(Var level) const { return var_at_level_[level]; }
-  bool HasIdentityOrder() const { return order_is_identity_; }
-
-  // Swaps the variables at `level` and `level+1` by rewriting the upper
-  // level's nodes in place. Every outstanding ref keeps its index, parity,
-  // and denoted function; canonicity and the regular-then-edge invariant
-  // are preserved. Exposed for tests; Sift() is the intended driver (when
-  // called outside a sift no dead-node reclamation happens, so the swap
-  // can only grow the arena).
-  void SwapAdjacentLevels(Var level);
-
-  // Rudell sifting: moves each variable (or declared block, in kGroups
-  // mode) through every level, settling at the position minimizing live
-  // nodes, processing the largest variables first and aborting a direction
-  // when the arena grows past a ratio of its starting size. When `roots`
-  // is given, only nodes reachable from `roots` (plus the single-variable
-  // cache) are kept live and everything else is reclaimed to the free
-  // list — callers that can name their roots (the encoding template) get
-  // dead-node collection for free. Without roots every existing node is
-  // pinned (an unknown caller may hold a ref to it), so only nodes created
-  // and orphaned during the sift itself are reclaimed. The ITE computed
-  // cache is invalidated (reclaimed indices may be reused by later
-  // MakeNode calls, so stale entries could alias new nodes).
-  SiftResult Sift(SiftMode mode, const std::vector<BddRef>* roots = nullptr);
-
-  // Enables the CUDD-style growth trigger: before a top-level Ite/Exists,
-  // if live nodes exceed `trigger_ratio` times the live count at the last
-  // sift (and a small floor), Sift(mode) runs in pin-all mode. The check
-  // never fires inside an in-flight operation (a reentrancy counter guards
-  // it), so recursions never observe the order changing under them.
-  void SetAutoSift(SiftMode mode, double trigger_ratio);
-  void DisableAutoSift() { auto_sift_enabled_ = false; }
-
-  // An order-insensitive handle on f: `mgr->...(ref)` queried on the
-  // returned pair behaves exactly as `this` would with reordering off.
-  // When the order is the declaration order this is {this, f}; otherwise
-  // f is rebuilt (lazily, memoized) inside a private identity-order
-  // manager — by canonicity the rebuilt DAG is byte-for-byte the one an
-  // unreordered manager would hold, which keeps AnySat/MinSat/
-  // ForEachSatPath/interval extraction output independent of reordering.
-  struct OrderedView {
-    const BddManager* mgr;
-    BddRef ref;
-  };
-  OrderedView DeclarationOrderView(BddRef f) const;
 
   // --- Leaf constructors -------------------------------------------------
   BddRef False() const { return kFalse; }
@@ -299,13 +188,10 @@ class BddManager {
   // and its complement share the same nodes, so this is the size of the
   // shared DAG, not of a complement-free expansion.
   std::size_t NodeCount(BddRef f) const;
-  // Total node slots allocated in this manager (including the terminal and
-  // any free-listed slots awaiting reuse); LiveNodeCount excludes the
-  // reclaimed slots.
+  // Total nodes allocated in this manager, including the terminal.
   std::size_t ArenaSize() const { return nodes_.size(); }
-  std::size_t LiveNodeCount() const { return nodes_.size() - free_list_.size(); }
 
-  // Kernel counters (live nodes, probe lengths, cache hit rate, sift work).
+  // Kernel counters (arena size, probe lengths, cache hit rate).
   BddStats Stats() const;
 
   // Memory accounting: reserved bytes per structure, unique-table load
@@ -316,9 +202,7 @@ class BddManager {
   std::vector<Var> Support(BddRef f) const;
 
   // --- Satisfying assignments ----------------------------------------------
-  // These walk the DAG top-down, so their output depends on the variable
-  // order; all three run on the declaration-order view, which makes them
-  // byte-identical whether or not Sift() ever ran.
+  // These walk the DAG top-down, i.e. in declaration order.
   // One satisfying path as a partial cube, or nullopt if f is false.
   std::optional<Cube> AnySat(BddRef f) const;
   // The lexicographically least *total* satisfying assignment (variable 0 is
@@ -354,14 +238,13 @@ class BddManager {
 
  private:
   struct Node {
-    Var var;      // kTerminalVar for the terminal, kFreeVar for a
-                  // free-listed slot.
+    Var var;      // kTerminalVar for the terminal.
     BddRef low;   // Else edge; may carry a complement bit.
     BddRef high;  // Then edge; always regular (canonical invariant).
   };
+  // Larger than every variable id, so the terminal ranks below every node
+  // in the order.
   static constexpr Var kTerminalVar = ~Var{0};
-  static constexpr Var kFreeVar = ~Var{0} - 1;
-  static constexpr Var kTerminalLevel = ~Var{0};
 
   // Lossy computed-cache entry for a *standardized* triple
   // Ite(f, g, h) = result: f is regular and non-terminal (so f >= 2 and
@@ -383,11 +266,6 @@ class BddManager {
                          // 3 = expand (pre-standardized root).
     std::uint8_t negate; // Standardization complemented the result.
   };
-
-  // Level of the node a (non-terminal-checked) edge points to.
-  Var LevelOfNode(const Node& n) const {
-    return n.var == kTerminalVar ? kTerminalLevel : level_of_[n.var];
-  }
 
   BddRef MakeNode(Var var, BddRef low, BddRef high);
   void RehashUnique(std::size_t new_capacity);
@@ -415,61 +293,15 @@ class BddManager {
   }
   void MarkVisited(BddRef index) const { visit_mark_[index] = visit_stamp_; }
 
-  // --- Reordering internals ------------------------------------------------
-  // Unique-table insert/erase for a node whose fields are already in the
-  // arena (used by the swap rewrite; erase is backward-shift deletion so
-  // linear probe chains stay intact).
-  void UniqueInsert(BddRef index);
-  void UniqueErase(BddRef index);
-  // MakeNode for the swap path: interns (var, low, high), reusing
-  // free-listed slots, maintaining per-var node lists and — during a
-  // sift — edge reference counts.
-  BddRef SwapMakeNode(Var var, BddRef low, BddRef high);
-  // Edge-refcount helpers, active only while sifting_ is set.
-  void IncRef(BddRef edge);
-  void DecRef(BddRef edge);
-  void FreeNodeSlot(BddRef index);
-  // Fills var_nodes_ from a full arena scan (bare SwapAdjacentLevels calls
-  // outside a sift rebuild it per call; Sift builds it once).
-  void BuildVarNodeLists();
-  // Exchanges the adjacent sift units at positions i and i+1 of `units`,
-  // returning the number of adjacent-level swaps performed.
-  std::size_t ExchangeUnits(std::vector<std::vector<Var>>& units,
-                            std::size_t i);
-  // Moves the unit at `pos` to its best position (Rudell single sift).
-  void SiftUnitToBest(std::vector<std::vector<Var>>& units, std::size_t pos,
-                      SiftResult& result);
-  void MaybeAutoSift();
-  // Rebuilds f inside the identity-order view manager, memoized by regular
-  // ref (depth is bounded by the number of levels).
-  BddRef TransferToView(BddRef f) const;
-
   Var num_vars_;
   std::vector<Node> nodes_;
   std::vector<BddRef> var_true_;  // Cache of single-variable functions.
-
-  // Level↔index indirection: mutually inverse permutations. The identity
-  // until the first swap. order_is_identity_ is kept exact (a sequence of
-  // swaps that lands back on the identity restores it) via an O(1)
-  // fixpoint-mismatch counter updated per swap.
-  std::vector<Var> level_of_;      // variable id -> level.
-  std::vector<Var> var_at_level_;  // level -> variable id.
-  bool order_is_identity_ = true;
-  std::size_t identity_mismatches_ = 0;  // Levels with var_at_level_[l] != l.
-
-  // Reclaimed arena slots (var == kFreeVar), reused by MakeNode before the
-  // arena grows. Slots are never compacted, so live indices are stable.
-  std::vector<BddRef> free_list_;
-
-  // Indivisible variable blocks for group sifting: (first, count) pairs,
-  // disjoint, sorted by first.
-  std::vector<std::pair<Var, Var>> var_blocks_;
 
   // Open-addressing unique table: power-of-two capacity, linear probing,
   // slot value 0 (the terminal's index, never interned) means empty.
   std::vector<BddRef> unique_slots_;
   std::size_t unique_mask_ = 0;
-  std::size_t unique_size_ = 0;  // Live interned nodes (== live internal).
+  std::size_t unique_size_ = 0;  // Interned nodes (== internal nodes).
 
   // Direct-mapped lossy ITE cache.
   std::vector<CacheEntry> ite_cache_;
@@ -484,28 +316,7 @@ class BddManager {
   mutable std::uint32_t visit_stamp_ = 0;
   mutable std::vector<BddRef> visit_stack_;
 
-  // Sift state: per-index edge reference counts (in-degree plus pins) and
-  // per-variable node lists, alive only during a Sift() call (lists are
-  // rebuilt per bare SwapAdjacentLevels call).
-  std::vector<std::uint32_t> sift_refs_;
-  std::vector<std::vector<BddRef>> var_nodes_;
-  bool sifting_ = false;
-
-  // Auto-sift trigger (SetAutoSift).
-  bool auto_sift_enabled_ = false;
-  SiftMode auto_sift_mode_ = SiftMode::kVars;
-  double auto_sift_ratio_ = 2.0;
-  std::size_t nodes_at_last_sift_ = 0;
-  std::uint32_t op_depth_ = 0;  // Reentrancy counter for Ite/Exists.
-
-  // Lazily built identity-order view (DeclarationOrderView). The memo maps
-  // this manager's regular refs to view refs; cleared by Sift() because
-  // reclaimed indices may be reused.
-  mutable std::unique_ptr<BddManager> decl_view_;
-  mutable std::unordered_map<BddRef, BddRef> decl_view_memo_;
-
   // Instrumentation.
-  std::size_t peak_live_nodes_ = 0;
   std::uint64_t stat_rehashes_ = 0;
   mutable std::uint64_t stat_unique_lookups_ = 0;
   mutable std::uint64_t stat_unique_probes_ = 0;
@@ -514,10 +325,6 @@ class BddManager {
   // the warm-hit fast path in Ite costs a single increment.
   mutable std::uint64_t stat_cache_misses_ = 0;
   mutable std::uint64_t stat_cache_hits_ = 0;
-  std::uint64_t stat_sift_passes_ = 0;
-  std::uint64_t stat_sift_swaps_ = 0;
-  std::uint64_t stat_sift_nodes_before_ = 0;
-  std::uint64_t stat_sift_nodes_after_ = 0;
 };
 
 }  // namespace campion::bdd

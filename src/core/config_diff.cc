@@ -84,35 +84,11 @@ util::AddressFamily RouteMapPairFamily(const ir::RouterConfig& config,
   return util::AddressFamily::kIpv4;
 }
 
-// Maps the driver-level reorder option onto a kernel sift mode; nullopt =
-// reordering off.
-std::optional<bdd::SiftMode> SiftModeFor(DiffOptions::ReorderMode mode) {
-  switch (mode) {
-    case DiffOptions::ReorderMode::kOff:
-      return std::nullopt;
-    case DiffOptions::ReorderMode::kSift:
-      return bdd::SiftMode::kVars;
-    case DiffOptions::ReorderMode::kGroupSift:
-      return bdd::SiftMode::kGroups;
-  }
-  return std::nullopt;
-}
-
-// Arms a pair manager's growth-triggered auto-sift when reordering is on.
-// Runs after SeedFrom / layout construction so the trigger baseline is the
-// seeded (already-sifted) arena, not an empty one.
-void ArmAutoSift(bdd::BddManager& mgr, const DiffOptions& options) {
-  if (std::optional<bdd::SiftMode> mode = SiftModeFor(options.reorder)) {
-    mgr.SetAutoSift(*mode, options.reorder_trigger_ratio);
-  }
-}
-
 std::vector<PresentedDifference> DiffRouteMapPairImpl(
     const ir::RouterConfig& config1, const std::string& name1,
     const ir::RouterConfig& config2, const std::string& name2,
     std::vector<std::string>* warnings,
-    const encode::EncodingTemplate* tmpl = nullptr,
-    const DiffOptions& options = {}) {
+    const encode::EncodingTemplate* tmpl = nullptr) {
   ir::RouteMap fallback = PassThroughMap();
   const ir::RouteMap* map1 = ResolveMap(config1, name1, fallback, warnings);
   const ir::RouteMap* map2 = ResolveMap(config2, name2, fallback, warnings);
@@ -143,7 +119,6 @@ std::vector<PresentedDifference> DiffRouteMapPairImpl(
     communities.insert(communities.end(), more.begin(), more.end());
     layout.emplace(mgr, std::move(communities), family);
   }
-  ArmAutoSift(mgr, options);
 
   std::vector<RouteMapDifference> diffs =
       SemanticDiffRouteMaps(*layout, config1, *map1, config2, *map2, tmpl);
@@ -161,8 +136,7 @@ std::vector<PresentedDifference> DiffRouteMapPairImpl(
 
 std::vector<PresentedDifference> DiffAclPairImpl(
     const ir::RouterConfig& config1, const ir::RouterConfig& config2,
-    const std::string& name, const encode::EncodingTemplate* tmpl = nullptr,
-    const DiffOptions& options = {}) {
+    const std::string& name, const encode::EncodingTemplate* tmpl = nullptr) {
   const ir::Acl* acl1 = config1.FindAcl(name);
   const ir::Acl* acl2 = config2.FindAcl(name);
   if (acl1 == nullptr || acl2 == nullptr) return {};
@@ -182,7 +156,6 @@ std::vector<PresentedDifference> DiffAclPairImpl(
   } else {
     layout.emplace(mgr, acl1->family);
   }
-  ArmAutoSift(mgr, options);
   std::vector<AclDifference> diffs =
       SemanticDiffAcls(*layout, *acl1, *acl2, {}, tmpl);
   std::vector<PresentedDifference> presented;
@@ -317,9 +290,7 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
   if (options.use_encoding_template && (want_route_maps || want_acls)) {
     obs::ScopedSpan span("encode_template",
                          config1.hostname + " vs " + config2.hostname);
-    template_storage.emplace(config1, config2, want_route_maps, want_acls,
-                             /*sift_witnesses=*/SiftModeFor(options.reorder)
-                                 .has_value());
+    template_storage.emplace(config1, config2, want_route_maps, want_acls);
     tmpl = &*template_storage;
     if (obs::Enabled()) {
       span.AddAttr("unique_prefix_lists",
@@ -332,45 +303,16 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
       if (tmpl->has_route_side()) {
         template_nodes +=
             static_cast<double>(tmpl->route_manager().ArenaSize());
-      }
-      if (tmpl->has_packet_side()) {
-        template_nodes +=
-            static_cast<double>(tmpl->packet_manager().ArenaSize());
-      }
-      span.AddAttr("bdd_nodes", template_nodes);
-    }
-  }
-  // Reorder the shared template ONCE, on the main thread, before any pair
-  // seeds from it: every seeded manager inherits the sifted order and the
-  // template's lookup refs stay valid everywhere. (The alternative —
-  // letting each pair sift privately and invalidating the template's refs
-  // per manager — would re-pay the sift per pair and forfeit ref sharing.)
-  if (tmpl != nullptr) {
-    if (std::optional<bdd::SiftMode> mode = SiftModeFor(options.reorder)) {
-      obs::ScopedSpan span("bdd_sift",
-                           config1.hostname + " vs " + config2.hostname);
-      bdd::SiftResult sift = template_storage->Reorder(*mode);
-      span.AddAttr("sift_passes", static_cast<double>(sift.passes));
-      span.AddAttr("sift_swaps", static_cast<double>(sift.swaps));
-      span.AddAttr("sift_nodes_before",
-                   static_cast<double>(sift.nodes_before));
-      span.AddAttr("sift_nodes_after",
-                   static_cast<double>(sift.nodes_after));
-    }
-    // Record the template managers' kernel stats only now, after the
-    // optional sift: bdd.arena_nodes then counts the arena pairs actually
-    // seed from (post-reclamation), and the managers' sift tallies ride
-    // along as bdd.sift_* — absent when no sift ran, keeping reorder-off
-    // runs byte-identical.
-    if (obs::Enabled()) {
-      if (tmpl->has_route_side()) {
         obs::RecordBddStats(tmpl->route_manager().Stats());
         obs::RecordBddMemory(tmpl->route_manager().MemoryStats());
       }
       if (tmpl->has_packet_side()) {
+        template_nodes +=
+            static_cast<double>(tmpl->packet_manager().ArenaSize());
         obs::RecordBddStats(tmpl->packet_manager().Stats());
         obs::RecordBddMemory(tmpl->packet_manager().MemoryStats());
       }
+      span.AddAttr("bdd_nodes", template_nodes);
     }
   }
 
@@ -394,11 +336,11 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
       if (!seen_pairs.insert({pair.name1, pair.name2}).second) continue;
       tasks.push_back(
           {DifferenceEntry::Kind::kRouteMapSemantic,
-           [&config1, &config2, &options, pair,
+           [&config1, &config2, pair,
             tmpl](std::vector<std::string>* task_warnings) {
              auto diffs =
                  DiffRouteMapPairImpl(config1, pair.name1, config2, pair.name2,
-                                      task_warnings, tmpl, options);
+                                      task_warnings, tmpl);
              for (auto& d : diffs) {
                d.title += " (neighbor " + pair.neighbor.ToString() + ", " +
                           ToString(pair.direction) + ")";
@@ -409,11 +351,11 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
     for (const auto& pair : pairing.redistributions) {
       tasks.push_back(
           {DifferenceEntry::Kind::kRouteMapSemantic,
-           [&config1, &config2, &options, pair,
+           [&config1, &config2, pair,
             tmpl](std::vector<std::string>* task_warnings) {
              auto diffs =
                  DiffRouteMapPairImpl(config1, pair.name1, config2, pair.name2,
-                                      task_warnings, tmpl, options);
+                                      task_warnings, tmpl);
              for (auto& d : diffs) {
                d.title += " (redistribution of " + ir::ToString(pair.from) +
                           " into " + ir::ToString(pair.via) + ")";
@@ -426,10 +368,8 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
     for (const auto& pair : pairing.acls) {
       tasks.push_back(
           {DifferenceEntry::Kind::kAclSemantic,
-           [&config1, &config2, &options, pair,
-            tmpl](std::vector<std::string>*) {
-             return DiffAclPairImpl(config1, config2, pair.name, tmpl,
-                                    options);
+           [&config1, &config2, pair, tmpl](std::vector<std::string>*) {
+             return DiffAclPairImpl(config1, config2, pair.name, tmpl);
            }});
     }
   }

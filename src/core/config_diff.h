@@ -53,22 +53,6 @@ struct DiffOptions {
   // performance lever — the report is byte-identical either way at every
   // thread count (CLI `--encoding_template=on|off` A/Bs it).
   bool use_encoding_template = true;
-  // Dynamic variable reordering (Rudell sifting). kSift sifts individual
-  // variables; kGroupSift moves each declared field block (32-bit address,
-  // 16-bit port, ...) as one unit. When enabled and the encoding template
-  // is in use, the template sifts ONCE on the main thread after it is
-  // built — before it is frozen and shared — so every pair manager seeded
-  // from it inherits the improved order; pair managers additionally
-  // auto-sift when their live-node count grows past
-  // `reorder_trigger_ratio` x the count at the last sift. Like the
-  // template, reordering is purely a performance lever: the report is
-  // byte-identical to kOff at every thread count (CLI `--reorder=...`
-  // A/Bs it).
-  enum class ReorderMode { kOff, kSift, kGroupSift };
-  ReorderMode reorder = ReorderMode::kOff;
-  // Auto-sift growth trigger for pair managers (clamped to >= 1.1 by the
-  // kernel); only consulted when `reorder` is not kOff.
-  double reorder_trigger_ratio = 2.0;
   // Scoped metrics capture: when set, ConfigDiff installs this sink on the
   // calling thread AND on every worker-pool task it fans out, so the whole
   // run's metrics land here instead of in the ambient sink

@@ -97,8 +97,7 @@ std::string AclLineMatchKey(const ir::AclLine& line) {
 
 EncodingTemplate::EncodingTemplate(const ir::RouterConfig& config1,
                                    const ir::RouterConfig& config2,
-                                   bool route_side, bool packet_side,
-                                   bool sift_witnesses) {
+                                   bool route_side, bool packet_side) {
   if (route_side) {
     // The same community universe every route-map pair task uses: the union
     // over both configurations. Seeded pair layouts copy this layout, so
@@ -124,25 +123,6 @@ EncodingTemplate::EncodingTemplate(const ir::RouterConfig& config1,
             community_lists_.try_emplace(CommunityListKey(list), bdd::kFalse);
         if (inserted) it->second = encoder.CommunityListPermits(list);
       }
-      if (sift_witnesses) {
-        // Witness chains: the clause-guard fall-through structure
-        // BuildRouteMapClasses walks per pair, in first-match form.
-        for (const auto& [name, map] : config->route_maps) {
-          bdd::BddRef remaining = route_layout_->Valid();
-          bdd::BddRef permitted = bdd::kFalse;
-          for (const auto& clause : map.clauses) {
-            bdd::BddRef guard = encoder.ClauseGuard(clause);
-            bdd::BddRef taken = route_mgr_.And(remaining, guard);
-            remaining = route_mgr_.Diff(remaining, guard);
-            if (clause.action == ir::ClauseAction::kPermit) {
-              permitted = route_mgr_.Or(permitted, taken);
-            }
-            route_sift_witnesses_.push_back(taken);
-          }
-          route_sift_witnesses_.push_back(remaining);
-          route_sift_witnesses_.push_back(permitted);
-        }
-      }
     }
     obs::Count("encode.template_prefix_lists",
                static_cast<double>(prefix_lists_.size()));
@@ -154,59 +134,16 @@ EncodingTemplate::EncodingTemplate(const ir::RouterConfig& config1,
     for (const ir::RouterConfig* config : {&config1, &config2}) {
       for (const auto& [name, acl] : config->acls) {
         if (acl.family != util::AddressFamily::kIpv4) continue;
-        // Witness chain: the first-match classes BuildAclClasses derives
-        // per pair (`here = remaining ∧ match`, `remaining \ here`, permit
-        // union). Interning makes the second config's identical ACLs free.
-        bdd::BddRef remaining = packet_mgr_.True();
-        bdd::BddRef permitted = bdd::kFalse;
         for (const auto& line : acl.lines) {
           auto [it, inserted] =
               acl_lines_.try_emplace(AclLineMatchKey(line), bdd::kFalse);
           if (inserted) it->second = packet_layout_->MatchLine(line);
-          if (sift_witnesses) {
-            bdd::BddRef here = packet_mgr_.And(remaining, it->second);
-            remaining = packet_mgr_.Diff(remaining, here);
-            if (line.action == ir::LineAction::kPermit) {
-              permitted = packet_mgr_.Or(permitted, here);
-            }
-            packet_sift_witnesses_.push_back(here);
-          }
-        }
-        if (sift_witnesses) {
-          packet_sift_witnesses_.push_back(remaining);
-          packet_sift_witnesses_.push_back(permitted);
         }
       }
     }
     obs::Count("encode.template_acl_lines",
                static_cast<double>(acl_lines_.size()));
   }
-}
-
-bdd::SiftResult EncodingTemplate::Reorder(bdd::SiftMode mode) {
-  bdd::SiftResult total;
-  auto accumulate = [&total](const bdd::SiftResult& r) {
-    total.passes += r.passes;
-    total.swaps += r.swaps;
-    total.nodes_before += r.nodes_before;
-    total.nodes_after += r.nodes_after;
-  };
-  if (route_layout_) {
-    std::vector<bdd::BddRef> roots = route_layout_->SiftRoots();
-    for (const auto& [key, ref] : prefix_lists_) roots.push_back(ref);
-    for (const auto& [key, ref] : community_lists_) roots.push_back(ref);
-    roots.insert(roots.end(), route_sift_witnesses_.begin(),
-                 route_sift_witnesses_.end());
-    accumulate(route_mgr_.Sift(mode, &roots));
-  }
-  if (packet_layout_) {
-    std::vector<bdd::BddRef> roots;
-    for (const auto& [key, ref] : acl_lines_) roots.push_back(ref);
-    roots.insert(roots.end(), packet_sift_witnesses_.begin(),
-                 packet_sift_witnesses_.end());
-    accumulate(packet_mgr_.Sift(mode, &roots));
-  }
-  return total;
 }
 
 std::optional<bdd::BddRef> EncodingTemplate::PrefixListPermits(

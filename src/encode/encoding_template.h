@@ -62,33 +62,12 @@ class EncodingTemplate {
   // Encodes each structurally distinct list / ACL line of both
   // configurations once. `route_side`/`packet_side` skip building the
   // respective manager when the corresponding checks are disabled.
-  //
-  // `sift_witnesses` (set when the run will call Reorder) additionally
-  // builds, per route map and per ACL, the cumulative first-match chains
-  // the semantic diff recomputes inside every pair — taken/remaining per
-  // clause or line, plus the permit union — and keeps them as extra sift
-  // roots. Sifting the isolated list library alone can pick an order that
-  // shrinks the library but inflates those chains (they conjoin fields the
-  // individual lines keep separate); the witnesses put the coupled
-  // structure into the sift objective. Seeded pairs re-intern the same
-  // functions, so witness nodes they inherit are nodes they would have
-  // built from scratch anyway.
   EncodingTemplate(const ir::RouterConfig& config1,
                    const ir::RouterConfig& config2, bool route_side = true,
-                   bool packet_side = true, bool sift_witnesses = false);
+                   bool packet_side = true);
 
   EncodingTemplate(const EncodingTemplate&) = delete;
   EncodingTemplate& operator=(const EncodingTemplate&) = delete;
-
-  // Sifts both template managers to a better variable order, BEFORE the
-  // template is frozen and shared: every pair manager seeded afterwards
-  // inherits the sifted order via SeedFrom, so template lookup refs stay
-  // valid everywhere with no per-manager invalidation. Must run on the
-  // main thread between construction and fan-out. The template's own refs
-  // (list maps, layout caches) are passed as sift roots, which both pins
-  // them and lets the sift reclaim every dead intermediate the list
-  // compilation left behind. Returns the two sifts' combined tallies.
-  bdd::SiftResult Reorder(bdd::SiftMode mode);
 
   // The frozen managers and prototype layouts pair tasks seed from.
   const bdd::BddManager& route_manager() const { return route_mgr_; }
@@ -122,11 +101,6 @@ class EncodingTemplate {
   std::unordered_map<std::string, bdd::BddRef> prefix_lists_;
   std::unordered_map<std::string, bdd::BddRef> community_lists_;
   std::unordered_map<std::string, bdd::BddRef> acl_lines_;
-  // First-match chain witnesses (built only with `sift_witnesses`): extra
-  // Reorder roots mirroring what SemanticDiffRouteMaps/SemanticDiffAcls
-  // build per pair.
-  std::vector<bdd::BddRef> route_sift_witnesses_;
-  std::vector<bdd::BddRef> packet_sift_witnesses_;
 };
 
 }  // namespace campion::encode

@@ -23,16 +23,6 @@ PacketLayout::PacketLayout(bdd::BddManager& mgr, util::AddressFamily family)
       first + 2 * ip_width + kProtoWidth + 2 * kPortWidth, kIcmpWidth);
   established_var_ =
       first + 2 * ip_width + kProtoWidth + 2 * kPortWidth + kIcmpWidth;
-  // Each multi-bit field is an indivisible block for group sifting (the
-  // established bit stands alone).
-  mgr_.DeclareVarBlock(first, ip_width);
-  mgr_.DeclareVarBlock(first + ip_width, ip_width);
-  mgr_.DeclareVarBlock(first + 2 * ip_width, kProtoWidth);
-  mgr_.DeclareVarBlock(first + 2 * ip_width + kProtoWidth, kPortWidth);
-  mgr_.DeclareVarBlock(first + 2 * ip_width + kProtoWidth + kPortWidth,
-                       kPortWidth);
-  mgr_.DeclareVarBlock(first + 2 * ip_width + kProtoWidth + 2 * kPortWidth,
-                       kIcmpWidth);
 }
 
 PacketLayout::PacketLayout(bdd::BddManager& mgr, const PacketLayout& proto)

@@ -13,8 +13,7 @@
 //
 // The IPv6 layout is identical except the source and destination fields are
 // 128 bits wide ([0..127] src, [128..255] dst, remaining fields shifted up
-// accordingly). Each multi-bit field is a DeclareVarBlock group, so group
-// sifting moves a 128-bit address as one unit.
+// accordingly).
 
 #include <cstdint>
 #include <optional>

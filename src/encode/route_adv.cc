@@ -63,25 +63,7 @@ RouteAdvLayout::RouteAdvLayout(bdd::BddManager& mgr,
     community_vars_[communities_[i]] =
         community_first + static_cast<bdd::Var>(i);
   }
-  // Multi-bit fields are indivisible blocks for group sifting: reordering
-  // within a field would break nothing semantically, but keeping the bits
-  // contiguous and MSB-first keeps interval extraction walks cheap.
-  // Community variables are independent single bits and sift alone.
-  mgr_.DeclareVarBlock(first, addr_width);
-  mgr_.DeclareVarBlock(first + addr_width, len_width);
-  mgr_.DeclareVarBlock(first + addr_width + len_width, kProtoWidth);
-  mgr_.DeclareVarBlock(first + addr_width + len_width + kProtoWidth,
-                       kTagWidth);
-  mgr_.DeclareVarBlock(
-      first + addr_width + len_width + kProtoWidth + kTagWidth, kMetricWidth);
   valid_ = length_.Leq(mgr_, util::MaxPrefixLength(family));
-}
-
-std::vector<bdd::BddRef> RouteAdvLayout::SiftRoots() const {
-  std::vector<bdd::BddRef> roots;
-  roots.push_back(valid_);
-  for (const auto& [label, ref] : uninterpreted_) roots.push_back(ref);
-  return roots;
 }
 
 RouteAdvLayout::RouteAdvLayout(bdd::BddManager& mgr,

@@ -16,8 +16,7 @@
 //             does not model bit-precisely.
 //
 // The IPv6 layout widens the address field to 128 bits ([0..127]) and the
-// length field to 8 bits (values 0..128); everything after shifts up. Both
-// address and length fields are DeclareVarBlock groups either way.
+// length field to 8 bits (values 0..128); everything after shifts up.
 //
 // Address bits beyond the prefix length are deliberately unconstrained:
 // every predicate we build constrains only bits below its base prefix
@@ -88,11 +87,6 @@ class RouteAdvLayout {
   // A fresh uninterpreted predicate variable, used for match conditions we
   // do not model bit-precisely. Same (label) => same variable.
   bdd::BddRef UninterpretedPredicate(const std::string& label);
-
-  // Every BddRef this layout holds onto (valid_, uninterpreted predicate
-  // refs). Passed as roots to BddManager::Sift so reordering can reclaim
-  // dead nodes without invalidating the layout.
-  std::vector<bdd::BddRef> SiftRoots() const;
 
   // Variable masks for quantification.
   // True exactly on the prefix address + length variables.

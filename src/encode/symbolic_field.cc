@@ -67,16 +67,6 @@ bdd::BddRef SymbolicField::InRange(bdd::BddManager& mgr, U128 low,
   return mgr.And(Geq(mgr, low), Leq(mgr, high));
 }
 
-std::vector<SymbolicField::Interval> SymbolicField::Intervals(
-    bdd::BddManager& mgr, bdd::BddRef set) const {
-  // The walk below assumes the field's bits appear MSB-first, top-down —
-  // true in the declaration order but not after sifting. The view rebuilds
-  // `set` under the declaration order (a no-op when no reorder ran), so
-  // extracted intervals are identical whether or not the manager sifted.
-  const bdd::BddManager::OrderedView view = mgr.DeclarationOrderView(set);
-  return IntervalsInDeclarationOrder(*view.mgr, view.ref);
-}
-
 void SymbolicField::AppendInterval(std::vector<Interval>& intervals, U128 low,
                                    U128 high) {
   // Adjacency is tested as `back.high == low - 1` with a low != 0 guard,
@@ -91,12 +81,13 @@ void SymbolicField::AppendInterval(std::vector<Interval>& intervals, U128 low,
   }
 }
 
-std::vector<SymbolicField::Interval> SymbolicField::IntervalsInDeclarationOrder(
+std::vector<SymbolicField::Interval> SymbolicField::Intervals(
     const bdd::BddManager& mgr, bdd::BddRef set) const {
   std::vector<Interval> intervals;
   const bdd::Var past_end = first_ + static_cast<bdd::Var>(width_);
-  // Walk the field's bits most-significant first. At depth d with value
-  // prefix `base`, `node` is the BDD restricted to the decisions so far.
+  // Walk the field's bits most-significant first, which is top-down in the
+  // variable order. At depth d with value prefix `base`, `node` is the BDD
+  // restricted to the decisions so far.
   // When the node no longer depends on the remaining field bits, the whole
   // aligned block [base, base + 2^(width-d) - 1] is uniformly in or out.
   //

@@ -56,7 +56,7 @@ class SymbolicField {
     util::U128 high;
     friend auto operator<=>(const Interval&, const Interval&) = default;
   };
-  std::vector<Interval> Intervals(bdd::BddManager& mgr,
+  std::vector<Interval> Intervals(const bdd::BddManager& mgr,
                                   bdd::BddRef set) const;
 
   // Appends [low, high] to `intervals`, merging with the back interval when
@@ -69,12 +69,6 @@ class SymbolicField {
                              util::U128 high);
 
  private:
-  // The walk itself; requires `mgr`'s variable order to be the declaration
-  // order (Intervals routes reordered managers through their
-  // declaration-order view first).
-  std::vector<Interval> IntervalsInDeclarationOrder(const bdd::BddManager& mgr,
-                                                    bdd::BddRef set) const;
-
   // The bit of `value` aligned with field bit `i` (value left-aligned).
   bool ValueBit(util::U128 value, int i) const {
     return value.Bit(width_ - 1 - i);

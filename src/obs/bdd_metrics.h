@@ -31,17 +31,6 @@ inline void RecordBddStats(const bdd::BddStats& stats) {
   registry.Max("bdd.cache_peak_slots",
                static_cast<double>(stats.cache_capacity));
   registry.Max("bdd.arena_peak_nodes", static_cast<double>(stats.arena_size));
-  // Sifting tallies are zero (and the metrics therefore absent from the
-  // report) unless a reorder ran in this manager — keeps reorder-off traces
-  // byte-identical to pre-reorder builds.
-  if (stats.sift_passes > 0) {
-    registry.Add("bdd.sift_passes", static_cast<double>(stats.sift_passes));
-    registry.Add("bdd.sift_swaps", static_cast<double>(stats.sift_swaps));
-    registry.Add("bdd.sift_nodes_before",
-                 static_cast<double>(stats.sift_nodes_before));
-    registry.Add("bdd.sift_nodes_after",
-                 static_cast<double>(stats.sift_nodes_after));
-  }
 }
 
 // Exports a manager's memory accounting (bdd::BddMemoryStats). Counters

@@ -18,7 +18,7 @@
 // render are deterministic, so the cached body is byte-for-byte what a
 // fresh run would produce. The FNV digest exists only for the flight
 // recorder's result_key field and /debug/result_cache. Performance
-// knobs (threads, template on/off, reorder) are deliberately NOT part of
+// knobs (threads, template on/off) are deliberately NOT part of
 // the key: the repo's determinism contract pins the body as byte-identical
 // across all of them.
 //

@@ -160,7 +160,7 @@ std::string KeyHashHex(std::uint64_t hash) {
 
 // The result-cache key: both configs' full canonical serializations plus
 // every option the response bytes depend on. The performance knobs
-// (threads, template, reorder) are deliberately absent — the determinism
+// (threads, template) are deliberately absent — the determinism
 // contract pins the body as byte-identical across all of them.
 std::string ResultCacheKeyFor(const ir::RouterConfig& config1,
                               const ir::RouterConfig& config2,

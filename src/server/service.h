@@ -62,8 +62,8 @@
 namespace campion::server {
 
 struct ServiceOptions {
-  // Baseline diff options for every request: threads, template on/off,
-  // reorder mode. Per-request JSON fields override checks/format only,
+  // Baseline diff options for every request: threads, template on/off.
+  // Per-request JSON fields override checks/format only,
   // never the performance knobs (those are fleet configuration).
   core::DiffOptions diff;
   // Incremental result cache (src/server/result_cache.h): rendered pair

@@ -18,13 +18,6 @@
 //   --encoding_template=on|off     Seed per-pair BDD managers from a shared
 //                                  read-only encoding template (default on;
 //                                  output is byte-identical either way).
-//   --reorder=off|sift|group_sift  Dynamic BDD variable reordering (Rudell
-//                                  sifting; group_sift moves declared field
-//                                  blocks as units). Default off; output is
-//                                  byte-identical at every mode.
-//   --reorder_trigger_ratio=R      Auto-sift a pair manager when its live
-//                                  node count grows past R x the count at
-//                                  the last sift (default 2.0, min 1.1).
 //   --trace_out=FILE               Write a JSON trace (phase spans + metrics,
 //                                  see docs/trace_format.md) to FILE.
 //   --trace_format=campion|chrome  Trace file format: the versioned campion
@@ -137,15 +130,6 @@ void PrintUsage(std::ostream& out) {
          "                  seed per-pair BDD managers from a shared\n"
          "                  read-only encoding template (default on; the\n"
          "                  report is byte-identical either way)\n"
-         "  --reorder=off|sift|group_sift\n"
-         "                  dynamic BDD variable reordering (Rudell\n"
-         "                  sifting; group_sift moves declared field\n"
-         "                  blocks as units; default off; the report is\n"
-         "                  byte-identical at every mode)\n"
-         "  --reorder_trigger_ratio=R\n"
-         "                  auto-sift a pair manager when its live node\n"
-         "                  count grows past R x the count at the last\n"
-         "                  sift (default 2.0, min 1.1)\n"
          "  --trace_out=F   write a JSON trace of the run (phase spans +\n"
          "                  metrics, docs/trace_format.md) to file F\n"
          "  --trace_format=campion|chrome\n"
@@ -270,31 +254,6 @@ bool ParseArgs(int argc, char** argv, Options* options, int* exit_code) {
                   << "' (expected on or off)\n";
         return false;
       }
-    } else if (arg.rfind("--reorder=", 0) == 0) {
-      std::string value = value_of("--reorder=");
-      if (value == "off") {
-        options->checks.reorder = campion::core::DiffOptions::ReorderMode::kOff;
-      } else if (value == "sift") {
-        options->checks.reorder =
-            campion::core::DiffOptions::ReorderMode::kSift;
-      } else if (value == "group_sift") {
-        options->checks.reorder =
-            campion::core::DiffOptions::ReorderMode::kGroupSift;
-      } else {
-        std::cerr << "error: unknown reorder mode '" << value
-                  << "' (expected off, sift, or group_sift)\n";
-        return false;
-      }
-    } else if (arg.rfind("--reorder_trigger_ratio=", 0) == 0) {
-      std::string value = value_of("--reorder_trigger_ratio=");
-      char* end = nullptr;
-      double ratio = std::strtod(value.c_str(), &end);
-      if (value.empty() || end == nullptr || *end != '\0' || ratio < 1.1) {
-        std::cerr << "error: invalid reorder trigger ratio '" << value
-                  << "' (min 1.1)\n";
-        return false;
-      }
-      options->checks.reorder_trigger_ratio = ratio;
     } else if (arg.rfind("--trace_out=", 0) == 0) {
       options->trace_out = value_of("--trace_out=");
       if (options->trace_out.empty()) {

@@ -19,9 +19,6 @@
 //   --result_cache_mb=N      Cached response bytes before LRU eviction
 //                            (default 64).
 //   --result_cache_entries=N Max cached results (0 = unlimited).
-//   --reorder=off|sift|group_sift  BDD variable reordering, as in the CLI
-//                            (default off).
-//   --reorder_trigger_ratio=R  Pair-manager auto-sift trigger (min 1.1).
 //   --flight_recorder=on|off Per-request flight recorder behind
 //                            /debug/requests (default on).
 //   --flight_recorder_entries=N  Ring capacity: last N diff executions
@@ -76,14 +73,6 @@ void PrintUsage(std::ostream& out) {
          "                  used eviction (default 64)\n"
          "  --result_cache_entries=N\n"
          "                  max cached results (0 = unlimited)\n"
-         "  --reorder=off|sift|group_sift\n"
-         "                  dynamic BDD variable reordering, as in the\n"
-         "                  CLI (default off; the report is byte-identical\n"
-         "                  at every mode)\n"
-         "  --reorder_trigger_ratio=R\n"
-         "                  auto-sift a pair manager when its live node\n"
-         "                  count grows past R x the count at the last\n"
-         "                  sift (default 2.0, min 1.1)\n"
          "  --flight_recorder=on|off\n"
          "                  record the last N diff executions (wall time,\n"
          "                  phase breakdown, cache disposition) for\n"
@@ -181,32 +170,6 @@ bool ParseArgs(int argc, char** argv, Options* options, int* exit_code) {
         return false;
       }
       options->service.result_cache_max_entries = number;
-    } else if (arg.rfind("--reorder=", 0) == 0) {
-      const std::string value = value_of("--reorder=");
-      if (value == "off") {
-        options->service.diff.reorder =
-            campion::core::DiffOptions::ReorderMode::kOff;
-      } else if (value == "sift") {
-        options->service.diff.reorder =
-            campion::core::DiffOptions::ReorderMode::kSift;
-      } else if (value == "group_sift") {
-        options->service.diff.reorder =
-            campion::core::DiffOptions::ReorderMode::kGroupSift;
-      } else {
-        std::cerr << "error: unknown reorder mode '" << value
-                  << "' (expected off, sift, or group_sift)\n";
-        return false;
-      }
-    } else if (arg.rfind("--reorder_trigger_ratio=", 0) == 0) {
-      const std::string value = value_of("--reorder_trigger_ratio=");
-      char* end = nullptr;
-      const double ratio = std::strtod(value.c_str(), &end);
-      if (value.empty() || end == nullptr || *end != '\0' || ratio < 1.1) {
-        std::cerr << "error: invalid reorder trigger ratio '" << value
-                  << "' (min 1.1)\n";
-        return false;
-      }
-      options->service.diff.reorder_trigger_ratio = ratio;
     } else if (arg.rfind("--flight_recorder=", 0) == 0) {
       if (!ParseOnOff(value_of("--flight_recorder="), "--flight_recorder",
                       &options->service.flight_recorder)) {

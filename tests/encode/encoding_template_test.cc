@@ -176,136 +176,6 @@ TEST(EncodingTemplateTest, AclReportsByteIdenticalOnOff) {
   }
 }
 
-// Reordering happens ONCE, on the template, before any pair seeds from it.
-// The whole scheme only works if (a) template lookup refs survive the sift
-// unchanged (index+parity stability), (b) a manager seeded afterwards
-// inherits the sifted order, and (c) a fresh encoding inside the seeded
-// manager re-interns onto exactly the looked-up nodes.
-TEST(EncodingTemplateTest, RouteLookupsSurviveReorderAndSeeding) {
-  gen::RouteMapGenOptions options;
-  options.seed = 7;
-  options.clauses = 8;
-  options.differences = 2;
-  auto pair = gen::GenerateRouteMapPair(options);
-  EncodingTemplate tmpl(pair.config1, pair.config2, /*route_side=*/true,
-                        /*packet_side=*/true, /*sift_witnesses=*/true);
-
-  // Snapshot lookups before the sift; they must be identical after.
-  std::vector<std::pair<std::string, bdd::BddRef>> before;
-  for (const auto& [name, list] : pair.config1.prefix_lists) {
-    before.emplace_back(name, *tmpl.PrefixListPermits(list));
-  }
-  ASSERT_FALSE(before.empty());
-
-  bdd::SiftResult sift = tmpl.Reorder(bdd::SiftMode::kVars);
-  EXPECT_GE(sift.passes, 1u);
-  EXPECT_LE(sift.nodes_after, sift.nodes_before);
-  EXPECT_TRUE(tmpl.route_manager().CheckInvariants());
-  for (const auto& [name, ref] : before) {
-    EXPECT_EQ(*tmpl.PrefixListPermits(pair.config1.prefix_lists.at(name)),
-              ref)
-        << "prefix list " << name << " ref changed across Reorder";
-  }
-
-  for (const ir::RouterConfig* config : {&pair.config1, &pair.config2}) {
-    bdd::BddManager mgr;
-    mgr.SeedFrom(tmpl.route_manager());
-    // The seeded manager carries the sifted order, not the declaration
-    // order.
-    for (bdd::Var v = 0; v < mgr.num_vars(); ++v) {
-      ASSERT_EQ(mgr.LevelOf(v), tmpl.route_manager().LevelOf(v));
-    }
-    RouteAdvLayout layout(mgr, tmpl.route_layout());
-    PolicyEncoder fresh(layout, *config);  // No template: encodes anew.
-    for (const auto& [name, list] : config->prefix_lists) {
-      auto templated = tmpl.PrefixListPermits(list);
-      ASSERT_TRUE(templated.has_value()) << "prefix list " << name;
-      EXPECT_EQ(fresh.PrefixListPermits(list), *templated)
-          << "prefix list " << name;
-    }
-    for (const auto& [name, list] : config->community_lists) {
-      auto templated = tmpl.CommunityListPermits(list);
-      ASSERT_TRUE(templated.has_value()) << "community list " << name;
-      EXPECT_EQ(fresh.CommunityListPermits(list), *templated)
-          << "community list " << name;
-    }
-    EXPECT_TRUE(mgr.CheckInvariants());
-  }
-}
-
-TEST(EncodingTemplateTest, AclLookupsSurviveReorderAndSeeding) {
-  gen::AclGenOptions options;
-  options.rules = 60;
-  options.seed = 11;
-  options.differences = 4;
-  auto pair = gen::GenerateAclPair(options);
-  auto config1 = gen::WrapAclInConfig(pair.acl1, "r1", ir::Vendor::kCisco);
-  auto config2 = gen::WrapAclInConfig(pair.acl2, "r2", ir::Vendor::kCisco);
-  EncodingTemplate tmpl(config1, config2, /*route_side=*/true,
-                        /*packet_side=*/true, /*sift_witnesses=*/true);
-  tmpl.Reorder(bdd::SiftMode::kGroups);
-  EXPECT_TRUE(tmpl.packet_manager().CheckInvariants());
-
-  bdd::BddManager mgr;
-  mgr.SeedFrom(tmpl.packet_manager());
-  PacketLayout layout(mgr, tmpl.packet_layout());
-  for (const ir::Acl* acl : {&pair.acl1, &pair.acl2}) {
-    for (const auto& line : acl->lines) {
-      auto templated = tmpl.AclLineMatch(line);
-      ASSERT_TRUE(templated.has_value());
-      EXPECT_EQ(layout.MatchLine(line), *templated);
-    }
-  }
-  EXPECT_TRUE(mgr.CheckInvariants());
-}
-
-// The reorder analogue of the template's headline guarantee: a pure
-// performance lever, byte-invisible in the report at any thread count.
-TEST(EncodingTemplateTest, ReportsByteIdenticalAcrossReorderModes) {
-  gen::RouteMapGenOptions rm_options;
-  rm_options.seed = 3;
-  rm_options.clauses = 6;
-  rm_options.differences = 2;
-  auto rm = gen::GenerateRouteMapPair(rm_options);
-  AttachMapToNeighbor(&rm.config1, rm.map_name);
-  AttachMapToNeighbor(&rm.config2, rm.map_name);
-  gen::AclGenOptions acl_options;
-  acl_options.rules = 40;
-  acl_options.seed = 5;
-  acl_options.differences = 3;
-  auto acl = gen::GenerateAclPair(acl_options);
-  // Bind the generated ACLs to matching interfaces so the pairing picks
-  // them up (same wiring WrapAclInConfig does).
-  for (auto [config, acl_ptr] : {std::pair{&rm.config1, &acl.acl1},
-                                 std::pair{&rm.config2, &acl.acl2}}) {
-    config->acls[acl_ptr->name] = *acl_ptr;
-    ir::Interface iface;
-    iface.name = "Ethernet1";
-    iface.address = util::Ipv4Address(10, 0, 1, 1);
-    iface.prefix_length = 24;
-    iface.in_acl = acl_ptr->name;
-    config->interfaces.push_back(std::move(iface));
-  }
-
-  auto render = [&](core::DiffOptions::ReorderMode mode, unsigned threads) {
-    core::DiffOptions diff_options;
-    diff_options.reorder = mode;
-    diff_options.num_threads = threads;
-    return core::ConfigDiff(rm.config1, rm.config2, diff_options).Render();
-  };
-  std::string base = render(core::DiffOptions::ReorderMode::kOff, 1);
-  EXPECT_FALSE(base.empty());
-  for (unsigned threads : {1u, 4u}) {
-    EXPECT_EQ(render(core::DiffOptions::ReorderMode::kOff, threads), base)
-        << "threads " << threads;
-    EXPECT_EQ(render(core::DiffOptions::ReorderMode::kSift, threads), base)
-        << "threads " << threads;
-    EXPECT_EQ(render(core::DiffOptions::ReorderMode::kGroupSift, threads),
-              base)
-        << "threads " << threads;
-  }
-}
-
 // Collects (span name + detail, bdd_nodes attr) for every per-pair span in
 // the trace tree, in tree order. The tree is deterministic across thread
 // counts, so the flattened list is directly comparable.

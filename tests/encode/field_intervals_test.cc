@@ -148,29 +148,6 @@ TEST(FieldIntervals128Test, RandomRangesRoundTrip) {
   }
 }
 
-// Sift survival: extracting intervals from a reordered 128-bit manager
-// must give the same answer as from the declaration order (Intervals
-// routes reordered managers through DeclarationOrderView). Mirrors the
-// 32-bit reorder-parity tests, at the width where limb-boundary
-// arithmetic bugs live.
-TEST(FieldIntervals128Test, IntervalsSurviveSifting) {
-  BddManager mgr(128);
-  SymbolicField field(0, 128);
-  std::mt19937_64 rng(4291);  // RFC 4291.
-  for (int trial = 0; trial < 5; ++trial) {
-    util::U128 a(rng(), rng());
-    util::U128 b(rng(), rng());
-    if (b < a) std::swap(a, b);
-    BddRef set = mgr.Or(field.InRange(mgr, a, b),
-                        field.EqualsConst(mgr, util::U128(rng(), rng())));
-    auto before = field.Intervals(mgr, set);
-    std::vector<BddRef> roots = {set};
-    mgr.Sift(bdd::SiftMode::kVars, &roots);
-    auto after = field.Intervals(mgr, set);
-    EXPECT_EQ(before, after) << "trial " << trial;
-  }
-}
-
 // Regression: a predicate over a variable *beyond* the field previously
 // fell through to the depth-driven descent, which emitted one single-value
 // interval per field value — 2^32 appends for a 32-bit field (an effective

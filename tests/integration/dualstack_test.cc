@@ -1,8 +1,7 @@
 // End-to-end dual-stack coverage: the committed IPv6 example pair
 // (examples/configs/dualstack_edge_{cisco,juniper}) diffs to exact v6
-// localization, byte-identically at every thread count, template mode,
-// and reorder mode. The configs are embedded so the test runs from any
-// working directory.
+// localization, byte-identically at every thread count and template mode.
+// The configs are embedded so the test runs from any working directory.
 
 #include <gtest/gtest.h>
 
@@ -156,19 +155,16 @@ TEST_F(DualStackDiffTest, LocalizesV6RouteMapAndAclDifferences) {
 }
 
 TEST_F(DualStackDiffTest, ReportByteIdenticalAcrossExecutionModes) {
-  auto render = [&](unsigned threads, bool tmpl, core::DiffOptions::ReorderMode reorder) {
+  auto render = [&](unsigned threads, bool tmpl) {
     core::DiffOptions options;
     options.num_threads = threads;
     options.use_encoding_template = tmpl;
-    options.reorder = reorder;
     return core::ConfigDiff(*cisco_, *juniper_, options).Render();
   };
-  const std::string baseline = render(1, true, core::DiffOptions::ReorderMode::kOff);
-  EXPECT_EQ(baseline, render(4, true, core::DiffOptions::ReorderMode::kOff));
-  EXPECT_EQ(baseline, render(1, false, core::DiffOptions::ReorderMode::kOff));
-  EXPECT_EQ(baseline, render(4, false, core::DiffOptions::ReorderMode::kOff));
-  EXPECT_EQ(baseline, render(1, true, core::DiffOptions::ReorderMode::kSift));
-  EXPECT_EQ(baseline, render(4, true, core::DiffOptions::ReorderMode::kGroupSift));
+  const std::string baseline = render(1, true);
+  EXPECT_EQ(baseline, render(4, true));
+  EXPECT_EQ(baseline, render(1, false));
+  EXPECT_EQ(baseline, render(4, false));
 }
 
 TEST_F(DualStackDiffTest, EquivalentV6PairReportsNoDifferences) {

@@ -145,8 +145,6 @@ TEST_F(ServerCliParityTest, DiffBodyMatchesCliAtThreads1And4) {
   for (const unsigned threads : {1u, 4u}) {
     ServiceOptions options;
     options.diff.num_threads = threads;
-    // Reordering is a performance knob: the bytes must not change with it.
-    options.diff.reorder = core::DiffOptions::ReorderMode::kSift;
     // Both requests must run the full pipeline; with the result cache on,
     // the second would replay (result_cache_test covers that path).
     options.result_cache = false;
