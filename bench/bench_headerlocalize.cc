@@ -1,9 +1,12 @@
 // Regenerates Figure 3: the ddNF prefix-range DAG and the GetMatch result
-// {B - D, C - F, G} on the paper's seven-range example, then times
-// HeaderLocalize as the number of configuration ranges grows (an ablation
-// of the localization stage on top of SemanticDiff).
+// {B - D, C - F, G} on the paper's seven-range example, then times the two
+// layers of HeaderLocalize as the number of configuration ranges grows (up
+// to ~1,650, the largest university comparison): building the DAG, done
+// once per comparison, and GetMatch on a prebuilt DAG, done once per
+// presented difference.
 
 #include "bench/bench_util.h"
+#include "core/ddnf.h"
 #include "core/header_localize.h"
 #include "encode/route_adv.h"
 
@@ -50,13 +53,8 @@ void PrintFig3() {
   }
 }
 
-void BM_HeaderLocalizeRangeCount(benchmark::State& state) {
-  const int count = static_cast<int>(state.range(0));
-  campion::bdd::BddManager mgr;
-  campion::encode::RouteAdvLayout layout(mgr, {});
-  auto to_bdd = [&](const PrefixRange& r) {
-    return layout.MatchPrefixRange(r);
-  };
+// `count` distinct ranges: 250 /16 bases, each with nested windows.
+std::vector<PrefixRange> RangePool(int count) {
   std::vector<PrefixRange> ranges;
   for (int i = 0; i < count; ++i) {
     ranges.emplace_back(
@@ -64,18 +62,52 @@ void BM_HeaderLocalizeRangeCount(benchmark::State& state) {
                16),
         16, 16 + (i % 17));
   }
+  return ranges;
+}
+
+void BM_PrefixRangeDagBuild(benchmark::State& state) {
+  std::vector<PrefixRange> ranges =
+      RangePool(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    campion::core::PrefixRangeDag dag(ranges);
+    benchmark::DoNotOptimize(dag);
+  }
+}
+
+void BM_GetMatchPrebuiltDag(benchmark::State& state) {
+  std::vector<PrefixRange> ranges =
+      RangePool(static_cast<int>(state.range(0)));
+  campion::bdd::BddManager mgr;
+  campion::encode::RouteAdvLayout layout(mgr, {});
+  auto to_bdd = [&](const PrefixRange& r) {
+    return layout.MatchPrefixRange(r);
+  };
+  campion::core::PrefixRangeDag dag(ranges);
+  campion::core::HeaderLocalizer localizer(mgr, dag, to_bdd);
   // S: the union of every third range.
   campion::bdd::BddRef s = mgr.False();
-  for (int i = 0; i < count; i += 3) s = mgr.Or(s, to_bdd(ranges[i]));
+  for (std::size_t i = 0; i < ranges.size(); i += 3) {
+    s = mgr.Or(s, to_bdd(ranges[i]));
+  }
   for (auto _ : state) {
-    auto result = campion::core::HeaderLocalize(mgr, s, ranges, to_bdd);
+    auto result = localizer.Localize(s);
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_HeaderLocalizeRangeCount)
+
+BENCHMARK(BM_PrefixRangeDagBuild)
     ->Arg(8)
     ->Arg(64)
     ->Arg(256)
+    ->Arg(1024)
+    ->Arg(1650)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GetMatchPrebuiltDag)
+    ->Arg(8)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(1650)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -3,11 +3,14 @@
 #include <cstddef>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <optional>
 #include <set>
 #include <utility>
 
 #include "bdd/bdd.h"
+#include "core/ddnf.h"
+#include "core/header_localize.h"
 #include "core/semantic_diff.h"
 #include "core/structural_diff.h"
 #include "encode/encoding_template.h"
@@ -30,8 +33,6 @@ ir::RouteMap PassThroughMap() {
   return map;
 }
 
-// Resolves a route map by name, falling back to pass-through for the empty
-// name and recording a warning for a dangling reference.
 // Records a pair manager's kernel + memory accounting on the pair's span
 // and into the metrics registry. One call per manager, at task end — the
 // MemoryStats() walk is cheap but not free, so it stays off when tracing
@@ -47,6 +48,8 @@ void RecordPairBddObservability(obs::ScopedSpan& span,
   obs::RecordBddMemory(mem);
 }
 
+// Resolves a route map by name, falling back to pass-through for the empty
+// name and recording a warning for a dangling reference.
 const ir::RouteMap* ResolveMap(const ir::RouterConfig& config,
                                const std::string& name,
                                const ir::RouteMap& fallback,
@@ -66,15 +69,18 @@ const ir::RouteMap* ResolveMap(const ir::RouterConfig& config,
 // The address family a route-map pair's advertisement space uses: IPv6 iff
 // either map matches on an IPv6 prefix list. (Both vendors keep v4 and v6
 // policy in separate namespaces/terms; a map whose prefix matches are all
-// v4 — or that matches no prefixes at all — diffs over the v4 space,
+// v4 — or that matches no prefixes at all, like the pass-through map an
+// empty or dangling name resolves to — diffs over the v4 space,
 // byte-identical to the pre-dual-stack behavior.)
-util::AddressFamily RouteMapPairFamily(const ir::RouterConfig& config,
-                                       const ir::RouteMap& map) {
-  for (const auto& clause : map.clauses) {
+util::AddressFamily RouteMapFamily(const ir::RouterConfig& config,
+                                   const std::string& name) {
+  const ir::RouteMap* map = name.empty() ? nullptr : config.FindRouteMap(name);
+  if (map == nullptr) return util::AddressFamily::kIpv4;
+  for (const auto& clause : map->clauses) {
     for (const auto& match : clause.matches) {
       if (match.kind != ir::RouteMapMatch::Kind::kPrefixList) continue;
-      for (const auto& name : match.names) {
-        const ir::PrefixList* list = config.FindPrefixList(name);
+      for (const auto& list_name : match.names) {
+        const ir::PrefixList* list = config.FindPrefixList(list_name);
         if (list != nullptr && list->family == util::AddressFamily::kIpv6) {
           return util::AddressFamily::kIpv6;
         }
@@ -84,10 +90,28 @@ util::AddressFamily RouteMapPairFamily(const ir::RouterConfig& config,
   return util::AddressFamily::kIpv4;
 }
 
+util::AddressFamily RouteMapPairFamily(const ir::RouterConfig& config1,
+                                       const std::string& name1,
+                                       const ir::RouterConfig& config2,
+                                       const std::string& name2) {
+  util::AddressFamily family = RouteMapFamily(config1, name1);
+  return family == util::AddressFamily::kIpv4 ? RouteMapFamily(config2, name2)
+                                              : family;
+}
+
+// The route-map localization DAG of a family: every prefix-range constant
+// of both configurations in that family's advertisement space.
+PrefixRangeDag BuildRouteDag(const ir::RouterConfig& config1,
+                             const ir::RouterConfig& config2,
+                             util::AddressFamily family) {
+  return BuildLocalizeDag(RouteMapRanges(config1, config2, family),
+                          util::PrefixRange::UniverseOf(family));
+}
+
 std::vector<PresentedDifference> DiffRouteMapPairImpl(
     const ir::RouterConfig& config1, const std::string& name1,
     const ir::RouterConfig& config2, const std::string& name2,
-    std::vector<std::string>* warnings,
+    std::vector<std::string>* warnings, const PrefixRangeDag& route_dag,
     const encode::EncodingTemplate* tmpl = nullptr) {
   ir::RouteMap fallback = PassThroughMap();
   const ir::RouteMap* map1 = ResolveMap(config1, name1, fallback, warnings);
@@ -95,13 +119,11 @@ std::vector<PresentedDifference> DiffRouteMapPairImpl(
   obs::ScopedSpan span("route_map_pair",
                        map1->name + " vs " + map2->name);
 
-  // An IPv6 pair diffs over the 128-bit advertisement space. The shared
+  // `route_dag` was built for the pair's family (RouteMapPairFamily). An
+  // IPv6 pair diffs over the 128-bit advertisement space. The shared
   // template's layouts are IPv4, so v6 pairs build from scratch — template
   // on and off are trivially identical for them.
-  util::AddressFamily family = RouteMapPairFamily(config1, *map1);
-  if (family == util::AddressFamily::kIpv4) {
-    family = RouteMapPairFamily(config2, *map2);
-  }
+  util::AddressFamily family = route_dag.label(route_dag.root()).family();
   if (family != util::AddressFamily::kIpv4) tmpl = nullptr;
 
   // One manager per pair keeps arenas small and lifetimes obvious. With a
@@ -124,9 +146,17 @@ std::vector<PresentedDifference> DiffRouteMapPairImpl(
       SemanticDiffRouteMaps(*layout, config1, *map1, config2, *map2, tmpl);
   std::vector<PresentedDifference> presented;
   presented.reserve(diffs.size());
-  for (const auto& diff : diffs) {
-    presented.push_back(PresentRouteMapDifference(
-        *layout, diff, config1, config2, map1->name, map2->name));
+  if (!diffs.empty()) {
+    // One localizer for all of the pair's differences: node BDDs are
+    // encoded on the pair's manager once, remainders are shared.
+    HeaderLocalizer localizer(mgr, route_dag, [&](const util::PrefixRange& r) {
+      return layout->MatchPrefixRange(r);
+    });
+    for (const auto& diff : diffs) {
+      presented.push_back(PresentRouteMapDifference(*layout, diff, config1,
+                                                    config2, map1->name,
+                                                    map2->name, localizer));
+    }
   }
   span.AddAttr("differences", static_cast<double>(presented.size()));
   obs::Count("diff.route_map_pairs");
@@ -160,9 +190,28 @@ std::vector<PresentedDifference> DiffAclPairImpl(
       SemanticDiffAcls(*layout, *acl1, *acl2, {}, tmpl);
   std::vector<PresentedDifference> presented;
   presented.reserve(diffs.size());
-  for (const auto& diff : diffs) {
-    presented.push_back(
-        PresentAclDifference(*layout, diff, *acl1, *acl2, config1, config2));
+  if (!diffs.empty()) {
+    // One DAG and one localizer per address direction, over both ACLs'
+    // prefixes, for all of the pair's differences.
+    auto both = [&](auto ranges_of) {
+      std::vector<util::PrefixRange> ranges = ranges_of(*acl1);
+      auto more = ranges_of(*acl2);
+      ranges.insert(ranges.end(), more.begin(), more.end());
+      return BuildLocalizeDag(std::move(ranges),
+                              AclAddressUniverse(acl1->family));
+    };
+    PrefixRangeDag dst_dag = both(AclDstRanges);
+    PrefixRangeDag src_dag = both(AclSrcRanges);
+    HeaderLocalizer dst(mgr, dst_dag, [&](const util::PrefixRange& r) {
+      return layout->MatchDstPrefix(r.prefix());
+    });
+    HeaderLocalizer src(mgr, src_dag, [&](const util::PrefixRange& r) {
+      return layout->MatchSrcPrefix(r.prefix());
+    });
+    for (const auto& diff : diffs) {
+      presented.push_back(PresentAclDifference(*layout, diff, *acl1, *acl2,
+                                               config1, config2, dst, src));
+    }
   }
   span.AddAttr("differences", static_cast<double>(presented.size()));
   obs::Count("diff.acl_pairs");
@@ -216,7 +265,10 @@ std::string DiffReport::Render() const {
 std::vector<PresentedDifference> DiffRouteMapPair(
     const ir::RouterConfig& config1, const std::string& name1,
     const ir::RouterConfig& config2, const std::string& name2) {
-  return DiffRouteMapPairImpl(config1, name1, config2, name2, nullptr);
+  PrefixRangeDag route_dag = BuildRouteDag(
+      config1, config2, RouteMapPairFamily(config1, name1, config2, name2));
+  return DiffRouteMapPairImpl(config1, name1, config2, name2, nullptr,
+                              route_dag);
 }
 
 std::vector<PresentedDifference> DiffAclPair(const ir::RouterConfig& config1,
@@ -321,6 +373,7 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
   // own BddManager and layout, so tasks share no mutable state. Fan the
   // distinct pairs out across the worker pool, then merge results back in
   // pair-declaration order so the report is byte-identical to a serial run.
+  std::map<util::AddressFamily, PrefixRangeDag> route_dags;
   struct SemanticTask {
     DifferenceEntry::Kind kind;
     std::function<std::vector<PresentedDifference>(std::vector<std::string>*)>
@@ -328,6 +381,22 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
   };
   std::vector<SemanticTask> tasks;
   if (options.check_route_maps) {
+    // Route-map localization expresses every difference over the same
+    // ranges, so each family's DAG is built once, here on the calling
+    // thread when its first pair is declared (a fixed trace position at
+    // any thread count), and only read by the pair tasks.
+    auto route_dag = [&](const std::string& name1,
+                         const std::string& name2) -> const PrefixRangeDag* {
+      util::AddressFamily family =
+          RouteMapPairFamily(config1, name1, config2, name2);
+      auto it = route_dags.find(family);
+      if (it == route_dags.end()) {
+        it = route_dags
+                 .emplace(family, BuildRouteDag(config1, config2, family))
+                 .first;
+      }
+      return &it->second;
+    };
     // Several neighbors often share one policy pair (e.g. both uplinks use
     // the same import map); each distinct (name1, name2) pair is diffed
     // once.
@@ -336,11 +405,12 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
       if (!seen_pairs.insert({pair.name1, pair.name2}).second) continue;
       tasks.push_back(
           {DifferenceEntry::Kind::kRouteMapSemantic,
-           [&config1, &config2, pair,
-            tmpl](std::vector<std::string>* task_warnings) {
+           [&config1, &config2, pair, tmpl,
+            dag = route_dag(pair.name1, pair.name2)](
+               std::vector<std::string>* task_warnings) {
              auto diffs =
                  DiffRouteMapPairImpl(config1, pair.name1, config2, pair.name2,
-                                      task_warnings, tmpl);
+                                      task_warnings, *dag, tmpl);
              for (auto& d : diffs) {
                d.title += " (neighbor " + pair.neighbor.ToString() + ", " +
                           ToString(pair.direction) + ")";
@@ -351,11 +421,12 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
     for (const auto& pair : pairing.redistributions) {
       tasks.push_back(
           {DifferenceEntry::Kind::kRouteMapSemantic,
-           [&config1, &config2, pair,
-            tmpl](std::vector<std::string>* task_warnings) {
+           [&config1, &config2, pair, tmpl,
+            dag = route_dag(pair.name1, pair.name2)](
+               std::vector<std::string>* task_warnings) {
              auto diffs =
                  DiffRouteMapPairImpl(config1, pair.name1, config2, pair.name2,
-                                      task_warnings, tmpl);
+                                      task_warnings, *dag, tmpl);
              for (auto& d : diffs) {
                d.title += " (redistribution of " + ir::ToString(pair.from) +
                           " into " + ir::ToString(pair.via) + ")";

@@ -23,8 +23,11 @@ class PrefixRangeDag {
  public:
   // Builds the DAG over `ranges`, with `universe` as the root (added if
   // missing) and the label set closed under intersection. Ranges are
-  // normalized (length window clamped to [base length, 32] and intersected
-  // with the universe) and de-duplicated; empty ranges are dropped.
+  // normalized (length window clamped to [base length, family maximum] and
+  // intersected with the universe) and de-duplicated; empty ranges are
+  // dropped, as are ranges of another family. The build walks each base
+  // prefix's ancestor chain instead of all pairs of ranges, so on shallow
+  // prefix trees it costs about n log n for n ranges, not n².
   PrefixRangeDag(std::vector<util::PrefixRange> ranges,
                  util::PrefixRange universe = util::PrefixRange::Universe());
 

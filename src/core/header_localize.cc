@@ -7,83 +7,73 @@
 #include "obs/trace.h"
 
 namespace campion::core {
-namespace {
 
 // GetMatch's intermediate result: a range minus nested terms.
-struct MatchTerm {
+struct HeaderLocalizer::MatchTerm {
   util::PrefixRange range;
   std::vector<MatchTerm> subtracted;
 };
 
-class Localizer {
- public:
-  Localizer(bdd::BddManager& mgr, const PrefixRangeDag& dag,
-            const RangeToBdd& range_to_bdd)
-      : mgr_(mgr), dag_(dag) {
-    node_bdds_.reserve(dag.size());
-    for (std::size_t n = 0; n < dag.size(); ++n) {
-      node_bdds_.push_back(range_to_bdd(dag.label(n)));
-    }
+HeaderLocalizer::HeaderLocalizer(bdd::BddManager& mgr,
+                                 const PrefixRangeDag& dag,
+                                 const RangeToBdd& range_to_bdd)
+    : mgr_(mgr), dag_(dag), remainders_(dag.size(), kUncomputed) {
+  node_bdds_.reserve(dag.size());
+  for (std::size_t n = 0; n < dag.size(); ++n) {
+    node_bdds_.push_back(range_to_bdd(dag.label(n)));
+  }
+}
+
+// The GetMatch recursion of §3.2.
+std::vector<HeaderLocalizer::MatchTerm> HeaderLocalizer::GetMatch(
+    bdd::BddRef set, std::size_t node) {
+  bdd::BddRef node_bdd = node_bdds_[node];
+  // Short-circuits (these also keep the output minimal): a node disjoint
+  // from S contributes nothing; a node fully inside S is itself a term.
+  if (!mgr_.Intersects(node_bdd, set)) return {};
+  if (mgr_.Subset(node_bdd, set)) return {{dag_.label(node), {}}};
+
+  if (dag_.IsLeaf(node)) {
+    // By construction (S built from the DAG's ranges) a leaf is contained
+    // in S or disjoint from it; both cases were handled above. If S used a
+    // range we were not given, fall back to reporting the overlap.
+    return {{dag_.label(node), {}}};
   }
 
-  // The GetMatch recursion of §3.2.
-  std::vector<MatchTerm> GetMatch(bdd::BddRef set, std::size_t node) {
-    bdd::BddRef node_bdd = node_bdds_[node];
-    // Short-circuits (these also keep the output minimal): a node disjoint
-    // from S contributes nothing; a node fully inside S is itself a term.
-    if (!mgr_.Intersects(node_bdd, set)) return {};
-    if (mgr_.Subset(node_bdd, set)) return {{dag_.label(node), {}}};
-
-    if (dag_.IsLeaf(node)) {
-      // By construction (S built from the DAG's ranges) a leaf is contained
-      // in S or disjoint from it; both cases were handled above. If S used a
-      // range we were not given, fall back to reporting the overlap.
-      return {{dag_.label(node), {}}};
-    }
-
-    if (mgr_.Subset(Remainder(node), set)) {
-      // R's remainder is in S: include R, minus the child parts not in S.
-      MatchTerm term{dag_.label(node), {}};
-      for (std::size_t child : dag_.children(node)) {
-        auto nonmatches = GetMatch(mgr_.Not(set), child);
-        term.subtracted.insert(term.subtracted.end(), nonmatches.begin(),
-                               nonmatches.end());
-      }
-      return {std::move(term)};
-    }
-    // Otherwise recurse and union the children's results.
-    std::vector<MatchTerm> result;
+  if (mgr_.Subset(Remainder(node), set)) {
+    // R's remainder is in S: include R, minus the child parts not in S.
+    MatchTerm term{dag_.label(node), {}};
     for (std::size_t child : dag_.children(node)) {
-      auto sub = GetMatch(set, child);
-      result.insert(result.end(), sub.begin(), sub.end());
+      auto nonmatches = GetMatch(mgr_.Not(set), child);
+      term.subtracted.insert(term.subtracted.end(), nonmatches.begin(),
+                             nonmatches.end());
     }
-    return result;
+    return {std::move(term)};
   }
-
- private:
-  // The remainder set of an internal node: its range minus its children.
-  bdd::BddRef Remainder(std::size_t node) {
-    constexpr bdd::BddRef kUncomputed = ~bdd::BddRef{0};
-    if (remainders_.empty()) remainders_.assign(dag_.size(), kUncomputed);
-    if (remainders_[node] != kUncomputed) return remainders_[node];
-    bdd::BddRef rem = node_bdds_[node];
-    for (std::size_t child : dag_.children(node)) {
-      rem = mgr_.Diff(rem, node_bdds_[child]);
-    }
-    remainders_[node] = rem;
-    return rem;
+  // Otherwise recurse and union the children's results.
+  std::vector<MatchTerm> result;
+  for (std::size_t child : dag_.children(node)) {
+    auto sub = GetMatch(set, child);
+    result.insert(result.end(), sub.begin(), sub.end());
   }
+  return result;
+}
 
-  bdd::BddManager& mgr_;
-  const PrefixRangeDag& dag_;
-  std::vector<bdd::BddRef> node_bdds_;
-  std::vector<bdd::BddRef> remainders_;
-};
+// The remainder set of an internal node: its range minus its children.
+bdd::BddRef HeaderLocalizer::Remainder(std::size_t node) {
+  if (remainders_[node] != kUncomputed) return remainders_[node];
+  bdd::BddRef rem = node_bdds_[node];
+  for (std::size_t child : dag_.children(node)) {
+    rem = mgr_.Diff(rem, node_bdds_[child]);
+  }
+  remainders_[node] = rem;
+  return rem;
+}
 
 // Removes nested differences: R − (X − Y) becomes {R − X, Y} (Y ⊆ X ⊆ R and
 // Y ⊆ S make this sound). One pass over the term tree, as in the paper.
-void FlattenInto(const MatchTerm& term,
-                 std::vector<util::PrefixRangeTerm>& out) {
+void HeaderLocalizer::FlattenInto(const MatchTerm& term,
+                                  std::vector<util::PrefixRangeTerm>& out) {
   util::PrefixRangeTerm flat{term.range, {}};
   for (const auto& sub : term.subtracted) {
     flat.exclude.push_back(sub.range);
@@ -96,8 +86,6 @@ void FlattenInto(const MatchTerm& term,
     }
   }
 }
-
-}  // namespace
 
 std::vector<util::PrefixRange> HeaderLocalizeResult::IncludedRanges() const {
   std::set<util::PrefixRange> seen;
@@ -128,26 +116,40 @@ std::string HeaderLocalizeResult::ToString() const {
   return out;
 }
 
+PrefixRangeDag BuildLocalizeDag(std::vector<util::PrefixRange> ranges,
+                                util::PrefixRange universe) {
+  obs::ScopedSpan span("localize_dag",
+                       universe.family() == util::AddressFamily::kIpv4
+                           ? "ipv4"
+                           : "ipv6");
+  span.AddAttr("ranges", static_cast<double>(ranges.size()));
+  PrefixRangeDag dag(std::move(ranges), universe);
+  span.AddAttr("dag_nodes", static_cast<double>(dag.size()));
+  return dag;
+}
+
+HeaderLocalizeResult HeaderLocalizer::Localize(bdd::BddRef set) {
+  obs::ScopedSpan span("header_localize");
+  // Work within the universe: S may be a complement reaching outside it.
+  bdd::BddRef clipped = mgr_.And(set, node_bdds_[dag_.root()]);
+  HeaderLocalizeResult result;
+  obs::Count("localize.calls");
+  if (clipped == bdd::kFalse) return result;
+  for (const auto& term : GetMatch(clipped, dag_.root())) {
+    FlattenInto(term, result.terms);
+  }
+  span.AddAttr("dag_nodes", static_cast<double>(dag_.size()));
+  span.AddAttr("terms", static_cast<double>(result.terms.size()));
+  obs::Count("localize.terms", static_cast<double>(result.terms.size()));
+  return result;
+}
+
 HeaderLocalizeResult HeaderLocalize(bdd::BddManager& mgr, bdd::BddRef set,
                                     std::vector<util::PrefixRange> ranges,
                                     const RangeToBdd& range_to_bdd,
                                     util::PrefixRange universe) {
-  obs::ScopedSpan span("header_localize");
-  span.AddAttr("ranges", static_cast<double>(ranges.size()));
-  PrefixRangeDag dag(std::move(ranges), universe);
-  Localizer localizer(mgr, dag, range_to_bdd);
-  // Work within the universe: S may be a complement reaching outside it.
-  bdd::BddRef clipped = mgr.And(set, range_to_bdd(dag.label(dag.root())));
-  HeaderLocalizeResult result;
-  obs::Count("localize.calls");
-  if (clipped == bdd::kFalse) return result;
-  for (const auto& term : localizer.GetMatch(clipped, dag.root())) {
-    FlattenInto(term, result.terms);
-  }
-  span.AddAttr("dag_nodes", static_cast<double>(dag.size()));
-  span.AddAttr("terms", static_cast<double>(result.terms.size()));
-  obs::Count("localize.terms", static_cast<double>(result.terms.size()));
-  return result;
+  PrefixRangeDag dag = BuildLocalizeDag(std::move(ranges), universe);
+  return HeaderLocalizer(mgr, dag, range_to_bdd).Localize(set);
 }
 
 }  // namespace campion::core

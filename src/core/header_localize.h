@@ -5,14 +5,17 @@
 // differences — the "Included Prefixes" / "Excluded Prefixes" rows of the
 // paper's output tables.
 //
-// The algorithm builds the prefix-range containment DAG (core/ddnf.h) over
-// every range constant appearing in the two configurations, associates each
-// node with its symbolic member set, and runs the recursive GetMatch
+// The algorithm runs over the prefix-range containment DAG (core/ddnf.h)
+// built from every range constant appearing in the two configurations. That
+// DAG is an invariant of a comparison, so it is built once (BuildLocalizeDag)
+// and a HeaderLocalizer associates each node with its symbolic member set
+// once, then localizes any number of sets with the recursive GetMatch
 // traversal: a node whose remainder lies inside S contributes its range
 // minus the children not in S (computed by recursing on ¬S); otherwise the
 // children are visited and their results unioned. A final pass removes
 // nested differences, e.g. C − (F − G) becomes {C − F, G}.
 
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -41,10 +44,44 @@ struct HeaderLocalizeResult {
   std::string ToString() const;
 };
 
-// `set` must be a predicate over the prefix encoding only (project other
-// variables out first); `ranges` must include every range constant used to
-// build it. `universe` is the root range (the whole advertisement space for
-// route maps; the all-/32s space for ACL destination addresses).
+// Builds the localization DAG over `ranges` with `universe` as the root,
+// recorded as a `localize_dag` span.
+PrefixRangeDag BuildLocalizeDag(std::vector<util::PrefixRange> ranges,
+                                util::PrefixRange universe);
+
+// Localizes sets against one DAG on one manager. Construction encodes every
+// node's range once; the remainder of each internal node (its range minus
+// its children) does not depend on the localized set and is memoized across
+// calls. The DAG and the manager must outlive the localizer.
+class HeaderLocalizer {
+ public:
+  HeaderLocalizer(bdd::BddManager& mgr, const PrefixRangeDag& dag,
+                  const RangeToBdd& range_to_bdd);
+
+  // `set` must be a predicate over the prefix encoding only (project other
+  // variables out first), built from the DAG's range constants. Parts of
+  // `set` outside the universe are ignored.
+  HeaderLocalizeResult Localize(bdd::BddRef set);
+
+ private:
+  struct MatchTerm;
+  static constexpr bdd::BddRef kUncomputed = ~bdd::BddRef{0};
+
+  std::vector<MatchTerm> GetMatch(bdd::BddRef set, std::size_t node);
+  bdd::BddRef Remainder(std::size_t node);
+  static void FlattenInto(const MatchTerm& term,
+                          std::vector<util::PrefixRangeTerm>& out);
+
+  bdd::BddManager& mgr_;
+  const PrefixRangeDag& dag_;
+  std::vector<bdd::BddRef> node_bdds_;
+  std::vector<bdd::BddRef> remainders_;
+};
+
+// One-shot form: builds the DAG over `ranges` and localizes `set` with a
+// fresh HeaderLocalizer. `universe` is the root range (the whole
+// advertisement space for route maps; the all-host-prefixes space for ACL
+// addresses).
 HeaderLocalizeResult HeaderLocalize(
     bdd::BddManager& mgr, bdd::BddRef set,
     std::vector<util::PrefixRange> ranges, const RangeToBdd& range_to_bdd,

@@ -17,14 +17,6 @@ std::string RangesToCell(const std::vector<util::PrefixRange>& ranges) {
   return out;
 }
 
-// The universe of destination addresses as a prefix range: every host
-// prefix (/32 for IPv4, /128 for IPv6).
-util::PrefixRange AddressUniverse(util::AddressFamily family) {
-  const int width = util::AddressWidth(family);
-  return util::PrefixRange(util::IpPrefix(family, util::U128(), 0), width,
-                           width);
-}
-
 std::vector<util::PrefixRange> AclRanges(const ir::Acl& acl, bool dst) {
   const int width = util::AddressWidth(acl.family);
   std::vector<util::PrefixRange> ranges;
@@ -39,6 +31,26 @@ std::vector<util::PrefixRange> AclRanges(const ir::Acl& acl, bool dst) {
 
 }  // namespace
 
+std::vector<util::PrefixRange> RouteMapRanges(const ir::RouterConfig& config1,
+                                              const ir::RouterConfig& config2,
+                                              util::AddressFamily family) {
+  std::vector<util::PrefixRange> ranges = config1.AllPrefixRanges();
+  auto ranges2 = config2.AllPrefixRanges();
+  ranges.insert(ranges.end(), ranges2.begin(), ranges2.end());
+  // Range constants of the other family match nothing in this family's
+  // advertisement space.
+  std::erase_if(ranges, [&](const util::PrefixRange& r) {
+    return r.family() != family;
+  });
+  return ranges;
+}
+
+util::PrefixRange AclAddressUniverse(util::AddressFamily family) {
+  const int width = util::AddressWidth(family);
+  return util::PrefixRange(util::IpPrefix(family, util::U128(), 0), width,
+                           width);
+}
+
 std::vector<util::PrefixRange> AclDstRanges(const ir::Acl& acl) {
   return AclRanges(acl, /*dst=*/true);
 }
@@ -50,7 +62,8 @@ std::vector<util::PrefixRange> AclSrcRanges(const ir::Acl& acl) {
 PresentedDifference PresentRouteMapDifference(
     encode::RouteAdvLayout& layout, const RouteMapDifference& diff,
     const ir::RouterConfig& config1, const ir::RouterConfig& config2,
-    const std::string& policy1, const std::string& policy2) {
+    const std::string& policy1, const std::string& policy2,
+    HeaderLocalizer& localizer) {
   bdd::BddManager& mgr = layout.manager();
   PresentedDifference out;
 
@@ -59,18 +72,7 @@ PresentedDifference PresentRouteMapDifference(
   // prefix-range constants.
   bdd::BddRef prefix_set = mgr.Exists(diff.input_set,
                                       layout.NonPrefixVarMask());
-  std::vector<util::PrefixRange> ranges = config1.AllPrefixRanges();
-  auto ranges2 = config2.AllPrefixRanges();
-  ranges.insert(ranges.end(), ranges2.begin(), ranges2.end());
-  // Range constants of the other family match nothing on this layout; the
-  // DAG drops them (they have no intersection with the universe).
-  std::erase_if(ranges, [&](const util::PrefixRange& r) {
-    return r.family() != layout.family();
-  });
-  HeaderLocalizeResult localized = HeaderLocalize(
-      mgr, prefix_set, std::move(ranges),
-      [&](const util::PrefixRange& r) { return layout.MatchPrefixRange(r); },
-      util::PrefixRange::UniverseOf(layout.family()));
+  HeaderLocalizeResult localized = localizer.Localize(prefix_set);
   out.included = localized.IncludedRanges();
   out.excluded = localized.ExcludedRanges();
 
@@ -127,41 +129,26 @@ PresentedDifference PresentAclDifference(encode::PacketLayout& layout,
                                          const ir::Acl& acl1,
                                          const ir::Acl& acl2,
                                          const ir::RouterConfig& config1,
-                                         const ir::RouterConfig& config2) {
+                                         const ir::RouterConfig& config2,
+                                         HeaderLocalizer& dst,
+                                         HeaderLocalizer& src) {
   bdd::BddManager& mgr = layout.manager();
   PresentedDifference out;
 
-  auto localize = [&](const std::vector<bool>& keep_mask,
-                      std::vector<util::PrefixRange> ranges,
-                      auto range_to_bdd) {
+  auto localize = [&](HeaderLocalizer& localizer,
+                      const std::vector<bool>& keep_mask) {
     std::vector<bool> quantified = keep_mask;
     quantified.flip();
-    bdd::BddRef projected = mgr.Exists(diff.input_set, quantified);
-    return HeaderLocalize(mgr, projected, std::move(ranges), range_to_bdd,
-                          AddressUniverse(layout.family()));
+    return localizer.Localize(mgr.Exists(diff.input_set, quantified));
   };
 
-  std::vector<util::PrefixRange> dst_ranges = AclDstRanges(acl1);
-  auto dst2 = AclDstRanges(acl2);
-  dst_ranges.insert(dst_ranges.end(), dst2.begin(), dst2.end());
-  HeaderLocalizeResult dst = localize(
-      layout.DstIpVarMask(), std::move(dst_ranges),
-      [&](const util::PrefixRange& r) {
-        return layout.MatchDstPrefix(r.prefix());
-      });
-  out.included = dst.IncludedRanges();
-  out.excluded = dst.ExcludedRanges();
+  HeaderLocalizeResult dst_set = localize(dst, layout.DstIpVarMask());
+  out.included = dst_set.IncludedRanges();
+  out.excluded = dst_set.ExcludedRanges();
 
-  std::vector<util::PrefixRange> src_ranges = AclSrcRanges(acl1);
-  auto src2 = AclSrcRanges(acl2);
-  src_ranges.insert(src_ranges.end(), src2.begin(), src2.end());
-  HeaderLocalizeResult src = localize(
-      layout.SrcIpVarMask(), std::move(src_ranges),
-      [&](const util::PrefixRange& r) {
-        return layout.MatchSrcPrefix(r.prefix());
-      });
-  out.src_included = src.IncludedRanges();
-  out.src_excluded = src.ExcludedRanges();
+  HeaderLocalizeResult src_set = localize(src, layout.SrcIpVarMask());
+  out.src_included = src_set.IncludedRanges();
+  out.src_excluded = src_set.ExcludedRanges();
 
   // Exact protocol / destination-port localization; rows are shown only
   // when the difference actually constrains the field.

@@ -44,21 +44,37 @@ struct PresentedDifference {
   std::string location1, location2;
 };
 
+// `localizer` runs on the layout's manager over RouteMapRanges' DAG.
 PresentedDifference PresentRouteMapDifference(
     encode::RouteAdvLayout& layout, const RouteMapDifference& diff,
     const ir::RouterConfig& config1, const ir::RouterConfig& config2,
-    const std::string& policy1, const std::string& policy2);
+    const std::string& policy1, const std::string& policy2,
+    HeaderLocalizer& localizer);
 
+// `dst` and `src` run on the layout's manager over the DAGs of both ACLs'
+// AclDstRanges and AclSrcRanges, in AclAddressUniverse.
 PresentedDifference PresentAclDifference(encode::PacketLayout& layout,
                                          const AclDifference& diff,
                                          const ir::Acl& acl1,
                                          const ir::Acl& acl2,
                                          const ir::RouterConfig& config1,
-                                         const ir::RouterConfig& config2);
+                                         const ir::RouterConfig& config2,
+                                         HeaderLocalizer& dst,
+                                         HeaderLocalizer& src);
 
 PresentedDifference PresentStructuralDifference(
     const StructuralDifference& diff, const ir::RouterConfig& config1,
     const ir::RouterConfig& config2);
+
+// Every prefix-range constant of either configuration in `family`: the
+// ranges route-map localization expresses differences in.
+std::vector<util::PrefixRange> RouteMapRanges(const ir::RouterConfig& config1,
+                                              const ir::RouterConfig& config2,
+                                              util::AddressFamily family);
+
+// The universe of ACL address localization: every host prefix (/32 for
+// IPv4, /128 for IPv6).
+util::PrefixRange AclAddressUniverse(util::AddressFamily family);
 
 // The destination (or source) prefixes mentioned by an ACL, as /32-window
 // prefix ranges for HeaderLocalize. Non-prefix wildcards are skipped.

@@ -5,13 +5,17 @@
 #include <algorithm>
 #include <random>
 #include <set>
+#include <vector>
 
 namespace campion::core {
 namespace {
 
+using util::AddressFamily;
+using util::IpPrefix;
 using util::Ipv4Address;
 using util::Prefix;
 using util::PrefixRange;
+using util::U128;
 
 PrefixRange Range(const char* prefix, int low, int high) {
   return PrefixRange(*Prefix::Parse(prefix), low, high);
@@ -152,6 +156,144 @@ TEST(PrefixRangeDagTest, InsertionOrderIndependent) {
     EXPECT_EQ(edge_set(shuffled), reference_edges);
   }
 }
+
+// The straightforward quadratic builder: an all-pairs intersection closure
+// and, per node, a search of every earlier node for immediate containers.
+// PrefixRangeDag must reproduce its labels, node order and children lists
+// exactly, since GetMatch's traversal order decides the report text.
+struct ReferenceDag {
+  std::vector<PrefixRange> labels;
+  std::vector<std::vector<std::size_t>> children;
+};
+
+PrefixRange NormalizeForReference(const PrefixRange& r) {
+  int low = std::max(r.low(), r.prefix().length());
+  int high = std::min(r.high(), util::MaxPrefixLength(r.family()));
+  return PrefixRange(r.prefix(), low, high);
+}
+
+ReferenceDag BuildReferenceDag(const std::vector<PrefixRange>& ranges,
+                               PrefixRange universe) {
+  universe = NormalizeForReference(universe);
+  std::set<PrefixRange> pool;
+  for (const auto& r : ranges) {
+    auto clipped = NormalizeForReference(r).Intersect(universe);
+    if (clipped) pool.insert(*clipped);
+  }
+  pool.erase(universe);
+  std::vector<PrefixRange> worklist(pool.begin(), pool.end());
+  while (!worklist.empty()) {
+    PrefixRange r = worklist.back();
+    worklist.pop_back();
+    std::vector<PrefixRange> fresh;
+    for (const auto& other : pool) {
+      auto meet = r.Intersect(other);
+      if (meet && !pool.contains(*meet) && *meet != universe) {
+        fresh.push_back(*meet);
+      }
+    }
+    for (auto& m : fresh) {
+      pool.insert(m);
+      worklist.push_back(m);
+    }
+  }
+  std::vector<PrefixRange> ordered(pool.begin(), pool.end());
+  std::sort(ordered.begin(), ordered.end(),
+            [](const PrefixRange& a, const PrefixRange& b) {
+              if (a.prefix().length() != b.prefix().length()) {
+                return a.prefix().length() < b.prefix().length();
+              }
+              int wa = a.high() - a.low();
+              int wb = b.high() - b.low();
+              if (wa != wb) return wa > wb;
+              return a < b;
+            });
+  ReferenceDag dag;
+  dag.labels.push_back(universe);
+  dag.children.emplace_back();
+  for (const auto& r : ordered) {
+    std::size_t node = dag.labels.size();
+    dag.labels.push_back(r);
+    dag.children.emplace_back();
+    std::vector<std::size_t> containers;
+    for (std::size_t m = 0; m < node; ++m) {
+      if (dag.labels[m] != r && dag.labels[m].ContainsRange(r)) {
+        containers.push_back(m);
+      }
+    }
+    for (std::size_t m : containers) {
+      bool immediate = true;
+      for (std::size_t k : containers) {
+        if (k != m && dag.labels[m] != dag.labels[k] &&
+            dag.labels[m].ContainsRange(dag.labels[k])) {
+          immediate = false;
+          break;
+        }
+      }
+      if (immediate) dag.children[m].push_back(node);
+    }
+  }
+  return dag;
+}
+
+// Random ranges over a few nested base prefixes: a short chain of random
+// bases, each extended by a few random bits, so most pairs of bases are
+// nested or siblings, with random (sometimes empty or oversized) windows.
+std::vector<PrefixRange> RandomRanges(std::mt19937_64& rng,
+                                      AddressFamily family) {
+  const int width = util::AddressWidth(family);
+  auto random_bits = [&] { return U128(rng(), rng()); };
+  std::vector<IpPrefix> bases{IpPrefix(family, random_bits(), 0)};
+  const int base_count = 1 + static_cast<int>(rng() % 12);
+  for (int i = 0; i < base_count; ++i) {
+    const IpPrefix& parent = bases[rng() % bases.size()];
+    int length = std::min(width, parent.length() +
+                                     static_cast<int>(rng() % (width / 4)));
+    // Keep the parent's bits, randomize the new ones.
+    U128 bits = parent.address().bits() |
+                (random_bits() & ~util::MaskBitsWide(parent.length(), width));
+    bases.emplace_back(family, bits, length);
+  }
+  std::vector<PrefixRange> ranges;
+  const int range_count = 1 + static_cast<int>(rng() % 24);
+  for (int i = 0; i < range_count; ++i) {
+    const IpPrefix& base = bases[rng() % bases.size()];
+    int low = base.length() - 2 + static_cast<int>(rng() % (width / 2));
+    int high = low + static_cast<int>(rng() % (width / 2)) - 2;
+    // A third reach the host length ("orlonger"), as ACL prefixes do, so
+    // the host-only universe keeps them.
+    if (rng() % 3 == 0) high = width + static_cast<int>(rng() % 2);
+    ranges.emplace_back(base, low, high);
+  }
+  return ranges;
+}
+
+class PrefixRangeDagOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(PrefixRangeDagOracleTest, MatchesQuadraticBuilder) {
+  std::mt19937_64 rng(GetParam());
+  for (AddressFamily family : {AddressFamily::kIpv4, AddressFamily::kIpv6}) {
+    const int width = util::AddressWidth(family);
+    const PrefixRange universes[] = {
+        PrefixRange::UniverseOf(family),
+        // The host-only universe of ACL address localization.
+        PrefixRange(IpPrefix(family, U128(), 0), width, width)};
+    std::vector<PrefixRange> ranges = RandomRanges(rng, family);
+    for (const PrefixRange& universe : universes) {
+      ReferenceDag reference = BuildReferenceDag(ranges, universe);
+      PrefixRangeDag dag(ranges, universe);
+      ASSERT_EQ(dag.labels(), reference.labels)
+          << "seed " << GetParam() << " universe " << universe.ToString();
+      for (std::size_t n = 0; n < dag.size(); ++n) {
+        EXPECT_EQ(dag.children(n), reference.children[n])
+            << "seed " << GetParam() << " node " << dag.label(n).ToString();
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PrefixRangeDagOracleTest,
+                         ::testing::Range(1, 401));
 
 }  // namespace
 }  // namespace campion::core

@@ -191,5 +191,47 @@ TEST_P(HeaderLocalizeRandomTest, ReconstructsExactly) {
 INSTANTIATE_TEST_SUITE_P(Seeds, HeaderLocalizeRandomTest,
                          ::testing::Range(1, 31));
 
+// One localizer reused across many sets on one manager (as a pair task
+// reuses it across its differences) must answer exactly like a fresh
+// HeaderLocalize per set: the memoized remainders do not depend on S.
+TEST(HeaderLocalizerTest, ReuseMatchesFreshLocalization) {
+  BddManager mgr;
+  encode::RouteAdvLayout layout(mgr, {});
+  std::mt19937_64 rng(7);
+  std::vector<PrefixRange> pool;
+  for (int i = 0; i < 12; ++i) {
+    std::uint32_t base =
+        (10u << 24) | ((rng() % 4) << 20) | ((rng() % 4) << 16);
+    int length = 8 + static_cast<int>(rng() % 3) * 4;
+    int low = length + static_cast<int>(rng() % 4);
+    int high = low + static_cast<int>(rng() % (33 - low));
+    pool.push_back(PrefixRange(Prefix(Ipv4Address(base), length), low, high));
+  }
+  auto to_bdd = [&](const PrefixRange& r) {
+    return layout.MatchPrefixRange(r);
+  };
+  PrefixRangeDag dag(pool);
+  HeaderLocalizer localizer(mgr, dag, to_bdd);
+
+  for (int trial = 0; trial < 60; ++trial) {
+    BddRef s = to_bdd(pool[rng() % pool.size()]);
+    for (int step = 0; step < 6; ++step) {
+      BddRef operand = to_bdd(pool[rng() % pool.size()]);
+      switch (rng() % 3) {
+        case 0: s = mgr.Or(s, operand); break;
+        case 1: s = mgr.And(s, operand); break;
+        default: s = mgr.Diff(s, operand); break;
+      }
+    }
+    for (BddRef set : {s, mgr.Not(s)}) {
+      HeaderLocalizeResult reused = localizer.Localize(set);
+      HeaderLocalizeResult fresh = HeaderLocalize(mgr, set, pool, to_bdd);
+      EXPECT_EQ(reused.terms, fresh.terms)
+          << "trial " << trial << "\nreused:\n" << reused.ToString()
+          << "\nfresh:\n" << fresh.ToString();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace campion::core

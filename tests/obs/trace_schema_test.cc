@@ -136,8 +136,9 @@ TEST_F(TraceSchemaTest, DocumentMatchesDocumentedSchema) {
   for (const JsonValue& span : spans->array) ValidateSpan(span, names);
   // The documented pipeline phases all appear for the Fig.1 pair.
   for (const char* required :
-       {"parse", "config_diff", "match_policies", "route_map_pair", "encode",
-        "class_intersect", "header_localize", "structural"}) {
+       {"parse", "config_diff", "match_policies", "localize_dag",
+        "route_map_pair", "encode", "class_intersect", "header_localize",
+        "structural"}) {
     EXPECT_TRUE(names.count(required)) << "missing span name: " << required;
   }
 
