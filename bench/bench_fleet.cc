@@ -2,8 +2,7 @@
 // incremental result cache (src/server/result_cache.h).
 //
 //   1. Cold batch: a generated 64-pair fleet POSTed as one /batch request
-//      against a fresh daemon — every pair pays parse + template + diff +
-//      render.
+//      against a fresh daemon — every pair pays parse + diff + render.
 //   2. Warm batch: the identical fleet re-POSTed — every pair replays from
 //      the result cache (X-Campion-Result-Cache: hit), byte-identical.
 //   3. Incremental re-diff: one pair of the fleet regenerated, the batch

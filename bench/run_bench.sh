@@ -59,52 +59,33 @@ if [[ -f "${TRACE%.json}.prev.json" ]]; then
       "${TRACE%.json}.prev.json" "$TRACE" || true
 fi
 
-# Encoding-template A/B on the same committed pair: the template must be
-# invisible in the report (byte-identical stdout with the flag off or on)
-# and visible in the trace (an encode_template span and a smaller encode
-# phase). The trace diff is report-only here — the extra encode_template
-# span is a deliberate structural difference between the two traces, so
-# --fail_if_unmatched does not apply; the CI smoke job runs the same A/B.
+# Thread parity on the same committed pair: the worker pool must be
+# invisible in the report (byte-identical stdout serial and pooled).
 echo
-echo "--- encoding template A/B (off vs on) ---"
-AB_DIR="$(mktemp -d)"
-trap 'rm -rf "$AB_DIR"' EXIT
-run_ab() {
-  local mode="$1"
-  "$BUILD_DIR/src/tools/campion" --threads=1 --encoding_template="$mode" \
-      --trace_out="$AB_DIR/trace_$mode.json" \
-      examples/configs/university_core_cisco.cfg \
-      examples/configs/university_core_juniper.conf \
-      > "$AB_DIR/report_$mode.txt" || test $? -eq 2
+echo "--- thread parity (threads 1 vs 4) ---"
+PARITY_DIR="$(mktemp -d)"
+trap 'rm -rf "$PARITY_DIR"' EXIT
+run_pair() {
+  local label="$1" threads="$2" config1="$3" config2="$4"
+  "$BUILD_DIR/src/tools/campion" --threads="$threads" "$config1" "$config2" \
+      > "$PARITY_DIR/report_${label}_t$threads.txt" || test $? -eq 2
 }
-run_ab off
-run_ab on
-cmp "$AB_DIR/report_off.txt" "$AB_DIR/report_on.txt"
-echo "stdout parity: OK (report byte-identical with the template off and on)"
-"$BUILD_DIR/src/tools/campion_trace_diff" \
-    "$AB_DIR/trace_off.json" "$AB_DIR/trace_on.json" || true
+run_pair v4 1 examples/configs/university_core_cisco.cfg \
+    examples/configs/university_core_juniper.conf
+run_pair v4 4 examples/configs/university_core_cisco.cfg \
+    examples/configs/university_core_juniper.conf
+cmp "$PARITY_DIR/report_v4_t1.txt" "$PARITY_DIR/report_v4_t4.txt"
+echo "stdout parity: OK (report byte-identical at 1/4 threads)"
 
 # Dual-stack (IPv6) parity on the committed dual-stack edge pair: 128-bit
 # symbolic address fields run through the same pipeline, so the same
-# threads/template invariants must hold there.
-echo
-echo "--- dual-stack parity (threads x template) ---"
-run_v6() {
-  local threads="$1" tmpl="$2"
-  "$BUILD_DIR/src/tools/campion" --threads="$threads" \
-      --encoding_template="$tmpl" \
-      examples/configs/dualstack_edge_cisco.cfg \
-      examples/configs/dualstack_edge_juniper.conf \
-      > "$AB_DIR/report_v6_${threads}_${tmpl}.txt" || test $? -eq 2
-}
-run_v6 1 on
-run_v6 4 on
-run_v6 1 off
-run_v6 4 off
-cmp "$AB_DIR/report_v6_1_on.txt" "$AB_DIR/report_v6_4_on.txt"
-cmp "$AB_DIR/report_v6_1_on.txt" "$AB_DIR/report_v6_1_off.txt"
-cmp "$AB_DIR/report_v6_1_on.txt" "$AB_DIR/report_v6_4_off.txt"
-echo "stdout parity: OK (dual-stack report byte-identical at 1/4 threads, template off/on)"
+# thread invariant must hold there.
+run_pair v6 1 examples/configs/dualstack_edge_cisco.cfg \
+    examples/configs/dualstack_edge_juniper.conf
+run_pair v6 4 examples/configs/dualstack_edge_cisco.cfg \
+    examples/configs/dualstack_edge_juniper.conf
+cmp "$PARITY_DIR/report_v6_t1.txt" "$PARITY_DIR/report_v6_t4.txt"
+echo "stdout parity: OK (dual-stack report byte-identical at 1/4 threads)"
 
 echo
 echo "Wrote BENCH_bdd.json, BENCH_full_pipeline.json, BENCH_serve.json," \

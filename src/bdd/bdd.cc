@@ -46,39 +46,6 @@ BddManager::BddManager(Var num_vars) : num_vars_(num_vars) {
   cache_mask_ = kInitialCacheCapacity - 1;
 }
 
-void BddManager::SeedFrom(const BddManager& other) {
-  // Only a freshly constructed manager may be seeded: anything already
-  // interned here would collide with the copied arena's indices.
-  assert(num_vars_ == 0 && nodes_.size() == 1 && unique_size_ == 0);
-  num_vars_ = other.num_vars_;
-  nodes_ = other.nodes_;
-  var_true_ = other.var_true_;
-  unique_slots_ = other.unique_slots_;
-  unique_mask_ = other.unique_mask_;
-  unique_size_ = other.unique_size_;
-  // Fresh ITE cache, pre-sized to what MaybeGrowCache would have reached
-  // for this arena, so the first post-seed workload does not thrash a
-  // too-small cache (growth normally rides on unique-table rehashes, which
-  // the copied, already-grown table makes rare).
-  std::size_t cache_capacity = kInitialCacheCapacity;
-  while (cache_capacity < kMaxCacheCapacity && cache_capacity <= nodes_.size()) {
-    cache_capacity *= 2;
-  }
-  ite_cache_.assign(cache_capacity, CacheEntry{});
-  cache_mask_ = cache_capacity - 1;
-  // Counters restart: stats and memory accounting describe this manager's
-  // own work, with the seeded arena as the baseline.
-  stat_rehashes_ = 0;
-  stat_unique_lookups_ = 0;
-  stat_unique_probes_ = 0;
-  stat_unique_hits_ = 0;
-  stat_cache_misses_ = 0;
-  stat_cache_hits_ = 0;
-  visit_mark_.clear();
-  visit_stamp_ = 0;
-  assert(CheckInvariants());
-}
-
 bool BddManager::CheckInvariants() const {
   if (nodes_.empty() || nodes_[0].var != kTerminalVar) return false;
   for (BddRef index = 1; index < nodes_.size(); ++index) {
@@ -94,8 +61,8 @@ bool BddManager::CheckInvariants() const {
   if (unique_size_ + 1 != nodes_.size()) return false;
   if ((unique_mask_ + 1) != unique_slots_.size()) return false;
   // The table holds exactly the arena: no duplicates (count matches), and
-  // every node findable under its key (so seeded managers intern new nodes
-  // without duplicating copied ones).
+  // every node findable under its key (so new nodes are never interned
+  // twice).
   std::size_t slots_used = 0;
   for (BddRef slot : unique_slots_) {
     if (slot == 0) continue;

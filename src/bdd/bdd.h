@@ -127,24 +127,10 @@ class BddManager {
   BddManager(const BddManager&) = delete;
   BddManager& operator=(const BddManager&) = delete;
 
-  // Seeds this manager with a copy-on-write snapshot of `other`'s arena:
-  // copies the node arena and unique table verbatim, so every BddRef
-  // produced by `other` denotes the same function here — refs are
-  // index+parity stable because nodes keep their arena indices. The ITE
-  // computed cache is NOT copied (it is a lossy performance structure whose
-  // contents depend on `other`'s call history; a fresh cache sized to the
-  // seeded arena behaves identically and keeps managers independent), and
-  // all instrumentation counters restart at zero so per-task stats measure
-  // only post-seed work. This manager must be freshly constructed (no
-  // variables, no nodes beyond the terminal); `other` is typically a frozen
-  // encoding template shared read-only across concurrent seeds.
-  void SeedFrom(const BddManager& other);
-
   // Structural self-check: terminal at index 0, every node obeys the
   // regular-then-edge invariant and branches on a smaller variable than
   // its children, and the unique table indexes exactly the arena. Used by
-  // tests and (in debug builds) by SeedFrom to prove refs stay index+parity
-  // stable.
+  // tests.
   bool CheckInvariants() const;
 
   Var num_vars() const { return num_vars_; }

@@ -13,7 +13,6 @@
 #include "core/header_localize.h"
 #include "core/semantic_diff.h"
 #include "core/structural_diff.h"
-#include "encode/encoding_template.h"
 #include "encode/packet.h"
 #include "encode/route_adv.h"
 #include "obs/bdd_metrics.h"
@@ -111,8 +110,7 @@ PrefixRangeDag BuildRouteDag(const ir::RouterConfig& config1,
 std::vector<PresentedDifference> DiffRouteMapPairImpl(
     const ir::RouterConfig& config1, const std::string& name1,
     const ir::RouterConfig& config2, const std::string& name2,
-    std::vector<std::string>* warnings, const PrefixRangeDag& route_dag,
-    const encode::EncodingTemplate* tmpl = nullptr) {
+    std::vector<std::string>* warnings, const PrefixRangeDag& route_dag) {
   ir::RouteMap fallback = PassThroughMap();
   const ir::RouteMap* map1 = ResolveMap(config1, name1, fallback, warnings);
   const ir::RouteMap* map2 = ResolveMap(config2, name2, fallback, warnings);
@@ -120,40 +118,29 @@ std::vector<PresentedDifference> DiffRouteMapPairImpl(
                        map1->name + " vs " + map2->name);
 
   // `route_dag` was built for the pair's family (RouteMapPairFamily). An
-  // IPv6 pair diffs over the 128-bit advertisement space. The shared
-  // template's layouts are IPv4, so v6 pairs build from scratch — template
-  // on and off are trivially identical for them.
+  // IPv6 pair diffs over the 128-bit advertisement space.
   util::AddressFamily family = route_dag.label(route_dag.root()).family();
-  if (family != util::AddressFamily::kIpv4) tmpl = nullptr;
 
-  // One manager per pair keeps arenas small and lifetimes obvious. With a
-  // template, the manager starts as a snapshot of the shared arena (same
-  // variable order, common list BDDs pre-built) instead of empty; either
-  // way, the pair owns its manager outright from here on.
+  // One fresh manager per pair keeps each arena as small as the pair's own
+  // work (paper §3–4: modular checking) and lifetimes obvious.
   bdd::BddManager mgr;
-  std::optional<encode::RouteAdvLayout> layout;
-  if (tmpl != nullptr) {
-    mgr.SeedFrom(tmpl->route_manager());
-    layout.emplace(mgr, tmpl->route_layout());
-  } else {
-    std::vector<util::Community> communities = config1.AllCommunities();
-    auto more = config2.AllCommunities();
-    communities.insert(communities.end(), more.begin(), more.end());
-    layout.emplace(mgr, std::move(communities), family);
-  }
+  std::vector<util::Community> communities = config1.AllCommunities();
+  auto more = config2.AllCommunities();
+  communities.insert(communities.end(), more.begin(), more.end());
+  encode::RouteAdvLayout layout(mgr, std::move(communities), family);
 
   std::vector<RouteMapDifference> diffs =
-      SemanticDiffRouteMaps(*layout, config1, *map1, config2, *map2, tmpl);
+      SemanticDiffRouteMaps(layout, config1, *map1, config2, *map2);
   std::vector<PresentedDifference> presented;
   presented.reserve(diffs.size());
   if (!diffs.empty()) {
     // One localizer for all of the pair's differences: node BDDs are
     // encoded on the pair's manager once, remainders are shared.
     HeaderLocalizer localizer(mgr, route_dag, [&](const util::PrefixRange& r) {
-      return layout->MatchPrefixRange(r);
+      return layout.MatchPrefixRange(r);
     });
     for (const auto& diff : diffs) {
-      presented.push_back(PresentRouteMapDifference(*layout, diff, config1,
+      presented.push_back(PresentRouteMapDifference(layout, diff, config1,
                                                     config2, map1->name,
                                                     map2->name, localizer));
     }
@@ -166,7 +153,7 @@ std::vector<PresentedDifference> DiffRouteMapPairImpl(
 
 std::vector<PresentedDifference> DiffAclPairImpl(
     const ir::RouterConfig& config1, const ir::RouterConfig& config2,
-    const std::string& name, const encode::EncodingTemplate* tmpl = nullptr) {
+    const std::string& name) {
   const ir::Acl* acl1 = config1.FindAcl(name);
   const ir::Acl* acl2 = config2.FindAcl(name);
   if (acl1 == nullptr || acl2 == nullptr) return {};
@@ -175,19 +162,10 @@ std::vector<PresentedDifference> DiffAclPairImpl(
   if (acl1->family != acl2->family) return {};
   obs::ScopedSpan span("acl_pair", name);
 
-  // IPv6 ACLs diff over the 256-bit-address packet space; the shared
-  // template's packet layout is IPv4, so v6 pairs build from scratch.
-  if (acl1->family != util::AddressFamily::kIpv4) tmpl = nullptr;
+  // IPv6 ACLs diff over the 256-bit-address packet space.
   bdd::BddManager mgr;
-  std::optional<encode::PacketLayout> layout;
-  if (tmpl != nullptr) {
-    mgr.SeedFrom(tmpl->packet_manager());
-    layout.emplace(mgr, tmpl->packet_layout());
-  } else {
-    layout.emplace(mgr, acl1->family);
-  }
-  std::vector<AclDifference> diffs =
-      SemanticDiffAcls(*layout, *acl1, *acl2, {}, tmpl);
+  encode::PacketLayout layout(mgr, acl1->family);
+  std::vector<AclDifference> diffs = SemanticDiffAcls(layout, *acl1, *acl2);
   std::vector<PresentedDifference> presented;
   presented.reserve(diffs.size());
   if (!diffs.empty()) {
@@ -203,13 +181,13 @@ std::vector<PresentedDifference> DiffAclPairImpl(
     PrefixRangeDag dst_dag = both(AclDstRanges);
     PrefixRangeDag src_dag = both(AclSrcRanges);
     HeaderLocalizer dst(mgr, dst_dag, [&](const util::PrefixRange& r) {
-      return layout->MatchDstPrefix(r.prefix());
+      return layout.MatchDstPrefix(r.prefix());
     });
     HeaderLocalizer src(mgr, src_dag, [&](const util::PrefixRange& r) {
-      return layout->MatchSrcPrefix(r.prefix());
+      return layout.MatchSrcPrefix(r.prefix());
     });
     for (const auto& diff : diffs) {
-      presented.push_back(PresentAclDifference(*layout, diff, *acl1, *acl2,
+      presented.push_back(PresentAclDifference(layout, diff, *acl1, *acl2,
                                                config1, config2, dst, src));
     }
   }
@@ -327,47 +305,6 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
     }
   };
 
-  // Shared read-only encoding template: encode each structurally distinct
-  // prefix list, community list, and ACL match clause once, before the
-  // fan-out, so pair tasks seed their managers from the frozen arena
-  // instead of re-encoding the common library. Built on the main thread
-  // (its span lands at a fixed position in the trace tree at any thread
-  // count) and only read — never mutated — by the tasks.
-  bool want_route_maps =
-      options.check_route_maps &&
-      (!pairing.route_maps.empty() || !pairing.redistributions.empty());
-  bool want_acls = options.check_acls && !pairing.acls.empty();
-  std::optional<encode::EncodingTemplate> template_storage;
-  const encode::EncodingTemplate* tmpl = nullptr;
-  if (options.use_encoding_template && (want_route_maps || want_acls)) {
-    obs::ScopedSpan span("encode_template",
-                         config1.hostname + " vs " + config2.hostname);
-    template_storage.emplace(config1, config2, want_route_maps, want_acls);
-    tmpl = &*template_storage;
-    if (obs::Enabled()) {
-      span.AddAttr("unique_prefix_lists",
-                   static_cast<double>(tmpl->unique_prefix_lists()));
-      span.AddAttr("unique_community_lists",
-                   static_cast<double>(tmpl->unique_community_lists()));
-      span.AddAttr("unique_acl_lines",
-                   static_cast<double>(tmpl->unique_acl_lines()));
-      double template_nodes = 0.0;
-      if (tmpl->has_route_side()) {
-        template_nodes +=
-            static_cast<double>(tmpl->route_manager().ArenaSize());
-        obs::RecordBddStats(tmpl->route_manager().Stats());
-        obs::RecordBddMemory(tmpl->route_manager().MemoryStats());
-      }
-      if (tmpl->has_packet_side()) {
-        template_nodes +=
-            static_cast<double>(tmpl->packet_manager().ArenaSize());
-        obs::RecordBddStats(tmpl->packet_manager().Stats());
-        obs::RecordBddMemory(tmpl->packet_manager().MemoryStats());
-      }
-      span.AddAttr("bdd_nodes", template_nodes);
-    }
-  }
-
   // The semantic checks are the expensive part (each pair builds and
   // compares BDDs), and every pair is independent: each task constructs its
   // own BddManager and layout, so tasks share no mutable state. Fan the
@@ -405,12 +342,12 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
       if (!seen_pairs.insert({pair.name1, pair.name2}).second) continue;
       tasks.push_back(
           {DifferenceEntry::Kind::kRouteMapSemantic,
-           [&config1, &config2, pair, tmpl,
+           [&config1, &config2, pair,
             dag = route_dag(pair.name1, pair.name2)](
                std::vector<std::string>* task_warnings) {
              auto diffs =
                  DiffRouteMapPairImpl(config1, pair.name1, config2, pair.name2,
-                                      task_warnings, *dag, tmpl);
+                                      task_warnings, *dag);
              for (auto& d : diffs) {
                d.title += " (neighbor " + pair.neighbor.ToString() + ", " +
                           ToString(pair.direction) + ")";
@@ -421,12 +358,12 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
     for (const auto& pair : pairing.redistributions) {
       tasks.push_back(
           {DifferenceEntry::Kind::kRouteMapSemantic,
-           [&config1, &config2, pair, tmpl,
+           [&config1, &config2, pair,
             dag = route_dag(pair.name1, pair.name2)](
                std::vector<std::string>* task_warnings) {
              auto diffs =
                  DiffRouteMapPairImpl(config1, pair.name1, config2, pair.name2,
-                                      task_warnings, *dag, tmpl);
+                                      task_warnings, *dag);
              for (auto& d : diffs) {
                d.title += " (redistribution of " + ir::ToString(pair.from) +
                           " into " + ir::ToString(pair.via) + ")";
@@ -439,8 +376,8 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
     for (const auto& pair : pairing.acls) {
       tasks.push_back(
           {DifferenceEntry::Kind::kAclSemantic,
-           [&config1, &config2, pair, tmpl](std::vector<std::string>*) {
-             return DiffAclPairImpl(config1, config2, pair.name, tmpl);
+           [&config1, &config2, pair](std::vector<std::string>*) {
+             return DiffAclPairImpl(config1, config2, pair.name);
            }});
     }
   }

@@ -46,13 +46,6 @@ struct DiffOptions {
   // BddManager, and results are merged back in pair-declaration order, so
   // the report is byte-identical for every thread count.
   unsigned num_threads = 0;
-  // Build a shared read-only encoding template before the pair fan-out:
-  // each structurally distinct prefix list, community list, and ACL match
-  // clause is encoded once, and every pair task seeds its manager from the
-  // frozen template arena (src/encode/encoding_template.h). Purely a
-  // performance lever — the report is byte-identical either way at every
-  // thread count (CLI `--encoding_template=on|off` A/Bs it).
-  bool use_encoding_template = true;
   // Scoped metrics capture: when set, ConfigDiff installs this sink on the
   // calling thread AND on every worker-pool task it fans out, so the whole
   // run's metrics land here instead of in the ambient sink

@@ -105,10 +105,10 @@ std::vector<RouteMapPathClass> BuildRouteMapClasses(
 std::vector<RouteMapDifference> SemanticDiffRouteMaps(
     encode::RouteAdvLayout& layout, const ir::RouterConfig& config1,
     const ir::RouteMap& map1, const ir::RouterConfig& config2,
-    const ir::RouteMap& map2, const encode::EncodingTemplate* tmpl) {
+    const ir::RouteMap& map2) {
   bdd::BddManager& mgr = layout.manager();
-  encode::PolicyEncoder encoder1(layout, config1, tmpl);
-  encode::PolicyEncoder encoder2(layout, config2, tmpl);
+  encode::PolicyEncoder encoder1(layout, config1);
+  encode::PolicyEncoder encoder2(layout, config2);
   std::vector<RouteMapPathClass> classes1 =
       BuildRouteMapClasses(layout, encoder1, map1);
   std::vector<RouteMapPathClass> classes2 =
@@ -137,24 +137,13 @@ std::vector<RouteMapDifference> SemanticDiffRouteMaps(
 }
 
 std::vector<AclPathClass> BuildAclClasses(encode::PacketLayout& layout,
-                                          const ir::Acl& acl,
-                                          const encode::EncodingTemplate* tmpl) {
+                                          const ir::Acl& acl) {
   bdd::BddManager& mgr = layout.manager();
   obs::ScopedSpan span("encode", acl.name);
-  auto line_match = [&](const ir::AclLine& line) {
-    if (tmpl != nullptr) {
-      if (auto ref = tmpl->AclLineMatch(line)) {
-        obs::Count("encode.template_hits");
-        return *ref;
-      }
-      obs::Count("encode.template_misses");
-    }
-    return layout.MatchLine(line);
-  };
   std::vector<AclPathClass> classes;
   bdd::BddRef remaining = mgr.True();
   for (const auto& line : acl.lines) {
-    bdd::BddRef here = mgr.And(remaining, line_match(line));
+    bdd::BddRef here = mgr.And(remaining, layout.MatchLine(line));
     if (here != bdd::kFalse) {
       classes.push_back({here, line.action, LineText(line), false});
     }
@@ -174,11 +163,10 @@ std::vector<AclPathClass> BuildAclClasses(encode::PacketLayout& layout,
 std::vector<AclDifference> SemanticDiffAcls(encode::PacketLayout& layout,
                                             const ir::Acl& acl1,
                                             const ir::Acl& acl2,
-                                            const AclDiffOptions& options,
-                                            const encode::EncodingTemplate* tmpl) {
+                                            const AclDiffOptions& options) {
   bdd::BddManager& mgr = layout.manager();
-  std::vector<AclPathClass> classes1 = BuildAclClasses(layout, acl1, tmpl);
-  std::vector<AclPathClass> classes2 = BuildAclClasses(layout, acl2, tmpl);
+  std::vector<AclPathClass> classes1 = BuildAclClasses(layout, acl1);
+  std::vector<AclPathClass> classes2 = BuildAclClasses(layout, acl2);
 
   // Pruning: any differing class pair lies inside the symmetric difference
   // of the two permit sets, so only classes overlapping it can contribute.

@@ -15,7 +15,6 @@
 
 #include "bdd/bdd.h"
 #include "core/route_action.h"
-#include "encode/encoding_template.h"
 #include "encode/packet.h"
 #include "encode/policy_encoder.h"
 #include "encode/route_adv.h"
@@ -56,14 +55,11 @@ struct RouteMapDifference {
 
 // All behavioral differences between two route maps, which may come from
 // different routers (`config1`/`config2` resolve the named lists each map
-// references). Both maps must be encoded against the same layout. `tmpl`,
-// when given, must have seeded the layout's manager; structurally known
-// lists then resolve by template lookup instead of re-encoding.
+// references). Both maps must be encoded against the same layout.
 std::vector<RouteMapDifference> SemanticDiffRouteMaps(
     encode::RouteAdvLayout& layout, const ir::RouterConfig& config1,
     const ir::RouteMap& map1, const ir::RouterConfig& config2,
-    const ir::RouteMap& map2,
-    const encode::EncodingTemplate* tmpl = nullptr);
+    const ir::RouteMap& map2);
 
 // ---------------------------------------------------------------------------
 // ACLs
@@ -76,9 +72,8 @@ struct AclPathClass {
   bool is_default = false;
 };
 
-std::vector<AclPathClass> BuildAclClasses(
-    encode::PacketLayout& layout, const ir::Acl& acl,
-    const encode::EncodingTemplate* tmpl = nullptr);
+std::vector<AclPathClass> BuildAclClasses(encode::PacketLayout& layout,
+                                          const ir::Acl& acl);
 
 struct AclDifference {
   bdd::BddRef input_set = bdd::kFalse;
@@ -97,7 +92,6 @@ struct AclDiffOptions {
 
 std::vector<AclDifference> SemanticDiffAcls(
     encode::PacketLayout& layout, const ir::Acl& acl1, const ir::Acl& acl2,
-    const AclDiffOptions& options = {},
-    const encode::EncodingTemplate* tmpl = nullptr);
+    const AclDiffOptions& options = {});
 
 }  // namespace campion::core

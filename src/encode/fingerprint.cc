@@ -1,6 +1,8 @@
 #include "encode/fingerprint.h"
 
-#include "encode/encoding_template.h"
+#include <algorithm>
+#include <vector>
+
 #include "util/hash.h"
 
 namespace campion::encode {
@@ -18,6 +20,27 @@ void Str(std::string& out, const std::string& s) {
 void U32(std::string& out, std::uint32_t value) {
   out += std::to_string(value);
   out += ',';
+}
+
+// 128-bit values (IPv6 addresses) keyed limb-wise. IPv4 keys keep their
+// original single-limb form so v4 keys are byte-identical to pre-dual-stack
+// builds; the family-specific key prefixes ("pl6:", "al6:") keep the two
+// families from ever colliding.
+void U128(std::string& out, util::U128 value) {
+  out += std::to_string(value.hi());
+  out += ':';
+  out += std::to_string(value.lo());
+  out += ',';
+}
+
+void Wildcard(std::string& out, const util::IpWildcard& w) {
+  if (w.family() == util::AddressFamily::kIpv4) {
+    U32(out, w.address().bits());
+    U32(out, w.wildcard_bits());
+  } else {
+    U128(out, w.address_wide());
+    U128(out, w.wildcard_wide());
+  }
 }
 
 void I32(std::string& out, int value) {
@@ -87,6 +110,64 @@ void Redistributions(std::string& out,
 }
 
 }  // namespace
+
+std::string PrefixListKey(const ir::PrefixList& list) {
+  const bool v6 = list.family == util::AddressFamily::kIpv6;
+  std::string key = v6 ? "pl6:" : "pl:";
+  for (const auto& entry : list.entries) {
+    Action(key, entry.action);
+    if (v6) {
+      U128(key, entry.range.prefix().address().bits());
+    } else {
+      U32(key, static_cast<std::uint32_t>(
+                   entry.range.prefix().address().bits().lo()));
+    }
+    U32(key, static_cast<std::uint32_t>(entry.range.prefix().length()));
+    U32(key, static_cast<std::uint32_t>(entry.range.low()));
+    U32(key, static_cast<std::uint32_t>(entry.range.high()));
+    key += ';';
+  }
+  return key;
+}
+
+std::string CommunityListKey(const ir::CommunityList& list) {
+  std::string key = "cl:";
+  for (const auto& entry : list.entries) {
+    Action(key, entry.action);
+    // An entry matches iff the route carries every community it names, so
+    // within one entry the member order (and duplicates) cannot matter.
+    std::vector<util::Community> members = entry.all_of;
+    std::sort(members.begin(), members.end());
+    members.erase(std::unique(members.begin(), members.end()), members.end());
+    for (util::Community c : members) U32(key, c.value());
+    key += ';';
+  }
+  return key;
+}
+
+std::string AclLineMatchKey(const ir::AclLine& line) {
+  // The line's action is excluded: the match predicate is the same for a
+  // permit and a deny over the same header fields.
+  const bool v6 = line.src.family() == util::AddressFamily::kIpv6 ||
+                  line.dst.family() == util::AddressFamily::kIpv6;
+  std::string key = v6 ? "al6:" : "al:";
+  U32(key, line.protocol ? std::uint32_t{*line.protocol} + 1 : 0);
+  Wildcard(key, line.src);
+  Wildcard(key, line.dst);
+  key += 's';
+  for (const auto& r : line.src_ports) {
+    U32(key, r.low);
+    U32(key, r.high);
+  }
+  key += 'd';
+  for (const auto& r : line.dst_ports) {
+    U32(key, r.low);
+    U32(key, r.high);
+  }
+  U32(key, line.icmp_type ? std::uint32_t{*line.icmp_type} + 1 : 0);
+  key += line.established ? 'e' : '-';
+  return key;
+}
 
 std::string ConfigCanonicalKey(const ir::RouterConfig& config) {
   std::string key;

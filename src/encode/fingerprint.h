@@ -3,14 +3,14 @@
 // Structural fingerprints for incremental re-diffing (the daemon's result
 // cache keys on these; see src/server/result_cache.h).
 //
-// The PR 5 canonical keys (PrefixListKey / CommunityListKey /
-// AclLineMatchKey) deliberately ignore names, actions, declaration order,
-// and source spans — everything the frozen encoding template's lookup
-// surface does not depend on. A *result* cache cannot afford any of those
-// omissions: the rendered report quotes names, actions, exact `file:line`
-// locations, and raw source text, so two configs that share every PR 5 key
-// can still produce different reports. ConfigCanonicalKey therefore
-// serializes the COMPLETE parsed IR — the PR 5 keys where they exist, plus
+// The structural keys (PrefixListKey / CommunityListKey / AclLineMatchKey)
+// deliberately ignore names, actions, declaration order, and source spans —
+// everything the Boolean function a list or ACL line encodes to does not
+// depend on. A *result* cache cannot afford any of those omissions: the
+// rendered report quotes names, actions, exact `file:line` locations, and
+// raw source text, so two configs that share every structural key can still
+// produce different reports. ConfigCanonicalKey therefore serializes the
+// COMPLETE parsed IR — the structural keys where they exist, plus
 // names, actions, declaration order, every remaining semantic field
 // (route-map clauses, static routes, interfaces, OSPF, BGP, admin
 // distances), and every SourceSpan including its raw text.
@@ -30,8 +30,17 @@
 #include <string>
 
 #include "ir/config.h"
+#include "ir/policy.h"
 
 namespace campion::encode {
+
+// Canonical structural keys: two objects with equal keys encode to the same
+// Boolean function in any manager with the same layout. Keys deliberately
+// ignore names and source spans (those affect reporting, not semantics) and
+// the ACL line's action (the match predicate is action-independent).
+std::string PrefixListKey(const ir::PrefixList& list);
+std::string CommunityListKey(const ir::CommunityList& list);
+std::string AclLineMatchKey(const ir::AclLine& line);
 
 // The full canonical serialization of one parsed router configuration.
 std::string ConfigCanonicalKey(const ir::RouterConfig& config);

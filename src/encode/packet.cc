@@ -25,17 +25,6 @@ PacketLayout::PacketLayout(bdd::BddManager& mgr, util::AddressFamily family)
       first + 2 * ip_width + kProtoWidth + 2 * kPortWidth + kIcmpWidth;
 }
 
-PacketLayout::PacketLayout(bdd::BddManager& mgr, const PacketLayout& proto)
-    : mgr_(mgr),
-      family_(proto.family_),
-      src_ip_(proto.src_ip_),
-      dst_ip_(proto.dst_ip_),
-      protocol_(proto.protocol_),
-      src_port_(proto.src_port_),
-      dst_port_(proto.dst_port_),
-      icmp_type_(proto.icmp_type_),
-      established_var_(proto.established_var_) {}
-
 bdd::BddRef PacketLayout::MatchWildcard(const SymbolicField& field,
                                         const util::IpWildcard& w) const {
   const int width = field.width();

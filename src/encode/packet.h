@@ -45,12 +45,6 @@ class PacketLayout {
       bdd::BddManager& mgr,
       util::AddressFamily family = util::AddressFamily::kIpv4);
 
-  // Rebinds a prototype layout onto `mgr`, which must have been seeded from
-  // the prototype's manager (BddManager::SeedFrom): field offsets are
-  // copied and no variables are allocated — the seeded manager already
-  // carries the prototype's.
-  PacketLayout(bdd::BddManager& mgr, const PacketLayout& proto);
-
   bdd::BddManager& manager() const { return mgr_; }
   util::AddressFamily family() const { return family_; }
 

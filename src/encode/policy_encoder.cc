@@ -1,19 +1,11 @@
 #include "encode/policy_encoder.h"
 
-#include "encode/encoding_template.h"
 #include "obs/metrics.h"
 
 namespace campion::encode {
 
 bdd::BddRef PolicyEncoder::PrefixListPermits(const ir::PrefixList& list) {
   bdd::BddManager& mgr = layout_.manager();
-  if (template_ != nullptr) {
-    if (auto ref = template_->PrefixListPermits(list)) {
-      obs::Count("encode.template_hits");
-      return *ref;
-    }
-    obs::Count("encode.template_misses");
-  }
   obs::Count("encode.prefix_lists");
   obs::Count("encode.prefix_list_entries",
              static_cast<double>(list.entries.size()));
@@ -33,13 +25,6 @@ bdd::BddRef PolicyEncoder::PrefixListPermits(const ir::PrefixList& list) {
 
 bdd::BddRef PolicyEncoder::CommunityListPermits(const ir::CommunityList& list) {
   bdd::BddManager& mgr = layout_.manager();
-  if (template_ != nullptr) {
-    if (auto ref = template_->CommunityListPermits(list)) {
-      obs::Count("encode.template_hits");
-      return *ref;
-    }
-    obs::Count("encode.template_misses");
-  }
   obs::Count("encode.community_lists");
   bdd::BddRef permitted = mgr.False();
   bdd::BddRef remaining = mgr.True();

@@ -16,17 +16,10 @@
 
 namespace campion::encode {
 
-class EncodingTemplate;
-
 class PolicyEncoder {
  public:
-  // `tmpl`, when given, must be an encoding template whose manager seeded
-  // `layout`'s manager (BddManager::SeedFrom): structurally known lists are
-  // then answered by an O(key) lookup instead of being re-encoded, since
-  // template refs stay valid in the seeded manager.
-  PolicyEncoder(RouteAdvLayout& layout, const ir::RouterConfig& config,
-                const EncodingTemplate* tmpl = nullptr)
-      : layout_(layout), config_(config), template_(tmpl) {}
+  PolicyEncoder(RouteAdvLayout& layout, const ir::RouterConfig& config)
+      : layout_(layout), config_(config) {}
 
   // The set of advertisements a prefix list permits (first match wins;
   // implicit deny at the end).
@@ -46,7 +39,6 @@ class PolicyEncoder {
  private:
   RouteAdvLayout& layout_;
   const ir::RouterConfig& config_;
-  const EncodingTemplate* template_ = nullptr;
   std::vector<std::string> warnings_;
 };
 

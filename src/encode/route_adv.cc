@@ -66,20 +66,6 @@ RouteAdvLayout::RouteAdvLayout(bdd::BddManager& mgr,
   valid_ = length_.Leq(mgr_, util::MaxPrefixLength(family));
 }
 
-RouteAdvLayout::RouteAdvLayout(bdd::BddManager& mgr,
-                               const RouteAdvLayout& proto)
-    : mgr_(mgr),
-      family_(proto.family_),
-      addr_(proto.addr_),
-      length_(proto.length_),
-      protocol_(proto.protocol_),
-      tag_(proto.tag_),
-      metric_(proto.metric_),
-      communities_(proto.communities_),
-      community_vars_(proto.community_vars_),
-      uninterpreted_(proto.uninterpreted_),
-      valid_(proto.valid_) {}
-
 bdd::BddRef RouteAdvLayout::MatchPrefixRange(
     const util::PrefixRange& range) const {
   if (range.family() != family_ || range.IsEmpty()) return mgr_.False();

@@ -57,13 +57,6 @@ class RouteAdvLayout {
                  std::vector<util::Community> communities,
                  util::AddressFamily family = util::AddressFamily::kIpv4);
 
-  // Rebinds a prototype layout onto `mgr`, which must have been seeded from
-  // the prototype's manager (BddManager::SeedFrom): variable offsets and
-  // cached refs (valid_, uninterpreted predicates) are copied verbatim and
-  // stay meaningful because seeding preserves arena indices. No variables
-  // are allocated — the seeded manager already carries the prototype's.
-  RouteAdvLayout(bdd::BddManager& mgr, const RouteAdvLayout& proto);
-
   bdd::BddManager& manager() const { return mgr_; }
   util::AddressFamily family() const { return family_; }
 

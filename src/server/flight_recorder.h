@@ -28,8 +28,8 @@ struct FlightRecord {
   int status = 0;              // HTTP status of the response.
   std::uint64_t wall_ns = 0;   // Whole RunDiff wall time.
   // Fixed pipeline phases, zero when skipped (everything after parse on a
-  // 422; diff and render on a result-cache hit). diff_ns includes the
-  // encoding-template build, which runs inside ConfigDiff.
+  // 422; diff and render on a result-cache hit). diff_ns covers ConfigDiff,
+  // encoding included.
   std::uint64_t parse_ns = 0;
   std::uint64_t diff_ns = 0;
   std::uint64_t render_ns = 0;

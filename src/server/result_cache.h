@@ -2,12 +2,12 @@
 
 // Incremental result cache: the fleet-scale re-diff shortcut.
 //
-// Without it the whole pipeline — template build, the semantic diff, the
-// render — is paid on every request. For fleet workloads that is the
+// Without it the whole pipeline — encoding, the semantic diff, the render —
+// is paid on every request. For fleet workloads that is the
 // dominant cost: a 64-pair batch where one router changed re-pays 63
 // identical diffs. This cache stores the RENDERED RESPONSE per pair,
 // keyed by the full canonical serialization of both parsed configs
-// (encode::ConfigCanonicalKey — PR 5 structural keys plus names, actions,
+// (encode::ConfigCanonicalKey — structural keys plus names, actions,
 // declaration order, and source spans) concatenated with the diff-relevant
 // options (the check_* set and the output format). A hit skips the diff
 // and render entirely, paying only the parse (cheap next to
@@ -17,10 +17,9 @@
 // means the parsed IRs and options are literally identical — and parse and
 // render are deterministic, so the cached body is byte-for-byte what a
 // fresh run would produce. The FNV digest exists only for the flight
-// recorder's result_key field and /debug/result_cache. Performance
-// knobs (threads, template on/off) are deliberately NOT part of
-// the key: the repo's determinism contract pins the body as byte-identical
-// across all of them.
+// recorder's result_key field and /debug/result_cache. The thread count
+// is deliberately NOT part of the key: the repo's determinism contract pins
+// the body as byte-identical across all thread counts.
 //
 // Residency is LRU-bounded by a bytes watermark over the stored bodies +
 // keys (never evicting the entry just inserted), plus an optional entry

@@ -159,9 +159,9 @@ std::string KeyHashHex(std::uint64_t hash) {
 }
 
 // The result-cache key: both configs' full canonical serializations plus
-// every option the response bytes depend on. The performance knobs
-// (threads, template) are deliberately absent — the determinism
-// contract pins the body as byte-identical across all of them.
+// every option the response bytes depend on. The thread count is
+// deliberately absent — the determinism contract pins the body as
+// byte-identical across all thread counts.
 std::string ResultCacheKeyFor(const ir::RouterConfig& config1,
                               const ir::RouterConfig& config2,
                               const core::DiffOptions& options,

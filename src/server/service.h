@@ -41,8 +41,8 @@
 // pooled pair tasks land there too) and its own thread-local span buffer,
 // and the service folds the private snapshot into the daemon cumulative
 // map only at request completion. No lock is held across a pipeline run:
-// each request builds its own encoding template inside ConfigDiff, exactly
-// as the one-shot CLI does.
+// each request's pair tasks encode into their own fresh BDD managers inside
+// ConfigDiff, exactly as the one-shot CLI does.
 
 #include <atomic>
 #include <cstdint>
@@ -62,7 +62,7 @@
 namespace campion::server {
 
 struct ServiceOptions {
-  // Baseline diff options for every request: threads, template on/off.
+  // Baseline diff options for every request: the thread count.
   // Per-request JSON fields override checks/format only,
   // never the performance knobs (those are fleet configuration).
   core::DiffOptions diff;
@@ -129,7 +129,7 @@ class DiffService {
   // Pipeline-phase histograms, recorded per diff execution in RunDiff.
   struct PhaseLatency {
     obs::LatencyHistogram parse;
-    obs::LatencyHistogram diff;  // ConfigDiff, template build included.
+    obs::LatencyHistogram diff;  // ConfigDiff.
     obs::LatencyHistogram render;
   };
 

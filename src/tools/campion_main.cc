@@ -15,9 +15,6 @@
 //   --format=text|json             Output format (default text).
 //   --threads=N                    Worker threads for per-pair diffs
 //                                  (0 = hardware concurrency, 1 = serial).
-//   --encoding_template=on|off     Seed per-pair BDD managers from a shared
-//                                  read-only encoding template (default on;
-//                                  output is byte-identical either way).
 //   --trace_out=FILE               Write a JSON trace (phase spans + metrics,
 //                                  see docs/trace_format.md) to FILE.
 //   --trace_format=campion|chrome  Trace file format: the versioned campion
@@ -78,7 +75,7 @@ campion::ir::Vendor ParseVendor(const std::string& value) {
 
 bool ParseChecks(const std::string& list, campion::core::DiffOptions* checks) {
   // Reset only the check toggles: --checks composes with the other
-  // DiffOptions flags (--threads, --encoding_template) in any order.
+  // DiffOptions flags (--threads) in any order.
   checks->check_route_maps = false;
   checks->check_acls = false;
   checks->check_static_routes = false;
@@ -126,10 +123,6 @@ void PrintUsage(std::ostream& out) {
          "  --format=text|json\n"
          "  --threads=N     worker threads for per-pair diffs\n"
          "                  (0 = hardware concurrency, 1 = serial)\n"
-         "  --encoding_template=on|off\n"
-         "                  seed per-pair BDD managers from a shared\n"
-         "                  read-only encoding template (default on; the\n"
-         "                  report is byte-identical either way)\n"
          "  --trace_out=F   write a JSON trace of the run (phase spans +\n"
          "                  metrics, docs/trace_format.md) to file F\n"
          "  --trace_format=campion|chrome\n"
@@ -243,17 +236,6 @@ bool ParseArgs(int argc, char** argv, Options* options, int* exit_code) {
         return false;
       }
       options->checks.num_threads = static_cast<unsigned>(threads);
-    } else if (arg.rfind("--encoding_template=", 0) == 0) {
-      std::string value = value_of("--encoding_template=");
-      if (value == "on") {
-        options->checks.use_encoding_template = true;
-      } else if (value == "off") {
-        options->checks.use_encoding_template = false;
-      } else {
-        std::cerr << "error: unknown encoding_template mode '" << value
-                  << "' (expected on or off)\n";
-        return false;
-      }
     } else if (arg.rfind("--trace_out=", 0) == 0) {
       options->trace_out = value_of("--trace_out=");
       if (options->trace_out.empty()) {

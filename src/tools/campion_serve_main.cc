@@ -12,8 +12,6 @@
 //   --threads=N              Worker threads per diff request
 //                            (0 = hardware concurrency, 1 = serial).
 //   --http_threads=N         Connection-handling threads (default 4).
-//   --encoding_template=on|off  Seed pair managers from a shared template
-//                            (default on; reports byte-identical).
 //   --result_cache=on|off    Incremental result cache keyed by structural
 //                            fingerprints (default on).
 //   --result_cache_mb=N      Cached response bytes before LRU eviction
@@ -59,10 +57,6 @@ void PrintUsage(std::ostream& out) {
          "                  (0 = hardware concurrency, 1 = serial)\n"
          "  --http_threads=N\n"
          "                  connection-handling threads (default 4)\n"
-         "  --encoding_template=on|off\n"
-         "                  seed per-pair BDD managers from a shared\n"
-         "                  read-only encoding template (default on; the\n"
-         "                  report is byte-identical either way)\n"
          "  --result_cache=on|off\n"
          "                  incremental result cache: rendered responses\n"
          "                  keyed by the full canonical structure of both\n"
@@ -148,11 +142,6 @@ bool ParseArgs(int argc, char** argv, Options* options, int* exit_code) {
         return false;
       }
       options->http_threads = static_cast<unsigned>(number);
-    } else if (arg.rfind("--encoding_template=", 0) == 0) {
-      if (!ParseOnOff(value_of("--encoding_template="), "--encoding_template",
-                      &options->service.diff.use_encoding_template)) {
-        return false;
-      }
     } else if (arg.rfind("--result_cache=", 0) == 0) {
       if (!ParseOnOff(value_of("--result_cache="), "--result_cache",
                       &options->service.result_cache)) {

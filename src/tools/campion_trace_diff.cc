@@ -16,13 +16,6 @@
 //   --fail_if_mem_growth_pct=N  Exit 2 when any memory metric (mem.* or
 //                               *bytes*) grew more than N percent.
 //   --fail_if_unmatched         Exit 2 when any span fails to align.
-//   --allow_new_spans=NAMES     Comma list of span names that may appear in
-//                               the current trace without a baseline
-//                               counterpart (their subtrees ride along).
-//                               Escape hatch for landing a change that adds
-//                               an instrumented phase before its baseline
-//                               is regenerated; baseline-only spans still
-//                               fail the gate.
 //   --quiet                     Print nothing; gate via exit status only.
 //   --help                      Print usage and exit 0.
 //
@@ -60,7 +53,6 @@ struct Options {
   std::optional<double> fail_if_slower_pct;
   std::optional<double> fail_if_mem_growth_pct;
   bool fail_if_unmatched = false;
-  std::vector<std::string> allow_new_spans;
   bool quiet = false;
 };
 
@@ -80,9 +72,6 @@ void PrintUsage(std::ostream& out) {
          "                              more than N percent\n"
          "  --fail_if_unmatched         exit 2 when any span fails to "
          "align\n"
-         "  --allow_new_spans=NAMES     comma list of span names allowed to\n"
-         "                              be new in the current trace\n"
-         "                              (baseline-only spans still fail)\n"
          "  --quiet                     only set the exit status\n"
          "  --help                      print this message and exit 0\n"
          "exit status: 0 ok, 2 regression gate tripped, 1 error\n";
@@ -126,23 +115,6 @@ bool ParseArgs(int argc, char** argv, Options* options, int* exit_code) {
       }
     } else if (arg == "--fail_if_unmatched") {
       options->fail_if_unmatched = true;
-    } else if (arg.rfind("--allow_new_spans=", 0) == 0) {
-      std::string list = value_of("--allow_new_spans=");
-      std::size_t start = 0;
-      while (start <= list.size()) {
-        std::size_t comma = list.find(',', start);
-        std::string name = list.substr(
-            start,
-            comma == std::string::npos ? std::string::npos : comma - start);
-        if (!name.empty()) options->allow_new_spans.push_back(name);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-      if (options->allow_new_spans.empty()) {
-        std::cerr << "error: --allow_new_spans needs at least one span "
-                     "name\n";
-        return false;
-      }
     } else if (arg == "--quiet") {
       options->quiet = true;
     } else if (arg.rfind("--", 0) == 0) {
@@ -236,9 +208,6 @@ struct Alignment {
   std::size_t matched = 0;
   std::size_t baseline_only = 0;
   std::size_t current_only = 0;
-  // Current-only spans excused by --allow_new_spans (subtrees included).
-  // They count toward neither the unmatched gate nor the match percentage.
-  std::size_t current_allowed = 0;
 
   std::size_t BaselineTotal() const { return matched + baseline_only; }
   double MatchedPct() const {
@@ -267,7 +236,6 @@ std::size_t CountSpans(const std::vector<Span>& spans) {
 // divergent traces degrade to counting the unmatched subtrees.
 void AlignSiblings(const std::vector<Span>& baseline,
                    const std::vector<Span>& current,
-                   const std::vector<std::string>& allow_new,
                    Alignment& alignment) {
   std::map<std::string, std::vector<std::size_t>> current_by_key;
   for (std::size_t i = 0; i < current.size(); ++i) {
@@ -287,16 +255,11 @@ void AlignSiblings(const std::vector<Span>& baseline,
     current_matched[current_index] = true;
     alignment.matched += 1;
     AlignSiblings(base_span.children, current[current_index].children,
-                  allow_new, alignment);
+                  alignment);
   }
   for (std::size_t i = 0; i < current.size(); ++i) {
-    if (current_matched[i]) continue;
-    std::size_t subtree = 1 + CountSpans(current[i].children);
-    if (std::find(allow_new.begin(), allow_new.end(), current[i].name) !=
-        allow_new.end()) {
-      alignment.current_allowed += subtree;
-    } else {
-      alignment.current_only += subtree;
+    if (!current_matched[i]) {
+      alignment.current_only += 1 + CountSpans(current[i].children);
     }
   }
 }
@@ -359,8 +322,7 @@ int main(int argc, char** argv) {
 
   // Structural alignment over the whole forest.
   Alignment alignment;
-  AlignSiblings(baseline->roots, current->roots, options.allow_new_spans,
-                alignment);
+  AlignSiblings(baseline->roots, current->roots, alignment);
 
   // Per-phase wall-time deltas, aggregated by span name like --stats.
   std::vector<PhaseTotal> base_phases =
@@ -384,12 +346,7 @@ int main(int argc, char** argv) {
     std::cout << "Trace alignment: " << alignment.matched << " span(s) "
               << "matched (" << pct << "%), " << alignment.baseline_only
               << " baseline-only, " << alignment.current_only
-              << " current-only";
-    if (alignment.current_allowed > 0) {
-      std::cout << ", " << alignment.current_allowed
-                << " new-but-allowed (--allow_new_spans)";
-    }
-    std::cout << "\n\n";
+              << " current-only\n\n";
 
     std::cout << "Phase wall-time deltas (aggregated by span name):\n";
     campion::util::TextTable phases(

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/json_report.h"
+#include "gen/route_map_gen.h"
 #include "gen/scenarios.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -97,6 +100,67 @@ TEST(ConfigDiffDeterminismTest, RepeatedParallelRunsAgree) {
     EXPECT_EQ(first,
               RenderAll(scenario.border.config1, scenario.border.config2, 8));
   }
+}
+
+// The route-map generator emits the map and its lists but no BGP session;
+// ConfigDiff only diffs maps that a paired neighbor references, so wire
+// the generated map up as an import policy on both sides.
+void AttachMapToNeighbor(ir::RouterConfig* config, const std::string& map) {
+  ir::BgpProcess bgp;
+  bgp.asn = 65000;
+  ir::BgpNeighbor neighbor;
+  neighbor.ip = util::Ipv4Address(10, 0, 0, 1);
+  neighbor.remote_as = 65001;
+  neighbor.import_policy = map;
+  bgp.neighbors.push_back(neighbor);
+  config->bgp = bgp;
+}
+
+// Collects (span name + detail, bdd_nodes attr) for every per-pair span in
+// the trace tree, in tree order. The tree is deterministic across thread
+// counts, so the flattened list is directly comparable.
+void CollectPairNodes(const obs::Span& span,
+                      std::vector<std::pair<std::string, double>>* out) {
+  if (span.name == "route_map_pair" || span.name == "acl_pair") {
+    for (const auto& [key, value] : span.attrs) {
+      if (key == "bdd_nodes") {
+        out->push_back({span.name + " " + span.detail, value});
+      }
+    }
+  }
+  for (const auto& child : span.children) CollectPairNodes(child, out);
+}
+
+// Every pair encodes from scratch into its own fresh manager, so the
+// per-pair arena sizes must be identical run to run and at any thread
+// count — the BDD workload is deterministic, and this pin is what makes
+// two traces comparable pair by pair.
+TEST(ConfigDiffDeterminismTest, PairArenaSizesDeterministic) {
+  gen::RouteMapGenOptions options;
+  options.seed = 9;
+  options.clauses = 8;
+  options.differences = 2;
+  auto pair = gen::GenerateRouteMapPair(options);
+  AttachMapToNeighbor(&pair.config1, pair.map_name);
+  AttachMapToNeighbor(&pair.config2, pair.map_name);
+
+  auto run = [&](unsigned threads) {
+    obs::ResetThreadTrace();
+    obs::SetEnabled(true);
+    ConfigDiff(pair.config1, pair.config2, WithThreads(threads));
+    obs::SetEnabled(false);
+    std::vector<std::pair<std::string, double>> nodes;
+    for (const obs::Span& span : obs::TakeThreadSpans()) {
+      CollectPairNodes(span, &nodes);
+    }
+    return nodes;
+  };
+
+  auto serial = run(1);
+  ASSERT_FALSE(serial.empty());
+  for (const auto& [key, value] : serial) EXPECT_GT(value, 0.0) << key;
+  EXPECT_EQ(run(4), serial);
+  EXPECT_EQ(run(1), serial);  // Run-to-run, not just across thread counts.
 }
 
 }  // namespace

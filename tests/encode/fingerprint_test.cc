@@ -1,6 +1,6 @@
 // ConfigCanonicalKey / ConfigFingerprint: the result-cache key must cover
 // everything the rendered report can depend on — in particular the fields
-// the PR 5 structural keys deliberately omit (ACL actions, object names,
+// the structural keys deliberately omit (ACL actions, object names,
 // source spans, hostnames). Two configs whose structural keys collide must
 // still fingerprint apart whenever their reports could differ by a byte.
 
@@ -10,7 +10,6 @@
 
 #include <string>
 
-#include "encode/encoding_template.h"
 #include "frontend/loader.h"
 #include "ir/config.h"
 
@@ -38,16 +37,16 @@ TEST(ConfigFingerprintTest, IdenticalTextsProduceIdenticalKeys) {
   EXPECT_EQ(ConfigFingerprint(Load(kBase)), ConfigFingerprint(Load(kBase)));
 }
 
-// The adversarial collision from the PR 5 key: identical match fields,
-// flipped action. AclLineMatchKey cannot see the flip (by design — the
-// template only encodes matches); the canonical key must.
+// The adversarial structural-key collision: identical match fields,
+// flipped action. AclLineMatchKey cannot see the flip (by design — it
+// keys only the match predicate); the canonical key must.
 TEST(ConfigFingerprintTest, AclActionFlipChangesKeyDespiteStructuralCollision) {
   ir::RouterConfig permit = Load(kBase);
   std::string flipped_text = kBase;
   flipped_text.replace(flipped_text.find(" permit tcp"), 11, " deny   tcp");
   ir::RouterConfig deny = Load(flipped_text);
 
-  // Same structural (template) key: matches are untouched.
+  // Same structural key: matches are untouched.
   ASSERT_EQ(AclLineMatchKey(permit.acls.at("FILTER").lines[0]),
             AclLineMatchKey(deny.acls.at("FILTER").lines[0]));
   // Different canonical key: the report renders the action.

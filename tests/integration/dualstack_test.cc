@@ -1,6 +1,6 @@
 // End-to-end dual-stack coverage: the committed IPv6 example pair
 // (examples/configs/dualstack_edge_{cisco,juniper}) diffs to exact v6
-// localization, byte-identically at every thread count and template mode.
+// localization, byte-identically at every thread count.
 // The configs are embedded so the test runs from any working directory.
 
 #include <gtest/gtest.h>
@@ -155,16 +155,13 @@ TEST_F(DualStackDiffTest, LocalizesV6RouteMapAndAclDifferences) {
 }
 
 TEST_F(DualStackDiffTest, ReportByteIdenticalAcrossExecutionModes) {
-  auto render = [&](unsigned threads, bool tmpl) {
+  auto render = [&](unsigned threads) {
     core::DiffOptions options;
     options.num_threads = threads;
-    options.use_encoding_template = tmpl;
     return core::ConfigDiff(*cisco_, *juniper_, options).Render();
   };
-  const std::string baseline = render(1, true);
-  EXPECT_EQ(baseline, render(4, true));
-  EXPECT_EQ(baseline, render(1, false));
-  EXPECT_EQ(baseline, render(4, false));
+  const std::string baseline = render(1);
+  EXPECT_EQ(baseline, render(4));
 }
 
 TEST_F(DualStackDiffTest, EquivalentV6PairReportsNoDifferences) {

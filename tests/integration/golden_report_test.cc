@@ -1,7 +1,7 @@
 // Golden reports: the `campion` CLI's text and JSON output on the committed
 // example pairs (examples/configs) must equal the files in tests/golden/
-// byte for byte, at --threads 1 and 4 with the encoding template on and
-// off. The other parity tests compare execution modes against each other,
+// byte for byte, at --threads 1 and 4. The other parity tests compare
+// execution modes against each other,
 // so a change that shifts every mode the same way passes them; this test
 // is the absolute anchor.
 //
@@ -80,16 +80,11 @@ class GoldenReportTest : public ::testing::TestWithParam<GoldenPair> {
     const std::string golden = ReadGolden(golden_file);
     ASSERT_FALSE(golden.empty()) << "missing tests/golden/" << golden_file;
     for (const char* threads : {"1", "4"}) {
-      for (const char* tmpl : {"on", "off"}) {
-        const RunResult run =
-            RunCli(format_flag + " --threads=" + threads +
-                   " --encoding_template=" + tmpl + " " + pair.config1 + " " +
-                   pair.config2);
-        EXPECT_EQ(run.exit_code, 2) << "differences expected";
-        EXPECT_EQ(run.output, golden)
-            << golden_file << " at --threads=" << threads
-            << " --encoding_template=" << tmpl;
-      }
+      const RunResult run = RunCli(format_flag + " --threads=" + threads +
+                                   " " + pair.config1 + " " + pair.config2);
+      EXPECT_EQ(run.exit_code, 2) << "differences expected";
+      EXPECT_EQ(run.output, golden)
+          << golden_file << " at --threads=" << threads;
     }
   }
 };

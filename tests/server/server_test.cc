@@ -266,8 +266,7 @@ TEST_F(ServerTest, MetricsExposesCacheAndRequestCounters) {
   EXPECT_EQ(metrics.body.find("template_cache"), std::string::npos);
 }
 
-// Every form of reuse off — no result cache, no shared encoding template —
-// must change nothing but the cache header.
+// The result cache off must change nothing but the cache header.
 TEST_F(ServerTest, CacheOffReportsOffAndStillMatches) {
   StartServer(ServiceOptions{});
   const std::string body =
@@ -279,7 +278,6 @@ TEST_F(ServerTest, CacheOffReportsOffAndStillMatches) {
 
   ServiceOptions uncached;
   uncached.result_cache = false;
-  uncached.diff.use_encoding_template = false;
   StartServer(uncached);
   HttpClientResponse response = Fetch("POST", "/diff", body);
   ASSERT_EQ(response.status, 200);

@@ -242,49 +242,6 @@ TEST_F(TraceDiffTest, StructuralDivergenceCountsAndOptionallyGates) {
       << gated.output;
 }
 
-// --allow_new_spans=NAME exempts new-in-candidate spans of that name from
-// the unmatched gate (the template A/B adds an encode_template span —
-// deliberate structural growth). Spans that exist in the baseline but
-// vanish from the candidate still gate.
-TEST_F(TraceDiffTest, AllowNewSpansExemptsOnlyCurrentOnlySpans) {
-  Write("allow_base.json", SyntheticTrace(1'000'000, 1 << 20));
-  Write("allow_extra.json",
-        "{\"campion_trace_version\": 1, \"spans\": ["
-        "{\"name\": \"config_diff\", \"detail\": \"r1 vs r2\","
-        " \"start_ns\": 0, \"duration_ns\": 2000, \"children\": ["
-        "{\"name\": \"encode_template\", \"detail\": \"r1 vs r2\","
-        " \"start_ns\": 1, \"duration_ns\": 10, \"children\": []},"
-        "{\"name\": \"route_map_pair\", \"detail\": \"POL vs POL\","
-        " \"start_ns\": 20, \"duration_ns\": 10, \"children\": []}"
-        "]}], \"metrics\": {}}");
-  // Without the allow-list the extra span gates.
-  RunResult gated = RunTraceDiff("--fail_if_unmatched " +
-                                 Path("allow_base.json") + " " +
-                                 Path("allow_extra.json"));
-  EXPECT_EQ(gated.exit_code, 2) << gated.output;
-  // Allow-listed, the same pair passes and the report says why.
-  RunResult allowed = RunTraceDiff(
-      "--fail_if_unmatched --allow_new_spans=encode_template " +
-      Path("allow_base.json") + " " + Path("allow_extra.json"));
-  EXPECT_EQ(allowed.exit_code, 0) << allowed.output;
-  EXPECT_NE(allowed.output.find("new-but-allowed"), std::string::npos)
-      << allowed.output;
-  // The allow-list is one-directional: a span PRESENT in the baseline but
-  // missing from the candidate is a real loss and still gates.
-  RunResult reversed = RunTraceDiff(
-      "--fail_if_unmatched --allow_new_spans=encode_template " +
-      Path("allow_extra.json") + " " + Path("allow_base.json"));
-  EXPECT_EQ(reversed.exit_code, 2) << reversed.output;
-  // Several names parse comma-separated; unknown names are inert.
-  RunResult multi = RunTraceDiff(
-      "--fail_if_unmatched "
-      "--allow_new_spans=no_such_span,encode_template " +
-      Path("allow_base.json") + " " + Path("allow_extra.json"));
-  EXPECT_EQ(multi.exit_code, 0) << multi.output;
-  // An empty list is a usage error.
-  EXPECT_EQ(RunTraceDiff("--allow_new_spans= a b").exit_code, 1);
-}
-
 TEST_F(TraceDiffTest, MissingInputFailsWithClearError) {
   Write("ok.json", SyntheticTrace(1'000'000, 1 << 20));
   RunResult result =
