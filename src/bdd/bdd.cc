@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace campion::bdd {
 namespace {
@@ -102,6 +103,17 @@ BddRef BddManager::VarTrue(Var v) {
 }
 
 BddRef BddManager::VarFalse(Var v) { return Not(VarTrue(v)); }
+
+BddRef BddManager::Branch(Var v, BddRef low, BddRef high) {
+  // The terminal's var is kTerminalVar, above every variable id, so
+  // constant children always pass.
+  if (v >= num_vars_ || nodes_[low >> 1].var <= v ||
+      nodes_[high >> 1].var <= v) {
+    throw std::logic_error(
+        "BddManager::Branch: variable not above both children in the order");
+  }
+  return MakeNode(v, low, high);
+}
 
 BddRef BddManager::MakeNode(Var var, BddRef low, BddRef high) {
   if (low == high) return low;

@@ -143,6 +143,15 @@ class BddManager {
   BddRef True() const { return kTrue; }
   BddRef VarTrue(Var v);   // The function "variable v is 1".
   BddRef VarFalse(Var v);  // The function "variable v is 0".
+  // The function "v ? high : low" as one node, with no Ite call; encoders
+  // build field predicates bottom-up with it (src/encode/symbolic_field.cc).
+  // Precondition: v < num_vars() and v sits strictly above the top variable
+  // of both children. A misordered node would still be interned and break
+  // canonicity silently, so the precondition is checked in every build and
+  // a violation throws std::logic_error. The result is canonical: a
+  // complemented `high` is handled as in MakeNode, and low == high returns
+  // low.
+  BddRef Branch(Var v, BddRef low, BddRef high);
 
   // --- Boolean connectives ------------------------------------------------
   // With complement edges, negation is a bit flip and every binary

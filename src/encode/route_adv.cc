@@ -72,12 +72,13 @@ bdd::BddRef RouteAdvLayout::MatchPrefixRange(
   int base_len = range.prefix().length();
   int low = std::max(range.low(), base_len);
   int high = std::min(range.high(), util::MaxPrefixLength(family_));
-  bdd::BddRef addr_ok =
-      addr_.MatchPrefixBits(mgr_, range.prefix().address().bits(), base_len);
+  // The address field precedes the length field in both layouts, so the
+  // address literals chain straight onto the length predicate.
   bdd::BddRef len_ok =
       length_.InRange(mgr_, static_cast<std::uint32_t>(low),
                       static_cast<std::uint32_t>(high));
-  return mgr_.And(addr_ok, len_ok);
+  return addr_.MatchPrefixBits(mgr_, range.prefix().address().bits(),
+                               base_len, len_ok);
 }
 
 bdd::BddRef RouteAdvLayout::MatchExactPrefix(const util::IpPrefix& p) const {

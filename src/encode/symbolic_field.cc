@@ -9,14 +9,19 @@ bdd::BddRef SymbolicField::EqualsConst(bdd::BddManager& mgr,
   return MatchPrefixBits(mgr, value, width_);
 }
 
+// Every builder below runs from the field's last bit up to its first and
+// adds one node per bit with BddManager::Branch. Each step's result only
+// branches on later variables, so the chain is canonical as built and costs
+// no Ite call. A literal conjoined onto a function that sits wholly below it
+// is exactly that one node.
+
 bdd::BddRef SymbolicField::MatchPrefixBits(bdd::BddManager& mgr, U128 value,
-                                           int nbits) const {
-  // Build bottom-up so each conjunction is a single MakeNode-shaped BDD.
-  bdd::BddRef result = mgr.True();
+                                           int nbits,
+                                           bdd::BddRef below) const {
+  bdd::BddRef result = below;
   for (int i = nbits - 1; i >= 0; --i) {
-    bdd::BddRef bit =
-        ValueBit(value, i) ? mgr.VarTrue(VarAt(i)) : mgr.VarFalse(VarAt(i));
-    result = mgr.And(bit, result);
+    result = ValueBit(value, i) ? mgr.Branch(VarAt(i), mgr.False(), result)
+                                : mgr.Branch(VarAt(i), result, mgr.False());
   }
   return result;
 }
@@ -26,37 +31,30 @@ bdd::BddRef SymbolicField::MatchMasked(bdd::BddManager& mgr, U128 value,
   bdd::BddRef result = mgr.True();
   for (int i = width_ - 1; i >= 0; --i) {
     if (!ValueBit(care, i)) continue;
-    bdd::BddRef bit =
-        ValueBit(value, i) ? mgr.VarTrue(VarAt(i)) : mgr.VarFalse(VarAt(i));
-    result = mgr.And(bit, result);
+    result = ValueBit(value, i) ? mgr.Branch(VarAt(i), mgr.False(), result)
+                                : mgr.Branch(VarAt(i), result, mgr.False());
   }
   return result;
 }
 
 bdd::BddRef SymbolicField::Leq(bdd::BddManager& mgr, U128 value) const {
-  // Walk from the least significant bit up, building
-  //   leq_i = if value_bit then (field_bit ? rest : true) else (!field_bit && rest)
+  // leq_i = value_bit ? (field_bit ? leq_{i+1} : true)
+  //                   : (field_bit ? false : leq_{i+1})
   bdd::BddRef result = mgr.True();
   for (int i = width_ - 1; i >= 0; --i) {
-    bdd::BddRef bit = mgr.VarTrue(VarAt(i));
-    if (ValueBit(value, i)) {
-      result = mgr.Ite(bit, result, mgr.True());
-    } else {
-      result = mgr.Ite(bit, mgr.False(), result);
-    }
+    result = ValueBit(value, i) ? mgr.Branch(VarAt(i), mgr.True(), result)
+                                : mgr.Branch(VarAt(i), result, mgr.False());
   }
   return result;
 }
 
 bdd::BddRef SymbolicField::Geq(bdd::BddManager& mgr, U128 value) const {
+  // geq_i = value_bit ? (field_bit ? geq_{i+1} : false)
+  //                   : (field_bit ? true : geq_{i+1})
   bdd::BddRef result = mgr.True();
   for (int i = width_ - 1; i >= 0; --i) {
-    bdd::BddRef bit = mgr.VarTrue(VarAt(i));
-    if (ValueBit(value, i)) {
-      result = mgr.Ite(bit, result, mgr.False());
-    } else {
-      result = mgr.Ite(bit, mgr.True(), result);
-    }
+    result = ValueBit(value, i) ? mgr.Branch(VarAt(i), mgr.False(), result)
+                                : mgr.Branch(VarAt(i), result, mgr.True());
   }
   return result;
 }

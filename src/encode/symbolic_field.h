@@ -31,9 +31,12 @@ class SymbolicField {
   // field == value
   bdd::BddRef EqualsConst(bdd::BddManager& mgr, util::U128 value) const;
   // The top `nbits` bits of the field equal the top `nbits` bits of `value`
-  // (value is left-aligned in the field width). Used for prefix matching.
+  // (value is left-aligned in the field width), conjoined with `below`.
+  // Used for prefix matching. `below` must branch only on variables after
+  // field bit `nbits - 1` (BddManager::Branch checks this), which lets a
+  // caller chain a later field's predicate on without an And.
   bdd::BddRef MatchPrefixBits(bdd::BddManager& mgr, util::U128 value,
-                              int nbits) const;
+                              int nbits, bdd::BddRef below = bdd::kTrue) const;
   // Per-bit wildcard equality: bits where `care` has a 0 are ignored.
   // `value` and `care` are left-aligned in the field width.
   bdd::BddRef MatchMasked(bdd::BddManager& mgr, util::U128 value,

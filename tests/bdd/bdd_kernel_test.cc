@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 namespace campion::bdd {
@@ -222,6 +223,63 @@ TEST(BddKernelTest, StandardTriplesShareCacheAcrossComplements) {
   EXPECT_EQ(after.arena_size, before.arena_size);
   EXPECT_EQ(after.cache_hits, before.cache_hits + 1);
   EXPECT_EQ(after.cache_lookups, before.cache_lookups + 1);
+}
+
+TEST(BddKernelTest, BranchCanonicalizesComplementedHighEdge) {
+  BddManager mgr(4);
+  BddRef low = mgr.And(mgr.VarTrue(2), mgr.VarFalse(3));
+  // The literal's node is stored as "1 ? false : true", so VarTrue(1) is a
+  // complemented reference.
+  BddRef high = mgr.VarTrue(1);
+  ASSERT_TRUE(BddManager::IsComplement(high));
+  BddRef node = mgr.Branch(0, low, high);
+  // The same function Ite builds, stored with a regular then-edge: the
+  // returned reference carries the complement instead.
+  EXPECT_EQ(node, mgr.Ite(mgr.VarTrue(0), high, low));
+  EXPECT_TRUE(BddManager::IsComplement(node));
+  EXPECT_FALSE(
+      BddManager::IsComplement(mgr.NodeHigh(BddManager::Regular(node))));
+  EXPECT_EQ(mgr.NodeVar(node), 0u);
+  EXPECT_EQ(mgr.NodeLow(node), low);
+  EXPECT_EQ(mgr.NodeHigh(node), high);
+  // Building it again interns nothing.
+  std::size_t arena = mgr.ArenaSize();
+  EXPECT_EQ(mgr.Branch(0, low, high), node);
+  EXPECT_EQ(mgr.Branch(0, mgr.Not(low), mgr.Not(high)), mgr.Not(node));
+  EXPECT_EQ(mgr.ArenaSize(), arena);
+  // Constant children give the literals.
+  EXPECT_EQ(mgr.Branch(3, kFalse, kTrue), mgr.VarTrue(3));
+  EXPECT_EQ(mgr.Branch(3, kTrue, kFalse), mgr.VarFalse(3));
+  EXPECT_TRUE(mgr.CheckInvariants());
+}
+
+TEST(BddKernelTest, BranchReturnsLowWhenChildrenAreEqual) {
+  BddManager mgr(3);
+  BddRef f = mgr.Or(mgr.VarTrue(1), mgr.VarFalse(2));
+  std::size_t arena = mgr.ArenaSize();
+  EXPECT_EQ(mgr.Branch(0, f, f), f);
+  EXPECT_EQ(mgr.Branch(0, mgr.Not(f), mgr.Not(f)), mgr.Not(f));
+  EXPECT_EQ(mgr.Branch(2, kTrue, kTrue), kTrue);
+  EXPECT_EQ(mgr.Branch(2, kFalse, kFalse), kFalse);
+  EXPECT_EQ(mgr.ArenaSize(), arena);
+}
+
+TEST(BddKernelTest, BranchRejectsOrderViolations) {
+  BddManager mgr(4);
+  BddRef at1 = mgr.VarTrue(1);
+  BddRef at2 = mgr.And(mgr.VarTrue(2), mgr.VarTrue(3));
+  std::size_t arena = mgr.ArenaSize();
+  // The branching variable must sit strictly above both children's tops.
+  EXPECT_THROW(mgr.Branch(1, at1, kFalse), std::logic_error);
+  EXPECT_THROW(mgr.Branch(1, kTrue, at1), std::logic_error);
+  EXPECT_THROW(mgr.Branch(2, at1, kTrue), std::logic_error);
+  EXPECT_THROW(mgr.Branch(3, kFalse, mgr.Not(at2)), std::logic_error);
+  // ... and exist.
+  EXPECT_THROW(mgr.Branch(4, kFalse, kTrue), std::logic_error);
+  // A rejected call interns nothing and leaves the manager consistent.
+  EXPECT_EQ(mgr.ArenaSize(), arena);
+  EXPECT_TRUE(mgr.CheckInvariants());
+  EXPECT_NO_THROW(mgr.Branch(0, at1, at2));
 }
 
 // Randomized oracle for the complement-edge kernel: random expression

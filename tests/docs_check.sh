@@ -16,6 +16,14 @@
 #      flag must appear in the API reference, and every documented
 #      endpoint path must be one the daemon actually serves (and vice
 #      versa for the canonical endpoint list below).
+#   4. Checks quoted benchmark numbers. A number preceded on its line by
+#      `<!-- bench: FILE KEY -->` (FILE a committed BENCH_*.json in the
+#      repo root) must equal that file's KEY rounded to the precision
+#      quoted: "1.00" passes for 1.00343, "0.0406" for 0.0406458. A number
+#      followed by `%` is compared against KEY × 100, so "+4.1%" passes
+#      for 0.0406458. A leading U+2212 minus reads as "-". Markdown
+#      emphasis or backticks may sit between the comment and the number. Scanned: README.md, DESIGN.md,
+#      EXPERIMENTS.md and docs/*.md.
 #
 # Usage: docs_check.sh <source_dir> <build_dir> <campion_binary> \
 #                      <trace_diff_binary> <campion_serve_binary>
@@ -155,6 +163,56 @@ else
   done < <(grep -oE '`(GET|PUT|POST|DELETE) /[^`]*`' "$DAEMON_MD" \
              | sed -E 's/`[A-Z]+ ([^`?]*).*/\1/' | sort -u)
 fi
+
+echo "== checking bench-annotated numbers against committed BENCH files =="
+# Prints KEY's number in FILE (a flat JSON object of one key per line, as
+# bench_util writes them), or nothing when the key is missing.
+bench_value() {
+  sed -nE "s/^[[:space:]]*\"$2\":[[:space:]]*([-+0-9.eE]+),?[[:space:]]*$/\1/p" \
+    "$1" | head -n 1
+}
+check_bench_numbers() {
+  local file=$1 rel=${1#"$SRC_DIR"/} lineno=0 line rest
+  local re='^<!-- bench: ([^ ]+) ([^ ]+) -->[*`[:space:]]*((−|[-+])?[0-9]+(\.[0-9]+)?)(%?)'
+  while IFS= read -r line || [ -n "$line" ]; do
+    lineno=$((lineno + 1))
+    rest=$line
+    while [[ $rest == *'<!-- bench:'* ]]; do
+      rest=${rest#*'<!-- bench:'}
+      if [[ "<!-- bench:$rest" =~ $re ]]; then
+        local bench=${BASH_REMATCH[1]} key=${BASH_REMATCH[2]}
+        local quoted=${BASH_REMATCH[3]} percent=${BASH_REMATCH[6]}
+        quoted=${quoted/−/-}  # Prose writes minus as U+2212.
+        local value=""
+        [ -f "$SRC_DIR/$bench" ] && value=$(bench_value "$SRC_DIR/$bench" "$key")
+        if [ -z "$value" ]; then
+          echo "FAIL $rel:$lineno: no key $key in $bench"
+          failures=$((failures + 1))
+          continue
+        fi
+        local fraction=${quoted#*.} digits=0
+        [ "$fraction" != "$quoted" ] && digits=${#fraction}
+        local expected
+        expected=$(LC_ALL=C awk -v v="$value" -v d="$digits" -v p="$percent" \
+          'BEGIN { if (p == "%") v *= 100; printf "%.*f", d, v }')
+        # A leading + is prose; the rounded value never carries one.
+        if [ "${quoted#+}" != "$expected" ]; then
+          echo "FAIL $rel:$lineno: quotes $quoted$percent but $bench $key = $value (expected $expected$percent)"
+          failures=$((failures + 1))
+        else
+          echo "ok   $rel:$lineno: $key $quoted$percent"
+        fi
+      else
+        echo "FAIL $rel:$lineno: bench annotation not followed by a number"
+        failures=$((failures + 1))
+      fi
+    done
+  done < "$file"
+}
+for doc in "$SRC_DIR"/README.md "$SRC_DIR"/DESIGN.md "$SRC_DIR"/EXPERIMENTS.md \
+           "$SRC_DIR"/docs/*.md; do
+  [ -f "$doc" ] && check_bench_numbers "$doc"
+done
 
 if [ $failures -ne 0 ]; then
   echo "docs_check: $failures failure(s)"
