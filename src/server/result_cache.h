@@ -2,24 +2,26 @@
 
 // Incremental result cache: the fleet-scale re-diff shortcut.
 //
-// Without it the whole pipeline — encoding, the semantic diff, the render —
-// is paid on every request. For fleet workloads that is the
+// Without it the whole pipeline — parse, encoding, the semantic diff, the
+// render — is paid on every request. For fleet workloads that is the
 // dominant cost: a 64-pair batch where one router changed re-pays 63
 // identical diffs. This cache stores the RENDERED RESPONSE per pair,
-// keyed by the full canonical serialization of both parsed configs
-// (encode::ConfigCanonicalKey — structural keys plus names, actions,
-// declaration order, and source spans) concatenated with the diff-relevant
-// options (the check_* set and the output format). A hit skips the diff
-// and render entirely, paying only the parse (cheap next to
-// the semantic diff — the same trade the session store already makes).
+// keyed by what the request itself carries: each side's vendor (as the
+// loader reads it, so "" and "auto" are one vendor) and length-prefixed
+// raw config text, then the diff-relevant options (the check_* set and the
+// output format). The key is known before anything runs, so the service
+// looks it up first and a hit pays no parse, no diff and no render.
 //
 // Soundness: the map keys on the FULL key string, not a digest, so a hit
-// means the parsed IRs and options are literally identical — and parse and
-// render are deterministic, so the cached body is byte-for-byte what a
-// fresh run would produce. The FNV digest exists only for the flight
-// recorder's result_key field and /debug/result_cache. The thread count
-// is deliberately NOT part of the key: the repo's determinism contract pins
-// the body as byte-identical across all thread counts.
+// means the texts, vendors and options are literally identical — and
+// parse, diff and render are deterministic, so the cached body is
+// byte-for-byte what a fresh run would produce. The converse does not
+// hold: an edit the parser ignores (trailing whitespace after the last
+// line, say) misses and recomputes the same bytes. The FNV digest exists
+// only for the flight recorder's result_key field and /debug/result_cache.
+// The thread count is deliberately NOT part of the key: the repo's
+// determinism contract pins the body as byte-identical across all thread
+// counts.
 //
 // Residency is LRU-bounded by a bytes watermark over the stored bodies +
 // keys (never evicting the entry just inserted), plus an optional entry

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/json_report.h"
-#include "encode/fingerprint.h"
 #include "frontend/loader.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -85,6 +84,54 @@ bool ParseChecks(const std::string& list, core::DiffOptions* checks,
   return true;
 }
 
+// Copies the optional string field `key` of `object` into `out`, which
+// keeps its default when the field is absent. Any other JSON type is a
+// client error: false, with `error` set.
+bool ReadStringField(const util::JsonValue& object, const std::string& key,
+                     std::string* out, std::string* error) {
+  const util::JsonValue* value = object.Find(key);
+  if (value == nullptr) return true;
+  if (!value->IsString()) {
+    *error = "field '" + key + "' must be a string";
+    return false;
+  }
+  *out = value->string;
+  return true;
+}
+
+// The optional "vendor1"/"vendor2" fields of a /diff body or /batch pair.
+bool ReadVendors(const util::JsonValue& object, std::string* vendor1,
+                 std::string* vendor2, std::string* error) {
+  if (!ReadStringField(object, "vendor1", vendor1, error) ||
+      !ReadStringField(object, "vendor2", vendor2, error)) {
+    return false;
+  }
+  if (!ValidVendor(*vendor1) || !ValidVendor(*vendor2)) {
+    *error = "vendor must be auto, cisco, or juniper";
+    return false;
+  }
+  return true;
+}
+
+// The optional "format" and "checks" fields shared by /diff and /batch.
+bool ReadFormatAndChecks(const util::JsonValue& object, bool* json_format,
+                         core::DiffOptions* checks, std::string* error) {
+  std::string format = "text";
+  if (!ReadStringField(object, "format", &format, error)) return false;
+  if (format != "text" && format != "json") {
+    *error = "format must be text or json";
+    return false;
+  }
+  *json_format = format == "json";
+  const util::JsonValue* list = object.Find("checks");
+  if (list == nullptr) return true;
+  if (!list->IsString()) {
+    *error = "field 'checks' must be a string";
+    return false;
+  }
+  return ParseChecks(list->string, checks, error);
+}
+
 bool ValidSessionName(const std::string& name) {
   if (name.empty() || name.size() > 128) return false;
   for (char c : name) {
@@ -158,18 +205,33 @@ std::string KeyHashHex(std::uint64_t hash) {
   return out.str();
 }
 
-// The result-cache key: both configs' full canonical serializations plus
-// every option the response bytes depend on. The thread count is
-// deliberately absent — the determinism contract pins the body as
+// One side of the result-cache key: the vendor as the loader will see it
+// (so "" and "auto" share an entry), then the length-prefixed raw text.
+void AppendKeySide(std::string& key, const std::string& vendor,
+                   const std::string& text) {
+  key += std::to_string(static_cast<int>(ParseVendor(vendor)));
+  key += ':';
+  key += std::to_string(text.size());
+  key += ':';
+  key += text;
+}
+
+// The result-cache key: both sides' vendors and raw config texts plus every
+// option the response bytes depend on — exactly what parse, diff and
+// render consume, so it is known before any of them runs. The thread count
+// is deliberately absent — the determinism contract pins the body as
 // byte-identical across all thread counts.
-std::string ResultCacheKeyFor(const ir::RouterConfig& config1,
-                              const ir::RouterConfig& config2,
+std::string ResultCacheKeyFor(const std::string& text1,
+                              const std::string& vendor1,
+                              const std::string& text2,
+                              const std::string& vendor2,
                               const core::DiffOptions& options,
                               bool json_format) {
-  std::string key = encode::ConfigCanonicalKey(config1);
-  key += '\037';
-  key += encode::ConfigCanonicalKey(config2);
-  key += "\037checks=";
+  std::string key;
+  key.reserve(text1.size() + text2.size() + 64);
+  AppendKeySide(key, vendor1, text1);
+  AppendKeySide(key, vendor2, text2);
+  key += "checks=";
   key += options.check_route_maps ? 'r' : '-';
   key += options.check_acls ? 'a' : '-';
   key += options.check_static_routes ? 's' : '-';
@@ -282,36 +344,20 @@ HttpResponse DiffService::HandleDiff(const HttpRequest& request) {
   }
   std::string vendor1 = "auto";
   std::string vendor2 = "auto";
-  if (const util::JsonValue* v = body.Find("vendor1"); v != nullptr) {
-    vendor1 = v->string;
-  }
-  if (const util::JsonValue* v = body.Find("vendor2"); v != nullptr) {
-    vendor2 = v->string;
-  }
-  if (!ValidVendor(vendor1) || !ValidVendor(vendor2)) {
-    BumpCounter("server.errors");
-    return JsonError(400, "vendor must be auto, cisco, or juniper");
-  }
   bool json_format = false;
-  if (const util::JsonValue* v = body.Find("format"); v != nullptr) {
-    if (v->string == "json") {
-      json_format = true;
-    } else if (v->string != "text") {
-      BumpCounter("server.errors");
-      return JsonError(400, "format must be text or json");
-    }
-  }
   core::DiffOptions diff_options = options_.diff;
-  if (const util::JsonValue* v = body.Find("checks");
-      v != nullptr && v->IsString()) {
-    std::string error;
-    if (!ParseChecks(v->string, &diff_options, &error)) {
-      BumpCounter("server.errors");
-      return JsonError(400, error);
-    }
+  std::string error;
+  if (!ReadVendors(body, &vendor1, &vendor2, &error) ||
+      !ReadFormatAndChecks(body, &json_format, &diff_options, &error)) {
+    BumpCounter("server.errors");
+    return JsonError(400, error);
   }
   bool want_obs = false;
   if (const util::JsonValue* v = body.Find("obs"); v != nullptr) {
+    if (!v->IsBool()) {
+      BumpCounter("server.errors");
+      return JsonError(400, "field 'obs' must be a boolean");
+    }
     want_obs = v->boolean;
   }
   BumpCounter("server.diff_requests");
@@ -337,7 +383,7 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
     record.result_key_hash = outcome.result_key_hash;
     record.status = outcome.status;
     record.wall_ns = obs::NowNs() - wall_start;
-    phase_latency_.parse.Record(record.parse_ns);
+    if (record.parse_ns > 0) phase_latency_.parse.Record(record.parse_ns);
     if (record.diff_ns > 0) phase_latency_.diff.Record(record.diff_ns);
     if (record.render_ns > 0) phase_latency_.render.Record(record.render_ns);
     if (options_.flight_recorder) flight_.Record(std::move(record));
@@ -351,31 +397,16 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
     return finish();
   };
 
-  frontend::LoadResult loaded1;
-  frontend::LoadResult loaded2;
-  const std::uint64_t parse_start = obs::NowNs();
-  try {
-    loaded1 =
-        frontend::LoadConfig(task.text1, "config1", ParseVendor(task.vendor1));
-    loaded2 =
-        frontend::LoadConfig(task.text2, "config2", ParseVendor(task.vendor2));
-  } catch (const std::exception& error) {
-    record.parse_ns = obs::NowNs() - parse_start;
-    BumpCounter("server.errors");
-    BumpCounter("server.parse_failures");
-    return fail(422, error.what());
-  }
-  record.parse_ns = obs::NowNs() - parse_start;
-
-  // Result-cache consult: a hit replays the rendered response and skips
-  // diff and render — the incremental re-diff shortcut. Only the parse
-  // above was paid (the fingerprint needs the IR). Obs requests bypass:
-  // their envelope carries this request's live trace.
+  // Result-cache consult, before any parse: a hit replays the rendered
+  // response and runs no part of the pipeline — the incremental re-diff
+  // shortcut. Obs requests bypass: their envelope carries this request's
+  // live trace.
   std::string result_key;
   const bool result_eligible = options_.result_cache && !task.want_obs;
   if (result_eligible) {
-    result_key = ResultCacheKeyFor(loaded1.config, loaded2.config,
-                                   task.options, task.json_format);
+    result_key = ResultCacheKeyFor(task.text1, task.vendor1, task.text2,
+                                   task.vendor2, task.options,
+                                   task.json_format);
     std::uint64_t key_hash = 0;
     if (std::shared_ptr<const ResultCache::Result> cached =
             result_cache_.Get(result_key, &key_hash)) {
@@ -397,6 +428,22 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
   } else if (options_.result_cache) {
     outcome.result_cache = "bypass";
   }
+
+  frontend::LoadResult loaded1;
+  frontend::LoadResult loaded2;
+  const std::uint64_t parse_start = obs::NowNs();
+  try {
+    loaded1 =
+        frontend::LoadConfig(task.text1, "config1", ParseVendor(task.vendor1));
+    loaded2 =
+        frontend::LoadConfig(task.text2, "config2", ParseVendor(task.vendor2));
+  } catch (const std::exception& error) {
+    record.parse_ns = obs::NowNs() - parse_start;
+    BumpCounter("server.errors");
+    BumpCounter("server.parse_failures");
+    return fail(422, error.what());
+  }
+  record.parse_ns = obs::NowNs() - parse_start;
 
   core::DiffOptions diff_options = task.options;
   diff_options.metrics_sink = &sink;
@@ -507,21 +554,10 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
     pairs_json = &body;
   } else if (body.IsObject()) {
     pairs_json = body.Find("pairs");
-    if (const util::JsonValue* v = body.Find("format"); v != nullptr) {
-      if (v->string == "json") {
-        json_format = true;
-      } else if (v->string != "text") {
-        BumpCounter("server.errors");
-        return JsonError(400, "format must be text or json");
-      }
-    }
-    if (const util::JsonValue* v = body.Find("checks");
-        v != nullptr && v->IsString()) {
-      std::string error;
-      if (!ParseChecks(v->string, &diff_options, &error)) {
-        BumpCounter("server.errors");
-        return JsonError(400, error);
-      }
+    std::string error;
+    if (!ReadFormatAndChecks(body, &json_format, &diff_options, &error)) {
+      BumpCounter("server.errors");
+      return JsonError(400, error);
     }
   }
   if (pairs_json == nullptr || !pairs_json->IsArray() ||
@@ -560,15 +596,10 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
     task.text2 = config2->string;
     task.vendor1 = "auto";
     task.vendor2 = "auto";
-    if (const util::JsonValue* v = pair.Find("vendor1"); v != nullptr) {
-      task.vendor1 = v->string;
-    }
-    if (const util::JsonValue* v = pair.Find("vendor2"); v != nullptr) {
-      task.vendor2 = v->string;
-    }
-    if (!ValidVendor(task.vendor1) || !ValidVendor(task.vendor2)) {
+    std::string error;
+    if (!ReadVendors(pair, &task.vendor1, &task.vendor2, &error)) {
       BumpCounter("server.errors");
-      return JsonError(400, "vendor must be auto, cisco, or juniper");
+      return JsonError(400, error);
     }
     task.options = diff_options;
     task.json_format = json_format;

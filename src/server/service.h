@@ -67,9 +67,10 @@ struct ServiceOptions {
   // never the performance knobs (those are fleet configuration).
   core::DiffOptions diff;
   // Incremental result cache (src/server/result_cache.h): rendered pair
-  // responses keyed by the full canonical structure of both configs plus
-  // the diff-relevant options. Off = every request re-runs the pipeline
-  // (the bench_fleet A/B baseline and the parity reference).
+  // responses keyed by both config texts and vendors plus the
+  // diff-relevant options, looked up before parsing. Off = every request
+  // re-runs the pipeline (the bench_fleet A/B baseline and the parity
+  // reference).
   bool result_cache = true;
   std::size_t result_cache_watermark_bytes = 64 * 1024 * 1024;
   std::size_t result_cache_max_entries = 0;  // 0 = unlimited.
@@ -104,8 +105,9 @@ class DiffService {
 
  private:
   struct Session {
-    // Configs are stored as text and re-parsed per diff: parsing is cheap
-    // next to the semantic diff, and storing text keeps commit/rollback
+    // Configs are stored as text: a repeated diff of unchanged texts is a
+    // result-cache hit with no parse, a changed pair is re-parsed (cheap
+    // next to the semantic diff), and storing text keeps commit/rollback
     // trivially exact (no IR round-trip).
     std::string running;
     std::string candidate;
@@ -126,7 +128,8 @@ class DiffService {
     obs::LatencyHistogram debug;
     obs::LatencyHistogram other;     // 404s and anything unclassified.
   };
-  // Pipeline-phase histograms, recorded per diff execution in RunDiff.
+  // Pipeline-phase histograms, recorded in ExecutePair for each phase that
+  // ran: a result-cache hit records none.
   struct PhaseLatency {
     obs::LatencyHistogram parse;
     obs::LatencyHistogram diff;  // ConfigDiff.
@@ -166,8 +169,8 @@ class DiffService {
   // Parses, diffs, and renders one comparison with task-private
   // observability capture (no cross-request lock — safe to call
   // concurrently from batch workers). Consults the result cache first
-  // (a hit skips diff and render), folds the task's metrics, and leaves
-  // one flight-recorder entry behind when the recorder is on.
+  // (a hit skips parse, diff and render), folds the task's metrics, and
+  // leaves one flight-recorder entry behind when the recorder is on.
   PairOutcome ExecutePair(const PairTask& task);
 
   // ExecutePair wrapped back into an HTTP response (headers + error

@@ -12,8 +12,8 @@
 //   --threads=N              Worker threads per diff request
 //                            (0 = hardware concurrency, 1 = serial).
 //   --http_threads=N         Connection-handling threads (default 4).
-//   --result_cache=on|off    Incremental result cache keyed by structural
-//                            fingerprints (default on).
+//   --result_cache=on|off    Incremental result cache keyed by both config
+//                            texts and the options (default on).
 //   --result_cache_mb=N      Cached response bytes before LRU eviction
 //                            (default 64).
 //   --result_cache_entries=N Max cached results (0 = unlimited).
@@ -59,8 +59,8 @@ void PrintUsage(std::ostream& out) {
          "                  connection-handling threads (default 4)\n"
          "  --result_cache=on|off\n"
          "                  incremental result cache: rendered responses\n"
-         "                  keyed by the full canonical structure of both\n"
-         "                  configs, so re-diffing an unchanged pair is a\n"
+         "                  keyed by both config texts and vendors plus the\n"
+         "                  options, so re-diffing an unchanged pair is a\n"
          "                  byte-identical replay (default on)\n"
          "  --result_cache_mb=N\n"
          "                  cached response bytes before least-recently-\n"

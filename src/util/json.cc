@@ -117,10 +117,16 @@ class Parser {
     return ParseNumber(out);
   }
 
+  // Objects and arrays recurse once per level, so the nesting cap is what
+  // keeps a hostile body from overflowing the stack.
   bool ParseObject(JsonValue& out) {
     out.type = JsonValue::Type::kObject;
     if (!Consume('{')) return Fail("expected '{'");
-    if (Consume('}')) return true;
+    if (++depth_ > kMaxJsonDepth) return Fail("nesting too deep");
+    if (Consume('}')) {
+      --depth_;
+      return true;
+    }
     do {
       SkipSpace();
       std::string key;
@@ -131,19 +137,25 @@ class Parser {
       out.object.emplace_back(std::move(key), std::move(value));
     } while (Consume(','));
     if (!Consume('}')) return Fail("expected '}'");
+    --depth_;
     return true;
   }
 
   bool ParseArray(JsonValue& out) {
     out.type = JsonValue::Type::kArray;
     if (!Consume('[')) return Fail("expected '['");
-    if (Consume(']')) return true;
+    if (++depth_ > kMaxJsonDepth) return Fail("nesting too deep");
+    if (Consume(']')) {
+      --depth_;
+      return true;
+    }
     do {
       JsonValue value;
       if (!ParseValue(value)) return false;
       out.array.push_back(std::move(value));
     } while (Consume(','));
     if (!Consume(']')) return Fail("expected ']'");
+    --depth_;
     return true;
   }
 
@@ -197,6 +209,7 @@ class Parser {
   const std::string& text_;
   std::string* error_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // Open objects and arrays around pos_.
 };
 
 }  // namespace

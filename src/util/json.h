@@ -41,6 +41,7 @@ struct JsonValue {
 
   bool IsObject() const { return type == Type::kObject; }
   bool IsArray() const { return type == Type::kArray; }
+  bool IsBool() const { return type == Type::kBool; }
   bool IsNumber() const { return type == Type::kNumber; }
   bool IsString() const { return type == Type::kString; }
 
@@ -50,9 +51,15 @@ struct JsonValue {
   double NumberOr(const std::string& key, double fallback) const;
 };
 
-// Parses `text` into `out`. Returns false on malformed input or trailing
-// garbage; `error`, when non-null, receives a one-line description with a
-// byte offset.
+// Deepest nesting of objects and arrays ParseJson accepts. The reader
+// recurses once per level, and the daemon feeds it untrusted request
+// bodies, so a deeper document is rejected rather than allowed to exhaust
+// the stack. Everything this repo emits nests a handful of levels.
+constexpr int kMaxJsonDepth = 256;
+
+// Parses `text` into `out`. Returns false on malformed input, trailing
+// garbage or nesting deeper than kMaxJsonDepth; `error`, when non-null,
+// receives a one-line description with a byte offset.
 bool ParseJson(const std::string& text, JsonValue& out,
                std::string* error = nullptr);
 

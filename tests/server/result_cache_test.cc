@@ -1,8 +1,9 @@
 // Result-cache tests: the incremental re-diff cache must be SOUND (a hit
-// replays byte-identical output — adversarial structural-key collisions
-// included), bounded (LRU eviction under the bytes watermark), and
-// invisible in the response body (batch output byte-identical with the
-// cache on or off at any worker count).
+// replays byte-identical output — same-match, different-action ACLs
+// included), looked up before parsing (a hit runs no parse), bounded (LRU
+// eviction under the bytes watermark), and invisible in the response body
+// (batch output byte-identical with the cache on or off at any worker
+// count).
 
 #include "server/result_cache.h"
 
@@ -169,10 +170,10 @@ TEST_F(ResultCacheServerTest, ResultCacheOffReportsOffAndStillMatches) {
   }
 }
 
-// The adversarial collision: two configs whose PR 5 structural keys are
-// identical (matches untouched) but whose ACL actions differ. They must
-// occupy TWO result-cache entries with distinct bodies — a fingerprint
-// keyed on the structural key alone would replay the wrong report here.
+// Two configs whose ACL lines match the same packets but whose actions
+// differ. They must occupy TWO result-cache entries with distinct bodies —
+// a key that captured only what each line matches would replay the wrong
+// report here.
 TEST_F(ResultCacheServerTest, StructuralCollisionDoesNotCrossReplay) {
   constexpr const char* kPermitSide =
       "hostname left\n"
@@ -205,12 +206,12 @@ TEST_F(ResultCacheServerTest, StructuralCollisionDoesNotCrossReplay) {
   EXPECT_EQ(second.headers["x-campion-result-cache"], "miss");
   EXPECT_NE(first.body, second.body);
 
-  // Same structural key, different canonical key -> two result entries.
+  // Different texts -> two result entries.
   const ResultCache::Stats result_stats = service_->ResultCacheStats();
   EXPECT_EQ(result_stats.entries, 2u);
   EXPECT_EQ(result_stats.misses, 2u);
 
-  // Replays stay distinct per canonical key.
+  // Replays stay distinct per key.
   HttpClientResponse replay_first =
       Fetch("POST", "/diff", DiffRequestBody(kPermitSide, kOtherSide));
   EXPECT_EQ(replay_first.headers["x-campion-result-cache"], "hit");
@@ -277,6 +278,107 @@ TEST_F(ResultCacheServerTest, FlightRecorderReplaysStoredDisposition) {
   EXPECT_EQ(replay.Find("result_key")->string,
             computed.Find("result_key")->string);
   EXPECT_FALSE(replay.Find("result_key")->string.empty());
+}
+
+// The key is the request's own texts, vendors and options, so a hit is
+// looked up before parsing and runs no parse at all.
+TEST_F(ResultCacheServerTest, HitRunsNoParse) {
+  StartServer(ServiceOptions{});
+  const std::string body =
+      DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(Fetch("POST", "/diff", body).status, 200);
+  }
+  const ResultCache::Stats stats = service_->ResultCacheStats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 2u);
+  // One parse-phase sample per miss; hits record none.
+  HttpClientResponse metrics = Fetch("GET", "/metrics");
+  EXPECT_NE(metrics.body.find("server.phase.parse.count 1\n"),
+            std::string::npos)
+      << metrics.body;
+  HttpClientResponse prometheus = Fetch("GET", "/metrics?format=prometheus");
+  EXPECT_NE(prometheus.body.find(
+                "campion_phase_duration_ns_count{phase=\"parse\"} 1\n"),
+            std::string::npos);
+
+  HttpClientResponse list = Fetch("GET", "/debug/requests");
+  util::JsonValue parsed;
+  std::string error;
+  ASSERT_TRUE(util::ParseJson(list.body, parsed, &error)) << error;
+  const util::JsonValue* requests = parsed.Find("requests");
+  ASSERT_TRUE(requests != nullptr);
+  ASSERT_EQ(requests->array.size(), 3u);
+  for (int i = 0; i < 2; ++i) {  // Newest first: the two hits.
+    const util::JsonValue& hit = requests->array[i];
+    EXPECT_EQ(hit.Find("result_cache")->string, "hit");
+    EXPECT_EQ(hit.Find("phases")->Find("parse_ns")->number, 0.0);
+  }
+  const util::JsonValue& computed = requests->array[2];
+  EXPECT_EQ(computed.Find("result_cache")->string, "miss");
+  EXPECT_GT(computed.Find("phases")->Find("parse_ns")->number, 0.0);
+}
+
+// The vendor enters the key as the loader reads it: "" and "auto" both
+// mean auto-detect and share an entry; an explicit vendor is its own entry
+// even when it names what auto-detection would have found.
+TEST_F(ResultCacheServerTest, VendorKeysOnWhatTheLoaderSees) {
+  StartServer(ServiceOptions{});
+  const auto diff = [&](const std::string& vendor1_field) {
+    return Fetch("POST", "/diff",
+                 DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper,
+                                 vendor1_field));
+  };
+  HttpClientResponse empty = diff(",\"vendor1\":\"\"");
+  ASSERT_EQ(empty.status, 200);
+  EXPECT_EQ(empty.headers["x-campion-result-cache"], "miss");
+  HttpClientResponse automatic = diff(",\"vendor1\":\"auto\"");
+  EXPECT_EQ(automatic.headers["x-campion-result-cache"], "hit");
+  HttpClientResponse absent = diff("");
+  EXPECT_EQ(absent.headers["x-campion-result-cache"], "hit");
+  HttpClientResponse cisco = diff(",\"vendor1\":\"cisco\"");
+  ASSERT_EQ(cisco.status, 200);
+  EXPECT_EQ(cisco.headers["x-campion-result-cache"], "miss");
+  EXPECT_EQ(cisco.body, empty.body);
+  EXPECT_EQ(automatic.body, empty.body);
+  EXPECT_EQ(service_->ResultCacheStats().entries, 2u);
+}
+
+// The deliberate trade of a text key: an edit the parser ignores still
+// misses, and the recomputed body is the same bytes.
+TEST_F(ResultCacheServerTest, TrailingWhitespaceEditMissesWithSameBody) {
+  StartServer(ServiceOptions{});
+  HttpClientResponse original = Fetch(
+      "POST", "/diff",
+      DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper));
+  ASSERT_EQ(original.status, 200);
+  HttpClientResponse edited = Fetch(
+      "POST", "/diff",
+      DiffRequestBody(std::string(testing::kFig1Cisco) + "  \n\n",
+                      testing::kFig1Juniper));
+  ASSERT_EQ(edited.status, 200);
+  EXPECT_EQ(edited.headers["x-campion-result-cache"], "miss");
+  EXPECT_EQ(edited.body, original.body);
+  EXPECT_EQ(service_->ResultCacheStats().entries, 2u);
+}
+
+// Errors are never cached: a pair that fails to parse is looked up (and
+// counted as a miss) every time, and parsed again every time.
+TEST_F(ResultCacheServerTest, ParseFailureIsNeverCached) {
+  StartServer(ServiceOptions{});
+  const std::string body =
+      DiffRequestBody("garbage that is neither vendor", "likewise");
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(Fetch("POST", "/diff", body).status, 422);
+  }
+  const ResultCache::Stats stats = service_->ResultCacheStats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 2u);
+  HttpClientResponse metrics = Fetch("GET", "/metrics");
+  EXPECT_NE(metrics.body.find("server.parse_failures 2\n"), std::string::npos);
+  EXPECT_NE(metrics.body.find("server.phase.parse.count 2\n"),
+            std::string::npos);
 }
 
 TEST_F(ResultCacheServerTest, DebugResultCacheViewListsEntries) {

@@ -588,6 +588,50 @@ TEST_F(ServerTest, ErrorStatuses) {
                 .status,
             400);
   EXPECT_EQ(Fetch("PUT", "/sessions/bad!name/running", "x").status, 400);
+  // A body nested far past util::kMaxJsonDepth is a 400, not a stack
+  // overflow, on both JSON endpoints.
+  const std::string deep(200000, '[');
+  EXPECT_EQ(Fetch("POST", "/diff", deep).status, 400);
+  EXPECT_EQ(Fetch("POST", "/batch", deep).status, 400);
+  EXPECT_EQ(Fetch("GET", "/healthz").status, 200);
+}
+
+// Optional request fields of the wrong JSON type are client errors, not
+// silently read as their defaults (auto vendor, every check, no envelope).
+TEST_F(ServerTest, MistypedRequestFieldsAreRejected) {
+  StartServer(ServiceOptions{});
+  const char* extras[] = {
+      ",\"vendor1\":7",       ",\"vendor2\":null",
+      ",\"checks\":[\"acls\"]", ",\"format\":true",
+      ",\"obs\":\"true\"",      ",\"obs\":1",
+  };
+  for (const char* extra : extras) {
+    HttpClientResponse response = Fetch(
+        "POST", "/diff",
+        DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper, extra));
+    EXPECT_EQ(response.status, 400) << extra;
+    EXPECT_NE(response.body.find("must be"), std::string::npos)
+        << extra << ": " << response.body;
+  }
+  const std::string pair = "{\"name\":\"a\",\"config1\":" +
+                           JsonString(testing::kFig1Cisco) +
+                           ",\"config2\":" +
+                           JsonString(testing::kFig1Juniper);
+  EXPECT_EQ(
+      Fetch("POST", "/batch", "{\"pairs\":[" + pair + ",\"vendor1\":7}]}")
+          .status,
+      400);
+  EXPECT_EQ(Fetch("POST", "/batch",
+                  "{\"pairs\":[" + pair + "}],\"checks\":false}")
+                .status,
+            400);
+  // The well-typed spellings of the same fields still work.
+  EXPECT_EQ(Fetch("POST", "/diff",
+                  DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper,
+                                  ",\"vendor1\":\"cisco\",\"checks\":"
+                                  "\"acls\",\"obs\":false"))
+                .status,
+            200);
   EXPECT_EQ(Fetch("GET", "/healthz").status, 200);
 }
 

@@ -1,7 +1,7 @@
 // Tests for the minimal JSON reader in util/json: round-trips of the
 // document shapes this repo emits (traces, metric dumps), key-order
-// preservation, escape handling, and the malformed-input error paths the
-// trace-diff tool relies on.
+// preservation, escape handling, the nesting cap, and the malformed-input
+// error paths the trace-diff tool relies on.
 
 #include <gtest/gtest.h>
 
@@ -87,6 +87,40 @@ TEST(JsonTest, RejectsMalformedInputWithOffset) {
     EXPECT_NE(error.find("at byte"), std::string::npos)
         << "error lacks byte offset for: " << text << " -> " << error;
   }
+}
+
+// Nesting `depth` arrays, or objects under key "k", around a 0.
+std::string Nested(int depth, bool objects) {
+  std::string text;
+  for (int i = 0; i < depth; ++i) text += objects ? "{\"k\":" : "[";
+  text += "0";
+  for (int i = 0; i < depth; ++i) text += objects ? "}" : "]";
+  return text;
+}
+
+TEST(JsonTest, AcceptsNestingUpToTheCap) {
+  for (const bool objects : {false, true}) {
+    const JsonValue value = ParseOrDie(Nested(kMaxJsonDepth, objects));
+    EXPECT_EQ(value.type, objects ? JsonValue::Type::kObject
+                                  : JsonValue::Type::kArray);
+  }
+}
+
+TEST(JsonTest, RejectsNestingPastTheCapWithOffset) {
+  for (const bool objects : {false, true}) {
+    JsonValue value;
+    std::string error;
+    EXPECT_FALSE(ParseJson(Nested(kMaxJsonDepth + 1, objects), value, &error));
+    EXPECT_NE(error.find("nesting too deep at byte"), std::string::npos)
+        << error;
+  }
+  // Far past the cap, and unterminated: without the cap the reader's
+  // recursion overflows the stack long before it reaches the end.
+  JsonValue value;
+  std::string error;
+  EXPECT_FALSE(ParseJson(std::string(200000, '['), value, &error));
+  EXPECT_EQ(error, "nesting too deep at byte " +
+                       std::to_string(kMaxJsonDepth + 1));
 }
 
 TEST(JsonTest, ErrorPointerIsOptional) {
