@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the perf-trajectory benchmarks and records their metrics as JSON
-# (BENCH_bdd.json, BENCH_full_pipeline.json) in the repo root, so each PR
-# can diff its numbers against the committed baseline.
+# (BENCH_bdd.json, BENCH_full_pipeline.json, BENCH_scalability_acl.json)
+# in the repo root, so each PR can diff its numbers against the committed
+# baseline.
 #
 # Also captures a campion-format trace of the university-core comparison
 # (BENCH_trace_full_pipeline.json). The previous trace, if any, is archived
@@ -32,8 +33,6 @@ run() {
 
 run bench_bdd
 run bench_full_pipeline
-run bench_serve
-run bench_fleet
 run bench_scalability_acl
 
 # Trace capture: one serial run of the committed university-core pair.
@@ -88,5 +87,5 @@ cmp "$PARITY_DIR/report_v6_t1.txt" "$PARITY_DIR/report_v6_t4.txt"
 echo "stdout parity: OK (dual-stack report byte-identical at 1/4 threads)"
 
 echo
-echo "Wrote BENCH_bdd.json, BENCH_full_pipeline.json, BENCH_serve.json," \
-     "BENCH_fleet.json, BENCH_scalability_acl.json, and $TRACE"
+echo "Wrote BENCH_bdd.json, BENCH_full_pipeline.json," \
+     "BENCH_scalability_acl.json, and $TRACE"

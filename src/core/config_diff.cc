@@ -1,5 +1,6 @@
 #include "core/config_diff.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <iterator>
@@ -253,6 +254,47 @@ std::vector<PresentedDifference> DiffAclPair(const ir::RouterConfig& config1,
                                              const ir::RouterConfig& config2,
                                              const std::string& name) {
   return DiffAclPairImpl(config1, config2, name);
+}
+
+bool ParseChecks(const std::string& list, DiffOptions* options,
+                 std::string* error) {
+  static constexpr std::pair<const char*, bool DiffOptions::*> kChecks[] = {
+      {"route-maps", &DiffOptions::check_route_maps},
+      {"acls", &DiffOptions::check_acls},
+      {"static", &DiffOptions::check_static_routes},
+      {"connected", &DiffOptions::check_connected_routes},
+      {"ospf", &DiffOptions::check_ospf},
+      {"bgp", &DiffOptions::check_bgp_properties},
+      {"admin", &DiffOptions::check_admin_distances},
+  };
+  for (const auto& [name, flag] : kChecks) options->*flag = false;
+  bool any = false;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t comma = list.find(',', start);
+    const std::string item = list.substr(
+        start, comma == std::string::npos ? std::string::npos : comma - start);
+    if (!item.empty()) {
+      const auto* check = std::find_if(
+          std::begin(kChecks), std::end(kChecks),
+          [&](const auto& entry) { return item == entry.first; });
+      if (check == std::end(kChecks)) {
+        *error = "unknown check '" + item + "'";
+        return false;
+      }
+      options->*(check->second) = true;
+      any = true;
+    }
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  if (!any) {
+    *error =
+        "checks list names no check (expected route-maps, acls, static, "
+        "connected, ospf, bgp, admin)";
+    return false;
+  }
+  return true;
 }
 
 DiffReport ConfigDiff(const ir::RouterConfig& config1,

@@ -58,6 +58,15 @@ struct DiffOptions {
   obs::MetricsSink* metrics_sink = nullptr;
 };
 
+// Reads a comma list of check names (route-maps, acls, static, connected,
+// ospf, bgp, admin) into the check toggles of `options`, leaving its other
+// fields alone: the CLI's --checks flag and the daemon's "checks" field
+// share this grammar. Empty items are skipped. False, with `error` set, on
+// an unknown name or a list that names no check at all — running no check
+// would report any pair as equivalent.
+bool ParseChecks(const std::string& list, DiffOptions* options,
+                 std::string* error);
+
 struct DiffReport {
   std::vector<DifferenceEntry> entries;
 

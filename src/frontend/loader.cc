@@ -27,6 +27,13 @@ std::size_t CountLines(const std::string& text) {
 
 }  // namespace
 
+std::optional<ir::Vendor> ParseVendorName(const std::string& name) {
+  if (name == "cisco") return ir::Vendor::kCisco;
+  if (name == "juniper") return ir::Vendor::kJuniper;
+  if (name.empty() || name == "auto") return ir::Vendor::kUnknown;
+  return std::nullopt;
+}
+
 ir::Vendor DetectVendor(const std::string& text) {
   // JunOS structure markers.
   int juniper_score = 0;

@@ -4,6 +4,7 @@
 // line-oriented directives vs JunOS's brace hierarchy) and dispatches to
 // the right parser. This is the entry point the CLI and examples use.
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,11 @@ struct LoadResult {
   ir::RouterConfig config;
   std::vector<std::string> diagnostics;
 };
+
+// Reads a vendor name as the CLI's --vendor flags and the daemon's vendor
+// fields spell it: "cisco", "juniper", or "auto" / "" for detection
+// (kUnknown). nullopt for any other name.
+std::optional<ir::Vendor> ParseVendorName(const std::string& name);
 
 // Guesses the vendor from configuration text. JunOS configurations are
 // brace-structured ("policy-options {", "system {"); IOS configurations

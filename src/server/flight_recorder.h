@@ -28,16 +28,15 @@ struct FlightRecord {
   int status = 0;              // HTTP status of the response.
   std::uint64_t wall_ns = 0;   // Whole RunDiff wall time.
   // Fixed pipeline phases, zero when skipped (everything after parse on a
-  // 422; diff and render on a result-cache hit). diff_ns covers ConfigDiff,
+  // 422; all three on a result-cache hit). diff_ns covers ConfigDiff,
   // encoding included.
   std::uint64_t parse_ns = 0;
   std::uint64_t diff_ns = 0;
   std::uint64_t render_ns = 0;
-  // Result cache: "hit", "miss", "bypass" (obs envelope requested), or
-  // "off". On a hit the diff and render phases are zero — the response was
-  // replayed, not recomputed.
-  std::string result_cache = "off";
-  std::uint64_t result_key_hash = 0;    // FNV-1a of the result key; 0 = off.
+  // Result cache: "hit", "miss", or "bypass" (obs envelope requested). On
+  // a hit every phase is zero — the response was replayed, not recomputed.
+  std::string result_cache;
+  std::uint64_t result_key_hash = 0;  // FNV-1a of the result key; 0 = bypass.
   bool equivalent = false;
   std::size_t differences = 0;
   // Retained only while this record is among the K slowest in the ring.

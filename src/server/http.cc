@@ -84,11 +84,13 @@ bool ParseRequestHead(const std::string& head, HttpRequest* out) {
     const std::size_t colon = line.find(':');
     if (colon == std::string::npos) return false;
     std::string name = ToLower(line.substr(0, colon));
-    std::size_t value_start = colon + 1;
-    while (value_start < line.size() && line[value_start] == ' ') {
-      ++value_start;
-    }
-    out->headers[name] = line.substr(value_start);
+    // Optional whitespace around the value is not part of it.
+    const std::size_t value_start = line.find_first_not_of(" \t", colon + 1);
+    const std::size_t value_end = line.find_last_not_of(" \t");
+    out->headers[name] = value_start == std::string::npos
+                             ? ""
+                             : line.substr(value_start,
+                                           value_end - value_start + 1);
   }
   return true;
 }
@@ -251,6 +253,15 @@ void HttpServer::AcceptLoop() {
 }
 
 void HttpServer::ServeConnection(int fd) {
+  // Answers a framing error and drops the connection: once the framing is
+  // in doubt, the bytes after the head cannot be trusted as the next
+  // request.
+  const auto reject = [fd](int status, const char* message) {
+    WriteAll(fd, RenderResponse({status, "text/plain; charset=utf-8", {},
+                                 message},
+                                false));
+    ::close(fd);
+  };
   std::string buffer;
   bool first_request = true;
   while (!stopping_) {
@@ -258,10 +269,7 @@ void HttpServer::ServeConnection(int fd) {
     std::size_t header_end;
     while ((header_end = buffer.find("\r\n\r\n")) == std::string::npos) {
       if (buffer.size() > kMaxHeaderBytes) {
-        WriteAll(fd, RenderResponse({400, "text/plain; charset=utf-8", {},
-                                     "header block too large\n"},
-                                    false));
-        ::close(fd);
+        reject(400, "header block too large\n");
         return;
       }
       if (!ReadMore(fd, buffer, 1)) {  // Idle close or timeout.
@@ -272,23 +280,31 @@ void HttpServer::ServeConnection(int fd) {
 
     HttpRequest request;
     if (!ParseRequestHead(buffer.substr(0, header_end + 2), &request)) {
-      WriteAll(fd, RenderResponse({400, "text/plain; charset=utf-8", {},
-                                   "malformed request\n"},
-                                  false));
-      ::close(fd);
+      reject(400, "malformed request\n");
+      return;
+    }
+    // Bodies are Content-Length framed only. A chunked body read as
+    // Content-Length 0 would be parsed as the next request.
+    if (request.headers.count("transfer-encoding") != 0) {
+      reject(400, "Transfer-Encoding is not supported; send Content-Length\n");
       return;
     }
     std::size_t content_length = 0;
     if (auto it = request.headers.find("content-length");
         it != request.headers.end()) {
+      const std::string& value = it->second;
+      if (value.empty() ||
+          !std::all_of(value.begin(), value.end(), [](unsigned char c) {
+            return std::isdigit(c) != 0;
+          })) {
+        reject(400, "Content-Length must be a decimal byte count\n");
+        return;
+      }
       content_length = static_cast<std::size_t>(
-          std::strtoull(it->second.c_str(), nullptr, 10));
+          std::strtoull(value.c_str(), nullptr, 10));
     }
     if (content_length > kMaxBodyBytes) {
-      WriteAll(fd, RenderResponse({413, "text/plain; charset=utf-8", {},
-                                   "body too large\n"},
-                                  false));
-      ::close(fd);
+      reject(413, "body too large\n");
       return;
     }
     const std::size_t have = buffer.size() - (header_end + 4);

@@ -8,7 +8,10 @@
 // and keep-alive connections with a receive timeout so an idle client
 // cannot pin a worker forever. It deliberately implements only what the
 // daemon's API needs — no chunked transfer, no TLS, no compression; put a
-// real reverse proxy in front for anything internet-facing.
+// real reverse proxy in front for anything internet-facing. A request with
+// a Transfer-Encoding header or a Content-Length that is not a plain
+// decimal count gets a 400 and the connection closes, so body bytes are
+// never read as the next request.
 //
 // Shutdown is graceful: Stop() closes the listening socket (unblocking the
 // acceptor), marks the server stopping so keep-alive loops finish their
@@ -110,7 +113,7 @@ class HttpServer {
   std::unique_ptr<util::ThreadPool> workers_;
 };
 
-// Tiny blocking client for tests, bench_serve, and the docs examples: one
+// Tiny blocking client for tests, bench/e2e, and the docs examples: one
 // request per call, Connection: close. Returns false (with `error`) on
 // connect/protocol failures; HTTP error statuses are returned in `out`.
 struct HttpClientResponse {
@@ -123,7 +126,7 @@ bool HttpFetch(const std::string& host, int port, const std::string& method,
                HttpClientResponse* out, std::string* error = nullptr);
 
 // Persistent keep-alive client: one TCP connection, many requests. Used by
-// the keep-alive tests and by bench_serve, where reconnect latency would
+// the keep-alive tests and by bench/e2e, where reconnect latency would
 // otherwise pollute the per-request numbers. Not thread-safe; one
 // connection per thread.
 class HttpClientConnection {

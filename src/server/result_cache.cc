@@ -56,16 +56,10 @@ void ResultCache::Put(const std::string& key,
 }
 
 void ResultCache::EvictIfNeeded() {
-  auto over_limit = [this] {
-    if (options_.max_entries != 0 && entries_.size() > options_.max_entries) {
-      return true;
-    }
-    return options_.max_resident_bytes != 0 &&
-           stats_.resident_bytes > options_.max_resident_bytes;
-  };
   // Never evict the entry just inserted: a watermark smaller than one
   // result must still serve re-submissions of the current pair.
-  while (entries_.size() > 1 && over_limit()) {
+  while (entries_.size() > 1 && options_.max_resident_bytes != 0 &&
+         stats_.resident_bytes > options_.max_resident_bytes) {
     const std::string& victim = lru_.back();
     auto it = entries_.find(victim);
     stats_.resident_bytes -= it->second.resident_bytes;
@@ -97,14 +91,6 @@ std::vector<ResultCache::EntryInfo> ResultCache::EntryInfos() const {
     infos.push_back(info);
   }
   return infos;
-}
-
-void ResultCache::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  lru_.clear();
-  stats_.entries = 0;
-  stats_.resident_bytes = 0;
 }
 
 }  // namespace campion::server

@@ -24,8 +24,7 @@
 // counts.
 //
 // Residency is LRU-bounded by a bytes watermark over the stored bodies +
-// keys (never evicting the entry just inserted), plus an optional entry
-// cap.
+// keys (never evicting the entry just inserted).
 
 #include <cstddef>
 #include <cstdint>
@@ -43,7 +42,6 @@ class ResultCache {
   struct Options {
     // LRU eviction watermark over stored body + key bytes. 0 = unlimited.
     std::size_t max_resident_bytes = 64 * 1024 * 1024;
-    std::size_t max_entries = 0;  // 0 = unlimited.
   };
 
   struct Stats {
@@ -86,8 +84,6 @@ class ResultCache {
     std::size_t differences = 0;
   };
   std::vector<EntryInfo> EntryInfos() const;
-
-  void Clear();
 
  private:
   struct Entry {

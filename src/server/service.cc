@@ -34,54 +34,10 @@ HttpResponse JsonOk(const std::string& body) {
   return response;
 }
 
+// Vendor names are validated on the way in (ReadVendors, session
+// uploads), so every stored name parses.
 ir::Vendor ParseVendor(const std::string& value) {
-  if (value == "cisco") return ir::Vendor::kCisco;
-  if (value == "juniper") return ir::Vendor::kJuniper;
-  return ir::Vendor::kUnknown;
-}
-
-bool ValidVendor(const std::string& value) {
-  return value.empty() || value == "auto" || value == "cisco" ||
-         value == "juniper";
-}
-
-// Same grammar as the CLI's --checks flag; false on an unknown item.
-bool ParseChecks(const std::string& list, core::DiffOptions* checks,
-                 std::string* error) {
-  checks->check_route_maps = false;
-  checks->check_acls = false;
-  checks->check_static_routes = false;
-  checks->check_connected_routes = false;
-  checks->check_ospf = false;
-  checks->check_bgp_properties = false;
-  checks->check_admin_distances = false;
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    std::size_t comma = list.find(',', start);
-    std::string item = list.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (item == "route-maps") {
-      checks->check_route_maps = true;
-    } else if (item == "acls") {
-      checks->check_acls = true;
-    } else if (item == "static") {
-      checks->check_static_routes = true;
-    } else if (item == "connected") {
-      checks->check_connected_routes = true;
-    } else if (item == "ospf") {
-      checks->check_ospf = true;
-    } else if (item == "bgp") {
-      checks->check_bgp_properties = true;
-    } else if (item == "admin") {
-      checks->check_admin_distances = true;
-    } else if (!item.empty()) {
-      *error = "unknown check '" + item + "'";
-      return false;
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return true;
+  return frontend::ParseVendorName(value).value_or(ir::Vendor::kUnknown);
 }
 
 // Copies the optional string field `key` of `object` into `out`, which
@@ -106,7 +62,8 @@ bool ReadVendors(const util::JsonValue& object, std::string* vendor1,
       !ReadStringField(object, "vendor2", vendor2, error)) {
     return false;
   }
-  if (!ValidVendor(*vendor1) || !ValidVendor(*vendor2)) {
+  if (!frontend::ParseVendorName(*vendor1) ||
+      !frontend::ParseVendorName(*vendor2)) {
     *error = "vendor must be auto, cisco, or juniper";
     return false;
   }
@@ -129,7 +86,7 @@ bool ReadFormatAndChecks(const util::JsonValue& object, bool* json_format,
     *error = "field 'checks' must be a string";
     return false;
   }
-  return ParseChecks(list->string, checks, error);
+  return core::ParseChecks(list->string, checks, error);
 }
 
 bool ValidSessionName(const std::string& name) {
@@ -252,7 +209,6 @@ DiffService::DiffService(ServiceOptions options)
         ResultCache::Options result_options;
         result_options.max_resident_bytes =
             options_.result_cache_watermark_bytes;
-        result_options.max_entries = options_.result_cache_max_entries;
         return result_options;
       }()),
       flight_([&] {
@@ -386,7 +342,7 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
     if (record.parse_ns > 0) phase_latency_.parse.Record(record.parse_ns);
     if (record.diff_ns > 0) phase_latency_.diff.Record(record.diff_ns);
     if (record.render_ns > 0) phase_latency_.render.Record(record.render_ns);
-    if (options_.flight_recorder) flight_.Record(std::move(record));
+    flight_.Record(std::move(record));
     return outcome;
   };
   auto fail = [&](int status, const std::string& message) {
@@ -402,8 +358,9 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
   // shortcut. Obs requests bypass: their envelope carries this request's
   // live trace.
   std::string result_key;
-  const bool result_eligible = options_.result_cache && !task.want_obs;
-  if (result_eligible) {
+  if (task.want_obs) {
+    outcome.result_cache = "bypass";
+  } else {
     result_key = ResultCacheKeyFor(task.text1, task.vendor1, task.text2,
                                    task.vendor2, task.options,
                                    task.json_format);
@@ -425,8 +382,6 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
     }
     outcome.result_cache = "miss";
     outcome.result_key_hash = key_hash;
-  } else if (options_.result_cache) {
-    outcome.result_cache = "bypass";
   }
 
   frontend::LoadResult loaded1;
@@ -485,9 +440,6 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
     outcome.content_type =
         task.json_format ? "application/json" : "text/plain; charset=utf-8";
     outcome.body = report_body;
-  }
-
-  if (result_eligible) {
     auto cached = std::make_shared<ResultCache::Result>();
     cached->body = outcome.body;
     cached->content_type = outcome.content_type;
@@ -652,9 +604,9 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
       continue;
     }
     // Cache dispositions deliberately stay OUT of the body: the batch
-    // response must be byte-identical with the result cache on or off and
-    // at any worker count. Dispositions live in the X-Campion-Result-Cache
-    // header, /metrics, and the flight recorder.
+    // response must be byte-identical cold or warm and at any worker
+    // count. Dispositions live in the X-Campion-Result-Cache header,
+    // /metrics, and the flight recorder.
     out << ",\"equivalent\":" << (outcome.equivalent ? "true" : "false")
         << ",\"differences\":" << outcome.differences << ",\"report\":"
         << core::ReportJsonFragment(outcome.body, json_format) << '}';
@@ -675,9 +627,8 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
       "X-Campion-Equivalent", all_ok && all_equivalent ? "true" : "false");
   response.headers.emplace_back("X-Campion-Differences",
                                 std::to_string(total_differences));
-  response.headers.emplace_back(
-      "X-Campion-Result-Cache",
-      options_.result_cache ? (all_hits ? "hit" : "miss") : "off");
+  response.headers.emplace_back("X-Campion-Result-Cache",
+                                all_hits ? "hit" : "miss");
   return response;
 }
 
@@ -808,10 +759,6 @@ HttpResponse DiffService::HandleDebug(const HttpRequest& request) {
   BumpCounter("server.debug_requests");
   if (request.path == "/debug/requests" ||
       request.path.rfind("/debug/requests/", 0) == 0) {
-    if (!options_.flight_recorder) {
-      BumpCounter("server.errors");
-      return JsonError(404, "flight recorder is disabled");
-    }
     if (request.path == "/debug/requests") {
       return JsonOk(flight_.ListJson());
     }
@@ -912,7 +859,7 @@ HttpResponse DiffService::HandleSessions(const HttpRequest& request) {
       return JsonError(400, "request body must be the raw config text");
     }
     const std::string vendor = request.QueryParam("vendor", "auto");
-    if (!ValidVendor(vendor)) {
+    if (!frontend::ParseVendorName(vendor)) {
       BumpCounter("server.errors");
       return JsonError(400, "vendor must be auto, cisco, or juniper");
     }
@@ -966,7 +913,7 @@ HttpResponse DiffService::HandleSessions(const HttpRequest& request) {
     const std::string checks = request.QueryParam("checks");
     if (!checks.empty()) {
       std::string error;
-      if (!ParseChecks(checks, &diff_options, &error)) {
+      if (!core::ParseChecks(checks, &diff_options, &error)) {
         BumpCounter("server.errors");
         return JsonError(400, error);
       }

@@ -68,17 +68,12 @@ struct ServiceOptions {
   core::DiffOptions diff;
   // Incremental result cache (src/server/result_cache.h): rendered pair
   // responses keyed by both config texts and vendors plus the
-  // diff-relevant options, looked up before parsing. Off = every request
-  // re-runs the pipeline (the bench_fleet A/B baseline and the parity
-  // reference).
-  bool result_cache = true;
+  // diff-relevant options, looked up before parsing, LRU-evicted past this
+  // many resident bytes.
   std::size_t result_cache_watermark_bytes = 64 * 1024 * 1024;
-  std::size_t result_cache_max_entries = 0;  // 0 = unlimited.
   // Flight recorder (src/server/flight_recorder.h): ring of the last
   // `flight_recorder_entries` diff executions, span trees retained for the
-  // `flight_recorder_spans` slowest. Off = record nothing (/debug/requests
-  // answers 404; the bench A/B pins the overhead of "on").
-  bool flight_recorder = true;
+  // `flight_recorder_spans` slowest.
   std::size_t flight_recorder_entries = 64;
   std::size_t flight_recorder_spans = 8;
 };
@@ -161,7 +156,7 @@ class DiffService {
     std::string content_type;
     bool equivalent = false;
     std::size_t differences = 0;
-    std::string result_cache = "off";    // "hit", "miss", "bypass", "off".
+    std::string result_cache;            // "hit", "miss" or "bypass".
     std::uint64_t result_key_hash = 0;   // FNV-1a of the result-cache key.
     std::string error;                   // Non-empty when status != 200.
   };
@@ -170,7 +165,7 @@ class DiffService {
   // observability capture (no cross-request lock — safe to call
   // concurrently from batch workers). Consults the result cache first
   // (a hit skips parse, diff and render), folds the task's metrics, and
-  // leaves one flight-recorder entry behind when the recorder is on.
+  // leaves one flight-recorder entry behind.
   PairOutcome ExecutePair(const PairTask& task);
 
   // ExecutePair wrapped back into an HTTP response (headers + error

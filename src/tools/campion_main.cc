@@ -36,6 +36,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,48 +68,15 @@ struct Options {
   bool batch = false;
 };
 
-campion::ir::Vendor ParseVendor(const std::string& value) {
-  if (value == "cisco") return campion::ir::Vendor::kCisco;
-  if (value == "juniper") return campion::ir::Vendor::kJuniper;
-  return campion::ir::Vendor::kUnknown;
-}
-
-bool ParseChecks(const std::string& list, campion::core::DiffOptions* checks) {
-  // Reset only the check toggles: --checks composes with the other
-  // DiffOptions flags (--threads) in any order.
-  checks->check_route_maps = false;
-  checks->check_acls = false;
-  checks->check_static_routes = false;
-  checks->check_connected_routes = false;
-  checks->check_ospf = false;
-  checks->check_bgp_properties = false;
-  checks->check_admin_distances = false;
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    std::size_t comma = list.find(',', start);
-    std::string item = list.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (item == "route-maps") {
-      checks->check_route_maps = true;
-    } else if (item == "acls") {
-      checks->check_acls = true;
-    } else if (item == "static") {
-      checks->check_static_routes = true;
-    } else if (item == "connected") {
-      checks->check_connected_routes = true;
-    } else if (item == "ospf") {
-      checks->check_ospf = true;
-    } else if (item == "bgp") {
-      checks->check_bgp_properties = true;
-    } else if (item == "admin") {
-      checks->check_admin_distances = true;
-    } else if (!item.empty()) {
-      std::cerr << "error: unknown check '" << item << "'\n";
-      return false;
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+bool ParseVendorFlag(const std::string& value, campion::ir::Vendor* out) {
+  const std::optional<campion::ir::Vendor> vendor =
+      campion::frontend::ParseVendorName(value);
+  if (!vendor) {
+    std::cerr << "error: unknown vendor '" << value
+              << "' (expected cisco, juniper, or auto)\n";
+    return false;
   }
+  *out = *vendor;
   return true;
 }
 
@@ -218,11 +186,20 @@ bool ParseArgs(int argc, char** argv, Options* options, int* exit_code) {
       *exit_code = 0;
       return false;
     } else if (arg.rfind("--vendor1=", 0) == 0) {
-      options->vendor1 = ParseVendor(value_of("--vendor1="));
+      if (!ParseVendorFlag(value_of("--vendor1="), &options->vendor1)) {
+        return false;
+      }
     } else if (arg.rfind("--vendor2=", 0) == 0) {
-      options->vendor2 = ParseVendor(value_of("--vendor2="));
+      if (!ParseVendorFlag(value_of("--vendor2="), &options->vendor2)) {
+        return false;
+      }
     } else if (arg.rfind("--checks=", 0) == 0) {
-      if (!ParseChecks(value_of("--checks="), &options->checks)) return false;
+      std::string error;
+      if (!campion::core::ParseChecks(value_of("--checks="), &options->checks,
+                                      &error)) {
+        std::cerr << "error: " << error << "\n";
+        return false;
+      }
     } else if (arg.rfind("--route-map=", 0) == 0) {
       options->route_map = value_of("--route-map=");
     } else if (arg.rfind("--acl=", 0) == 0) {

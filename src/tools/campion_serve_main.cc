@@ -12,14 +12,10 @@
 //   --threads=N              Worker threads per diff request
 //                            (0 = hardware concurrency, 1 = serial).
 //   --http_threads=N         Connection-handling threads (default 4).
-//   --result_cache=on|off    Incremental result cache keyed by both config
-//                            texts and the options (default on).
 //   --result_cache_mb=N      Cached response bytes before LRU eviction
-//                            (default 64).
-//   --result_cache_entries=N Max cached results (0 = unlimited).
-//   --flight_recorder=on|off Per-request flight recorder behind
-//                            /debug/requests (default on).
-//   --flight_recorder_entries=N  Ring capacity: last N diff executions
+//                            (default 64; 0 = unlimited).
+//   --flight_recorder_entries=N  Flight-recorder ring capacity behind
+//                            /debug/requests: last N diff executions
 //                            (default 64).
 //   --help                   Print usage and exit 0.
 //
@@ -57,23 +53,17 @@ void PrintUsage(std::ostream& out) {
          "                  (0 = hardware concurrency, 1 = serial)\n"
          "  --http_threads=N\n"
          "                  connection-handling threads (default 4)\n"
-         "  --result_cache=on|off\n"
-         "                  incremental result cache: rendered responses\n"
-         "                  keyed by both config texts and vendors plus the\n"
-         "                  options, so re-diffing an unchanged pair is a\n"
-         "                  byte-identical replay (default on)\n"
          "  --result_cache_mb=N\n"
-         "                  cached response bytes before least-recently-\n"
-         "                  used eviction (default 64)\n"
-         "  --result_cache_entries=N\n"
-         "                  max cached results (0 = unlimited)\n"
-         "  --flight_recorder=on|off\n"
-         "                  record the last N diff executions (wall time,\n"
-         "                  phase breakdown, cache disposition) for\n"
-         "                  GET /debug/requests, span trees retained for\n"
-         "                  the slowest 8 (default on)\n"
+         "                  result cache: rendered responses keyed by both\n"
+         "                  config texts and vendors plus the options, so\n"
+         "                  re-diffing an unchanged pair is a byte-identical\n"
+         "                  replay; cached bytes before least-recently-used\n"
+         "                  eviction (default 64; 0 = unlimited)\n"
          "  --flight_recorder_entries=N\n"
-         "                  flight-recorder ring capacity (default 64)\n"
+         "                  flight recorder: the last N diff executions\n"
+         "                  (wall time, phase breakdown, cache disposition)\n"
+         "                  for GET /debug/requests, span trees retained for\n"
+         "                  the slowest 8 (default 64)\n"
          "  --help          print this message and exit 0\n"
          "exit status: 0 clean shutdown, 1 error\n";
 }
@@ -81,20 +71,6 @@ void PrintUsage(std::ostream& out) {
 int Usage() {
   PrintUsage(std::cerr);
   return 1;
-}
-
-bool ParseOnOff(const std::string& value, const char* flag, bool* out) {
-  if (value == "on") {
-    *out = true;
-    return true;
-  }
-  if (value == "off") {
-    *out = false;
-    return true;
-  }
-  std::cerr << "error: " << flag << " expects on or off, got '" << value
-            << "'\n";
-  return false;
 }
 
 bool ParseUnsigned(const std::string& value, const char* flag,
@@ -142,28 +118,12 @@ bool ParseArgs(int argc, char** argv, Options* options, int* exit_code) {
         return false;
       }
       options->http_threads = static_cast<unsigned>(number);
-    } else if (arg.rfind("--result_cache=", 0) == 0) {
-      if (!ParseOnOff(value_of("--result_cache="), "--result_cache",
-                      &options->service.result_cache)) {
-        return false;
-      }
     } else if (arg.rfind("--result_cache_mb=", 0) == 0) {
       if (!ParseUnsigned(value_of("--result_cache_mb="), "--result_cache_mb",
                          &number)) {
         return false;
       }
       options->service.result_cache_watermark_bytes = number * 1024 * 1024;
-    } else if (arg.rfind("--result_cache_entries=", 0) == 0) {
-      if (!ParseUnsigned(value_of("--result_cache_entries="),
-                         "--result_cache_entries", &number)) {
-        return false;
-      }
-      options->service.result_cache_max_entries = number;
-    } else if (arg.rfind("--flight_recorder=", 0) == 0) {
-      if (!ParseOnOff(value_of("--flight_recorder="), "--flight_recorder",
-                      &options->service.flight_recorder)) {
-        return false;
-      }
     } else if (arg.rfind("--flight_recorder_entries=", 0) == 0) {
       if (!ParseUnsigned(value_of("--flight_recorder_entries="),
                          "--flight_recorder_entries", &number) ||

@@ -1,14 +1,15 @@
 // Result-cache tests: the incremental re-diff cache must be SOUND (a hit
 // replays byte-identical output — same-match, different-action ACLs
 // included), looked up before parsing (a hit runs no parse), bounded (LRU
-// eviction under the bytes watermark), and invisible in the response body
-// (batch output byte-identical with the cache on or off at any worker
-// count).
+// eviction under the bytes watermark), invisible in the response body
+// (batch output byte-identical cold or warm at any worker count), and
+// incremental (a batch with one changed pair recomputes only that pair).
 
 #include "server/result_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,6 +31,28 @@ std::string DiffRequestBody(const std::string& config1,
                             const std::string& extra = "") {
   return "{\"config1\":" + JsonString(config1) +
          ",\"config2\":" + JsonString(config2) + extra + "}";
+}
+
+// A /batch body naming its pairs pair0, pair1, ... in order.
+std::string BatchBody(
+    const std::vector<std::pair<std::string, std::string>>& pairs) {
+  std::string batch = "{\"pairs\":[";
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (i > 0) batch += ',';
+    batch += "{\"name\":\"pair" + std::to_string(i) +
+             "\",\"config1\":" + JsonString(pairs[i].first) +
+             ",\"config2\":" + JsonString(pairs[i].second) + "}";
+  }
+  return batch + "]}";
+}
+
+// The value of the "name value" line of a plain /metrics scrape; 0 when
+// absent.
+double MetricValue(const std::string& metrics, const std::string& name) {
+  const std::string needle = "\n" + name + " ";
+  const std::size_t pos = ("\n" + metrics).find(needle);
+  if (pos == std::string::npos) return 0.0;
+  return std::strtod(metrics.c_str() + pos + needle.size() - 1, nullptr);
 }
 
 std::shared_ptr<ResultCache::Result> MakeResult(const std::string& body) {
@@ -77,8 +100,11 @@ TEST(ResultCacheTest, EvictsLruUnderBytesWatermarkButNeverTheNewest) {
 }
 
 TEST(ResultCacheTest, LruOrderRespectsHits) {
+  // A watermark that fits exactly two of the equal-size entries below.
+  ResultCache probe{ResultCache::Options{}};
+  probe.Put("key-a", MakeResult("a"));
   ResultCache::Options options;
-  options.max_entries = 2;
+  options.max_resident_bytes = 2 * probe.GetStats().resident_bytes;
   ResultCache cache{options};
   cache.Put("key-a", MakeResult("a"));
   cache.Put("key-b", MakeResult("b"));
@@ -151,23 +177,6 @@ TEST_F(ResultCacheServerTest, WarmDiffReplaysByteIdentical) {
   EXPECT_NE(metrics.body.find("server.result_cache_misses 1"),
             std::string::npos);
   EXPECT_NE(metrics.body.find("diff.result_cache_hits 1"), std::string::npos);
-}
-
-TEST_F(ResultCacheServerTest, ResultCacheOffReportsOffAndStillMatches) {
-  StartServer(ServiceOptions{});
-  const std::string body =
-      DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper);
-  const std::string reference = Fetch("POST", "/diff", body).body;
-  StopServer();
-
-  ServiceOptions uncached;
-  uncached.result_cache = false;
-  StartServer(uncached);
-  for (int i = 0; i < 2; ++i) {
-    HttpClientResponse response = Fetch("POST", "/diff", body);
-    EXPECT_EQ(response.headers["x-campion-result-cache"], "off");
-    EXPECT_EQ(response.body, reference);
-  }
 }
 
 // Two configs whose ACL lines match the same packets but whose actions
@@ -402,49 +411,37 @@ TEST_F(ResultCacheServerTest, DebugResultCacheViewListsEntries) {
   EXPECT_GT(entries->array[0].Find("resident_bytes")->number, 0.0);
 }
 
-// Batch responses must be byte-identical across worker counts and cache
-// modes: the merge is declaration-ordered and dispositions live only in
-// headers.
+// Batch responses must be byte-identical across worker counts, cold (every
+// pair computed) and warm (every pair replayed): the merge is
+// declaration-ordered and dispositions live only in headers.
 TEST_F(ResultCacheServerTest, BatchParityAcrossThreadsAndCacheModes) {
-  const std::vector<std::pair<std::string, std::string>> fleet = {
+  const std::string batch = BatchBody({
       {testing::kFig1Cisco, testing::kFig1Juniper},
       {testing::kFig1Juniper, testing::kFig1Cisco},
       {testing::kFig1Cisco, testing::kFig1Cisco},
-  };
-  std::string batch = "{\"pairs\":[";
-  for (std::size_t i = 0; i < fleet.size(); ++i) {
-    if (i > 0) batch += ',';
-    batch += "{\"name\":\"pair" + std::to_string(i) +
-             "\",\"config1\":" + JsonString(fleet[i].first) +
-             ",\"config2\":" + JsonString(fleet[i].second) + "}";
-  }
-  batch += "]}";
+  });
 
   std::string reference;
   for (const unsigned threads : {1u, 4u}) {
-    for (const bool cache_on : {true, false}) {
-      ServiceOptions options;
-      options.diff.num_threads = threads;
-      options.result_cache = cache_on;
-      StartServer(options);
-      HttpClientResponse cold = Fetch("POST", "/batch", batch);
-      ASSERT_EQ(cold.status, 200);
-      EXPECT_EQ(cold.headers["x-campion-batch-pairs"], "3");
-      EXPECT_EQ(cold.headers["x-campion-result-cache"],
-                cache_on ? "miss" : "off");
-      if (reference.empty()) {
-        reference = cold.body;
-      } else {
-        EXPECT_EQ(cold.body, reference)
-            << "threads=" << threads << " cache=" << cache_on;
-      }
-      // Warm replay: all pairs hit, byte-identical.
-      HttpClientResponse warm = Fetch("POST", "/batch", batch);
-      EXPECT_EQ(warm.headers["x-campion-result-cache"],
-                cache_on ? "hit" : "off");
-      EXPECT_EQ(warm.body, reference);
-      StopServer();
+    ServiceOptions options;
+    options.diff.num_threads = threads;
+    StartServer(options);
+    HttpClientResponse cold = Fetch("POST", "/batch", batch);
+    ASSERT_EQ(cold.status, 200);
+    EXPECT_EQ(cold.headers["x-campion-batch-pairs"], "3");
+    EXPECT_EQ(cold.headers["x-campion-result-cache"], "miss");
+    if (reference.empty()) {
+      reference = cold.body;
+    } else {
+      EXPECT_EQ(cold.body, reference) << "threads=" << threads;
     }
+    // Warm replay: all pairs hit, byte-identical.
+    HttpClientResponse warm = Fetch("POST", "/batch", batch);
+    EXPECT_EQ(warm.headers["x-campion-result-cache"], "hit");
+    EXPECT_EQ(warm.body, reference) << "threads=" << threads;
+    EXPECT_EQ(service_->ResultCacheStats().misses, 3u);
+    EXPECT_EQ(service_->ResultCacheStats().hits, 3u);
+    StopServer();
   }
   ASSERT_FALSE(reference.empty());
 
@@ -455,6 +452,59 @@ TEST_F(ResultCacheServerTest, BatchParityAcrossThreadsAndCacheModes) {
   ASSERT_EQ(parsed.Find("pairs")->array.size(), 3u);
   EXPECT_EQ(parsed.Find("pairs")->array[2].Find("equivalent")->boolean, true);
   EXPECT_EQ(parsed.Find("pairs_total")->number, 3.0);
+}
+
+// The fleet workflow the cache exists for: re-POST an 8-pair batch with one
+// pair changed. Exactly that pair is looked up, parsed and diffed again;
+// the other 7 replay. The answer is byte-identical to a fresh daemon's cold
+// answer for the changed batch, at 1 and 4 connection and batch workers.
+TEST_F(ResultCacheServerTest, OneChangedPairRecomputesOnlyThatPair) {
+  // Eight distinct keys: trailing blank lines change the key, not the
+  // report. Pairs alternate direction so the reports differ too.
+  std::vector<std::pair<std::string, std::string>> fleet;
+  for (int i = 0; i < 8; ++i) {
+    const std::string padding(static_cast<std::size_t>(i), '\n');
+    if (i % 2 == 0) {
+      fleet.emplace_back(testing::kFig1Cisco + padding, testing::kFig1Juniper);
+    } else {
+      fleet.emplace_back(testing::kFig1Juniper + padding, testing::kFig1Cisco);
+    }
+  }
+  const std::string original = BatchBody(fleet);
+  // Only config2 changes, and the change flips the verdict: a key that
+  // ignored either side would replay the stale report.
+  fleet[5].second = testing::kFig1Juniper;
+  const std::string changed = BatchBody(fleet);
+
+  StartServer(ServiceOptions{});
+  HttpClientResponse first = Fetch("POST", "/batch", original);
+  ASSERT_EQ(first.status, 200);
+  EXPECT_EQ(first.headers["x-campion-result-cache"], "miss");
+  const std::string before = Fetch("GET", "/metrics").body;
+  HttpClientResponse incremental = Fetch("POST", "/batch", changed);
+  ASSERT_EQ(incremental.status, 200);
+  EXPECT_EQ(incremental.headers["x-campion-result-cache"], "miss");
+  const std::string after = Fetch("GET", "/metrics").body;
+  const auto delta = [&](const std::string& name) {
+    return MetricValue(after, name) - MetricValue(before, name);
+  };
+  EXPECT_EQ(delta("server.result_cache_misses"), 1.0);
+  EXPECT_EQ(delta("server.result_cache_hits"), 7.0);
+  EXPECT_EQ(delta("server.phase.parse.count"), 1.0);
+  EXPECT_EQ(delta("server.phase.diff.count"), 1.0);
+  EXPECT_NE(incremental.body, first.body);
+  StopServer();
+
+  for (const unsigned threads : {1u, 4u}) {
+    ServiceOptions options;
+    options.diff.num_threads = threads;
+    StartServer(options, static_cast<int>(threads));
+    HttpClientResponse cold = Fetch("POST", "/batch", changed);
+    ASSERT_EQ(cold.status, 200);
+    EXPECT_EQ(service_->ResultCacheStats().misses, 8u);
+    EXPECT_EQ(cold.body, incremental.body) << "threads=" << threads;
+    StopServer();
+  }
 }
 
 TEST_F(ResultCacheServerTest, BatchErrorStatuses) {

@@ -1,16 +1,22 @@
 // End-to-end daemon tests: HTTP responses byte-identical to the one-shot
-// CLI (text and JSON, --threads 1 and 4, first and repeated request,
-// caches on and off), the session commit/rollback lifecycle, the /metrics
-// exposition, the debug views, the obs envelope, and the API's error
-// statuses. The server runs in-process on an ephemeral loopback port; the
-// CLI reference output comes from the real `campion` binary via
-// CAMPION_CLI_PATH, so this is a genuine cross-binary determinism check.
+// CLI (text and JSON, --threads 1 and 4, computed and replayed from the
+// result cache), the session commit/rollback lifecycle, the /metrics
+// exposition, the debug views, the obs envelope, the API's error statuses,
+// and HTTP framing errors. The server runs in-process on an ephemeral
+// loopback port; the CLI reference output comes from the real `campion`
+// binary via CAMPION_CLI_PATH, so this is a genuine cross-binary
+// determinism check.
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <array>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -65,6 +71,59 @@ std::string DiffRequestBody(const std::string& config1,
                             const std::string& extra = "") {
   return "{\"config1\":" + JsonString(config1) +
          ",\"config2\":" + JsonString(config2) + extra + "}";
+}
+
+// The fig1 Cisco config plus `n` trailing blank lines: its own result-cache
+// key with the same report (ResultCacheServerTest's
+// TrailingWhitespaceEditMissesWithSameBody), so every variant runs the
+// whole pipeline.
+std::string Fig1CiscoVariant(int n) {
+  return std::string(testing::kFig1Cisco) + std::string(n, '\n');
+}
+
+// What one raw connection got back: every byte the daemon sent, and
+// whether it closed the connection (as opposed to the read timing out).
+struct RawReply {
+  std::string text;
+  bool closed = false;
+};
+
+// Sends `raw` on a fresh loopback connection, bypassing HttpFetch's
+// well-formed framing, and reads until the daemon closes the connection or
+// two seconds pass without a byte.
+RawReply RawExchange(int port, const std::string& raw) {
+  RawReply reply;
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return reply;
+  }
+  timeval timeout{};
+  timeout.tv_sec = 2;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  ::send(fd, raw.data(), raw.size(), MSG_NOSIGNAL);
+  std::array<char, 4096> chunk;
+  ssize_t n;
+  while ((n = ::recv(fd, chunk.data(), chunk.size(), 0)) > 0) {
+    reply.text.append(chunk.data(), static_cast<std::size_t>(n));
+  }
+  // A close with unread request bytes still queued arrives as a reset.
+  reply.closed = n == 0 || (n < 0 && errno == ECONNRESET);
+  ::close(fd);
+  return reply;
+}
+
+std::size_t CountOf(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1)) {
+    ++count;
+  }
+  return count;
 }
 
 // One server per fixture instantiation, torn down with the test.
@@ -145,9 +204,6 @@ TEST_F(ServerCliParityTest, DiffBodyMatchesCliAtThreads1And4) {
   for (const unsigned threads : {1u, 4u}) {
     ServiceOptions options;
     options.diff.num_threads = threads;
-    // Both requests must run the full pipeline; with the result cache on,
-    // the second would replay (result_cache_test covers that path).
-    options.result_cache = false;
     StartServer(options);
 
     int cli_exit = 0;
@@ -159,17 +215,19 @@ TEST_F(ServerCliParityTest, DiffBodyMatchesCliAtThreads1And4) {
     ASSERT_EQ(cli_exit, 2);  // fig1 has differences.
     ASSERT_FALSE(cli.empty());
 
-    // The first request and a repeat must both match the CLI byte for
-    // byte.
+    // The first request computes and the repeat replays from the result
+    // cache; both must match the CLI byte for byte.
     const std::string body =
         DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper);
     HttpClientResponse first = Fetch("POST", "/diff", body);
     ASSERT_EQ(first.status, 200);
     EXPECT_EQ(first.headers["x-campion-equivalent"], "false");
+    EXPECT_EQ(first.headers["x-campion-result-cache"], "miss");
     EXPECT_EQ(first.body, cli) << "threads=" << threads << " (first)";
 
     HttpClientResponse repeat = Fetch("POST", "/diff", body);
     ASSERT_EQ(repeat.status, 200);
+    EXPECT_EQ(repeat.headers["x-campion-result-cache"], "hit");
     EXPECT_EQ(repeat.body, cli) << "threads=" << threads << " (repeat)";
 
     server_->Stop();
@@ -266,25 +324,6 @@ TEST_F(ServerTest, MetricsExposesCacheAndRequestCounters) {
   EXPECT_EQ(metrics.body.find("template_cache"), std::string::npos);
 }
 
-// The result cache off must change nothing but the cache header.
-TEST_F(ServerTest, CacheOffReportsOffAndStillMatches) {
-  StartServer(ServiceOptions{});
-  const std::string body =
-      DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper);
-  const std::string with_cache = Fetch("POST", "/diff", body).body;
-  server_->Stop();
-  server_.reset();
-  service_.reset();
-
-  ServiceOptions uncached;
-  uncached.result_cache = false;
-  StartServer(uncached);
-  HttpClientResponse response = Fetch("POST", "/diff", body);
-  ASSERT_EQ(response.status, 200);
-  EXPECT_EQ(response.headers["x-campion-result-cache"], "off");
-  EXPECT_EQ(response.body, with_cache);
-}
-
 TEST_F(ServerTest, ObsEnvelopeCarriesSpansAndMetrics) {
   StartServer(ServiceOptions{});
   HttpClientResponse response = Fetch(
@@ -309,9 +348,6 @@ TEST_F(ServerTest, ObsEnvelopeCarriesSpansAndMetrics) {
 TEST_F(ServerCliParityTest, ConcurrentDiffRequestsMatchCliByteParity) {
   ServiceOptions options;
   options.diff.num_threads = 2;  // Fan out inside requests too.
-  // Every request must run the whole pipeline concurrently; a result-cache
-  // replay would short-circuit the race this test is about.
-  options.result_cache = false;
   StartServer(options);
 
   int cli_exit = 0;
@@ -321,8 +357,9 @@ TEST_F(ServerCliParityTest, ConcurrentDiffRequestsMatchCliByteParity) {
   ASSERT_EQ(cli_exit, 2);
   ASSERT_FALSE(cli.empty());
 
-  const std::string body =
-      DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper);
+  // One key per client, so every request runs the whole pipeline
+  // concurrently; a result-cache replay would short-circuit the race this
+  // test is about.
   constexpr int kClients = 4;
   std::vector<std::string> bodies(kClients);
   std::vector<int> statuses(kClients, 0);
@@ -331,7 +368,9 @@ TEST_F(ServerCliParityTest, ConcurrentDiffRequestsMatchCliByteParity) {
     clients.emplace_back([&, i] {
       HttpClientResponse response;
       std::string error;
-      if (HttpFetch("127.0.0.1", server_->port(), "POST", "/diff", body,
+      if (HttpFetch("127.0.0.1", server_->port(), "POST", "/diff",
+                    DiffRequestBody(Fig1CiscoVariant(i + 1),
+                                    testing::kFig1Juniper),
                     &response, &error)) {
         statuses[i] = response.status;
         bodies[i] = response.body;
@@ -343,9 +382,11 @@ TEST_F(ServerCliParityTest, ConcurrentDiffRequestsMatchCliByteParity) {
     EXPECT_EQ(statuses[i], 200) << "client " << i;
     EXPECT_EQ(bodies[i], cli) << "client " << i;
   }
-  // Every request's metrics were captured: 4 diffs folded.
+  // Every request's metrics were captured: 4 diffs folded, all 4 computed.
   HttpClientResponse metrics = Fetch("GET", "/metrics");
   EXPECT_NE(metrics.body.find("server.diff_requests 4"), std::string::npos);
+  EXPECT_NE(metrics.body.find("server.result_cache_misses 4\n"),
+            std::string::npos);
 }
 
 TEST_F(ServerTest, KeepAliveConnectionReuseIsCountedAndExposed) {
@@ -442,16 +483,16 @@ TEST_F(ServerTest, PlainMetricsExposeLatencyQuantiles) {
 }
 
 TEST_F(ServerTest, DebugRequestsExposeFlightRecorderRing) {
-  ServiceOptions options;
-  // Both requests must run the full pipeline so both records carry phase
-  // timings (the replay path is covered by result_cache_test's
+  StartServer(ServiceOptions{});
+  // Two keys, so both requests run the full pipeline and both records
+  // carry phase timings (the replay path is covered by result_cache_test's
   // FlightRecorderReplaysStoredDisposition).
-  options.result_cache = false;
-  StartServer(options);
-  const std::string body =
-      DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper);
-  ASSERT_EQ(Fetch("POST", "/diff", body).status, 200);
-  ASSERT_EQ(Fetch("POST", "/diff", body).status, 200);
+  for (int n : {1, 2}) {
+    ASSERT_EQ(Fetch("POST", "/diff",
+                    DiffRequestBody(Fig1CiscoVariant(n), testing::kFig1Juniper))
+                  .status,
+              200);
+  }
 
   HttpClientResponse list = Fetch("GET", "/debug/requests");
   ASSERT_EQ(list.status, 200);
@@ -466,10 +507,12 @@ TEST_F(ServerTest, DebugRequestsExposeFlightRecorderRing) {
   const util::JsonValue& newest = requests->array[0];
   EXPECT_EQ(newest.Find("id")->number, 2.0);
   EXPECT_EQ(newest.Find("endpoint")->string, "/diff");
-  EXPECT_EQ(newest.Find("result_cache")->string, "off");
   EXPECT_EQ(requests->array[1].Find("id")->number, 1.0);
   EXPECT_GT(newest.Find("wall_ns")->number, 0.0);
-  EXPECT_GT(newest.Find("phases")->Find("diff_ns")->number, 0.0);
+  for (const util::JsonValue& record : requests->array) {
+    EXPECT_EQ(record.Find("result_cache")->string, "miss");
+    EXPECT_GT(record.Find("phases")->Find("diff_ns")->number, 0.0);
+  }
 
   // Detail view carries the span tree while the entry ranks in the
   // slowest-K.
@@ -519,44 +562,39 @@ TEST_F(ServerTest, DebugCacheAndSessionsViews) {
   EXPECT_EQ(list->array[0].Find("candidate_bytes")->number, 0.0);
 }
 
-TEST_F(ServerTest, FlightRecorderOffAnswers404) {
-  ServiceOptions options;
-  options.flight_recorder = false;
-  StartServer(options);
-  ASSERT_EQ(Fetch("POST", "/diff",
-                  DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper))
-                .status,
-            200);
-  EXPECT_EQ(Fetch("GET", "/debug/requests").status, 404);
-  EXPECT_EQ(service_->Recorder().size(), 0u);
-}
-
 TEST_F(ServerTest, FlightRecorderMemoryStaysBoundedOver200Requests) {
   ServiceOptions options;
   options.flight_recorder_entries = 16;
   options.flight_recorder_spans = 4;
-  // The slowest-K assertion needs the repeated requests to actually run
-  // the pipeline; with the result cache on, replays would be uniformly
-  // fast and the final full diff would not rank.
-  options.result_cache = false;
   StartServer(options);
-  // Cheap diff executions (static routes only: no BDD work) still flow
-  // through the recorder; a couple of full ones salt the slowest-K pool.
-  const std::string cheap =
-      DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper,
-                      ",\"checks\":\"static\"");
+  // Cheap diff executions (static routes only: no BDD work) flow through
+  // the recorder, each with its own key so each computes and carries a
+  // span tree; two full ones salt the slowest-K pool.
   const std::string full =
       DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper);
   ASSERT_EQ(Fetch("POST", "/diff", full).status, 200);
   for (int i = 0; i < 198; ++i) {
-    ASSERT_EQ(Fetch("POST", "/diff", cheap).status, 200);
+    ASSERT_EQ(Fetch("POST", "/diff",
+                    DiffRequestBody(Fig1CiscoVariant(i + 2),
+                                    testing::kFig1Juniper,
+                                    ",\"checks\":\"static\""))
+                  .status,
+              200);
   }
-  ASSERT_EQ(Fetch("POST", "/diff", full).status, 200);
+  // A new key, so the final full diff computes instead of replaying.
+  ASSERT_EQ(Fetch("POST", "/diff",
+                  DiffRequestBody(Fig1CiscoVariant(1), testing::kFig1Juniper))
+                .status,
+            200);
 
-  // The ring holds exactly N entries with at most K traces, regardless of
-  // how many requests flowed through.
+  // The ring holds exactly N entries and exactly K traces, regardless of
+  // how many requests flowed through: every request computed and carried
+  // spans, so the slowest-K shedding had to run.
   EXPECT_EQ(service_->Recorder().size(), 16u);
-  EXPECT_LE(service_->Recorder().TraceCount(), 4u);
+  EXPECT_EQ(service_->Recorder().TraceCount(), 4u);
+  HttpClientResponse metrics = Fetch("GET", "/metrics");
+  EXPECT_NE(metrics.body.find("server.result_cache_misses 200\n"),
+            std::string::npos);
 
   HttpClientResponse list = Fetch("GET", "/debug/requests");
   util::JsonValue parsed;
@@ -587,6 +625,15 @@ TEST_F(ServerTest, ErrorStatuses) {
                                   ",\"format\":\"yaml\""))
                 .status,
             400);
+  // A checks list naming no check would report every pair equivalent.
+  for (const char* checks : {",\"checks\":\"\"", ",\"checks\":\",\""}) {
+    EXPECT_EQ(Fetch("POST", "/diff",
+                    DiffRequestBody(testing::kFig1Cisco,
+                                    testing::kFig1Juniper, checks))
+                  .status,
+              400)
+        << checks;
+  }
   EXPECT_EQ(Fetch("PUT", "/sessions/bad!name/running", "x").status, 400);
   // A body nested far past util::kMaxJsonDepth is a 400, not a stack
   // overflow, on both JSON endpoints.
@@ -632,6 +679,71 @@ TEST_F(ServerTest, MistypedRequestFieldsAreRejected) {
                                   "\"acls\",\"obs\":false"))
                 .status,
             200);
+  EXPECT_EQ(Fetch("GET", "/healthz").status, 200);
+}
+
+// A chunked body used to read as an empty one: a misleading 400 with
+// Connection: keep-alive, then the chunk bytes parsed as the next request.
+TEST_F(ServerTest, ChunkedRequestGets400AndConnectionClose) {
+  StartServer(ServiceOptions{});
+  const std::string body =
+      DiffRequestBody(testing::kFig1Cisco, testing::kFig1Juniper);
+  std::ostringstream chunk_size;
+  chunk_size << std::hex << body.size();
+  const RawReply reply = RawExchange(
+      server_->port(),
+      "POST /diff HTTP/1.1\r\nHost: localhost\r\n"
+      "Transfer-Encoding: chunked\r\n\r\n" +
+          chunk_size.str() + "\r\n" + body + "\r\n0\r\n\r\n");
+  EXPECT_EQ(reply.text.rfind("HTTP/1.1 400 ", 0), 0u) << reply.text;
+  EXPECT_NE(reply.text.find("Connection: close\r\n"), std::string::npos);
+  EXPECT_NE(reply.text.find("Transfer-Encoding"), std::string::npos);
+  EXPECT_EQ(CountOf(reply.text, "HTTP/1.1 "), 1u) << reply.text;
+  EXPECT_TRUE(reply.closed);
+}
+
+// "12abc" used to read as 12, leaving "abc" and the rest of the body to be
+// parsed as the next request.
+TEST_F(ServerTest, NonNumericContentLengthGets400AndConnectionClose) {
+  StartServer(ServiceOptions{});
+  for (const char* length : {"12abc", "-1", "0x10", ""}) {
+    const RawReply reply = RawExchange(
+        server_->port(), std::string("POST /diff HTTP/1.1\r\n"
+                                     "Content-Length: ") +
+                             length +
+                             "\r\n\r\n{\"config1\":\"\"}GET /healthz "
+                             "HTTP/1.1\r\n\r\n");
+    EXPECT_EQ(reply.text.rfind("HTTP/1.1 400 ", 0), 0u)
+        << length << ": " << reply.text;
+    EXPECT_NE(reply.text.find("Connection: close\r\n"), std::string::npos)
+        << length;
+    EXPECT_NE(reply.text.find("Content-Length must be"), std::string::npos)
+        << length;
+    EXPECT_EQ(CountOf(reply.text, "HTTP/1.1 "), 1u) << length;
+    EXPECT_TRUE(reply.closed) << length;
+  }
+}
+
+// After framing errors the daemon keeps serving, and well-framed pipelined
+// requests on one connection stay in sync.
+TEST_F(ServerTest, DaemonServesHealthzAfterFramingErrors) {
+  StartServer(ServiceOptions{});
+  RawExchange(server_->port(),
+              "POST /diff HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+              "0\r\n\r\n");
+  RawExchange(server_->port(),
+              "POST /diff HTTP/1.1\r\nContent-Length: 1x\r\n\r\n");
+  const std::string body = "not json";
+  const RawReply reply = RawExchange(
+      server_->port(),
+      "POST /diff HTTP/1.1\r\nContent-Length:  " +
+          std::to_string(body.size()) + " \r\n\r\n" + body +
+          "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+  EXPECT_EQ(reply.text.rfind("HTTP/1.1 400 ", 0), 0u) << reply.text;
+  EXPECT_EQ(CountOf(reply.text, "HTTP/1.1 "), 2u) << reply.text;
+  EXPECT_NE(reply.text.find("HTTP/1.1 200 OK\r\n"), std::string::npos);
+  EXPECT_EQ(reply.text.substr(reply.text.size() - 3), "ok\n");
+  EXPECT_TRUE(reply.closed);
   EXPECT_EQ(Fetch("GET", "/healthz").status, 200);
 }
 

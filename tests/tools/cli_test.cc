@@ -144,6 +144,15 @@ TEST_F(CliTest, UsageOnBadInvocation) {
   EXPECT_EQ(RunCli("onlyone.cfg").exit_code, 1);
   EXPECT_EQ(RunCli("--format=yaml a b").exit_code, 1);
   EXPECT_EQ(RunCli("--no-such-flag a b").exit_code, 1);
+  // Real files, so only the flag can be at fault. A checks list naming no
+  // check would report the differing fig1 pair as equivalent (exit 0), and
+  // a misspelled vendor must not fall back to auto-detection (exit 2).
+  const std::string pair = " " + Path("cisco.cfg") + " " + Path("juniper.conf");
+  for (const char* flag : {"--checks=", "--checks=,", "--vendor1=cisoc"}) {
+    RunResult result = RunCli(flag + pair);
+    EXPECT_EQ(result.exit_code, 1) << flag << ": " << result.output;
+    EXPECT_NE(result.output.find("error: "), std::string::npos) << flag;
+  }
 }
 
 TEST_F(CliTest, MissingFileFails) {
