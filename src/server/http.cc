@@ -84,6 +84,13 @@ bool ParseRequestHead(const std::string& head, HttpRequest* out) {
     const std::size_t colon = line.find(':');
     if (colon == std::string::npos) return false;
     std::string name = ToLower(line.substr(0, colon));
+    // No whitespace in a field name ("Content-Length : 5" would be stored
+    // under another name and read as no body) and at most one
+    // Content-Length: otherwise the body's length is in doubt.
+    if (name.find_first_of(" \t") != std::string::npos) return false;
+    if (name == "content-length" && out->headers.count(name) != 0) {
+      return false;
+    }
     // Optional whitespace around the value is not part of it.
     const std::size_t value_start = line.find_first_not_of(" \t", colon + 1);
     const std::size_t value_end = line.find_last_not_of(" \t");

@@ -40,7 +40,8 @@ struct HttpRequest {
                        // applied (the API uses plain ASCII paths).
   std::string query;   // Raw query string after '?', empty when absent.
   // Header names lowercased; last occurrence wins (none of the API's
-  // headers are list-valued).
+  // headers are list-valued), except that a repeated Content-Length is a
+  // malformed request.
   std::map<std::string, std::string> headers;
   std::string body;
 

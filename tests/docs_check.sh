@@ -8,10 +8,10 @@
 #      (use it for illustrative output or heavy commands like full builds).
 #      Occurrences of `build/` in a command resolve to the actual build
 #      directory, so docs can show the conventional layout.
-#   2. Cross-checks docs/cli.md against `campion --help`,
-#      `campion_trace_diff --help`, and `campion_serve --help`: every flag
-#      a binary advertises must be documented, and every flag the manual
-#      documents must exist in one of them.
+#   2. Cross-checks docs/cli.md against `campion --help` and
+#      `campion_serve --help`: every flag a binary advertises must be
+#      documented, and every flag the manual documents must exist in one
+#      of them.
 #   3. Cross-checks docs/daemon.md against the daemon: every campion_serve
 #      flag must appear in the API reference, and every documented
 #      endpoint path must be one the daemon actually serves (and vice
@@ -26,15 +26,14 @@
 #      EXPERIMENTS.md and docs/*.md.
 #
 # Usage: docs_check.sh <source_dir> <build_dir> <campion_binary> \
-#                      <trace_diff_binary> <campion_serve_binary>
+#                      <campion_serve_binary>
 
 set -u
 
 SRC_DIR=$1
 BUILD_DIR=$2
 CAMPION=$3
-TRACE_DIFF=$4
-CAMPION_SERVE=$5
+CAMPION_SERVE=$4
 
 failures=0
 
@@ -109,7 +108,7 @@ for doc in "$SRC_DIR"/docs/*.md; do
 done
 
 echo "== cross-checking docs/cli.md against --help =="
-help_text=$("$CAMPION" --help; "$TRACE_DIFF" --help; "$CAMPION_SERVE" --help)
+help_text=$("$CAMPION" --help; "$CAMPION_SERVE" --help)
 help_flags=$(printf '%s\n' "$help_text" | grep -oE -- '--[a-z][a-z0-9_-]*' | sort -u)
 doc_flags=$(grep -oE -- '--[a-z][a-z0-9_-]*' "$SRC_DIR/docs/cli.md" | sort -u)
 for flag in $help_flags; do

@@ -2,7 +2,7 @@
 // in docs/trace_format.md: runs the built CLI on the Fig.1 pair, parses the
 // emitted JSON with util::ParseJson, and checks the document shape, the
 // span vocabulary, the kernel metrics, and structural determinism across
-// `--threads` values.
+// `--threads` values (on Fig.1 and the committed dual-stack example pair).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -15,12 +15,13 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "tests/testdata.h"
 #include "util/json.h"
 
-#ifndef CAMPION_CLI_PATH
-#error "CAMPION_CLI_PATH must be defined by the build"
+#if !defined(CAMPION_CLI_PATH) || !defined(CAMPION_SOURCE_DIR)
+#error "CAMPION_CLI_PATH and CAMPION_SOURCE_DIR must be defined by the build"
 #endif
 
 namespace campion {
@@ -57,15 +58,17 @@ class TraceSchemaTest : public ::testing::Test {
     return (dir_ / name).string();
   }
 
-  // Runs the CLI with --trace_out and returns the parsed trace document.
+  // Runs the CLI with --trace_out on a pair (by default Fig.1) and returns
+  // the parsed trace document.
   static JsonValue TraceFor(const std::string& extra_flags,
-                            const std::string& trace_name) {
+                            const std::string& trace_name,
+                            const std::string& config1 = Path("cisco.cfg"),
+                            const std::string& config2 = Path("juniper.conf")) {
     std::string trace_path = Path(trace_name);
     std::string command = std::string(CAMPION_CLI_PATH) + " " + extra_flags +
-                          " --trace_out=" + trace_path + " " +
-                          Path("cisco.cfg") + " " + Path("juniper.conf") +
-                          " > /dev/null 2>&1";
-    EXPECT_EQ(RunCommand(command), 2);  // Fig.1 pair has differences.
+                          " --trace_out=" + trace_path + " " + config1 + " " +
+                          config2 + " > /dev/null 2>&1";
+    EXPECT_EQ(RunCommand(command), 2);  // Both pairs have differences.
     std::ifstream file(trace_path);
     std::stringstream buffer;
     buffer << file.rdbuf();
@@ -178,24 +181,25 @@ void StructureOf(const JsonValue& span, int depth, std::string& out) {
   }
 }
 
+// Runs on Fig.1 and on the committed dual-stack example pair, whose ACL
+// pair and 128-bit address fields take the pooled path at --threads=4.
 TEST_F(TraceSchemaTest, StructureIsIdenticalAcrossThreadCounts) {
-  JsonValue serial = TraceFor("--threads=1", "trace_t1.json");
-  JsonValue pooled = TraceFor("--threads=4", "trace_t4.json");
-  std::string serial_structure, pooled_structure;
-  for (const JsonValue& span : serial.Find("spans")->array) {
-    StructureOf(span, 0, serial_structure);
-  }
-  for (const JsonValue& span : pooled.Find("spans")->array) {
-    StructureOf(span, 0, pooled_structure);
-  }
-  EXPECT_EQ(serial_structure, pooled_structure);
-  EXPECT_FALSE(serial_structure.empty());
-
-  // Counters (everything except wall-clock) also agree exactly. The one
-  // exception is the `mem.` RSS watermarks: resident-set sizes are an OS
-  // artifact and vary run to run, so docs/trace_format.md exempts them
-  // from the determinism guarantee. Every `mem.` key must still be present
-  // in both traces — only its value may differ.
+  const std::string examples =
+      std::string(CAMPION_SOURCE_DIR) + "/examples/configs/";
+  const struct {
+    std::string label, config1, config2;
+    std::vector<std::string> required;  // Beyond the Fig.1 schema test's.
+  } pairs[] = {
+      {"fig1", Path("cisco.cfg"), Path("juniper.conf"), {}},
+      {"dualstack", examples + "dualstack_edge_cisco.cfg",
+       examples + "dualstack_edge_juniper.conf",
+       {"acl_pair", "header_localize"}},
+  };
+  // The one exception to exact counter agreement is the `mem.` RSS
+  // watermarks: resident-set sizes are an OS artifact and vary run to run,
+  // so docs/trace_format.md exempts them from the determinism guarantee.
+  // Every `mem.` key must still be present in both traces — only its value
+  // may differ.
   auto metrics_of = [](const JsonValue& doc, bool keep_mem) {
     std::map<std::string, double> flat;
     for (const auto& [key, value] : doc.Find("metrics")->object) {
@@ -204,9 +208,31 @@ TEST_F(TraceSchemaTest, StructureIsIdenticalAcrossThreadCounts) {
     }
     return flat;
   };
-  EXPECT_EQ(metrics_of(serial, false), metrics_of(pooled, false));
-  auto key_set = [&](const JsonValue& doc) { return metrics_of(doc, true); };
-  EXPECT_EQ(key_set(serial), key_set(pooled));
+  for (const auto& pair : pairs) {
+    SCOPED_TRACE(pair.label);
+    JsonValue serial = TraceFor("--threads=1", pair.label + "_t1.json",
+                                pair.config1, pair.config2);
+    JsonValue pooled = TraceFor("--threads=4", pair.label + "_t4.json",
+                                pair.config1, pair.config2);
+    std::string serial_structure, pooled_structure;
+    std::set<std::string> names;
+    for (const JsonValue& span : serial.Find("spans")->array) {
+      ValidateSpan(span, names);
+      StructureOf(span, 0, serial_structure);
+    }
+    for (const JsonValue& span : pooled.Find("spans")->array) {
+      StructureOf(span, 0, pooled_structure);
+    }
+    EXPECT_EQ(serial_structure, pooled_structure);
+    EXPECT_FALSE(serial_structure.empty());
+    for (const std::string& required : pair.required) {
+      EXPECT_TRUE(names.count(required)) << "missing span name: " << required;
+    }
+
+    // Counters (everything except wall-clock) also agree exactly.
+    EXPECT_EQ(metrics_of(serial, false), metrics_of(pooled, false));
+    EXPECT_EQ(metrics_of(serial, true), metrics_of(pooled, true));
+  }
 }
 
 // ---------------------------------------------------------------------------

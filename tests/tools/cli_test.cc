@@ -218,7 +218,7 @@ TEST_F(CliTest, ChromeTraceFormatWritesTraceEvents) {
   EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(text.find("\"process_name\""), std::string::npos);
-  // The chrome format is for viewers, not for campion_trace_diff.
+  // The chrome format is for viewers: it carries no schema version.
   EXPECT_EQ(text.find("campion_trace_version"), std::string::npos);
 }
 
