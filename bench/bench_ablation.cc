@@ -1,9 +1,9 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 //
-//  1. SemanticDiff's disagreement-set pruning: the pairwise class
-//     comparison restricted to classes overlapping permit1 XOR permit2,
-//     vs comparing every class pair (both produce the same differences;
-//     the asymptotics differ).
+//  1. SemanticDiff's disagreement-set pruning: classes built only inside
+//     permit1 XOR permit2, vs classes over the whole packet space with
+//     every class pair compared (both produce the same differences; the
+//     asymptotics differ).
 //  2. HeaderLocalize's GetMatch minimality: the number of output terms vs
 //     a naive "list every touched leaf/remainder region" representation.
 //  3. Route-map diff cost as the clause count grows (SemanticDiff's class

@@ -1,5 +1,7 @@
 #include "core/semantic_diff.h"
 
+#include <cstdint>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -17,16 +19,100 @@ std::string ClauseText(const ir::RouteMapClause& clause) {
   return out;
 }
 
-std::string LineText(const ir::AclLine& line) {
+// One ACL of a compared pair: its line predicates, its permit set, and its
+// `encode` span. The classes are built from both ACLs' permit sets, so the
+// span's time is summed over two phases (encoding, then the class walk)
+// and the span is attached by AttachEncodeSpans once both walks are done.
+class AclEncoding {
+ public:
+  AclEncoding(const encode::PacketLayout& layout, const ir::Acl& acl)
+      : mgr_(layout.manager()), acl_(acl), traced_(obs::Enabled()) {
+    if (traced_) {
+      span_.name = "encode";
+      span_.detail = acl.name;
+      span_.start_ns = obs::NowNs();
+    }
+    Timed([&] {
+      matches_.reserve(acl.lines.size());
+      for (const auto& line : acl.lines) {
+        matches_.push_back(layout.MatchLine(line));
+      }
+      // Bottom-up: a packet line i matches takes line i's action; any other
+      // packet takes whatever the lines below decide.
+      for (std::size_t i = acl.lines.size(); i-- > 0;) {
+        permit_set_ = acl.lines[i].action == ir::LineAction::kPermit
+                          ? mgr_.Or(matches_[i], permit_set_)
+                          : mgr_.Diff(permit_set_, matches_[i]);
+      }
+    });
+  }
+
+  bdd::BddRef permit_set() const { return permit_set_; }
+
+  std::vector<AclPathClass> Classes(bdd::BddRef scope) {
+    std::vector<AclPathClass> classes;
+    Timed([&] { classes = BuildAclClasses(mgr_, acl_, matches_, scope); });
+    obs::Count("encode.acl_classes", static_cast<double>(classes.size()));
+    if (traced_) {
+      span_.attrs = {{"classes", static_cast<double>(classes.size())},
+                     {"lines", static_cast<double>(acl_.lines.size())},
+                     {"bdd_vars", static_cast<double>(mgr_.num_vars())}};
+    }
+    return classes;
+  }
+
+  // Attaches both spans under the calling thread's open span, in order.
+  // The second starts where the first ends, so the two siblings do not
+  // overlap although their phases interleaved.
+  friend void AttachEncodeSpans(AclEncoding& first, AclEncoding& second) {
+    if (!first.traced_ || !second.traced_) return;
+    second.span_.start_ns = first.span_.start_ns + first.span_.duration_ns;
+    std::vector<obs::Span> spans;
+    spans.push_back(std::move(first.span_));
+    spans.push_back(std::move(second.span_));
+    obs::AttachSpans(std::move(spans));
+  }
+
+ private:
+  template <typename Work>
+  void Timed(Work&& work) {
+    if (!traced_) return work();
+    std::uint64_t start_ns = obs::NowNs();
+    work();
+    span_.duration_ns += obs::NowNs() - start_ns;
+  }
+
+  bdd::BddManager& mgr_;
+  const ir::Acl& acl_;
+  bool traced_ = false;
+  obs::Span span_;
+  std::vector<bdd::BddRef> matches_;
+  bdd::BddRef permit_set_ = bdd::kFalse;
+};
+
+}  // namespace
+
+std::string AclLineText(const ir::AclLine& line) {
   if (!line.span.text.empty()) return line.span.text;
   std::string out = ir::ToString(line.action);
   out += line.protocol ? " " + ir::ProtocolNumberToString(*line.protocol)
                        : " ip";
   out += " " + line.src.ToString() + " " + line.dst.ToString();
+  auto ports = [&](const char* keyword,
+                   const std::vector<ir::PortRange>& ranges) {
+    if (ranges.empty()) return;
+    out += std::string(" ") + keyword + " ";
+    for (std::size_t i = 0; i < ranges.size(); ++i) {
+      if (i > 0) out += ",";
+      out += ranges[i].ToString();
+    }
+  };
+  ports("src-port", line.src_ports);
+  ports("dst-port", line.dst_ports);
+  if (line.icmp_type) out += " icmp-type " + std::to_string(*line.icmp_type);
+  if (line.established) out += " established";
   return out;
 }
-
-}  // namespace
 
 std::vector<RouteMapPathClass> BuildRouteMapClasses(
     encode::RouteAdvLayout& layout, encode::PolicyEncoder& encoder,
@@ -136,27 +222,23 @@ std::vector<RouteMapDifference> SemanticDiffRouteMaps(
   return differences;
 }
 
-std::vector<AclPathClass> BuildAclClasses(encode::PacketLayout& layout,
-                                          const ir::Acl& acl) {
-  bdd::BddManager& mgr = layout.manager();
-  obs::ScopedSpan span("encode", acl.name);
+std::vector<AclPathClass> BuildAclClasses(
+    bdd::BddManager& mgr, const ir::Acl& acl,
+    const std::vector<bdd::BddRef>& matches, bdd::BddRef scope) {
   std::vector<AclPathClass> classes;
-  bdd::BddRef remaining = mgr.True();
-  for (const auto& line : acl.lines) {
-    bdd::BddRef here = mgr.And(remaining, layout.MatchLine(line));
-    if (here != bdd::kFalse) {
-      classes.push_back({here, line.action, LineText(line), false});
-    }
+  bdd::BddRef remaining = scope;
+  for (std::size_t i = 0; i < acl.lines.size() && remaining != bdd::kFalse;
+       ++i) {
+    bdd::BddRef here = mgr.And(remaining, matches[i]);
+    if (here == bdd::kFalse) continue;
+    classes.push_back({here, acl.lines[i].action, AclLineText(acl.lines[i]),
+                       false});
     remaining = mgr.Diff(remaining, here);
   }
   if (remaining != bdd::kFalse) {
     classes.push_back({remaining, ir::LineAction::kDeny,
                        "<implicit deny at end of ACL>", true});
   }
-  span.AddAttr("classes", static_cast<double>(classes.size()));
-  span.AddAttr("lines", static_cast<double>(acl.lines.size()));
-  span.AddAttr("bdd_vars", static_cast<double>(mgr.num_vars()));
-  obs::Count("encode.acl_classes", static_cast<double>(classes.size()));
   return classes;
 }
 
@@ -165,55 +247,37 @@ std::vector<AclDifference> SemanticDiffAcls(encode::PacketLayout& layout,
                                             const ir::Acl& acl2,
                                             const AclDiffOptions& options) {
   bdd::BddManager& mgr = layout.manager();
-  std::vector<AclPathClass> classes1 = BuildAclClasses(layout, acl1);
-  std::vector<AclPathClass> classes2 = BuildAclClasses(layout, acl2);
+  AclEncoding encoding1(layout, acl1);
+  AclEncoding encoding2(layout, acl2);
 
-  // Pruning: any differing class pair lies inside the symmetric difference
-  // of the two permit sets, so only classes overlapping it can contribute.
-  // This turns the pairwise comparison from quadratic in the ACL size into
-  // quadratic in the number of classes actually touched by a difference.
-  auto permit_set = [&](const std::vector<AclPathClass>& classes) {
-    bdd::BddRef permitted = mgr.False();
-    for (const auto& cls : classes) {
-      if (cls.action == ir::LineAction::kPermit) {
-        permitted = mgr.Or(permitted, cls.predicate);
-      }
-    }
-    return permitted;
-  };
+  // Two classes with different actions overlap only where the permit sets
+  // disagree, so the classes are built inside the disagreement alone, and
+  // an equivalent pair builds none.
   bdd::BddRef disagreement =
-      mgr.Xor(permit_set(classes1), permit_set(classes2));
-  if (disagreement == bdd::kFalse) return {};
-  if (!options.prune_with_disagreement_set) {
-    disagreement = mgr.True();  // Ablation: consider every class pair.
+      mgr.Xor(encoding1.permit_set(), encoding2.permit_set());
+  bdd::BddRef scope = disagreement;
+  if (disagreement != bdd::kFalse && !options.prune_with_disagreement_set) {
+    scope = mgr.True();  // Ablation: classes over the whole packet space.
   }
-
-  auto touched = [&](const std::vector<AclPathClass>& classes) {
-    std::vector<const AclPathClass*> relevant;
-    for (const auto& cls : classes) {
-      if (mgr.Intersects(cls.predicate, disagreement)) {
-        relevant.push_back(&cls);
-      }
-    }
-    return relevant;
-  };
-  std::vector<const AclPathClass*> relevant1 = touched(classes1);
-  std::vector<const AclPathClass*> relevant2 = touched(classes2);
+  std::vector<AclPathClass> classes1 = encoding1.Classes(scope);
+  std::vector<AclPathClass> classes2 = encoding2.Classes(scope);
+  AttachEncodeSpans(encoding1, encoding2);
+  if (disagreement == bdd::kFalse) return {};
 
   std::vector<AclDifference> differences;
   {
     obs::ScopedSpan span("class_intersect", acl1.name + " vs " + acl2.name);
-    for (const AclPathClass* c1 : relevant1) {
-      for (const AclPathClass* c2 : relevant2) {
-        if (c1->action == c2->action) continue;
-        bdd::BddRef overlap = mgr.And(c1->predicate, c2->predicate);
+    for (const AclPathClass& c1 : classes1) {
+      for (const AclPathClass& c2 : classes2) {
+        if (c1.action == c2.action) continue;
+        bdd::BddRef overlap = mgr.And(c1.predicate, c2.predicate);
         if (overlap == bdd::kFalse) continue;
         differences.push_back(
-            {overlap, c1->action, c2->action, c1->text, c2->text});
+            {overlap, c1.action, c2.action, c1.text, c2.text});
       }
     }
-    span.AddAttr("class_pairs", static_cast<double>(relevant1.size() *
-                                                    relevant2.size()));
+    span.AddAttr("class_pairs",
+                 static_cast<double>(classes1.size() * classes2.size()));
     span.AddAttr("differences", static_cast<double>(differences.size()));
   }
   obs::Count("diff.acl_differences", static_cast<double>(differences.size()));

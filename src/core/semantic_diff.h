@@ -72,8 +72,21 @@ struct AclPathClass {
   bool is_default = false;
 };
 
-std::vector<AclPathClass> BuildAclClasses(encode::PacketLayout& layout,
-                                          const ir::Acl& acl);
+// The configuration text a difference blames on `line`: its source span
+// when the IR came from a parser, or else a canonical one-liner with every
+// matched field (addresses, ports, ICMP type, `established`).
+std::string AclLineText(const ir::AclLine& line);
+
+// First-match path classes of `acl` inside `scope`, given each line's
+// match predicate (`matches[i]` is PacketLayout::MatchLine of line i). Line
+// i's class is the part of `scope` that line i matches and no earlier line
+// does; lines whose class is empty get none, and the walk stops once
+// `scope` is used up. A final default class (the implicit deny) holds what
+// no line matches. With `scope` = True the classes partition the packet
+// space; SemanticDiffAcls passes the two ACLs' disagreement instead.
+std::vector<AclPathClass> BuildAclClasses(
+    bdd::BddManager& mgr, const ir::Acl& acl,
+    const std::vector<bdd::BddRef>& matches, bdd::BddRef scope);
 
 struct AclDifference {
   bdd::BddRef input_set = bdd::kFalse;
@@ -84,12 +97,17 @@ struct AclDifference {
 };
 
 struct AclDiffOptions {
-  // Restrict the pairwise class comparison to classes overlapping the
-  // symmetric difference of the permit sets. Sound and complete (any
-  // differing pair lies inside it); disabling is for ablation only.
+  // Build each ACL's classes only inside the symmetric difference of the
+  // two permit sets. Sound and complete: two classes with different
+  // actions overlap only inside it. An equivalent pair (empty difference)
+  // builds no classes either way; otherwise disabling builds them over the
+  // whole packet space, for ablation only.
   bool prune_with_disagreement_set = true;
 };
 
+// All behavioral differences between two ACLs, ordered by `acl1`'s class,
+// then by `acl2`'s. Each ACL's permit set is folded from its lines first;
+// the first-match class walk runs only where the two sets disagree.
 std::vector<AclDifference> SemanticDiffAcls(
     encode::PacketLayout& layout, const ir::Acl& acl1, const ir::Acl& acl2,
     const AclDiffOptions& options = {});

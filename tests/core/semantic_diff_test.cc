@@ -243,13 +243,26 @@ ir::AclLine Line(ir::LineAction action, const char* dst_prefix,
   return line;
 }
 
+std::vector<BddRef> LineMatches(encode::PacketLayout& layout,
+                                const ir::Acl& acl) {
+  std::vector<BddRef> matches;
+  for (const auto& line : acl.lines) matches.push_back(layout.MatchLine(line));
+  return matches;
+}
+
+std::vector<AclPathClass> FullSpaceClasses(encode::PacketLayout& layout,
+                                           const ir::Acl& acl) {
+  return BuildAclClasses(layout.manager(), acl, LineMatches(layout, acl),
+                         layout.manager().True());
+}
+
 TEST(AclClassesTest, ImplicitDenyClassIsLast) {
   ir::Acl acl;
   acl.name = "A";
   acl.lines.push_back(Line(ir::LineAction::kPermit, "10.0.0.0/8"));
   BddManager mgr;
   encode::PacketLayout layout(mgr);
-  auto classes = BuildAclClasses(layout, acl);
+  auto classes = FullSpaceClasses(layout, acl);
   ASSERT_EQ(classes.size(), 2u);
   EXPECT_FALSE(classes[0].is_default);
   EXPECT_TRUE(classes[1].is_default);
@@ -263,8 +276,53 @@ TEST(AclClassesTest, ShadowedLineProducesNoClass) {
   acl.lines.push_back(Line(ir::LineAction::kPermit, "10.1.0.0/16"));  // Dead.
   BddManager mgr;
   encode::PacketLayout layout(mgr);
-  auto classes = BuildAclClasses(layout, acl);
+  auto classes = FullSpaceClasses(layout, acl);
   ASSERT_EQ(classes.size(), 2u);  // The deny line and the implicit deny.
+}
+
+TEST(AclClassesTest, ScopeLimitsTheWalk) {
+  ir::Acl acl;
+  acl.name = "A";
+  acl.lines.push_back(Line(ir::LineAction::kPermit, "10.1.0.0/16"));
+  acl.lines.push_back(Line(ir::LineAction::kDeny, "10.2.0.0/16"));
+  acl.lines.push_back(Line(ir::LineAction::kPermit, "10.0.0.0/8"));
+  BddManager mgr;
+  encode::PacketLayout layout(mgr);
+  std::vector<BddRef> matches = LineMatches(layout, acl);
+  BddRef scope = layout.MatchDstPrefix(*Prefix::Parse("10.2.0.0/16"));
+  auto classes = BuildAclClasses(mgr, acl, matches, scope);
+  ASSERT_EQ(classes.size(), 1u);  // No later line, no implicit deny.
+  EXPECT_EQ(classes[0].predicate, scope);
+  EXPECT_EQ(classes[0].action, ir::LineAction::kDeny);
+  EXPECT_TRUE(BuildAclClasses(mgr, acl, matches, mgr.False()).empty());
+}
+
+TEST(AclLineTextTest, NamesPortsIcmpTypeAndEstablished) {
+  ir::AclLine web = Line(ir::LineAction::kPermit, "10.0.0.0/8", ir::kProtoTcp);
+  web.dst_ports = {{80, 80}};
+  ir::AclLine tls = web;
+  tls.dst_ports = {{443, 443}};
+  EXPECT_NE(AclLineText(web), AclLineText(tls));
+
+  ir::AclLine full = web;
+  full.src_ports = {{1024, 65535}};
+  full.dst_ports = {{22, 22}, {8080, 8081}};
+  full.established = true;
+  EXPECT_EQ(AclLineText(full),
+            "permit tcp " + full.src.ToString() + " " + full.dst.ToString() +
+                " src-port 1024-65535 dst-port 22,8080-8081 established");
+
+  ir::AclLine echo = Line(ir::LineAction::kDeny, "10.0.0.0/8", ir::kProtoIcmp);
+  echo.icmp_type = 8;
+  EXPECT_EQ(AclLineText(echo), "deny icmp " + echo.src.ToString() + " " +
+                                   echo.dst.ToString() + " icmp-type 8");
+}
+
+TEST(AclLineTextTest, SourceSpanWins) {
+  ir::AclLine line = Line(ir::LineAction::kPermit, "10.0.0.0/8", ir::kProtoTcp);
+  line.dst_ports = {{80, 80}};
+  line.span.text = "permit tcp any 10.0.0.0 0.255.255.255 eq www";
+  EXPECT_EQ(AclLineText(line), line.span.text);
 }
 
 TEST(SemanticDiffAclsTest, IdenticalAclsEquivalent) {
