@@ -5,7 +5,6 @@
 #include <functional>
 #include <iterator>
 #include <map>
-#include <optional>
 #include <set>
 #include <utility>
 
@@ -300,14 +299,10 @@ bool ParseChecks(const std::string& list, DiffOptions* options,
 DiffReport ConfigDiff(const ir::RouterConfig& config1,
                       const ir::RouterConfig& config2,
                       const DiffOptions& options) {
-  // Scoped metrics capture: resolve the run's sink once — the caller's
-  // explicit per-request sink, or whatever is ambient on this thread —
-  // and install it here and on every pooled task below, so the capture is
-  // complete and request-private at any thread count.
-  std::optional<obs::MetricsScope> metrics_scope;
-  if (options.metrics_sink != nullptr) {
-    metrics_scope.emplace(*options.metrics_sink);
-  }
+  // Scoped metrics capture: the sink current on the calling thread (a
+  // daemon request's MetricsScope, or the process sink) is installed on
+  // every pooled task below, so the capture is complete and
+  // request-private at any thread count.
   obs::MetricsSink* metrics_sink = &obs::CurrentMetrics();
   obs::ScopedSpan pipeline_span("config_diff",
                                 config1.hostname + " vs " + config2.hostname);

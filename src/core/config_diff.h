@@ -13,10 +13,6 @@
 #include "core/present.h"
 #include "ir/config.h"
 
-namespace campion::obs {
-class MetricsSink;
-}  // namespace campion::obs
-
 namespace campion::core {
 
 struct DifferenceEntry {
@@ -46,16 +42,6 @@ struct DiffOptions {
   // BddManager, and results are merged back in pair-declaration order, so
   // the report is byte-identical for every thread count.
   unsigned num_threads = 0;
-  // Scoped metrics capture: when set, ConfigDiff installs this sink on the
-  // calling thread AND on every worker-pool task it fans out, so the whole
-  // run's metrics land here instead of in the ambient sink
-  // (obs::CurrentMetrics()). The daemon hands each request its own sink,
-  // which is what lets requests run concurrently without interleaving
-  // their counters; when null, ConfigDiff still propagates the calling
-  // thread's current sink into its tasks, so a MetricsScope installed by
-  // the caller captures the pooled work too. Purely observability — the
-  // report is byte-identical either way.
-  obs::MetricsSink* metrics_sink = nullptr;
 };
 
 // Reads a comma list of check names (route-maps, acls, static, connected,

@@ -13,10 +13,9 @@
 // long-lived embedder — the campion_serve daemon — instead installs a
 // private per-request sink with MetricsScope, so two requests in flight
 // on different connection threads record into disjoint arenas and never
-// serialize on (or contaminate) shared state. ConfigDiff propagates the
-// installing thread's sink into its worker-pool tasks (via
-// DiffOptions::metrics_sink), so the capture is complete at any
-// `--threads` value.
+// serialize on (or contaminate) shared state. ConfigDiff installs the
+// calling thread's current sink on each of its worker-pool tasks, so the
+// capture is complete at any `--threads` value.
 //
 //   obs::MetricsSink sink;                // this request's arena
 //   obs::MetricsScope scope(sink);        // install on this thread

@@ -39,27 +39,22 @@ void AppendSummary(std::ostringstream& out, const FlightRecord& record) {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(Options options) : options_(options) {
-  if (options_.entries == 0) options_.entries = 1;
-}
+FlightRecorder::FlightRecorder(std::size_t entries)
+    : entries_(std::max<std::size_t>(entries, 1)) {}
 
 void FlightRecorder::Record(FlightRecord record) {
   std::lock_guard<std::mutex> lock(mutex_);
   record.id = next_id_++;
-  if (record.spans.size() > 0 && options_.span_slots == 0) {
-    std::vector<obs::Span>().swap(record.spans);
-    std::vector<std::pair<std::string, double>>().swap(record.metrics);
-  }
   ring_.push_back(std::move(record));
-  while (ring_.size() > options_.entries) ring_.pop_front();
+  while (ring_.size() > entries_) ring_.pop_front();
   // Slowest-K retention: shed the trace of the FASTEST trace-holding record
-  // until at most span_slots remain. O(ring) per insert, which is nothing
+  // until at most kTraceSlots remain. O(ring) per insert, which is nothing
   // next to the request the insert accounts for.
   std::size_t holding = 0;
   for (const FlightRecord& r : ring_) {
     if (!r.spans.empty()) ++holding;
   }
-  while (holding > options_.span_slots) {
+  while (holding > kTraceSlots) {
     FlightRecord* fastest = nullptr;
     for (FlightRecord& r : ring_) {
       if (r.spans.empty()) continue;

@@ -26,7 +26,7 @@ struct FlightRecord {
   std::uint64_t id = 0;        // Assigned by the recorder, monotone from 1.
   std::string endpoint;        // "/diff" or "/sessions/<name>/diff".
   int status = 0;              // HTTP status of the response.
-  std::uint64_t wall_ns = 0;   // Whole RunDiff wall time.
+  std::uint64_t wall_ns = 0;   // Whole ExecutePair wall time.
   // Fixed pipeline phases, zero when skipped (everything after parse on a
   // 422; all three on a result-cache hit). diff_ns covers ConfigDiff,
   // encoding included.
@@ -46,12 +46,11 @@ struct FlightRecord {
 
 class FlightRecorder {
  public:
-  struct Options {
-    std::size_t entries = 64;    // Ring capacity N (>= 1 enforced).
-    std::size_t span_slots = 8;  // Slowest-K records that keep their trace.
-  };
+  // K: the slowest records in the ring that keep their trace.
+  static constexpr std::size_t kTraceSlots = 8;
 
-  explicit FlightRecorder(Options options);
+  // `entries` is the ring capacity N (>= 1 enforced).
+  explicit FlightRecorder(std::size_t entries);
 
   // Assigns the record's id, appends it (evicting the oldest past N), and
   // re-enforces the slowest-K trace retention. Thread-safe.
@@ -65,12 +64,12 @@ class FlightRecorder {
   bool EntryJson(std::uint64_t id, std::string* out) const;
 
   std::size_t size() const;
-  // Records currently holding a span tree (<= span_slots); tests pin the
+  // Records currently holding a span tree (<= kTraceSlots); tests pin the
   // memory bound with this.
   std::size_t TraceCount() const;
 
  private:
-  Options options_;
+  std::size_t entries_;
   mutable std::mutex mutex_;
   std::uint64_t next_id_ = 1;
   std::deque<FlightRecord> ring_;  // Front = oldest.

@@ -56,10 +56,40 @@ bool WriteAll(int fd, const std::string& data) {
   return true;
 }
 
-// Parses one request out of `buffer` (which holds at least through the
-// blank line at `header_end`). Returns false on malformed input.
+// Parses the header fields of `head`, from `pos` through the blank line,
+// into `headers` under lowercased names. Strict for both directions: no
+// whitespace in a field name ("Content-Length : 5" would be stored under
+// another name and read as no body) and at most one Content-Length,
+// otherwise the body's length is in doubt. Optional whitespace around a
+// value is not part of it.
+bool ParseHeaderFields(const std::string& head, std::size_t pos,
+                       std::map<std::string, std::string>* headers) {
+  headers->clear();
+  while (pos < head.size()) {
+    std::size_t line_end = head.find("\r\n", pos);
+    if (line_end == std::string::npos) line_end = head.size();
+    const std::string line = head.substr(pos, line_end - pos);
+    pos = line_end + 2;
+    if (line.empty()) break;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) return false;
+    std::string name = ToLower(line.substr(0, colon));
+    if (name.find_first_of(" \t") != std::string::npos) return false;
+    if (name == "content-length" && headers->count(name) != 0) return false;
+    const std::size_t value_start = line.find_first_not_of(" \t", colon + 1);
+    const std::size_t value_end = line.find_last_not_of(" \t");
+    (*headers)[name] = value_start == std::string::npos
+                           ? ""
+                           : line.substr(value_start,
+                                         value_end - value_start + 1);
+  }
+  return true;
+}
+
+// Parses a request line plus headers out of `head` (which runs through
+// the blank line). False on malformed input.
 bool ParseRequestHead(const std::string& head, HttpRequest* out) {
-  std::size_t line_end = head.find("\r\n");
+  const std::size_t line_end = head.find("\r\n");
   if (line_end == std::string::npos) return false;
   const std::string request_line = head.substr(0, line_end);
   std::size_t sp1 = request_line.find(' ');
@@ -73,62 +103,20 @@ bool ParseRequestHead(const std::string& head, HttpRequest* out) {
   const std::size_t qmark = target.find('?');
   out->path = target.substr(0, qmark);
   out->query = qmark == std::string::npos ? "" : target.substr(qmark + 1);
-
-  std::size_t pos = line_end + 2;
-  while (pos < head.size()) {
-    line_end = head.find("\r\n", pos);
-    if (line_end == std::string::npos) line_end = head.size();
-    const std::string line = head.substr(pos, line_end - pos);
-    pos = line_end + 2;
-    if (line.empty()) break;
-    const std::size_t colon = line.find(':');
-    if (colon == std::string::npos) return false;
-    std::string name = ToLower(line.substr(0, colon));
-    // No whitespace in a field name ("Content-Length : 5" would be stored
-    // under another name and read as no body) and at most one
-    // Content-Length: otherwise the body's length is in doubt.
-    if (name.find_first_of(" \t") != std::string::npos) return false;
-    if (name == "content-length" && out->headers.count(name) != 0) {
-      return false;
-    }
-    // Optional whitespace around the value is not part of it.
-    const std::size_t value_start = line.find_first_not_of(" \t", colon + 1);
-    const std::size_t value_end = line.find_last_not_of(" \t");
-    out->headers[name] = value_start == std::string::npos
-                             ? ""
-                             : line.substr(value_start,
-                                           value_end - value_start + 1);
-  }
-  return true;
+  return ParseHeaderFields(head, line_end + 2, &out->headers);
 }
 
 // Parses a response status line plus headers out of `head` (which runs
 // through the blank line). False on malformed input.
 bool ParseResponseHead(const std::string& head, HttpClientResponse* out) {
-  std::size_t line_end = head.find("\r\n");
+  const std::size_t line_end = head.find("\r\n");
   if (line_end == std::string::npos) return false;
   const std::string status_line = head.substr(0, line_end);
   if (status_line.size() < 12 || status_line.rfind("HTTP/1.", 0) != 0) {
     return false;
   }
   out->status = std::atoi(status_line.substr(9, 3).c_str());
-  std::size_t pos = line_end + 2;
-  out->headers.clear();
-  while (pos < head.size()) {
-    line_end = head.find("\r\n", pos);
-    if (line_end == std::string::npos) line_end = head.size();
-    const std::string line = head.substr(pos, line_end - pos);
-    pos = line_end + 2;
-    if (line.empty()) break;
-    const std::size_t colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    std::size_t value_start = colon + 1;
-    while (value_start < line.size() && line[value_start] == ' ') {
-      ++value_start;
-    }
-    out->headers[ToLower(line.substr(0, colon))] = line.substr(value_start);
-  }
-  return true;
+  return ParseHeaderFields(head, line_end + 2, &out->headers);
 }
 
 std::string RenderResponse(const HttpResponse& response, bool keep_alive) {
@@ -350,53 +338,9 @@ void HttpServer::ServeConnection(int fd) {
 bool HttpFetch(const std::string& host, int port, const std::string& method,
                const std::string& target, const std::string& body,
                HttpClientResponse* out, std::string* error) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (error != nullptr) *error = std::strerror(errno);
-    return false;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    if (error != nullptr) *error = "invalid host address: " + host;
-    ::close(fd);
-    return false;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    if (error != nullptr) *error = std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  std::ostringstream request;
-  request << method << ' ' << target << " HTTP/1.1\r\n"
-          << "Host: " << host << "\r\n"
-          << "Content-Length: " << body.size() << "\r\n"
-          << "Connection: close\r\n\r\n"
-          << body;
-  if (!WriteAll(fd, request.str())) {
-    if (error != nullptr) *error = "send failed";
-    ::close(fd);
-    return false;
-  }
-  std::string data;
-  char chunk[16 * 1024];
-  ssize_t n;
-  while ((n = ::recv(fd, chunk, sizeof chunk, 0)) > 0) {
-    data.append(chunk, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  const std::size_t header_end = data.find("\r\n\r\n");
-  if (header_end == std::string::npos) {
-    if (error != nullptr) *error = "truncated response";
-    return false;
-  }
-  if (!ParseResponseHead(data.substr(0, header_end + 2), out)) {
-    if (error != nullptr) *error = "malformed status line";
-    return false;
-  }
-  out->body = data.substr(header_end + 4);
-  return true;
+  HttpClientConnection connection;
+  return connection.Connect(host, port, error) &&
+         connection.Roundtrip(method, target, body, out, error);
 }
 
 HttpClientConnection::~HttpClientConnection() { Close(); }
@@ -466,7 +410,7 @@ bool HttpClientConnection::Roundtrip(const std::string& method,
     }
   }
   if (!ParseResponseHead(buffer_.substr(0, header_end + 2), out)) {
-    if (error != nullptr) *error = "malformed status line";
+    if (error != nullptr) *error = "malformed response head";
     Close();
     return false;
   }

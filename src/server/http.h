@@ -114,9 +114,10 @@ class HttpServer {
   std::unique_ptr<util::ThreadPool> workers_;
 };
 
-// Tiny blocking client for tests, bench/e2e, and the docs examples: one
-// request per call, Connection: close. Returns false (with `error`) on
-// connect/protocol failures; HTTP error statuses are returned in `out`.
+// Tiny blocking client for tests and bench/e2e: one request on its own
+// connection, a Connect plus one Roundtrip of an HttpClientConnection.
+// Returns false (with `error`) on connect/protocol failures; HTTP error
+// statuses are returned in `out`.
 struct HttpClientResponse {
   int status = 0;
   std::map<std::string, std::string> headers;  // Lowercased names.

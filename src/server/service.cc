@@ -145,6 +145,17 @@ void AppendPrometheusHistogram(std::ostringstream& out,
   out << name << "_count" << plain << ' ' << snapshot.count << '\n';
 }
 
+// One /metrics entry in the list both formats walk: a scalar row, or one
+// member of a latency-histogram family.
+struct MetricsEntry {
+  std::string name;            // Dotted; a scalar's Prometheus name too.
+  const char* type = nullptr;  // Scalar: "counter" or "gauge".
+  std::string value;           // Scalar: the rendered value.
+  const obs::LatencyHistogram* histogram = nullptr;
+  const char* family = nullptr;  // Histogram: Prometheus family name
+  std::string label;             // and label pair, "" when unlabeled.
+};
+
 // The plain-text quantile block for one histogram family.
 void AppendTextQuantiles(std::ostringstream& out, const std::string& prefix,
                          const obs::HistogramSnapshot& snapshot) {
@@ -211,12 +222,7 @@ DiffService::DiffService(ServiceOptions options)
             options_.result_cache_watermark_bytes;
         return result_options;
       }()),
-      flight_([&] {
-        FlightRecorder::Options flight_options;
-        flight_options.entries = options_.flight_recorder_entries;
-        flight_options.span_slots = options_.flight_recorder_spans;
-        return flight_options;
-      }()) {
+      flight_(options_.flight_recorder_entries) {
   // Tracing stays on for the daemon's lifetime. Toggling it per request —
   // what the serialized pipeline used to do — is a race once requests run
   // concurrently, and leaving it on is free for correctness: the capture
@@ -227,59 +233,50 @@ DiffService::DiffService(ServiceOptions options)
 
 HttpResponse DiffService::Handle(const HttpRequest& request) {
   const std::uint64_t start_ns = obs::NowNs();
-  HttpResponse response = Dispatch(request);
+  obs::LatencyHistogram* endpoint = &endpoint_latency_.other;
+  HttpResponse response = Dispatch(request, &endpoint);
+  // The one place a failed response is counted; /batch adds its failed
+  // pairs, which travel inside a 200.
+  if (response.status >= 400) BumpCounter("server.errors");
   const std::uint64_t wall_ns = obs::NowNs() - start_ns;
   endpoint_latency_.request.Record(wall_ns);
-  if (request.path == "/healthz") {
-    endpoint_latency_.healthz.Record(wall_ns);
-  } else if (request.path == "/metrics") {
-    endpoint_latency_.metrics.Record(wall_ns);
-  } else if (request.path == "/batch") {
-    endpoint_latency_.batch.Record(wall_ns);
-  } else if (request.path == "/diff" ||
-             (request.path.rfind("/sessions/", 0) == 0 &&
-              request.path.size() >= 5 &&
-              request.path.compare(request.path.size() - 5, 5, "/diff") ==
-                  0)) {
-    endpoint_latency_.diff.Record(wall_ns);
-  } else if (request.path == "/sessions" ||
-             request.path.rfind("/sessions/", 0) == 0) {
-    endpoint_latency_.sessions.Record(wall_ns);
-  } else if (request.path.rfind("/debug/", 0) == 0) {
-    endpoint_latency_.debug.Record(wall_ns);
-  } else {
-    endpoint_latency_.other.Record(wall_ns);
-  }
+  endpoint->Record(wall_ns);
   return response;
 }
 
-HttpResponse DiffService::Dispatch(const HttpRequest& request) {
+HttpResponse DiffService::Dispatch(const HttpRequest& request,
+                                   obs::LatencyHistogram** endpoint) {
   BumpCounter("server.requests_total");
   if (request.path == "/healthz") {
+    *endpoint = &endpoint_latency_.healthz;
     if (request.method != "GET") return JsonError(405, "use GET");
     HttpResponse response;
     response.body = "ok\n";
     return response;
   }
   if (request.path == "/metrics") {
+    *endpoint = &endpoint_latency_.metrics;
     if (request.method != "GET") return JsonError(405, "use GET");
     return HandleMetrics(request);
   }
   if (request.path == "/diff") {
+    *endpoint = &endpoint_latency_.diff;
     if (request.method != "POST") return JsonError(405, "use POST");
     return HandleDiff(request);
   }
   if (request.path == "/batch") {
+    *endpoint = &endpoint_latency_.batch;
     if (request.method != "POST") return JsonError(405, "use POST");
     return HandleBatch(request);
   }
   if (request.path == "/sessions" || request.path.rfind("/sessions/", 0) == 0) {
-    return HandleSessions(request);
+    *endpoint = &endpoint_latency_.sessions;
+    return HandleSessions(request, endpoint);
   }
   if (request.path.rfind("/debug/", 0) == 0) {
+    *endpoint = &endpoint_latency_.debug;
     return HandleDebug(request);
   }
-  BumpCounter("server.errors");
   return JsonError(404, "unknown endpoint " + request.path);
 }
 
@@ -287,7 +284,6 @@ HttpResponse DiffService::HandleDiff(const HttpRequest& request) {
   util::JsonValue body;
   std::string parse_error;
   if (!util::ParseJson(request.body, body, &parse_error) || !body.IsObject()) {
-    BumpCounter("server.errors");
     return JsonError(400, "request body must be a JSON object: " +
                               parse_error);
   }
@@ -295,37 +291,32 @@ HttpResponse DiffService::HandleDiff(const HttpRequest& request) {
   const util::JsonValue* config2 = body.Find("config2");
   if (config1 == nullptr || !config1->IsString() || config2 == nullptr ||
       !config2->IsString()) {
-    BumpCounter("server.errors");
     return JsonError(400, "fields 'config1' and 'config2' (strings) are required");
   }
-  std::string vendor1 = "auto";
-  std::string vendor2 = "auto";
-  bool json_format = false;
-  core::DiffOptions diff_options = options_.diff;
+  PairTask task;
+  task.endpoint = "/diff";
+  task.options = options_.diff;
   std::string error;
-  if (!ReadVendors(body, &vendor1, &vendor2, &error) ||
-      !ReadFormatAndChecks(body, &json_format, &diff_options, &error)) {
-    BumpCounter("server.errors");
+  if (!ReadVendors(body, &task.vendor1, &task.vendor2, &error) ||
+      !ReadFormatAndChecks(body, &task.json_format, &task.options, &error)) {
     return JsonError(400, error);
   }
-  bool want_obs = false;
   if (const util::JsonValue* v = body.Find("obs"); v != nullptr) {
-    if (!v->IsBool()) {
-      BumpCounter("server.errors");
-      return JsonError(400, "field 'obs' must be a boolean");
-    }
-    want_obs = v->boolean;
+    if (!v->IsBool()) return JsonError(400, "field 'obs' must be a boolean");
+    task.want_obs = v->boolean;
   }
+  task.text1 = config1->string;
+  task.text2 = config2->string;
   BumpCounter("server.diff_requests");
-  return RunDiff("/diff", config1->string, vendor1, config2->string, vendor2,
-                 diff_options, json_format, want_obs);
+  return PairResponse(ExecutePair(task));
 }
 
 DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
   // Task-private capture: this sink collects every metric the task
   // produces — on this thread via the scope below, and on ConfigDiff's
-  // pooled pair tasks via DiffOptions::metrics_sink. No cross-request
-  // lock; concurrent tasks each fold their own snapshot at the end.
+  // pooled pair tasks, which ConfigDiff hands the current sink. No
+  // cross-request lock; concurrent tasks each fold their own snapshot at
+  // the end.
   obs::MetricsSink sink;
   obs::MetricsScope metrics_scope(sink);
   obs::ResetThreadTrace();
@@ -394,21 +385,17 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
         frontend::LoadConfig(task.text2, "config2", ParseVendor(task.vendor2));
   } catch (const std::exception& error) {
     record.parse_ns = obs::NowNs() - parse_start;
-    BumpCounter("server.errors");
     BumpCounter("server.parse_failures");
     return fail(422, error.what());
   }
   record.parse_ns = obs::NowNs() - parse_start;
 
-  core::DiffOptions diff_options = task.options;
-  diff_options.metrics_sink = &sink;
   core::DiffReport report;
   const std::uint64_t diff_start = obs::NowNs();
   try {
-    report = core::ConfigDiff(loaded1.config, loaded2.config, diff_options);
+    report = core::ConfigDiff(loaded1.config, loaded2.config, task.options);
   } catch (const std::exception& error) {
     record.diff_ns = obs::NowNs() - diff_start;
-    BumpCounter("server.errors");
     return fail(500, error.what());
   }
   record.diff_ns = obs::NowNs() - diff_start;
@@ -457,27 +444,10 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
   return finish();
 }
 
-HttpResponse DiffService::RunDiff(const std::string& endpoint,
-                                  const std::string& text1,
-                                  const std::string& vendor1,
-                                  const std::string& text2,
-                                  const std::string& vendor2,
-                                  const core::DiffOptions& options,
-                                  bool json_format, bool want_obs) {
-  PairTask task;
-  task.endpoint = endpoint;
-  task.text1 = text1;
-  task.vendor1 = vendor1;
-  task.text2 = text2;
-  task.vendor2 = vendor2;
-  task.options = options;
-  task.json_format = json_format;
-  task.want_obs = want_obs;
-  PairOutcome outcome = ExecutePair(task);
-
+HttpResponse DiffService::PairResponse(PairOutcome outcome) {
   HttpResponse response;
   response.status = outcome.status;
-  response.content_type = outcome.content_type;
+  response.content_type = std::move(outcome.content_type);
   response.body = std::move(outcome.body);
   if (outcome.status == 200) {
     response.headers.emplace_back("X-Campion-Equivalent",
@@ -494,7 +464,6 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
   util::JsonValue body;
   std::string parse_error;
   if (!util::ParseJson(request.body, body, &parse_error)) {
-    BumpCounter("server.errors");
     return JsonError(400, "request body must be JSON: " + parse_error);
   }
   // Either {"pairs": [...], "format": ..., "checks": ...} or a bare array
@@ -508,13 +477,11 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
     pairs_json = body.Find("pairs");
     std::string error;
     if (!ReadFormatAndChecks(body, &json_format, &diff_options, &error)) {
-      BumpCounter("server.errors");
       return JsonError(400, error);
     }
   }
   if (pairs_json == nullptr || !pairs_json->IsArray() ||
       pairs_json->array.empty()) {
-    BumpCounter("server.errors");
     return JsonError(400,
                      "field 'pairs' (non-empty array of pair objects) is "
                      "required");
@@ -528,7 +495,6 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
   tasks.reserve(pairs_json->array.size());
   for (const util::JsonValue& pair : pairs_json->array) {
     if (!pair.IsObject()) {
-      BumpCounter("server.errors");
       return JsonError(400, "each pair must be a JSON object");
     }
     const util::JsonValue* name = pair.Find("name");
@@ -537,7 +503,6 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
     if (name == nullptr || !name->IsString() || name->string.empty() ||
         config1 == nullptr || !config1->IsString() || config2 == nullptr ||
         !config2->IsString()) {
-      BumpCounter("server.errors");
       return JsonError(400,
                        "each pair requires 'name', 'config1', and 'config2' "
                        "(strings)");
@@ -546,11 +511,8 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
     task.endpoint = "/batch#" + name->string;
     task.text1 = config1->string;
     task.text2 = config2->string;
-    task.vendor1 = "auto";
-    task.vendor2 = "auto";
     std::string error;
     if (!ReadVendors(pair, &task.vendor1, &task.vendor2, &error)) {
-      BumpCounter("server.errors");
       return JsonError(400, error);
     }
     task.options = diff_options;
@@ -597,6 +559,7 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
     out << "\n{\"name\":\"" << util::JsonEscape(pair.Find("name")->string)
         << "\",\"status\":" << outcome.status;
     if (outcome.status != 200) {
+      BumpCounter("server.errors");
       out << ",\"error\":\"" << util::JsonEscape(outcome.error) << "\"}";
       all_ok = false;
       all_equivalent = false;
@@ -634,122 +597,105 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
 
 HttpResponse DiffService::HandleMetrics(const HttpRequest& request) {
   const std::string format = request.QueryParam("format", "text");
-  if (format == "prometheus") {
-    HttpResponse response;
-    response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    response.body = RenderMetricsPrometheus();
-    return response;
-  }
-  if (format != "text") {
-    BumpCounter("server.errors");
+  if (format != "text" && format != "prometheus") {
     return JsonError(400, "format must be text or prometheus");
   }
   HttpResponse response;
-  response.body = RenderMetricsText();
+  if (format == "prometheus") {
+    response.content_type = "text/plain; version=0.0.4; charset=utf-8";
+  }
+  response.body = RenderMetrics(format == "prometheus");
   return response;
 }
 
-std::string DiffService::RenderMetricsText() {
-  std::ostringstream out;
+std::string DiffService::RenderMetrics(bool prometheus) {
+  // The one list both formats walk: folded request metrics and server
+  // counters (watermark-style names are gauges, everything else counts
+  // monotonically), the transport, result-cache and session rows, then the
+  // latency histograms with the unlabeled aggregate first.
+  std::vector<MetricsEntry> entries;
+  const auto row = [&](const std::string& name, const char* type,
+                       std::string value) {
+    MetricsEntry entry;
+    entry.name = name;
+    entry.type = type;
+    entry.value = std::move(value);
+    entries.push_back(std::move(entry));
+  };
   {
     std::lock_guard<std::mutex> lock(metrics_mutex_);
     for (const auto& [name, value] : cumulative_) {
-      out << name << ' ' << util::JsonNumber(value) << '\n';
+      row(name, IsWatermarkMetric(name) ? "gauge" : "counter",
+          util::JsonNumber(value));
     }
   }
-  out << "server.keepalive_reuses "
-      << (keepalive_reuses_ ? keepalive_reuses_() : 0) << '\n';
-  // Latency quantiles from the endpoint and phase histograms. Bounds are
-  // inclusive bucket upper bounds (within 25% of the true rank value; see
-  // obs/histogram.h).
-  AppendTextQuantiles(out, "server.latency.batch",
-                      endpoint_latency_.batch.Snapshot());
-  AppendTextQuantiles(out, "server.latency.diff",
-                      endpoint_latency_.diff.Snapshot());
-  AppendTextQuantiles(out, "server.latency.request",
-                      endpoint_latency_.request.Snapshot());
-  AppendTextQuantiles(out, "server.phase.diff",
-                      phase_latency_.diff.Snapshot());
-  AppendTextQuantiles(out, "server.phase.parse",
-                      phase_latency_.parse.Snapshot());
-  AppendTextQuantiles(out, "server.phase.render",
-                      phase_latency_.render.Snapshot());
+  const auto count = [](std::uint64_t value) { return std::to_string(value); };
+  row("server.keepalive_reuses", "counter",
+      count(keepalive_reuses_ ? keepalive_reuses_() : 0));
   const ResultCache::Stats results = result_cache_.GetStats();
-  out << "server.result_cache_entries " << results.entries << '\n';
-  out << "server.result_cache_evictions " << results.evictions << '\n';
-  out << "server.result_cache_hits " << results.hits << '\n';
-  out << "server.result_cache_misses " << results.misses << '\n';
-  out << "server.result_cache_resident_bytes " << results.resident_bytes
-      << '\n';
+  row("server.result_cache_hits", "counter", count(results.hits));
+  row("server.result_cache_misses", "counter", count(results.misses));
+  row("server.result_cache_evictions", "counter", count(results.evictions));
+  row("server.result_cache_entries", "gauge", count(results.entries));
+  row("server.result_cache_resident_bytes", "gauge",
+      count(results.resident_bytes));
   {
     std::lock_guard<std::mutex> lock(sessions_mutex_);
-    out << "server.sessions " << sessions_.size() << '\n';
+    row("server.sessions", "gauge", count(sessions_.size()));
   }
-  return out.str();
-}
+  const auto histograms =
+      [&](const char* prefix, const char* family, const char* label_key,
+          std::initializer_list<
+              std::pair<const char*, const obs::LatencyHistogram*>>
+              members) {
+        for (const auto& [name, histogram] : members) {
+          MetricsEntry entry;
+          entry.name = std::string(prefix) + name;
+          entry.histogram = histogram;
+          entry.family = family;
+          if (label_key != nullptr) {
+            entry.label = std::string(label_key) + "=\"" + name + "\"";
+          }
+          entries.push_back(std::move(entry));
+        }
+      };
+  histograms("server.latency.", "campion_request_duration_ns", nullptr,
+             {{"request", &endpoint_latency_.request}});
+  histograms("server.latency.", "campion_endpoint_duration_ns", "endpoint",
+             {{"healthz", &endpoint_latency_.healthz},
+              {"metrics", &endpoint_latency_.metrics},
+              {"diff", &endpoint_latency_.diff},
+              {"batch", &endpoint_latency_.batch},
+              {"sessions", &endpoint_latency_.sessions},
+              {"debug", &endpoint_latency_.debug},
+              {"other", &endpoint_latency_.other}});
+  histograms("server.phase.", "campion_phase_duration_ns", "phase",
+             {{"parse", &phase_latency_.parse},
+              {"diff", &phase_latency_.diff},
+              {"render", &phase_latency_.render}});
 
-std::string DiffService::RenderMetricsPrometheus() {
   std::ostringstream out;
-  // Folded request metrics and server counters: watermark-style names are
-  // gauges, everything else counts monotonically.
-  {
-    std::lock_guard<std::mutex> lock(metrics_mutex_);
-    for (const auto& [name, value] : cumulative_) {
-      const std::string prom = PrometheusName(name);
-      out << "# TYPE " << prom
-          << (IsWatermarkMetric(name) ? " gauge" : " counter") << '\n';
-      out << prom << ' ' << util::JsonNumber(value) << '\n';
+  std::string family;
+  for (const MetricsEntry& entry : entries) {
+    if (entry.histogram == nullptr) {
+      if (prometheus) {
+        const std::string name = PrometheusName(entry.name);
+        out << "# TYPE " << name << ' ' << entry.type << '\n' << name;
+      } else {
+        out << entry.name;
+      }
+      out << ' ' << entry.value << '\n';
+    } else if (!prometheus) {
+      AppendTextQuantiles(out, entry.name, entry.histogram->Snapshot());
+    } else {
+      // The labeled members of one family share its # TYPE line.
+      if (entry.family != family) {
+        family = entry.family;
+        out << "# TYPE " << family << " histogram\n";
+      }
+      AppendPrometheusHistogram(out, family, entry.label,
+                                entry.histogram->Snapshot());
     }
-  }
-  const std::uint64_t reuses = keepalive_reuses_ ? keepalive_reuses_() : 0;
-  out << "# TYPE campion_server_keepalive_reuses counter\n";
-  out << "campion_server_keepalive_reuses " << reuses << '\n';
-  const auto counter = [&](const char* name, std::uint64_t value) {
-    out << "# TYPE " << name << " counter\n" << name << ' ' << value << '\n';
-  };
-  const auto gauge = [&](const char* name, std::uint64_t value) {
-    out << "# TYPE " << name << " gauge\n" << name << ' ' << value << '\n';
-  };
-  const ResultCache::Stats results = result_cache_.GetStats();
-  counter("campion_server_result_cache_hits", results.hits);
-  counter("campion_server_result_cache_misses", results.misses);
-  counter("campion_server_result_cache_evictions", results.evictions);
-  gauge("campion_server_result_cache_entries", results.entries);
-  gauge("campion_server_result_cache_resident_bytes", results.resident_bytes);
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    gauge("campion_server_sessions", sessions_.size());
-  }
-  // Histograms. The unlabeled aggregate family comes first; the labeled
-  // per-endpoint and per-phase families share one # TYPE line each.
-  out << "# TYPE campion_request_duration_ns histogram\n";
-  AppendPrometheusHistogram(out, "campion_request_duration_ns", "",
-                            endpoint_latency_.request.Snapshot());
-  out << "# TYPE campion_endpoint_duration_ns histogram\n";
-  const std::pair<const char*, const obs::LatencyHistogram*> endpoints[] = {
-      {"healthz", &endpoint_latency_.healthz},
-      {"metrics", &endpoint_latency_.metrics},
-      {"diff", &endpoint_latency_.diff},
-      {"batch", &endpoint_latency_.batch},
-      {"sessions", &endpoint_latency_.sessions},
-      {"debug", &endpoint_latency_.debug},
-      {"other", &endpoint_latency_.other},
-  };
-  for (const auto& [name, histogram] : endpoints) {
-    AppendPrometheusHistogram(
-        out, "campion_endpoint_duration_ns",
-        std::string("endpoint=\"") + name + "\"", histogram->Snapshot());
-  }
-  out << "# TYPE campion_phase_duration_ns histogram\n";
-  const std::pair<const char*, const obs::LatencyHistogram*> phases[] = {
-      {"parse", &phase_latency_.parse},
-      {"diff", &phase_latency_.diff},
-      {"render", &phase_latency_.render},
-  };
-  for (const auto& [name, histogram] : phases) {
-    AppendPrometheusHistogram(out, "campion_phase_duration_ns",
-                              std::string("phase=\"") + name + "\"",
-                              histogram->Snapshot());
   }
   return out.str();
 }
@@ -767,12 +713,10 @@ HttpResponse DiffService::HandleDebug(const HttpRequest& request) {
     char* end = nullptr;
     const std::uint64_t id = std::strtoull(id_text.c_str(), &end, 10);
     if (id_text.empty() || end == nullptr || *end != '\0') {
-      BumpCounter("server.errors");
       return JsonError(400, "request id must be a decimal integer");
     }
     std::string body;
     if (!flight_.EntryJson(id, &body)) {
-      BumpCounter("server.errors");
       return JsonError(404, "no request " + id_text + " in the ring");
     }
     return JsonOk(body);
@@ -814,11 +758,11 @@ HttpResponse DiffService::HandleDebug(const HttpRequest& request) {
     out << "]}\n";
     return JsonOk(out.str());
   }
-  BumpCounter("server.errors");
   return JsonError(404, "unknown endpoint " + request.path);
 }
 
-HttpResponse DiffService::HandleSessions(const HttpRequest& request) {
+HttpResponse DiffService::HandleSessions(const HttpRequest& request,
+                                         obs::LatencyHistogram** endpoint) {
   BumpCounter("server.session_requests");
   if (request.path == "/sessions") {
     if (request.method != "GET") return JsonError(405, "use GET");
@@ -847,20 +791,16 @@ HttpResponse DiffService::HandleSessions(const HttpRequest& request) {
     rest = rest.substr(0, slash);
   }
   const std::string& name = rest;
-  if (!ValidSessionName(name)) {
-    BumpCounter("server.errors");
-    return JsonError(400, "invalid session name");
-  }
+  if (verb == "diff") *endpoint = &endpoint_latency_.diff;
+  if (!ValidSessionName(name)) return JsonError(400, "invalid session name");
 
   if (verb == "running" || verb == "candidate") {
     if (request.method != "PUT") return JsonError(405, "use PUT");
     if (request.body.empty()) {
-      BumpCounter("server.errors");
       return JsonError(400, "request body must be the raw config text");
     }
     const std::string vendor = request.QueryParam("vendor", "auto");
     if (!frontend::ParseVendorName(vendor)) {
-      BumpCounter("server.errors");
       return JsonError(400, "vendor must be auto, cisco, or juniper");
     }
     std::lock_guard<std::mutex> lock(sessions_mutex_);
@@ -879,49 +819,40 @@ HttpResponse DiffService::HandleSessions(const HttpRequest& request) {
 
   if (verb == "diff") {
     if (request.method != "GET") return JsonError(405, "use GET");
-    std::string running;
-    std::string candidate;
-    std::string running_vendor;
-    std::string candidate_vendor;
+    PairTask task;
+    task.endpoint = request.path;
     {
       std::lock_guard<std::mutex> lock(sessions_mutex_);
       auto it = sessions_.find(name);
       if (it == sessions_.end()) {
-        BumpCounter("server.errors");
         return JsonError(404, "no session named '" + name + "'");
       }
       if (it->second.running.empty()) {
-        BumpCounter("server.errors");
         return JsonError(409, "session '" + name + "' has no running config");
       }
       if (it->second.candidate.empty()) {
-        BumpCounter("server.errors");
         return JsonError(409,
                          "session '" + name + "' has no candidate config");
       }
-      running = it->second.running;
-      candidate = it->second.candidate;
-      running_vendor = it->second.running_vendor;
-      candidate_vendor = it->second.candidate_vendor;
+      task.text1 = it->second.running;
+      task.vendor1 = it->second.running_vendor;
+      task.text2 = it->second.candidate;
+      task.vendor2 = it->second.candidate_vendor;
     }
     const std::string format = request.QueryParam("format", "text");
     if (format != "text" && format != "json") {
-      BumpCounter("server.errors");
       return JsonError(400, "format must be text or json");
     }
-    core::DiffOptions diff_options = options_.diff;
+    task.json_format = format == "json";
+    task.options = options_.diff;
     const std::string checks = request.QueryParam("checks");
-    if (!checks.empty()) {
-      std::string error;
-      if (!core::ParseChecks(checks, &diff_options, &error)) {
-        BumpCounter("server.errors");
-        return JsonError(400, error);
-      }
+    std::string error;
+    if (!checks.empty() && !core::ParseChecks(checks, &task.options, &error)) {
+      return JsonError(400, error);
     }
+    task.want_obs = request.QueryParam("obs") == "1";
     BumpCounter("server.diff_requests");
-    return RunDiff(request.path, running, running_vendor, candidate,
-                   candidate_vendor, diff_options, format == "json",
-                   request.QueryParam("obs") == "1");
+    return PairResponse(ExecutePair(task));
   }
 
   if (verb == "commit" || verb == "rollback") {
@@ -929,11 +860,9 @@ HttpResponse DiffService::HandleSessions(const HttpRequest& request) {
     std::lock_guard<std::mutex> lock(sessions_mutex_);
     auto it = sessions_.find(name);
     if (it == sessions_.end()) {
-      BumpCounter("server.errors");
       return JsonError(404, "no session named '" + name + "'");
     }
     if (it->second.candidate.empty()) {
-      BumpCounter("server.errors");
       return JsonError(409, "session '" + name + "' has no candidate config");
     }
     if (verb == "commit") {
@@ -950,7 +879,6 @@ HttpResponse DiffService::HandleSessions(const HttpRequest& request) {
     if (request.method == "DELETE") {
       std::lock_guard<std::mutex> lock(sessions_mutex_);
       if (sessions_.erase(name) == 0) {
-        BumpCounter("server.errors");
         return JsonError(404, "no session named '" + name + "'");
       }
       return JsonOk("{\"deleted\":\"" + util::JsonEscape(name) + "\"}\n");
@@ -959,7 +887,6 @@ HttpResponse DiffService::HandleSessions(const HttpRequest& request) {
       std::lock_guard<std::mutex> lock(sessions_mutex_);
       auto it = sessions_.find(name);
       if (it == sessions_.end()) {
-        BumpCounter("server.errors");
         return JsonError(404, "no session named '" + name + "'");
       }
       return JsonOk("{\"name\":\"" + util::JsonEscape(name) +
@@ -972,7 +899,6 @@ HttpResponse DiffService::HandleSessions(const HttpRequest& request) {
     return JsonError(405, "use GET or DELETE");
   }
 
-  BumpCounter("server.errors");
   return JsonError(404, "unknown session operation '" + verb + "'");
 }
 

@@ -33,16 +33,24 @@
 // (`"obs": true` / `?obs=1`) is the one deliberate exception: it wraps the
 // report in JSON together with the request's span tree and metrics.
 //
+// Routing: Dispatch matches the path once. The branch that serves an
+// endpoint names its latency histogram (session diffs count as `diff`),
+// and Handle counts every response with status >= 400 in `server.errors`;
+// /batch adds one per failed pair, since those ride inside a 200. Framing
+// errors that HttpServer answers itself never reach the service.
+// /diff, session diffs and every /batch pair fill one PairTask and run
+// through ExecutePair.
+//
 // Concurrency model: requests run the full parse→diff→render pipeline
 // CONCURRENTLY, one per connection worker, each still fanning out
 // over `--threads` workers inside ConfigDiff. What makes that sound is
 // scoped observability capture: every request records into its own
-// obs::MetricsSink (threaded through DiffOptions::metrics_sink so the
-// pooled pair tasks land there too) and its own thread-local span buffer,
-// and the service folds the private snapshot into the daemon cumulative
-// map only at request completion. No lock is held across a pipeline run:
-// each request's pair tasks encode into their own fresh BDD managers inside
-// ConfigDiff, exactly as the one-shot CLI does.
+// obs::MetricsSink (installed with obs::MetricsScope; ConfigDiff installs
+// the caller's sink on its pooled pair tasks too) and its own thread-local
+// span buffer, and the service folds the private snapshot into the daemon
+// cumulative map only at request completion. No lock is held across a
+// pipeline run: each request's pair tasks encode into their own fresh BDD
+// managers inside ConfigDiff, exactly as the one-shot CLI does.
 
 #include <atomic>
 #include <cstdint>
@@ -73,9 +81,8 @@ struct ServiceOptions {
   std::size_t result_cache_watermark_bytes = 64 * 1024 * 1024;
   // Flight recorder (src/server/flight_recorder.h): ring of the last
   // `flight_recorder_entries` diff executions, span trees retained for the
-  // `flight_recorder_spans` slowest.
+  // FlightRecorder::kTraceSlots slowest.
   std::size_t flight_recorder_entries = 64;
-  std::size_t flight_recorder_spans = 8;
 };
 
 class DiffService {
@@ -111,8 +118,9 @@ class DiffService {
   };
 
   // Per-endpoint wall-time histograms plus one aggregate, all recorded in
-  // Handle. The set is fixed so the record path is a lock-free array
-  // update — no map lookups or allocation while requests are in flight.
+  // Handle; Dispatch names the endpoint's. The set is fixed so the record
+  // path is a lock-free array update — no map lookups or allocation while
+  // requests are in flight.
   struct EndpointLatency {
     obs::LatencyHistogram request;   // Every request, any endpoint.
     obs::LatencyHistogram healthz;
@@ -131,11 +139,15 @@ class DiffService {
     obs::LatencyHistogram render;
   };
 
-  HttpResponse Dispatch(const HttpRequest& request);
+  // Routes the request and points `endpoint` at the latency histogram of
+  // the branch that served it (left alone for a 404).
+  HttpResponse Dispatch(const HttpRequest& request,
+                        obs::LatencyHistogram** endpoint);
   HttpResponse HandleDiff(const HttpRequest& request);
   HttpResponse HandleBatch(const HttpRequest& request);
   HttpResponse HandleMetrics(const HttpRequest& request);
-  HttpResponse HandleSessions(const HttpRequest& request);
+  HttpResponse HandleSessions(const HttpRequest& request,
+                              obs::LatencyHistogram** endpoint);
   HttpResponse HandleDebug(const HttpRequest& request);
 
   // One comparison, described transport-free so /diff, session diffs, and
@@ -143,9 +155,9 @@ class DiffService {
   struct PairTask {
     std::string endpoint;  // Flight-recorder label ("/diff", "/batch#a").
     std::string text1;
-    std::string vendor1;
+    std::string vendor1 = "auto";
     std::string text2;
-    std::string vendor2;
+    std::string vendor2 = "auto";
     core::DiffOptions options;
     bool json_format = false;
     bool want_obs = false;  // Obs envelope; bypasses the result cache.
@@ -168,16 +180,12 @@ class DiffService {
   // leaves one flight-recorder entry behind.
   PairOutcome ExecutePair(const PairTask& task);
 
-  // ExecutePair wrapped back into an HTTP response (headers + error
-  // passthrough) for the single-pair endpoints.
-  HttpResponse RunDiff(const std::string& endpoint, const std::string& text1,
-                       const std::string& vendor1, const std::string& text2,
-                       const std::string& vendor2,
-                       const core::DiffOptions& options, bool json_format,
-                       bool want_obs);
+  // The response of /diff and session diffs: the outcome's body, plus its
+  // X-Campion-* headers on success.
+  static HttpResponse PairResponse(PairOutcome outcome);
 
-  std::string RenderMetricsText();
-  std::string RenderMetricsPrometheus();
+  // /metrics in the plain-text or the Prometheus format.
+  std::string RenderMetrics(bool prometheus);
 
   void FoldMetrics(
       const std::vector<std::pair<std::string, double>>& snapshot);

@@ -195,9 +195,9 @@ TEST(AclClassCountTest, EquivalentPairBuildsNoClass) {
       gen::WrapAclInConfig(reordered, "r2", ir::Vendor::kCisco);
 
   obs::MetricsSink sink;
+  obs::MetricsScope metrics_scope(sink);
   DiffOptions options;
   options.num_threads = 1;
-  options.metrics_sink = &sink;
   obs::ResetThreadTrace();
   obs::SetEnabled(true);
   DiffReport report = ConfigDiff(config1, config2, options);

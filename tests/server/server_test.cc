@@ -566,7 +566,6 @@ TEST_F(ServerTest, DebugCacheAndSessionsViews) {
 TEST_F(ServerTest, FlightRecorderMemoryStaysBoundedOver200Requests) {
   ServiceOptions options;
   options.flight_recorder_entries = 16;
-  options.flight_recorder_spans = 4;
   StartServer(options);
   // Cheap diff executions (static routes only: no BDD work) flow through
   // the recorder, each with its own key so each computes and carries a
@@ -588,11 +587,12 @@ TEST_F(ServerTest, FlightRecorderMemoryStaysBoundedOver200Requests) {
                 .status,
             200);
 
-  // The ring holds exactly N entries and exactly K traces, regardless of
-  // how many requests flowed through: every request computed and carried
-  // spans, so the slowest-K shedding had to run.
+  // The ring holds exactly N entries and exactly K = kTraceSlots traces,
+  // regardless of how many requests flowed through: every request computed
+  // and carried spans, so the slowest-K shedding had to run.
+  static_assert(FlightRecorder::kTraceSlots == 8);
   EXPECT_EQ(service_->Recorder().size(), 16u);
-  EXPECT_EQ(service_->Recorder().TraceCount(), 4u);
+  EXPECT_EQ(service_->Recorder().TraceCount(), 8u);
   HttpClientResponse metrics = Fetch("GET", "/metrics");
   EXPECT_NE(metrics.body.find("server.result_cache_misses 200\n"),
             std::string::npos);
@@ -642,6 +642,57 @@ TEST_F(ServerTest, ErrorStatuses) {
   EXPECT_EQ(Fetch("POST", "/diff", deep).status, 400);
   EXPECT_EQ(Fetch("POST", "/batch", deep).status, 400);
   EXPECT_EQ(Fetch("GET", "/healthz").status, 200);
+}
+
+// server.errors counts each failed response once, whichever branch
+// produced it, and each failed /batch pair once inside its 200. The 405s
+// used to be counted nowhere.
+TEST_F(ServerTest, ErrorsCountOncePerFailedResponse) {
+  StartServer(ServiceOptions{});
+  const auto errors = [&] {
+    const std::string key = "\nserver.errors ";
+    const std::string text = "\n" + Fetch("GET", "/metrics").body;
+    const std::size_t at = text.find(key);
+    if (at == std::string::npos) return 0.0;
+    return std::strtod(text.c_str() + at + key.size(), nullptr);
+  };
+  ASSERT_EQ(Fetch("PUT", "/sessions/edge/running", testing::kFig1Cisco).status,
+            200);
+  struct Case {
+    std::string method;
+    std::string target;
+    std::string body;
+    int status;
+  };
+  const Case cases[] = {
+      {"POST", "/diff", "not json", 400},
+      {"GET", "/nope", "", 404},
+      {"GET", "/diff", "", 405},
+      {"GET", "/sessions/edge/diff", "", 409},
+      {"POST", "/diff",
+       DiffRequestBody("garbage that is neither vendor", "also"), 422},
+  };
+  for (const Case& c : cases) {
+    const double before = errors();
+    EXPECT_EQ(Fetch(c.method, c.target, c.body).status, c.status) << c.target;
+    EXPECT_EQ(errors() - before, 1.0) << c.status << ' ' << c.target;
+  }
+
+  const std::string batch =
+      "{\"pairs\":[{\"name\":\"ok\",\"config1\":" +
+      JsonString(testing::kFig1Cisco) +
+      ",\"config2\":" + JsonString(testing::kFig1Juniper) +
+      "},{\"name\":\"bad\",\"config1\":\"garbage that is neither vendor\","
+      "\"config2\":\"also\"}]}";
+  double before = errors();
+  const HttpClientResponse response = Fetch("POST", "/batch", batch);
+  EXPECT_EQ(response.status, 200);
+  EXPECT_NE(response.body.find("\"status\":422"), std::string::npos);
+  EXPECT_EQ(errors() - before, 1.0) << "one failed /batch pair";
+
+  before = errors();
+  EXPECT_EQ(Fetch("GET", "/healthz").status, 200);
+  EXPECT_EQ(errors() - before, 0.0) << "successful responses";
 }
 
 // Optional request fields of the wrong JSON type are client errors, not
