@@ -37,8 +37,10 @@ BENCHMARK(BM_StructuralDiffStaticRoutes);
 void BM_StructuralDiffScale(benchmark::State& state) {
   campion::ir::RouterConfig config1;
   campion::ir::RouterConfig config2;
-  config1.hostname = "r1";
-  config2.hostname = "r2";
+  // Assigned from std::string: a `const char*` assignment here trips a GCC 12
+  // -O3 -Wmaybe-uninitialized false positive.
+  config1.hostname = std::string("r1");
+  config2.hostname = std::string("r2");
   const int routes = static_cast<int>(state.range(0));
   for (int i = 0; i < routes; ++i) {
     campion::ir::StaticRoute route;

@@ -158,6 +158,9 @@ std::optional<AclCounterexample> MonolithicAclChecker::Next() {
   concrete = mgr_.And(concrete,
                       layout_.DstPortIn({p.dst_port, p.dst_port}));
   concrete = mgr_.And(concrete, layout_.IcmpTypeIs(p.icmp_type));
+  concrete = mgr_.And(concrete, p.established
+                                    ? layout_.Established()
+                                    : mgr_.Not(layout_.Established()));
 
   counterexample.permitted1 = mgr_.Intersects(concrete, permits1_);
   counterexample.permitted2 = mgr_.Intersects(concrete, permits2_);

@@ -74,7 +74,8 @@ std::string UnparseCommunityList(const ir::CommunityList& list) {
     out += "ip community-list standard " + list.name + " " +
            ir::ToString(entry.action);
     for (const auto& community : entry.all_of) {
-      out += " " + community.ToString();
+      out += ' ';
+      out += community.ToString();
     }
     out += "\n";
   }
@@ -141,7 +142,8 @@ std::string UnparseRouteMap(const ir::RouteMap& map) {
         case ir::RouteMapSet::Kind::kCommunityAdd: {
           out += " set community";
           for (const auto& community : set.communities) {
-            out += " " + community.ToString();
+            out += ' ';
+            out += community.ToString();
           }
           if (set.kind == ir::RouteMapSet::Kind::kCommunityAdd) {
             out += " additive";
@@ -172,12 +174,21 @@ std::string UnparseAcl(const ir::Acl& acl) {
   std::string out = v6 ? "ipv6 access-list " + acl.name + "\n"
                        : "ip access-list extended " + acl.name + "\n";
   for (const auto& line : acl.lines) {
-    out += " " + ir::ToString(line.action) + " ";
+    out += ' ';
+    out += ir::ToString(line.action);
+    out += ' ';
     out += line.protocol ? ir::ProtocolNumberToString(*line.protocol)
                          : (v6 ? "ipv6" : "ip");
-    out += " " + WildcardString(line.src) + PortSpecString(line.src_ports);
-    out += " " + WildcardString(line.dst) + PortSpecString(line.dst_ports);
-    if (line.icmp_type) out += " " + std::to_string(*line.icmp_type);
+    out += ' ';
+    out += WildcardString(line.src);
+    out += PortSpecString(line.src_ports);
+    out += ' ';
+    out += WildcardString(line.dst);
+    out += PortSpecString(line.dst_ports);
+    if (line.icmp_type) {
+      out += ' ';
+      out += std::to_string(*line.icmp_type);
+    }
     if (line.established) out += " established";
     out += "\n";
   }

@@ -17,7 +17,10 @@ const char* KindName(DifferenceEntry::Kind kind) {
 }
 
 std::string Quoted(const std::string& text) {
-  return "\"" + JsonEscape(text) + "\"";
+  std::string out = "\"";
+  out += JsonEscape(text);
+  out += '"';
+  return out;
 }
 
 std::string RangeArray(const std::vector<util::PrefixRange>& ranges) {
@@ -37,7 +40,7 @@ std::string JsonEscape(const std::string& text) {
 
 std::string ReportJsonFragment(const std::string& rendered, bool is_json) {
   if (is_json) return rendered;
-  return "\"" + util::JsonEscape(rendered) + "\"";
+  return Quoted(rendered);
 }
 
 std::string ReportToJson(const DiffReport& report, const std::string& router1,

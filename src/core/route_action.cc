@@ -62,17 +62,26 @@ std::string RouteAction::ToString() const {
   if (next_hop_self) out += "SET NEXT HOP SELF\n";
   if (communities_replaced) {
     out += "SET COMMUNITIES";
-    for (const auto& c : communities_added) out += " " + c.ToString();
+    for (const auto& c : communities_added) {
+      out += ' ';
+      out += c.ToString();
+    }
     out += "\n";
   } else {
     if (!communities_added.empty()) {
       out += "ADD COMMUNITIES";
-      for (const auto& c : communities_added) out += " " + c.ToString();
+      for (const auto& c : communities_added) {
+      out += ' ';
+      out += c.ToString();
+    }
       out += "\n";
     }
     if (!communities_removed.empty()) {
       out += "REMOVE COMMUNITIES";
-      for (const auto& c : communities_removed) out += " " + c.ToString();
+      for (const auto& c : communities_removed) {
+        out += ' ';
+        out += c.ToString();
+      }
       out += "\n";
     }
   }

@@ -26,14 +26,15 @@ PacketLayout::PacketLayout(bdd::BddManager& mgr, util::AddressFamily family)
 }
 
 bdd::BddRef PacketLayout::MatchWildcard(const SymbolicField& field,
-                                        const util::IpWildcard& w) const {
+                                        const util::IpWildcard& w,
+                                        bdd::BddRef below) const {
   const int width = field.width();
   // Left-aligned in the field: the wildcard's bits are right-aligned in
   // AddressWidth(family) == width bits, so they line up directly; care is
   // the complement of the wildcard within the field width.
   util::U128 care = util::U128::Ones(width) ^
                     (w.wildcard_wide() & util::U128::Ones(width));
-  return field.MatchMasked(mgr_, w.address_wide(), care);
+  return field.MatchMasked(mgr_, w.address_wide(), care, below);
 }
 
 bdd::BddRef PacketLayout::MatchSrc(const util::IpWildcard& w) const {
@@ -72,28 +73,38 @@ bdd::BddRef PacketLayout::Established() const {
   return mgr_.VarTrue(established_var_);
 }
 
+namespace {
+
+std::vector<SymbolicField::Interval> PortIntervals(
+    const std::vector<ir::PortRange>& ports) {
+  std::vector<SymbolicField::Interval> ranges;
+  ranges.reserve(ports.size());
+  for (const auto& r : ports) ranges.push_back({r.low, r.high});
+  return ranges;
+}
+
+}  // namespace
+
 bdd::BddRef PacketLayout::MatchLine(const ir::AclLine& line) const {
-  bdd::BddRef match = mgr_.True();
-  if (line.protocol) match = mgr_.And(match, ProtocolIs(*line.protocol));
-  match = mgr_.And(match, MatchSrc(line.src));
-  match = mgr_.And(match, MatchDst(line.dst));
-  if (!line.src_ports.empty()) {
-    bdd::BddRef ports = mgr_.False();
-    for (const auto& r : line.src_ports) ports = mgr_.Or(ports, SrcPortIn(r));
-    match = mgr_.And(match, ports);
+  // The fields occupy disjoint variable blocks in the order src, dst,
+  // protocol, src port, dst port, icmp type, established. Building from the
+  // last field up, each predicate ends in the conjunction of the fields
+  // below it, which is the canonical BDD of the whole And with no Ite call.
+  bdd::BddRef match = line.established ? Established() : mgr_.True();
+  if (line.icmp_type) {
+    match = icmp_type_.EqualsConst(mgr_, *line.icmp_type, match);
   }
   if (!line.dst_ports.empty()) {
-    bdd::BddRef ports = mgr_.False();
-    for (const auto& r : line.dst_ports) ports = mgr_.Or(ports, DstPortIn(r));
-    match = mgr_.And(match, ports);
+    match = dst_port_.InRanges(mgr_, PortIntervals(line.dst_ports), match);
   }
-  if (line.icmp_type) {
-    match = mgr_.And(match, IcmpTypeIs(*line.icmp_type));
+  if (!line.src_ports.empty()) {
+    match = src_port_.InRanges(mgr_, PortIntervals(line.src_ports), match);
   }
-  if (line.established) {
-    match = mgr_.And(match, Established());
+  if (line.protocol) {
+    match = protocol_.EqualsConst(mgr_, *line.protocol, match);
   }
-  return match;
+  match = MatchWildcard(dst_ip_, line.dst, match);
+  return MatchWildcard(src_ip_, line.src, match);
 }
 
 std::vector<bool> PacketLayout::DstIpVarMask() const {

@@ -59,7 +59,8 @@ class PacketLayout {
   // The packet belongs to an established TCP flow (ACK or RST set).
   bdd::BddRef Established() const;
 
-  // The full match predicate of one ACL line.
+  // The full match predicate of one ACL line, built bottom-up as one chain
+  // of Branch nodes: each field's predicate ends in the next field's.
   bdd::BddRef MatchLine(const ir::AclLine& line) const;
 
   // True exactly on the destination-IP variables (for header localization
@@ -80,7 +81,8 @@ class PacketLayout {
 
  private:
   bdd::BddRef MatchWildcard(const SymbolicField& field,
-                            const util::IpWildcard& w) const;
+                            const util::IpWildcard& w,
+                            bdd::BddRef below = bdd::kTrue) const;
 
   bdd::BddManager& mgr_;
   util::AddressFamily family_ = util::AddressFamily::kIpv4;

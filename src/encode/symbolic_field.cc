@@ -1,16 +1,19 @@
 #include "encode/symbolic_field.h"
 
+#include <algorithm>
+#include <span>
+
 namespace campion::encode {
 
 using util::U128;
 
-bdd::BddRef SymbolicField::EqualsConst(bdd::BddManager& mgr,
-                                       U128 value) const {
-  return MatchPrefixBits(mgr, value, width_);
+bdd::BddRef SymbolicField::EqualsConst(bdd::BddManager& mgr, U128 value,
+                                       bdd::BddRef below) const {
+  return MatchPrefixBits(mgr, value, width_, below);
 }
 
-// Every builder below runs from the field's last bit up to its first and
-// adds one node per bit with BddManager::Branch. Each step's result only
+// The per-bit builders below run from the field's last bit up to its first
+// and add one node per bit with BddManager::Branch. Each step's result only
 // branches on later variables, so the chain is canonical as built and costs
 // no Ite call. A literal conjoined onto a function that sits wholly below it
 // is exactly that one node.
@@ -27,8 +30,8 @@ bdd::BddRef SymbolicField::MatchPrefixBits(bdd::BddManager& mgr, U128 value,
 }
 
 bdd::BddRef SymbolicField::MatchMasked(bdd::BddManager& mgr, U128 value,
-                                       U128 care) const {
-  bdd::BddRef result = mgr.True();
+                                       U128 care, bdd::BddRef below) const {
+  bdd::BddRef result = below;
   for (int i = width_ - 1; i >= 0; --i) {
     if (!ValueBit(care, i)) continue;
     result = ValueBit(value, i) ? mgr.Branch(VarAt(i), mgr.False(), result)
@@ -59,10 +62,69 @@ bdd::BddRef SymbolicField::Geq(bdd::BddManager& mgr, U128 value) const {
   return result;
 }
 
+namespace {
+
+// The predicate over field bits `depth` onward that the value whose top
+// `depth` bits are those of `base` (the rest of `base` is zero) lies in one
+// of `ranges`, conjoined with `below`. `ranges` are sorted, disjoint and
+// each intersect that block of values. A block inside an interval is
+// `below` and a block outside all of them is false; only the O(width)
+// blocks that hold an interval's edge split into a Branch on their top bit,
+// so a union of k intervals costs O(k × width) nodes, all of them final.
+bdd::BddRef BlockInRanges(bdd::BddManager& mgr, const SymbolicField& field,
+                          std::span<const SymbolicField::Interval> ranges,
+                          int depth, U128 base, bdd::BddRef below) {
+  using Interval = SymbolicField::Interval;
+  if (ranges.empty()) return mgr.False();
+  const int rest = field.width() - depth;
+  const U128 last = base + U128::Ones(rest);
+  if (ranges.front().low <= base && ranges.front().high >= last) {
+    return below;
+  }
+  // Some edge lies inside the block, so it has more than one value and
+  // rest > 0. The upper half starts at `mid`; an interval that straddles it
+  // goes to both halves.
+  const U128 mid = base | (U128(1) << (rest - 1));
+  auto lower_end = std::partition_point(
+      ranges.begin(), ranges.end(),
+      [&](const Interval& r) { return r.low < mid; });
+  auto upper_begin = std::partition_point(
+      ranges.begin(), ranges.end(),
+      [&](const Interval& r) { return r.high < mid; });
+  return mgr.Branch(field.VarAt(depth),
+                    BlockInRanges(mgr, field, {ranges.begin(), lower_end},
+                                  depth + 1, base, below),
+                    BlockInRanges(mgr, field, {upper_begin, ranges.end()},
+                                  depth + 1, mid, below));
+}
+
+}  // namespace
+
 bdd::BddRef SymbolicField::InRange(bdd::BddManager& mgr, U128 low,
                                    U128 high) const {
   if (low > high) return mgr.False();
-  return mgr.And(Geq(mgr, low), Leq(mgr, high));
+  const Interval range{low, high};
+  return BlockInRanges(mgr, *this, {&range, 1}, 0, U128(), mgr.True());
+}
+
+bdd::BddRef SymbolicField::InRanges(bdd::BddManager& mgr,
+                                    std::vector<Interval> ranges,
+                                    bdd::BddRef below) const {
+  std::erase_if(ranges, [](const Interval& r) { return r.low > r.high; });
+  std::sort(ranges.begin(), ranges.end());
+  // Merge overlapping and adjacent intervals in place (no `high + 1`, which
+  // wraps at the maximum value).
+  std::size_t merged = 0;
+  for (const Interval& r : ranges) {
+    if (merged > 0 && (r.low == U128() ||
+                       ranges[merged - 1].high >= r.low - U128(1))) {
+      ranges[merged - 1].high = std::max(ranges[merged - 1].high, r.high);
+    } else {
+      ranges[merged++] = r;
+    }
+  }
+  ranges.resize(merged);
+  return BlockInRanges(mgr, *this, ranges, 0, U128(), below);
 }
 
 void SymbolicField::AppendInterval(std::vector<Interval>& intervals, U128 low,

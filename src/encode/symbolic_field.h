@@ -28,8 +28,9 @@ class SymbolicField {
   int width() const { return width_; }
   bdd::Var VarAt(int bit) const { return first_ + static_cast<bdd::Var>(bit); }
 
-  // field == value
-  bdd::BddRef EqualsConst(bdd::BddManager& mgr, util::U128 value) const;
+  // field == value, conjoined with `below` (see MatchPrefixBits).
+  bdd::BddRef EqualsConst(bdd::BddManager& mgr, util::U128 value,
+                          bdd::BddRef below = bdd::kTrue) const;
   // The top `nbits` bits of the field equal the top `nbits` bits of `value`
   // (value is left-aligned in the field width), conjoined with `below`.
   // Used for prefix matching. `below` must branch only on variables after
@@ -38,14 +39,30 @@ class SymbolicField {
   bdd::BddRef MatchPrefixBits(bdd::BddManager& mgr, util::U128 value,
                               int nbits, bdd::BddRef below = bdd::kTrue) const;
   // Per-bit wildcard equality: bits where `care` has a 0 are ignored.
-  // `value` and `care` are left-aligned in the field width.
+  // `value` and `care` are left-aligned in the field width. Conjoined with
+  // `below`, which must branch only on variables after the field.
   bdd::BddRef MatchMasked(bdd::BddManager& mgr, util::U128 value,
-                          util::U128 care) const;
-  // field <= value, field >= value, low <= field <= high.
+                          util::U128 care,
+                          bdd::BddRef below = bdd::kTrue) const;
+  // field <= value, field >= value.
   bdd::BddRef Leq(bdd::BddManager& mgr, util::U128 value) const;
   bdd::BddRef Geq(bdd::BddManager& mgr, util::U128 value) const;
+
+  struct Interval {
+    util::U128 low;
+    util::U128 high;
+    friend auto operator<=>(const Interval&, const Interval&) = default;
+  };
+  // low <= field <= high; false when low > high. Bounds must fit in the
+  // field width.
   bdd::BddRef InRange(bdd::BddManager& mgr, util::U128 low,
                       util::U128 high) const;
+  // The field lies in some interval of `ranges`, conjoined with `below`,
+  // which must branch only on variables after the field. The list may be in
+  // any order and hold overlapping, adjacent or inverted (low > high,
+  // matching nothing) intervals; an empty or all-inverted list is false.
+  bdd::BddRef InRanges(bdd::BddManager& mgr, std::vector<Interval> ranges,
+                       bdd::BddRef below = bdd::kTrue) const;
 
   // Reads the field from a cube; don't-care bits decode as 0.
   util::U128 Decode(const bdd::Cube& cube) const;
@@ -54,11 +71,6 @@ class SymbolicField {
   // field only — project other variables out first), as a sorted list of
   // maximal disjoint [low, high] intervals. Cost is O(nodes × width), not
   // O(2^width): the BDD is walked once per (node, depth) pair.
-  struct Interval {
-    util::U128 low;
-    util::U128 high;
-    friend auto operator<=>(const Interval&, const Interval&) = default;
-  };
   std::vector<Interval> Intervals(const bdd::BddManager& mgr,
                                   bdd::BddRef set) const;
 

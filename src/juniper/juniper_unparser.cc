@@ -208,7 +208,8 @@ std::string UnparseCommunity(const ir::CommunityList& list) {
                                  : list.name + "__" + std::to_string(index++);
     out += "    community " + name + " members [";
     for (const auto& community : entry.all_of) {
-      out += " " + community.ToString();
+      out += ' ';
+      out += community.ToString();
     }
     out += " ];\n";
   }
@@ -286,10 +287,12 @@ std::string UnparseFilter(const ir::Acl& acl) {
       if (ranges.empty()) return;
       out += std::string("                    ") + keyword;
       for (const auto& r : ranges) {
-        out += " " + (r.low == r.high
-                          ? std::to_string(r.low)
-                          : std::to_string(r.low) + "-" +
-                                std::to_string(r.high));
+        out += ' ';
+        out += std::to_string(r.low);
+        if (r.low != r.high) {
+          out += '-';
+          out += std::to_string(r.high);
+        }
       }
       out += ";\n";
     };

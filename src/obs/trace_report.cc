@@ -11,7 +11,10 @@ namespace campion::obs {
 namespace {
 
 std::string Quoted(const std::string& text) {
-  return "\"" + util::JsonEscape(text) + "\"";
+  std::string out = "\"";
+  out += util::JsonEscape(text);
+  out += '"';
+  return out;
 }
 
 void SpanToJson(const Span& span, int indent, std::string& out) {

@@ -5,8 +5,12 @@ namespace campion::util {
 std::string SourceSpan::LocationString() const {
   if (!HasLocation()) return "<generated>";
   std::string out = file.empty() ? "<input>" : file;
-  out += ":" + std::to_string(first_line);
-  if (last_line > first_line) out += "-" + std::to_string(last_line);
+  out += ':';
+  out += std::to_string(first_line);
+  if (last_line > first_line) {
+    out += '-';
+    out += std::to_string(last_line);
+  }
   return out;
 }
 

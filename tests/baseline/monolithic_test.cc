@@ -128,6 +128,38 @@ TEST(MonolithicAclTest, DetectsAndExhaustsDifferences) {
   EXPECT_EQ(first->packet.protocol, ir::kProtoIcmp);
 }
 
+TEST(MonolithicAclTest, EstablishedOnlyDifferenceHasDisagreeingVerdicts) {
+  // The ACLs differ only on non-established TCP, so every counterexample's
+  // exact predicate must pin the established bit: without it, a packet
+  // covers both values and both sides seem to permit it.
+  ir::AclLine line;
+  line.action = ir::LineAction::kPermit;
+  line.protocol = ir::kProtoTcp;
+  ir::Acl acl1;
+  acl1.name = "A";
+  acl1.lines.push_back(line);
+  acl1.lines.back().established = true;
+  ir::Acl acl2;
+  acl2.name = "A";
+  acl2.lines.push_back(line);
+  for (CounterexampleOrder order :
+       {CounterexampleOrder::kFirstPath, CounterexampleOrder::kLexMin}) {
+    for (bool established_first : {true, false}) {
+      MonolithicAclChecker checker(established_first ? acl1 : acl2,
+                                   established_first ? acl2 : acl1, order);
+      ASSERT_FALSE(checker.Equivalent());
+      for (int i = 0; i < 50; ++i) {
+        auto counterexample = checker.Next();
+        ASSERT_TRUE(counterexample.has_value()) << i;
+        EXPECT_NE(counterexample->permitted1, counterexample->permitted2)
+            << i << ": " << counterexample->packet.ToString();
+        EXPECT_FALSE(counterexample->packet.established)
+            << counterexample->packet.ToString();
+      }
+    }
+  }
+}
+
 TEST(MonolithicAclTest, EquivalentAclsYieldNothing) {
   ir::Acl acl;
   acl.name = "A";

@@ -205,12 +205,13 @@ TEST(DiffOspfTest, ProcessPresence) {
 }
 
 TEST(DiffOspfTest, ReferenceBandwidthAndRedistribution) {
+  ir::OspfProcess ospf_a, ospf_b;
+  ospf_a.reference_bandwidth_mbps = 100000;
+  ospf_b.reference_bandwidth_mbps = 100;
+  ospf_a.redistributions.push_back({ir::Protocol::kStatic, "RM", {}});
   ir::RouterConfig a, b;
-  a.ospf.emplace();
-  b.ospf.emplace();
-  a.ospf->reference_bandwidth_mbps = 100000;
-  b.ospf->reference_bandwidth_mbps = 100;
-  a.ospf->redistributions.push_back({ir::Protocol::kStatic, "RM", {}});
+  a.ospf = std::move(ospf_a);
+  b.ospf = std::move(ospf_b);
   auto diffs = DiffOspf(a, b, {});
   ASSERT_EQ(diffs.size(), 2u);
   EXPECT_EQ(diffs[0].field, "reference bandwidth (Mbps)");

@@ -120,10 +120,10 @@ TEST(SymbolicFieldOffsetTest, FieldsAtNonZeroOffset) {
 
 // --- Oracle: the Ite/And formulations the Branch-chain builders replaced ---
 //
-// These are the pre-Branch bodies of MatchPrefixBits, MatchMasked, Leq, Geq
-// and RouteAdvLayout::MatchPrefixRange, kept only here. The builders must
-// return the identical BddRef in the same manager: canonicity makes equal
-// functions equal references, so any divergence is a wrong function.
+// These are the pre-Branch bodies of MatchPrefixBits, MatchMasked, Leq, Geq,
+// InRange and RouteAdvLayout::MatchPrefixRange, kept only here. The builders
+// must return the identical BddRef in the same manager: canonicity makes
+// equal functions equal references, so any divergence is a wrong function.
 
 bool OracleBit(const SymbolicField& f, U128 value, int i) {
   return value.Bit(f.width() - 1 - i);
@@ -268,6 +268,19 @@ TEST(SymbolicFieldOracleTest, BranchChainsMatchIteFormulations) {
         [&] { return field.MatchMasked(mgr, value, care); },
         [&] { return OracleMatchMasked(mgr, field, value, care); });
     EXPECT_EQ(m, mo) << "MatchMasked width=" << width;
+    auto [mb, mbo] = both(
+        [&] { return field.MatchMasked(mgr, value, care, below); },
+        [&] {
+          return mgr.And(OracleMatchMasked(mgr, field, value, care), below);
+        });
+    EXPECT_EQ(mb, mbo) << "MatchMasked+below width=" << width;
+    auto [eb, ebo] = both(
+        [&] { return field.EqualsConst(mgr, value, below); },
+        [&] {
+          return mgr.And(OracleMatchPrefixBits(mgr, field, value, width),
+                         below);
+        });
+    EXPECT_EQ(eb, ebo) << "EqualsConst+below width=" << width;
     auto [l, lo] = both([&] { return field.Leq(mgr, value); },
                         [&] { return OracleLeq(mgr, field, value); });
     EXPECT_EQ(l, lo) << "Leq width=" << width;
@@ -335,6 +348,116 @@ TEST(SymbolicFieldOracleTest, MatchPrefixRangeMatchesIteFormulation) {
     EXPECT_EQ(layout.MatchPrefixRange(ranges[4]), mgr.False());
     EXPECT_EQ(layout.MatchPrefixRange(ranges[5]), mgr.False());
     EXPECT_EQ(layout.MatchPrefixRange(ranges[8]), mgr.False());
+  }
+  EXPECT_GE(cases, 2000);
+}
+
+// The old InRange, And(Geq, Leq) over the Ite formulations, and the old
+// port-list disjunction: an Or of one InRange per interval.
+BddRef OracleInRange(BddManager& mgr, const SymbolicField& f, U128 low,
+                     U128 high) {
+  if (low > high) return mgr.False();
+  return mgr.And(OracleGeq(mgr, f, low), OracleLeq(mgr, f, high));
+}
+
+BddRef OracleInRanges(BddManager& mgr, const SymbolicField& f,
+                      const std::vector<SymbolicField::Interval>& ranges) {
+  BddRef result = mgr.False();
+  for (const auto& r : ranges) {
+    result = mgr.Or(result, OracleInRange(mgr, f, r.low, r.high));
+  }
+  return result;
+}
+
+TEST(SymbolicFieldOracleTest, InRangeExhaustiveOnEightBits) {
+  // Every [low, high] pair of an 8-bit field, inverted ones included: alone
+  // through InRange, and over a `below` on the next field through InRanges.
+  BddManager mgr(16);
+  SymbolicField field(0, 8);
+  SymbolicField next(8, 8);
+  const BddRef below = OracleLeq(mgr, next, U128(77));
+  for (std::uint32_t low = 0; low < 256; ++low) {
+    for (std::uint32_t high = 0; high < 256; ++high) {
+      const BddRef oracle = OracleInRange(mgr, field, low, high);
+      ASSERT_EQ(field.InRange(mgr, low, high), oracle)
+          << "low=" << low << " high=" << high;
+      ASSERT_EQ(field.InRanges(mgr, {{low, high}}, below),
+                mgr.And(oracle, below))
+          << "below low=" << low << " high=" << high;
+    }
+  }
+  EXPECT_TRUE(mgr.CheckInvariants());
+}
+
+TEST(SymbolicFieldOracleTest, InRangesMatchesOrOfIteRanges) {
+  constexpr int kWidths[] = {8, 16, 128};
+  std::mt19937_64 rng(4404);
+  int cases = 0;
+  for (int seed = 0; seed < 2100; ++seed) {
+    const int width = kWidths[seed % 3];
+    const bdd::Var offset = seed % 2 == 0 ? 0 : 5;
+    BddManager mgr(offset + width + 8);
+    SymbolicField field(offset, width);
+    SymbolicField next(offset + width, 8);
+    const U128 max = U128::Ones(width);
+    // Up to five intervals, unsorted: random (so sometimes inverted),
+    // touching the field's ends, adjacent to or overlapping the previous
+    // one, single values and the whole field.
+    std::vector<SymbolicField::Interval> ranges;
+    const int count = static_cast<int>(rng() % 6);
+    for (int k = 0; k < count; ++k) {
+      const U128 a = PickValue(rng, width);
+      const U128 b = PickValue(rng, width);
+      const SymbolicField::Interval prev =
+          ranges.empty() ? SymbolicField::Interval{a, b} : ranges.back();
+      switch (rng() % 7) {
+        case 0: ranges.push_back({a, b}); break;
+        case 1: ranges.push_back({U128(), a}); break;
+        case 2: ranges.push_back({a, max}); break;
+        case 3:  // Adjacent: starts right after the previous high.
+          if (prev.high < max) {
+            const U128 low = prev.high + U128(1);
+            ranges.push_back({low, std::max(low, b)});
+          }
+          break;
+        case 4:  // Overlapping the previous interval's top.
+          ranges.push_back({prev.high, std::max(prev.high, b)});
+          break;
+        case 5: ranges.push_back({a, a}); break;
+        default: ranges.push_back({U128(), max}); break;
+      }
+    }
+    std::shuffle(ranges.begin(), ranges.end(), rng);
+    BddRef below = bdd::kTrue;
+    switch (seed % 4) {
+      case 1: below = OracleLeq(mgr, next, PickValue(rng, 8)); break;
+      case 2: below = OracleGeq(mgr, next, PickValue(rng, 8)); break;
+      case 3:
+        below = mgr.Xor(mgr.VarTrue(next.VarAt(0)),
+                        mgr.VarTrue(next.VarAt(7)));
+        break;
+      default: break;
+    }
+    BddRef built = 0, oracle = 0;
+    if (seed % 2 == 0) {
+      built = field.InRanges(mgr, ranges, below);
+      oracle = mgr.And(OracleInRanges(mgr, field, ranges), below);
+    } else {
+      oracle = mgr.And(OracleInRanges(mgr, field, ranges), below);
+      built = field.InRanges(mgr, ranges, below);
+    }
+    std::string text;
+    for (const auto& r : ranges) {
+      text += " [" + r.low.ToString() + "," + r.high.ToString() + "]";
+    }
+    EXPECT_EQ(built, oracle) << "width=" << width << " ranges:" << text;
+    if (ranges.size() == 1) {
+      EXPECT_EQ(field.InRange(mgr, ranges[0].low, ranges[0].high),
+                OracleInRanges(mgr, field, ranges))
+          << "InRange width=" << width << " ranges:" << text;
+    }
+    ASSERT_TRUE(mgr.CheckInvariants()) << "seed=" << seed;
+    ++cases;
   }
   EXPECT_GE(cases, 2000);
 }

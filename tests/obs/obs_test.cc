@@ -111,7 +111,9 @@ std::vector<Span> RunMergedTasks(unsigned num_threads, std::size_t n) {
   util::RunParallel(num_threads, n, [&](std::size_t i) {
     TaskCapture capture;
     {
-      ScopedSpan task("task", "t" + std::to_string(i));
+      std::string label = "t";
+      label += std::to_string(i);
+      ScopedSpan task("task", label);
       ScopedSpan child("work");
     }
     captured[i] = capture.Finish();

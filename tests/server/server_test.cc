@@ -64,7 +64,10 @@ std::string RunCliStdout(const std::string& args, int* exit_code = nullptr) {
 }
 
 std::string JsonString(const std::string& text) {
-  return "\"" + util::JsonEscape(text) + "\"";
+  std::string out = "\"";
+  out += util::JsonEscape(text);
+  out += '"';
+  return out;
 }
 
 std::string DiffRequestBody(const std::string& config1,
@@ -651,7 +654,8 @@ TEST_F(ServerTest, ErrorsCountOncePerFailedResponse) {
   StartServer(ServiceOptions{});
   const auto errors = [&] {
     const std::string key = "\nserver.errors ";
-    const std::string text = "\n" + Fetch("GET", "/metrics").body;
+    std::string text = "\n";
+    text += Fetch("GET", "/metrics").body;
     const std::size_t at = text.find(key);
     if (at == std::string::npos) return 0.0;
     return std::strtod(text.c_str() + at + key.size(), nullptr);

@@ -58,7 +58,10 @@ TEST(JsonTest, ObjectsPreserveKeyOrderAsWritten) {
 TEST(JsonTest, RoundTripsEscapedStrings) {
   // What JsonEscape produces, ParseJson must read back verbatim.
   const std::string original = "tab\there \"quoted\" back\\slash\nnewline";
-  JsonValue value = ParseOrDie("\"" + JsonEscape(original) + "\"");
+  std::string text = "\"";
+  text += JsonEscape(original);
+  text += '"';
+  JsonValue value = ParseOrDie(text);
   EXPECT_EQ(value.string, original);
 }
 
