@@ -10,9 +10,8 @@
 #include <iostream>
 #include <string>
 
-#include "cisco/cisco_parser.h"
 #include "core/config_diff.h"
-#include "juniper/juniper_parser.h"
+#include "frontend/loader.h"
 
 namespace {
 
@@ -39,11 +38,13 @@ int main(int argc, char** argv) {
   std::string juniper_path =
       argc > 2 ? argv[2] : DefaultConfig("fig1_juniper.cfg");
 
-  campion::cisco::ParseResult cisco;
-  campion::juniper::ParseResult juniper;
+  campion::frontend::LoadResult cisco;
+  campion::frontend::LoadResult juniper;
   try {
-    cisco = campion::cisco::ParseCiscoFile(cisco_path);
-    juniper = campion::juniper::ParseJuniperFile(juniper_path);
+    cisco = campion::frontend::LoadConfigFile(cisco_path,
+                                              campion::ir::Vendor::kCisco);
+    juniper = campion::frontend::LoadConfigFile(juniper_path,
+                                                campion::ir::Vendor::kJuniper);
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;

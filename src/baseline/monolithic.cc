@@ -87,6 +87,8 @@ std::optional<RouteMapCounterexample> MonolithicRouteMapChecker::Next() {
   }
   concrete = mgr_.And(concrete, layout_.TagEquals(
                                     counterexample.advertisement.tag));
+  concrete = mgr_.And(concrete, layout_.MetricEquals(
+                                    counterexample.advertisement.metric));
   concrete = mgr_.And(
       concrete, layout_.ProtocolIs(counterexample.advertisement.protocol));
   counterexample.accepted1 = mgr_.Intersects(concrete, accepts1_);

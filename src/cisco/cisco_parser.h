@@ -26,8 +26,4 @@ struct ParseResult {
 ParseResult ParseCiscoConfig(const std::string& text,
                              const std::string& filename = "<input>");
 
-// Convenience: reads the file and parses it. Throws std::runtime_error if
-// the file cannot be read.
-ParseResult ParseCiscoFile(const std::string& path);
-
 }  // namespace campion::cisco

@@ -49,6 +49,8 @@ struct Interface {
     if (!address) return std::nullopt;
     return util::Prefix(*address, prefix_length);
   }
+
+  friend bool operator==(const Interface&, const Interface&) = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -62,6 +64,8 @@ struct StaticRoute {
   int admin_distance = 1;
   std::optional<std::uint32_t> tag;
   util::SourceSpan span;
+
+  friend bool operator==(const StaticRoute&, const StaticRoute&) = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -72,6 +76,9 @@ struct Redistribution {
   Protocol from = Protocol::kStatic;
   std::string route_map;  // Empty = redistribute everything unmodified.
   util::SourceSpan span;
+
+  friend bool operator==(const Redistribution&, const Redistribution&) =
+      default;
 };
 
 struct OspfProcess {
@@ -80,6 +87,8 @@ struct OspfProcess {
   std::uint32_t reference_bandwidth_mbps = 100;
   std::vector<Redistribution> redistributions;
   util::SourceSpan span;
+
+  friend bool operator==(const OspfProcess&, const OspfProcess&) = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -98,6 +107,8 @@ struct BgpNeighbor {
   util::SourceSpan span;
 
   bool IsIbgp(std::uint32_t local_as) const { return remote_as == local_as; }
+
+  friend bool operator==(const BgpNeighbor&, const BgpNeighbor&) = default;
 };
 
 struct BgpProcess {
@@ -107,6 +118,8 @@ struct BgpProcess {
   std::vector<BgpNeighbor> neighbors;
   std::vector<Redistribution> redistributions;
   util::SourceSpan span;
+
+  friend bool operator==(const BgpProcess&, const BgpProcess&) = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -169,6 +182,8 @@ struct RouterConfig {
   // All communities mentioned anywhere — these become the community
   // variables of the symbolic route-advertisement encoding.
   std::vector<util::Community> AllCommunities() const;
+
+  friend bool operator==(const RouterConfig&, const RouterConfig&) = default;
 };
 
 }  // namespace campion::ir

@@ -45,6 +45,9 @@ struct PrefixListEntry {
   LineAction action = LineAction::kPermit;
   util::PrefixRange range;
   util::SourceSpan span;
+
+  friend bool operator==(const PrefixListEntry&, const PrefixListEntry&) =
+      default;
 };
 
 struct PrefixList {
@@ -54,6 +57,8 @@ struct PrefixList {
   util::AddressFamily family = util::AddressFamily::kIpv4;
   std::vector<PrefixListEntry> entries;  // First match wins; default deny.
   util::SourceSpan span;
+
+  friend bool operator==(const PrefixList&, const PrefixList&) = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -65,12 +70,17 @@ struct CommunityListEntry {
   // The entry matches a route iff the route carries EVERY community here.
   std::vector<util::Community> all_of;
   util::SourceSpan span;
+
+  friend bool operator==(const CommunityListEntry&, const CommunityListEntry&) =
+      default;
 };
 
 struct CommunityList {
   std::string name;
   std::vector<CommunityListEntry> entries;  // First match wins; default deny.
   util::SourceSpan span;
+
+  friend bool operator==(const CommunityList&, const CommunityList&) = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -86,6 +96,9 @@ struct AsPathListEntry {
   LineAction action = LineAction::kPermit;
   std::string regex;
   util::SourceSpan span;
+
+  friend bool operator==(const AsPathListEntry&, const AsPathListEntry&) =
+      default;
 };
 
 struct AsPathList {
@@ -95,6 +108,8 @@ struct AsPathList {
 
   // A canonical signature: equal signatures <=> behaviorally equal lists.
   std::string Signature() const;
+
+  friend bool operator==(const AsPathList&, const AsPathList&) = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -118,6 +133,8 @@ struct RouteMapMatch {
   std::uint32_t value = 0;
   Protocol protocol = Protocol::kBgp;
   util::SourceSpan span;
+
+  friend bool operator==(const RouteMapMatch&, const RouteMapMatch&) = default;
 };
 
 // One attribute transformation applied by a permitting clause.
@@ -137,6 +154,8 @@ struct RouteMapSet {
   std::vector<util::Community> communities;
   util::Ipv4Address next_hop;
   util::SourceSpan span;
+
+  friend bool operator==(const RouteMapSet&, const RouteMapSet&) = default;
 };
 
 // What a matching clause does with the route.
@@ -156,6 +175,9 @@ struct RouteMapClause {
   std::vector<RouteMapMatch> matches;  // Conjunction; empty matches all.
   std::vector<RouteMapSet> sets;
   util::SourceSpan span;
+
+  friend bool operator==(const RouteMapClause&, const RouteMapClause&) =
+      default;
 };
 
 struct RouteMap {
@@ -165,6 +187,8 @@ struct RouteMap {
   // Cisco route maps implicitly deny, Juniper BGP policies default-accept.
   ClauseAction default_action = ClauseAction::kDeny;
   util::SourceSpan span;
+
+  friend bool operator==(const RouteMap&, const RouteMap&) = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -191,6 +215,8 @@ struct AclLine {
   // `established`, JunOS `tcp-established`.
   bool established = false;
   util::SourceSpan span;
+
+  friend bool operator==(const AclLine&, const AclLine&) = default;
 };
 
 struct Acl {
@@ -201,6 +227,8 @@ struct Acl {
   util::AddressFamily family = util::AddressFamily::kIpv4;
   std::vector<AclLine> lines;  // First match wins; implicit deny at end.
   util::SourceSpan span;
+
+  friend bool operator==(const Acl&, const Acl&) = default;
 };
 
 // Well-known protocol numbers used by the frontends.

@@ -32,6 +32,4 @@ struct ParseResult {
 ParseResult ParseJuniperConfig(const std::string& text,
                                const std::string& filename = "<input>");
 
-ParseResult ParseJuniperFile(const std::string& path);
-
 }  // namespace campion::juniper

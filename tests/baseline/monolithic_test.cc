@@ -128,6 +128,35 @@ TEST(MonolithicAclTest, DetectsAndExhaustsDifferences) {
   EXPECT_EQ(first->packet.protocol, ir::kProtoIcmp);
 }
 
+TEST(MonolithicRouteMapTest, MetricOnlyDifferenceHasDisagreeingVerdicts) {
+  // The maps differ only on routes whose metric is not 10, so every
+  // counterexample's exact predicate must pin the metric: without it, an
+  // advertisement covers metric 10 too and both sides seem to accept it.
+  const ir::RouterConfig config = testing::ParseCiscoOrDie(
+      "route-map M permit 10\n"
+      " match metric 10\n"
+      "route-map ALL permit 10\n");
+  const ir::RouteMap& metric_only = *config.FindRouteMap("M");
+  const ir::RouteMap& permit_all = *config.FindRouteMap("ALL");
+  for (CounterexampleOrder order :
+       {CounterexampleOrder::kFirstPath, CounterexampleOrder::kLexMin}) {
+    for (bool metric_first : {true, false}) {
+      MonolithicRouteMapChecker checker(
+          config, metric_first ? metric_only : permit_all, config,
+          metric_first ? permit_all : metric_only, order);
+      ASSERT_FALSE(checker.Equivalent());
+      for (int i = 0; i < 20; ++i) {
+        auto counterexample = checker.Next();
+        ASSERT_TRUE(counterexample.has_value()) << i;
+        EXPECT_NE(counterexample->accepted1, counterexample->accepted2)
+            << i << ": " << counterexample->advertisement.ToString();
+        EXPECT_NE(counterexample->advertisement.metric, 10u)
+            << counterexample->advertisement.ToString();
+      }
+    }
+  }
+}
+
 TEST(MonolithicAclTest, EstablishedOnlyDifferenceHasDisagreeingVerdicts) {
   // The ACLs differ only on non-established TCP, so every counterexample's
   // exact predicate must pin the established bit: without it, a packet

@@ -2,10 +2,42 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "tests/testdata.h"
+
+#ifndef CAMPION_SOURCE_DIR
+#error "CAMPION_SOURCE_DIR must be defined by the build"
+#endif
 
 namespace campion::frontend {
 namespace {
+
+// DetectVendor as it was before the single-pass scan: one whole-text find
+// per marker. The new scan must give the same verdict on every text.
+ir::Vendor FindPerMarkerDetectVendor(const std::string& text) {
+  auto contains = [&](const std::string& token) {
+    return text.find(token) != std::string::npos;
+  };
+  int juniper_score = 0;
+  for (const char* marker :
+       {"policy-options", "routing-options", "host-name", "policy-statement",
+        "family inet", "prefix-length-range"}) {
+    if (contains(marker)) ++juniper_score;
+  }
+  if (contains("{") && contains(";")) ++juniper_score;
+  int cisco_score = 0;
+  for (const char* marker :
+       {"hostname ", "ip route ", "router bgp", "router ospf",
+        "route-map ", "ip prefix-list", "access-list", "ip community-list"}) {
+    if (contains(marker)) ++cisco_score;
+  }
+  if (juniper_score == 0 && cisco_score == 0) return ir::Vendor::kUnknown;
+  return juniper_score > cisco_score ? ir::Vendor::kJuniper
+                                     : ir::Vendor::kCisco;
+}
 
 TEST(DetectVendorTest, DetectsCisco) {
   EXPECT_EQ(DetectVendor(testing::kFig1Cisco), ir::Vendor::kCisco);
@@ -24,6 +56,53 @@ TEST(DetectVendorTest, UnknownForEmptyOrGarbage) {
   EXPECT_EQ(DetectVendor("once upon a time"), ir::Vendor::kUnknown);
 }
 
+TEST(DetectVendorTest, SinglePassMatchesFindPerMarkerOnEveryMarkerSubset) {
+  const char* markers[] = {
+      "policy-options", "routing-options", "host-name", "policy-statement",
+      "family inet", "prefix-length-range", "{", ";",
+      "hostname ", "ip route ", "router bgp", "router ospf",
+      "route-map ", "ip prefix-list", "access-list", "ip community-list"};
+  static_assert(std::size(markers) == 16);
+  for (std::uint32_t subset = 0; subset < (1u << 16); ++subset) {
+    // Separated, and run together so that markers overlap or form new ones
+    // across their boundaries ("router bgp" + "policy-options" ...).
+    std::string separated = "x";
+    std::string joined;
+    for (int marker = 0; marker < 16; ++marker) {
+      if ((subset >> marker & 1) == 0) continue;
+      separated += markers[marker];
+      separated += "\n";
+      joined += markers[marker];
+    }
+    ASSERT_EQ(DetectVendor(separated), FindPerMarkerDetectVendor(separated))
+        << subset;
+    ASSERT_EQ(DetectVendor(joined), FindPerMarkerDetectVendor(joined))
+        << subset;
+    // A marker cut short by the end of the text does not count.
+    if (!joined.empty()) {
+      joined.pop_back();
+      ASSERT_EQ(DetectVendor(joined), FindPerMarkerDetectVendor(joined))
+          << subset;
+    }
+  }
+}
+
+TEST(DetectVendorTest, SinglePassMatchesFindPerMarkerOnExampleConfigs) {
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           CAMPION_SOURCE_DIR "/examples/configs")) {
+    std::ifstream file(entry.path(), std::ios::binary);
+    std::ostringstream buffer;
+    buffer << file.rdbuf();
+    const std::string text = buffer.str();
+    EXPECT_EQ(DetectVendor(text), FindPerMarkerDetectVendor(text))
+        << entry.path();
+    EXPECT_NE(DetectVendor(text), ir::Vendor::kUnknown) << entry.path();
+    ++files;
+  }
+  EXPECT_GE(files, 8);
+}
+
 TEST(LoadConfigTest, AutoDetectParsesBoth) {
   LoadResult cisco = LoadConfig(testing::kFig1Cisco, "c.cfg");
   EXPECT_EQ(cisco.config.vendor, ir::Vendor::kCisco);
@@ -40,6 +119,25 @@ TEST(LoadConfigTest, ExplicitVendorOverridesDetection) {
       LoadConfig(testing::kFig1Juniper, "j.conf", ir::Vendor::kCisco);
   EXPECT_EQ(result.config.vendor, ir::Vendor::kCisco);
   EXPECT_FALSE(result.diagnostics.empty());
+}
+
+// The JunOS tokenizer used to stop a word at NUL (strchr matches the
+// terminator) without consuming it, appending empty tokens until memory ran
+// out. NUL is now an ordinary word byte in both vendors, as it always was
+// for the IOS word splitter.
+TEST(LoadConfigTest, NulByteIsAWordByte) {
+  const std::string nul_name("a\0b", 3);
+  LoadResult juniper =
+      LoadConfig("system { host-name " + nul_name + "; }\n", "nul.conf");
+  EXPECT_EQ(juniper.config.vendor, ir::Vendor::kJuniper);
+  EXPECT_EQ(juniper.config.hostname, nul_name);
+  EXPECT_TRUE(juniper.diagnostics.empty());
+  LoadResult bare = LoadConfig(std::string("{ ;\0", 4), "nul.conf");
+  EXPECT_EQ(bare.config.vendor, ir::Vendor::kJuniper);
+  EXPECT_EQ(bare.diagnostics.size(), 0u);
+  LoadResult cisco = LoadConfig("hostname " + nul_name + "\n", "nul.cfg");
+  EXPECT_EQ(cisco.config.vendor, ir::Vendor::kCisco);
+  EXPECT_EQ(cisco.config.hostname, nul_name);
 }
 
 TEST(LoadConfigTest, ThrowsWhenUndetectable) {

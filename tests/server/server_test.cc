@@ -17,6 +17,7 @@
 
 #include <array>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -792,6 +793,25 @@ TEST_F(ServerTest, NonNumericContentLengthGets400AndConnectionClose) {
     EXPECT_EQ(CountOf(reply.text, "HTTP/1.1 "), 1u) << headers;
     EXPECT_TRUE(reply.closed) << headers;
   }
+  EXPECT_EQ(Fetch("GET", "/healthz").status, 200);
+}
+
+// A raw NUL byte inside a JunOS word used to stall the tokenizer: it
+// appended empty tokens until the daemon ran out of memory. The JSON reader
+// keeps the byte, so one request could take the daemon down.
+TEST_F(ServerTest, RawNulInConfigGetsPromptAnswerAndDaemonKeepsServing) {
+  StartServer(ServiceOptions{});
+  std::string body = "{\"config1\":\"system { host-name a";
+  body += '\0';
+  body += "b; }\",\"config2\":\"system { host-name ab; }\"}";
+  const auto start = std::chrono::steady_clock::now();
+  const RawReply reply = RawExchange(
+      server_->port(), "POST /diff HTTP/1.1\r\nConnection: close\r\n"
+                       "Content-Length: " +
+                           std::to_string(body.size()) + "\r\n\r\n" + body);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+  EXPECT_EQ(reply.text.rfind("HTTP/1.1 200 ", 0), 0u) << reply.text;
+  EXPECT_TRUE(reply.closed);
   EXPECT_EQ(Fetch("GET", "/healthz").status, 200);
 }
 
