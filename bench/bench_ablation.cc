@@ -33,19 +33,44 @@ void BM_AclDiffPruned(benchmark::State& state) {
 }
 BENCHMARK(BM_AclDiffPruned)->Arg(200)->Arg(1000)->Unit(benchmark::kMillisecond);
 
+// The unpruned variant: each ACL's classes over the whole packet space,
+// then every class pair with different actions intersected.
+std::vector<campion::core::AclDifference> UnprunedAclDiff(
+    campion::encode::PacketLayout& layout, const campion::ir::Acl& acl1,
+    const campion::ir::Acl& acl2) {
+  campion::bdd::BddManager& mgr = layout.manager();
+  auto classes = [&](const campion::ir::Acl& acl) {
+    std::vector<campion::bdd::BddRef> matches;
+    matches.reserve(acl.lines.size());
+    for (const auto& line : acl.lines) {
+      matches.push_back(layout.MatchLine(line));
+    }
+    return campion::core::BuildAclClasses(mgr, acl, matches, mgr.True());
+  };
+  const auto classes1 = classes(acl1);
+  const auto classes2 = classes(acl2);
+  std::vector<campion::core::AclDifference> differences;
+  for (const auto& c1 : classes1) {
+    for (const auto& c2 : classes2) {
+      if (c1.action == c2.action) continue;
+      campion::bdd::BddRef overlap = mgr.And(c1.predicate, c2.predicate);
+      if (overlap == campion::bdd::kFalse) continue;
+      differences.push_back({overlap, c1.action, c2.action, c1.text, c2.text});
+    }
+  }
+  return differences;
+}
+
 void BM_AclDiffUnpruned(benchmark::State& state) {
   campion::gen::AclGenOptions options;
   options.rules = static_cast<int>(state.range(0));
   options.differences = 10;
   options.seed = 11;
   auto pair = campion::gen::GenerateAclPair(options);
-  campion::core::AclDiffOptions no_prune;
-  no_prune.prune_with_disagreement_set = false;
   for (auto _ : state) {
     campion::bdd::BddManager mgr;
     campion::encode::PacketLayout layout(mgr);
-    auto diffs = campion::core::SemanticDiffAcls(layout, pair.acl1,
-                                                 pair.acl2, no_prune);
+    auto diffs = UnprunedAclDiff(layout, pair.acl1, pair.acl2);
     benchmark::DoNotOptimize(diffs);
   }
 }

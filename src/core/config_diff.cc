@@ -426,9 +426,9 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
   // report — is structurally identical at every thread count.
   std::vector<std::vector<obs::Span>> task_spans(tasks.size());
   util::RunParallel(options.num_threads, tasks.size(), [&](std::size_t i) {
-    // Pool threads have no ambient scope of their own: route this task's
+    // Pool workers have no ambient scope of their own: route this task's
     // metrics into the run's sink (re-installing the same sink is a no-op
-    // when the task runs inline on the submitting thread).
+    // when the task runs on the calling thread).
     obs::MetricsScope task_metrics(*metrics_sink);
     obs::TaskCapture capture;
     task_results[i] = tasks[i].run(&task_warnings[i]);

@@ -37,7 +37,8 @@ struct DiffOptions {
   bool check_ospf = true;
   bool check_bgp_properties = true;
   bool check_admin_distances = true;
-  // Worker threads for the per-pair semantic diffs: 0 = hardware
+  // Most per-pair semantic diffs one ConfigDiff runs at once, on the
+  // calling thread and the shared pool (util::RunParallel): 0 = hardware
   // concurrency, 1 = fully serial. Each policy pair runs against its own
   // BddManager, and results are merged back in pair-declaration order, so
   // the report is byte-identical for every thread count.

@@ -254,8 +254,7 @@ std::vector<AclPathClass> BuildAclClasses(
 
 std::vector<AclDifference> SemanticDiffAcls(encode::PacketLayout& layout,
                                             const ir::Acl& acl1,
-                                            const ir::Acl& acl2,
-                                            const AclDiffOptions& options) {
+                                            const ir::Acl& acl2) {
   bdd::BddManager& mgr = layout.manager();
   AclEncoding encoding1(layout, acl1);
   AclEncoding encoding2(layout, acl2);
@@ -265,12 +264,8 @@ std::vector<AclDifference> SemanticDiffAcls(encode::PacketLayout& layout,
   // an equivalent pair builds none.
   bdd::BddRef disagreement =
       mgr.Xor(encoding1.permit_set(), encoding2.permit_set());
-  bdd::BddRef scope = disagreement;
-  if (disagreement != bdd::kFalse && !options.prune_with_disagreement_set) {
-    scope = mgr.True();  // Ablation: classes over the whole packet space.
-  }
-  std::vector<AclPathClass> classes1 = encoding1.Classes(scope);
-  std::vector<AclPathClass> classes2 = encoding2.Classes(scope);
+  std::vector<AclPathClass> classes1 = encoding1.Classes(disagreement);
+  std::vector<AclPathClass> classes2 = encoding2.Classes(disagreement);
   AttachEncodeSpans(encoding1, encoding2);
   if (disagreement == bdd::kFalse) return {};
 

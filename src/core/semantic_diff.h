@@ -96,20 +96,11 @@ struct AclDifference {
   std::string text2;
 };
 
-struct AclDiffOptions {
-  // Build each ACL's classes only inside the symmetric difference of the
-  // two permit sets. Sound and complete: two classes with different
-  // actions overlap only inside it. An equivalent pair (empty difference)
-  // builds no classes either way; otherwise disabling builds them over the
-  // whole packet space, for ablation only.
-  bool prune_with_disagreement_set = true;
-};
-
 // All behavioral differences between two ACLs, ordered by `acl1`'s class,
 // then by `acl2`'s. Each ACL's permit set is folded from its lines first;
 // the first-match class walk runs only where the two sets disagree.
-std::vector<AclDifference> SemanticDiffAcls(
-    encode::PacketLayout& layout, const ir::Acl& acl1, const ir::Acl& acl2,
-    const AclDiffOptions& options = {});
+std::vector<AclDifference> SemanticDiffAcls(encode::PacketLayout& layout,
+                                            const ir::Acl& acl1,
+                                            const ir::Acl& acl2);
 
 }  // namespace campion::core

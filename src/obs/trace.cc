@@ -22,6 +22,12 @@ ThreadTrace& Tls() {
   return trace;
 }
 
+// Where spans finishing at open-stack depth `depth` land: the children of
+// the innermost open span, or the root list when none is open.
+std::vector<Span>& SinkAt(ThreadTrace& trace, std::size_t depth) {
+  return depth == 0 ? trace.roots : trace.open[depth - 1].children;
+}
+
 }  // namespace
 
 bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
@@ -57,11 +63,7 @@ ScopedSpan::~ScopedSpan() {
   Span span = std::move(trace.open.back());
   trace.open.pop_back();
   span.duration_ns = NowNs() - span.start_ns;
-  if (trace.open.empty()) {
-    trace.roots.push_back(std::move(span));
-  } else {
-    trace.open.back().children.push_back(std::move(span));
-  }
+  SinkAt(trace, trace.open.size()).push_back(std::move(span));
 }
 
 void ScopedSpan::AddAttr(const char* key, double value) {
@@ -69,24 +71,26 @@ void ScopedSpan::AddAttr(const char* key, double value) {
   Tls().open[depth_].attrs.emplace_back(key, value);
 }
 
-TaskCapture::TaskCapture() : mark_(Tls().roots.size()) {}
+TaskCapture::TaskCapture()
+    : depth_(Tls().open.size()), mark_(SinkAt(Tls(), depth_).size()) {}
+
+TaskCapture::~TaskCapture() {
+  if (!finished_) SinkAt(Tls(), depth_).resize(mark_);
+}
 
 std::vector<Span> TaskCapture::Finish() {
-  ThreadTrace& trace = Tls();
-  std::vector<Span> captured;
-  if (trace.roots.size() > mark_) {
-    captured.assign(std::make_move_iterator(trace.roots.begin() + mark_),
-                    std::make_move_iterator(trace.roots.end()));
-    trace.roots.resize(mark_);
-  }
+  finished_ = true;
+  std::vector<Span>& sink = SinkAt(Tls(), depth_);
+  std::vector<Span> captured(std::make_move_iterator(sink.begin() + mark_),
+                             std::make_move_iterator(sink.end()));
+  sink.resize(mark_);
   return captured;
 }
 
 void AttachSpans(std::vector<Span> spans) {
   if (spans.empty()) return;
   ThreadTrace& trace = Tls();
-  std::vector<Span>& sink =
-      trace.open.empty() ? trace.roots : trace.open.back().children;
+  std::vector<Span>& sink = SinkAt(trace, trace.open.size());
   for (Span& span : spans) sink.push_back(std::move(span));
 }
 

@@ -9,10 +9,11 @@
 //     point checks one relaxed atomic load and touches nothing else, so
 //     instrumented library code is safe to leave in hot paths.
 //   * Per-thread buffering. Spans are recorded into thread-local storage
-//     with no locking. Worker-pool tasks capture their subtrees with
-//     TaskCapture and the caller re-attaches them in task-declaration
-//     order (AttachSpan), so the assembled tree has the same structure at
-//     every `--threads` value — only the timing values differ.
+//     with no locking. RunParallel tasks capture their subtrees with
+//     TaskCapture, whichever thread runs them, and the caller re-attaches
+//     them in task-declaration order (AttachSpans), so the assembled tree
+//     has the same structure at every `--threads` value — only the timing
+//     values differ.
 //   * Spans nest strictly (RAII), so the open-span state per thread is a
 //     simple stack.
 //
@@ -81,24 +82,28 @@ class ScopedSpan {
   std::size_t depth_ = 0;  // Index of this span in the thread's open stack.
 };
 
-// Captures the top-level spans a pool task records, so the caller can move
-// them back into the main tree in a deterministic order. Construct at task
-// start (no span may be open on the task's thread above it); Finish()
-// returns every span finished at top level since construction and removes
-// them from the thread's root list. When the task actually ran inline on
-// the submitting thread (serial mode), its spans attached to the open
-// parent directly and Finish() returns nothing — attaching the (empty)
-// result keeps both modes structurally identical.
+// Captures the spans a pool task records, so the caller can move them
+// back into the main tree in a deterministic order. Construct at task
+// start: the capture is relative to the calling thread's innermost open
+// span (or its root list when none is open), so a task run inline on the
+// submitting thread and one run on a pool worker capture the same
+// subtree. Finish() returns every span finished under that span since
+// construction and removes them from it. A capture destroyed without
+// Finish() (the task threw) drops them instead, so a long-lived worker
+// keeps no span of a failed task.
 class TaskCapture {
  public:
   TaskCapture();
+  ~TaskCapture();
   std::vector<Span> Finish();
 
   TaskCapture(const TaskCapture&) = delete;
   TaskCapture& operator=(const TaskCapture&) = delete;
 
  private:
-  std::size_t mark_ = 0;  // Thread root-list size at construction.
+  std::size_t depth_ = 0;  // Open spans at construction.
+  std::size_t mark_ = 0;   // Size of the innermost one's children then.
+  bool finished_ = false;
 };
 
 // Appends already-finished spans under the calling thread's innermost open

@@ -221,11 +221,13 @@ bool HttpServer::Start(std::string* error) {
 void HttpServer::Stop() {
   if (!running_) return;
   stopping_ = true;
-  // Closing the listening socket unblocks the acceptor's accept().
+  // Shutting the listening socket down unblocks the acceptor's accept().
+  // The descriptor closes only once the acceptor has exited, so accept()
+  // never runs on a closed (or already reused) descriptor.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (acceptor_.joinable()) acceptor_.join();
   workers_.reset();  // Drains and joins the connection workers.
   running_ = false;
 }

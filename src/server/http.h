@@ -13,9 +13,10 @@
 // decimal count gets a 400 and the connection closes, so body bytes are
 // never read as the next request.
 //
-// Shutdown is graceful: Stop() closes the listening socket (unblocking the
-// acceptor), marks the server stopping so keep-alive loops finish their
-// in-flight request and exit, and drains the worker pool. The SIGTERM
+// Shutdown is graceful: Stop() marks the server stopping so keep-alive
+// loops finish their in-flight request and exit, shuts the listening
+// socket down (unblocking the acceptor), closes it once the acceptor has
+// exited, and drains the worker pool. The SIGTERM
 // handler in campion_serve_main.cc funnels into Stop(), which is what the
 // CI smoke job exercises.
 

@@ -316,10 +316,11 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
   // produces — on this thread via the scope below, and on ConfigDiff's
   // pooled pair tasks, which ConfigDiff hands the current sink. No
   // cross-request lock; concurrent tasks each fold their own snapshot at
-  // the end.
+  // the end. The span capture takes this task's spans whichever thread
+  // runs it, and drops them when the task fails before taking them.
   obs::MetricsSink sink;
   obs::MetricsScope metrics_scope(sink);
-  obs::ResetThreadTrace();
+  obs::TaskCapture span_capture;
 
   FlightRecord record;
   record.endpoint = task.endpoint;
@@ -366,7 +367,7 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
       outcome.differences = cached->differences;
       record.equivalent = cached->equivalent;
       record.differences = cached->differences;
-      record.spans = obs::TakeThreadSpans();
+      record.spans = span_capture.Finish();
       record.metrics = sink.Snapshot();
       FoldMetrics(record.metrics);
       return finish();
@@ -400,7 +401,7 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
   }
   record.diff_ns = obs::NowNs() - diff_start;
 
-  std::vector<obs::Span> spans = obs::TakeThreadSpans();
+  std::vector<obs::Span> spans = span_capture.Finish();
 
   const std::uint64_t render_start = obs::NowNs();
   const std::string report_body =
@@ -486,10 +487,6 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
                      "field 'pairs' (non-empty array of pair objects) is "
                      "required");
   }
-  // Each pair fans its ConfigDiff out over one worker: the batch itself is
-  // the parallelism (pair granularity), and nesting pools would
-  // oversubscribe. The response is byte-identical either way.
-  diff_options.num_threads = 1;
 
   std::vector<PairTask> tasks;
   tasks.reserve(pairs_json->array.size());
@@ -522,10 +519,11 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
   BumpCounter("server.batch_requests");
   BumpCounter("server.batch_pairs", static_cast<double>(tasks.size()));
 
-  // Largest-first schedule: FIFO submission order is execution order, so
+  // Largest-first schedule: RunParallel starts indices in order, so
   // sorting the index permutation by total config bytes (descending) keeps
   // the biggest pairs from landing last and serializing the batch tail.
-  // Results land in declaration-order slots, so the merged response is
+  // Each pair's ConfigDiff fans out again on the same shared pool. Results
+  // land in declaration-order slots, so the merged response is
   // byte-identical at any worker count.
   std::vector<std::size_t> schedule(tasks.size());
   for (std::size_t i = 0; i < schedule.size(); ++i) schedule[i] = i;
@@ -539,11 +537,11 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
               return a < b;
             });
   std::vector<PairOutcome> outcomes(tasks.size());
-  const unsigned workers = util::ResolveThreadCount(options_.diff.num_threads);
-  util::RunParallel(workers, tasks.size(), [&](std::size_t i) {
-    const std::size_t pair_index = schedule[i];
-    outcomes[pair_index] = ExecutePair(tasks[pair_index]);
-  });
+  util::RunParallel(options_.diff.num_threads, tasks.size(),
+                    [&](std::size_t i) {
+                      const std::size_t pair_index = schedule[i];
+                      outcomes[pair_index] = ExecutePair(tasks[pair_index]);
+                    });
 
   // Merge in declaration order.
   bool all_ok = true;

@@ -42,13 +42,18 @@
 // through ExecutePair.
 //
 // Concurrency model: requests run the full parse→diff→render pipeline
-// CONCURRENTLY, one per connection worker, each still fanning out
-// over `--threads` workers inside ConfigDiff. What makes that sound is
-// scoped observability capture: every request records into its own
+// CONCURRENTLY, one per connection worker, each still fanning out inside
+// ConfigDiff, at most `--threads` tasks at once. /batch fans its pairs out
+// the same way, and each pair's ConfigDiff fans out again: every fan-out
+// is a util::RunParallel call on the one process-wide pool, whose callers
+// run their own tasks, so the nesting needs no special case and the
+// compute threads stay fixed. What makes that sound is scoped
+// observability capture: every pair task records into its own
 // obs::MetricsSink (installed with obs::MetricsScope; ConfigDiff installs
-// the caller's sink on its pooled pair tasks too) and its own thread-local
-// span buffer, and the service folds the private snapshot into the daemon
-// cumulative map only at request completion. No lock is held across a
+// the caller's sink on its pooled pair tasks too) and captures its own
+// spans with obs::TaskCapture on whichever thread runs it, and the service
+// folds the private snapshot into the daemon cumulative map only at task
+// completion. No lock is held across a
 // pipeline run: each request's pair tasks encode into their own fresh BDD
 // managers inside ConfigDiff, exactly as the one-shot CLI does.
 

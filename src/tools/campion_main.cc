@@ -13,7 +13,7 @@
 //   --route-map=NAME               Compare only the named route map pair.
 //   --acl=NAME                     Compare only the named ACL pair.
 //   --format=text|json             Output format (default text).
-//   --threads=N                    Worker threads for per-pair diffs
+//   --threads=N                    Most per-pair diffs run at once
 //                                  (0 = hardware concurrency, 1 = serial).
 //   --trace_out=FILE               Write a JSON trace (phase spans + metrics,
 //                                  see docs/trace_format.md) to FILE.
@@ -89,7 +89,7 @@ void PrintUsage(std::ostream& out) {
          "  --route-map=N   compare only the named route map pair\n"
          "  --acl=N         compare only the named ACL pair\n"
          "  --format=text|json\n"
-         "  --threads=N     worker threads for per-pair diffs\n"
+         "  --threads=N     most per-pair diffs run at once\n"
          "                  (0 = hardware concurrency, 1 = serial)\n"
          "  --trace_out=F   write a JSON trace of the run (phase spans +\n"
          "                  metrics, docs/trace_format.md) to file F\n"

@@ -9,7 +9,8 @@
 //   --port=N                 Listen port (default 8080; 0 = ephemeral,
 //                            printed on startup).
 //   --bind=ADDR              Bind address (default 127.0.0.1).
-//   --threads=N              Worker threads per diff request
+//   --threads=N              Most per-pair diffs (or /batch pairs) one
+//                            request runs at once
 //                            (0 = hardware concurrency, 1 = serial).
 //   --http_threads=N         Connection-handling threads (default 4).
 //   --result_cache_mb=N      Cached response bytes before LRU eviction
@@ -49,7 +50,8 @@ void PrintUsage(std::ostream& out) {
          "  --port=N        listen port (default 8080; 0 = ephemeral,\n"
          "                  printed on startup)\n"
          "  --bind=ADDR     bind address (default 127.0.0.1)\n"
-         "  --threads=N     worker threads per diff request\n"
+         "  --threads=N     most per-pair diffs (or /batch pairs) one\n"
+         "                  request runs at once\n"
          "                  (0 = hardware concurrency, 1 = serial)\n"
          "  --http_threads=N\n"
          "                  connection-handling threads (default 4)\n"

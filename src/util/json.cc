@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -165,7 +166,11 @@ class Parser {
     }
     ++pos_;
     while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
+      char c = text_[pos_];
+      if (static_cast<unsigned char>(c) < 0x20) {
+        return Fail("control character in string");
+      }
+      ++pos_;
       if (c != '\\') {
         out += c;
         continue;
@@ -182,16 +187,70 @@ class Parser {
         case 'b': out += '\b'; break;
         case 'f': out += '\f'; break;
         case 'u':
-          // Our emitters only \u-escape control characters; decode to '?'.
-          if (pos_ + 4 > text_.size()) return Fail("short \\u escape");
-          pos_ += 4;
-          out += '?';
+          if (!ParseUnicodeEscape(out)) return false;
           break;
         default: return Fail("unknown escape");
       }
     }
     if (pos_ >= text_.size()) return Fail("unterminated string");
     ++pos_;  // Closing quote.
+    return true;
+  }
+
+  // Reads the four hex digits of a \u escape into `unit`.
+  bool ParseHex4(std::uint32_t& unit) {
+    if (pos_ + 4 > text_.size()) return Fail("short \\u escape");
+    unit = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char c = text_[pos_];
+      std::uint32_t digit;
+      if (c >= '0' && c <= '9') {
+        digit = static_cast<std::uint32_t>(c - '0');
+      } else if (c >= 'a' && c <= 'f') {
+        digit = static_cast<std::uint32_t>(c - 'a' + 10);
+      } else if (c >= 'A' && c <= 'F') {
+        digit = static_cast<std::uint32_t>(c - 'A' + 10);
+      } else {
+        return Fail("non-hex digit in \\u escape");
+      }
+      unit = unit << 4 | digit;
+      ++pos_;
+    }
+    return true;
+  }
+
+  // Decodes a \u escape (the "\u" already read) to UTF-8: a code point
+  // outside U+D800..U+DFFF, or a high surrogate followed by an escaped low
+  // one. A lone surrogate is malformed.
+  bool ParseUnicodeEscape(std::string& out) {
+    std::uint32_t code = 0;
+    if (!ParseHex4(code)) return false;
+    if (code >= 0xDC00 && code <= 0xDFFF) return Fail("lone low surrogate");
+    if (code >= 0xD800 && code <= 0xDBFF) {
+      std::uint32_t low = 0;
+      if (text_.compare(pos_, 2, "\\u") != 0) {
+        return Fail("lone high surrogate");
+      }
+      pos_ += 2;
+      if (!ParseHex4(low)) return false;
+      if (low < 0xDC00 || low > 0xDFFF) return Fail("lone high surrogate");
+      code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+    }
+    if (code < 0x80) {
+      out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      out += static_cast<char>(0xC0 | code >> 6);
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+      out += static_cast<char>(0xE0 | code >> 12);
+      out += static_cast<char>(0x80 | (code >> 6 & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      out += static_cast<char>(0xF0 | code >> 18);
+      out += static_cast<char>(0x80 | (code >> 12 & 0x3F));
+      out += static_cast<char>(0x80 | (code >> 6 & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    }
     return true;
   }
 

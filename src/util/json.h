@@ -5,12 +5,13 @@
 //
 // Emission: JsonEscape / JsonNumber keep the writers dependency-free.
 //
-// Reading: JsonValue + ParseJson are a small recursive-descent reader, just
-// enough to load the documents this repo itself emits (campion traces,
-// BENCH metric dumps). Objects preserve key order so consumers can check
-// emission-order guarantees. It is not a general validating parser —
-// numbers lean on strtod and \u escapes outside the control range decode
-// to '?' — which matches what the emitters above can produce.
+// Reading: JsonValue + ParseJson are a small recursive-descent reader for
+// the documents this repo emits (campion traces, BENCH metric dumps) and
+// the daemon's request bodies. Objects preserve key order so consumers can
+// check emission-order guarantees. Strings follow RFC 8259: raw control
+// characters are rejected, and \u escapes (surrogate pairs included)
+// decode to UTF-8, so a client that escapes non-ASCII text sends the same
+// bytes as one that does not. Numbers lean on strtod.
 
 #include <cstddef>
 #include <string>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <memory>
 #include <utility>
 
 namespace campion::util {
@@ -16,7 +17,6 @@ ThreadPool::ThreadPool(unsigned num_threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  Wait();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
@@ -29,14 +29,8 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push(std::move(task));
-    ++in_flight_;
   }
   work_ready_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
@@ -50,10 +44,6 @@ void ThreadPool::WorkerLoop() {
       queue_.pop();
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
   }
 }
 
@@ -63,31 +53,71 @@ unsigned ResolveThreadCount(unsigned requested) {
   return hw == 0 ? 1 : hw;
 }
 
+namespace {
+
+ThreadPool& SharedPool() {
+  static ThreadPool pool(ResolveThreadCount(0));
+  return pool;
+}
+
+// One RunParallel call. The caller and its helpers claim indices from
+// `next`; helpers hold the call by shared_ptr, so a helper that starts
+// after the call has returned finds no index left and touches nothing but
+// this state. `fn` is only called for a claimed index, and the caller
+// cannot return while a claimed index is unfinished.
+struct ParallelCall {
+  ParallelCall(std::size_t n, const std::function<void(std::size_t)>& fn)
+      : n(n), fn(fn) {}
+
+  // Runs claimed indices until none is left, then reports how many ran.
+  void Drain() {
+    std::size_t ran = 0;
+    for (std::size_t i; (i = next.fetch_add(1)) < n; ++ran) {
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (!error || i < error_index) {
+          error = std::current_exception();
+          error_index = i;
+        }
+      }
+    }
+    if (ran == 0) return;
+    std::lock_guard<std::mutex> lock(mutex);
+    done += ran;
+    if (done == n) all_done.notify_all();
+  }
+
+  const std::size_t n;
+  const std::function<void(std::size_t)>& fn;
+  std::atomic<std::size_t> next{0};
+  std::mutex mutex;
+  std::condition_variable all_done;
+  std::size_t done = 0;  // Guarded by mutex, as are the two below.
+  std::exception_ptr error;
+  std::size_t error_index = 0;
+};
+
+}  // namespace
+
 void RunParallel(unsigned num_threads, std::size_t n,
                  const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  num_threads = ResolveThreadCount(num_threads);
-  if (num_threads <= 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
+  auto call = std::make_shared<ParallelCall>(n, fn);
+  const std::size_t helpers =
+      std::min<std::size_t>(ResolveThreadCount(num_threads), n) - 1;
+  for (std::size_t h = 0; h < helpers; ++h) {
+    SharedPool().Submit([call] { call->Drain(); });
   }
-  std::vector<std::exception_ptr> errors(n);
+  call->Drain();
+  std::exception_ptr error;
   {
-    ThreadPool pool(std::min<std::size_t>(num_threads, n));
-    for (std::size_t i = 0; i < n; ++i) {
-      pool.Submit([&, i] {
-        try {
-          fn(i);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      });
-    }
-    pool.Wait();
+    std::unique_lock<std::mutex> lock(call->mutex);
+    call->all_done.wait(lock, [&] { return call->done == n; });
+    error = call->error;
   }
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace campion::util

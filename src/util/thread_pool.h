@@ -1,15 +1,25 @@
 #pragma once
 
-// A small fixed-size worker pool for fanning independent tasks out across
-// threads. Campion's differencing pipeline uses it to run per-pair policy
-// comparisons concurrently: each task owns all of its mutable state (its
-// own BddManager and encoding layout), so the pool needs no shared-state
-// machinery beyond the queue itself.
+// Worker threads for Campion's fan-outs.
+//
+// RunParallel is what the differencing pipeline uses: ConfigDiff runs its
+// per-pair policy comparisons through it, and the daemon's /batch runs its
+// pairs through it, each of which may fan out again inside ConfigDiff.
+// Every call shares one process-wide pool, sized to the hardware and
+// started on first use, so no call starts or joins a thread. The calling
+// thread runs its own tasks alongside at most `num_threads - 1` pooled
+// helpers, and never runs another call's tasks, so a nested call cannot
+// deadlock waiting for workers held by its outer call. Each task owns all
+// of its mutable state (its own BddManager and encoding layout), so the
+// pool needs no shared-state machinery beyond the queue itself.
+//
+// ThreadPool is the queue-and-workers primitive under it, also used
+// directly for the daemon's connection workers.
 
+#include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <mutex>
-#include <condition_variable>
 #include <queue>
 #include <thread>
 #include <vector>
@@ -20,19 +30,14 @@ class ThreadPool {
  public:
   // Spawns `num_threads` workers (at least 1).
   explicit ThreadPool(unsigned num_threads);
-  ~ThreadPool();  // Waits for all queued tasks, then joins.
+  ~ThreadPool();  // Runs every queued task, then joins.
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  unsigned size() const { return static_cast<unsigned>(workers_.size()); }
-
   // Enqueues a task. Tasks must not throw; wrap fallible work and capture
   // errors by side channel (see RunParallel).
   void Submit(std::function<void()> task);
-
-  // Blocks until every submitted task has finished executing.
-  void Wait();
 
  private:
   void WorkerLoop();
@@ -41,8 +46,6 @@ class ThreadPool {
   std::queue<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable work_ready_;
-  std::condition_variable all_done_;
-  std::size_t in_flight_ = 0;  // Queued + currently executing tasks.
   bool stop_ = false;
 };
 
@@ -50,10 +53,11 @@ class ThreadPool {
 // (never less than 1), any other value is taken as-is.
 unsigned ResolveThreadCount(unsigned requested);
 
-// Runs fn(0) .. fn(n-1), fanning out across `num_threads` workers when
-// num_threads > 1, or inline on the calling thread otherwise. Blocks until
-// all invocations complete. If any invocation throws, the first exception
-// (by task index) is rethrown after all tasks have finished.
+// Runs fn(0) .. fn(n-1) with at most `num_threads` of them (resolved as
+// above) executing at once: on the calling thread, and on up to
+// num_threads - 1 workers of the shared pool. Blocks until all invocations
+// complete. Every invocation runs even if some throw; the exception of the
+// lowest-index failed invocation is then rethrown.
 void RunParallel(unsigned num_threads, std::size_t n,
                  const std::function<void(std::size_t)>& fn);
 

@@ -47,8 +47,7 @@ std::vector<AclPathClass> ReferenceClasses(encode::PacketLayout& layout,
 }
 
 ReferenceResult ReferenceDiff(encode::PacketLayout& layout,
-                              const ir::Acl& acl1, const ir::Acl& acl2,
-                              const AclDiffOptions& options) {
+                              const ir::Acl& acl1, const ir::Acl& acl2) {
   bdd::BddManager& mgr = layout.manager();
   std::vector<AclPathClass> classes1 = ReferenceClasses(layout, acl1);
   std::vector<AclPathClass> classes2 = ReferenceClasses(layout, acl2);
@@ -67,7 +66,6 @@ ReferenceResult ReferenceDiff(encode::PacketLayout& layout,
   bdd::BddRef disagreement =
       mgr.Xor(permit_set(classes1), permit_set(classes2));
   if (disagreement == bdd::kFalse) return result;
-  if (!options.prune_with_disagreement_set) disagreement = mgr.True();
 
   auto touched = [&](const std::vector<AclPathClass>& classes) {
     std::vector<const AclPathClass*> relevant;
@@ -103,20 +101,16 @@ gen::AclGenOptions CorpusPair(int index) {
 }
 
 // Returns the number of differences compared.
-std::size_t ExpectSameDifferences(const gen::AclGenOptions& options,
-                                  bool prune) {
+std::size_t ExpectSameDifferences(const gen::AclGenOptions& options) {
   gen::GeneratedAclPair pair = gen::GenerateAclPair(options);
   bdd::BddManager mgr;
   encode::PacketLayout layout(mgr, options.family);
-  AclDiffOptions diff_options;
-  diff_options.prune_with_disagreement_set = prune;
   std::vector<AclDifference> actual =
-      SemanticDiffAcls(layout, pair.acl1, pair.acl2, diff_options);
+      SemanticDiffAcls(layout, pair.acl1, pair.acl2);
   std::vector<AclDifference> expected =
-      ReferenceDiff(layout, pair.acl1, pair.acl2, diff_options).differences;
+      ReferenceDiff(layout, pair.acl1, pair.acl2).differences;
   std::string label = "seed " + std::to_string(options.seed) + ", " +
-                      std::to_string(options.rules) + " rules, " +
-                      (prune ? "pruned" : "unpruned");
+                      std::to_string(options.rules) + " rules";
   EXPECT_EQ(actual.size(), expected.size()) << label;
   if (actual.size() != expected.size()) return 0;
   for (std::size_t i = 0; i < actual.size(); ++i) {
@@ -130,9 +124,7 @@ std::size_t ExpectSameDifferences(const gen::AclGenOptions& options,
   return actual.size();
 }
 
-// 300 pairs in 10 shards, so ctest runs them in parallel. Every tenth pair
-// also runs unpruned: the reference then compares every class pair, which
-// is quadratic in the ACL size.
+// 300 pairs in 10 shards, so ctest runs them in parallel.
 constexpr int kShards = 10;
 constexpr int kPairsPerShard = 30;
 
@@ -142,10 +134,7 @@ TEST_P(AclDiffParityTest, MatchesFullSpaceClassWalk) {
   std::size_t compared = 0;
   for (int k = 0; k < kPairsPerShard; ++k) {
     int index = GetParam() * kPairsPerShard + k;
-    compared += ExpectSameDifferences(CorpusPair(index), /*prune=*/true);
-    if (index % 10 == 0) {
-      ExpectSameDifferences(CorpusPair(index), /*prune=*/false);
-    }
+    compared += ExpectSameDifferences(CorpusPair(index));
   }
   RecordProperty("differences", static_cast<int>(compared));
   EXPECT_GT(compared, 0u);
@@ -250,7 +239,7 @@ TEST(AclClassCountTest, DifferingPairBuildsFewerClassesThanFullSpaceWalk) {
     obs::SetEnabled(false);
   }
   obs::ResetThreadTrace();
-  ReferenceResult reference = ReferenceDiff(layout, pair.acl1, pair.acl2, {});
+  ReferenceResult reference = ReferenceDiff(layout, pair.acl1, pair.acl2);
 
   ASSERT_FALSE(differences.empty());
   double classes = MetricValue(sink, "encode.acl_classes");

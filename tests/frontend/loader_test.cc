@@ -149,13 +149,9 @@ TEST(LoadConfigFileTest, ThrowsOnMissingFile) {
 }
 
 TEST(LoadConfigFileTest, LoadsExampleConfigs) {
-  // The checked-in example configs, when present relative to the repo root.
-  try {
-    LoadResult result = LoadConfigFile("examples/configs/fig1_cisco.cfg");
-    EXPECT_EQ(result.config.hostname, "cisco_router");
-  } catch (const std::runtime_error&) {
-    GTEST_SKIP() << "example configs not reachable from test cwd";
-  }
+  LoadResult result =
+      LoadConfigFile(CAMPION_SOURCE_DIR "/examples/configs/fig1_cisco.cfg");
+  EXPECT_EQ(result.config.hostname, "cisco_router");
 }
 
 }  // namespace

@@ -413,7 +413,8 @@ TEST_F(ResultCacheServerTest, DebugResultCacheViewListsEntries) {
 
 // Batch responses must be byte-identical across worker counts, cold (every
 // pair computed) and warm (every pair replayed): the merge is
-// declaration-ordered and dispositions live only in headers.
+// declaration-ordered and dispositions live only in headers. Each pair's
+// ConfigDiff fans out again inside the batch's own fan-out.
 TEST_F(ResultCacheServerTest, BatchParityAcrossThreadsAndCacheModes) {
   const std::string batch = BatchBody({
       {testing::kFig1Cisco, testing::kFig1Juniper},
@@ -422,7 +423,7 @@ TEST_F(ResultCacheServerTest, BatchParityAcrossThreadsAndCacheModes) {
   });
 
   std::string reference;
-  for (const unsigned threads : {1u, 4u}) {
+  for (const unsigned threads : {1u, 2u, 4u}) {
     ServiceOptions options;
     options.diff.num_threads = threads;
     StartServer(options);
@@ -457,7 +458,7 @@ TEST_F(ResultCacheServerTest, BatchParityAcrossThreadsAndCacheModes) {
 // The fleet workflow the cache exists for: re-POST an 8-pair batch with one
 // pair changed. Exactly that pair is looked up, parsed and diffed again;
 // the other 7 replay. The answer is byte-identical to a fresh daemon's cold
-// answer for the changed batch, at 1 and 4 connection and batch workers.
+// answer for the changed batch, at 1, 2 and 4 connection and batch workers.
 TEST_F(ResultCacheServerTest, OneChangedPairRecomputesOnlyThatPair) {
   // Eight distinct keys: trailing blank lines change the key, not the
   // report. Pairs alternate direction so the reports differ too.
@@ -495,7 +496,7 @@ TEST_F(ResultCacheServerTest, OneChangedPairRecomputesOnlyThatPair) {
   EXPECT_NE(incremental.body, first.body);
   StopServer();
 
-  for (const unsigned threads : {1u, 4u}) {
+  for (const unsigned threads : {1u, 2u, 4u}) {
     ServiceOptions options;
     options.diff.num_threads = threads;
     StartServer(options, static_cast<int>(threads));

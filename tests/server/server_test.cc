@@ -350,11 +350,10 @@ TEST_F(ServerTest, ObsEnvelopeCarriesSpansAndMetrics) {
 // simultaneous /diff requests must still each return the exact CLI bytes —
 // scoped metrics capture is what keeps concurrent requests from perturbing
 // each other (or the report).
+// Concurrent /diff requests and a concurrent /batch, at 1, 2 and 4
+// threads: every request, and every /batch pair (whose ConfigDiff fans out
+// again inside the batch's fan-out), answers byte-identically to the CLI.
 TEST_F(ServerCliParityTest, ConcurrentDiffRequestsMatchCliByteParity) {
-  ServiceOptions options;
-  options.diff.num_threads = 2;  // Fan out inside requests too.
-  StartServer(options);
-
   int cli_exit = 0;
   const std::string cli = RunCliStdout(
       "--threads=1 " + Path("cisco.cfg") + " " + Path("juniper.conf"),
@@ -362,36 +361,68 @@ TEST_F(ServerCliParityTest, ConcurrentDiffRequestsMatchCliByteParity) {
   ASSERT_EQ(cli_exit, 2);
   ASSERT_FALSE(cli.empty());
 
-  // One key per client, so every request runs the whole pipeline
-  // concurrently; a result-cache replay would short-circuit the race this
-  // test is about.
+  // One key per /diff client and per /batch pair, so every request and
+  // pair runs the whole pipeline concurrently; a result-cache replay would
+  // short-circuit the race this test is about.
   constexpr int kClients = 4;
-  std::vector<std::string> bodies(kClients);
-  std::vector<int> statuses(kClients, 0);
-  std::vector<std::thread> clients;
+  std::string batch = "{\"pairs\":[";
   for (int i = 0; i < kClients; ++i) {
-    clients.emplace_back([&, i] {
-      HttpClientResponse response;
-      std::string error;
-      if (HttpFetch("127.0.0.1", server_->port(), "POST", "/diff",
-                    DiffRequestBody(Fig1CiscoVariant(i + 1),
-                                    testing::kFig1Juniper),
-                    &response, &error)) {
-        statuses[i] = response.status;
-        bodies[i] = response.body;
-      }
-    });
+    if (i > 0) batch += ',';
+    batch += "{\"name\":\"p" + std::to_string(i) + "\",\"config1\":" +
+             JsonString(Fig1CiscoVariant(kClients + i + 1)) +
+             ",\"config2\":" + JsonString(testing::kFig1Juniper) + "}";
   }
-  for (std::thread& client : clients) client.join();
-  for (int i = 0; i < kClients; ++i) {
-    EXPECT_EQ(statuses[i], 200) << "client " << i;
-    EXPECT_EQ(bodies[i], cli) << "client " << i;
+  batch += "]}";
+
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    ServiceOptions options;
+    options.diff.num_threads = threads;
+    StartServer(options);
+    std::vector<std::string> bodies(kClients + 1);
+    std::vector<int> statuses(kClients + 1, 0);
+    std::vector<std::thread> clients;
+    for (int i = 0; i <= kClients; ++i) {
+      clients.emplace_back([&, i] {
+        const bool is_batch = i == kClients;
+        HttpClientResponse response;
+        std::string error;
+        if (HttpFetch("127.0.0.1", server_->port(), "POST",
+                      is_batch ? "/batch" : "/diff",
+                      is_batch ? batch
+                               : DiffRequestBody(Fig1CiscoVariant(i + 1),
+                                                 testing::kFig1Juniper),
+                      &response, &error)) {
+          statuses[i] = response.status;
+          bodies[i] = response.body;
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+    for (int i = 0; i < kClients; ++i) {
+      EXPECT_EQ(statuses[i], 200) << "threads=" << threads << " client " << i;
+      EXPECT_EQ(bodies[i], cli) << "threads=" << threads << " client " << i;
+    }
+    ASSERT_EQ(statuses[kClients], 200) << "threads=" << threads;
+    util::JsonValue parsed;
+    std::string error;
+    ASSERT_TRUE(util::ParseJson(bodies[kClients], parsed, &error)) << error;
+    const util::JsonValue* pairs = parsed.Find("pairs");
+    ASSERT_TRUE(pairs != nullptr && pairs->IsArray());
+    ASSERT_EQ(pairs->array.size(), static_cast<std::size_t>(kClients));
+    for (const util::JsonValue& pair : pairs->array) {
+      EXPECT_EQ(pair.Find("report")->string, cli)
+          << "threads=" << threads << " " << pair.Find("name")->string;
+    }
+    // Every request's metrics were captured: 4 diffs folded, and all 4
+    // diffs and 4 batch pairs computed.
+    HttpClientResponse metrics = Fetch("GET", "/metrics");
+    EXPECT_NE(metrics.body.find("server.diff_requests 4"), std::string::npos);
+    EXPECT_NE(metrics.body.find("server.result_cache_misses 8\n"),
+              std::string::npos);
+    server_->Stop();
+    server_.reset();
+    service_.reset();
   }
-  // Every request's metrics were captured: 4 diffs folded, all 4 computed.
-  HttpClientResponse metrics = Fetch("GET", "/metrics");
-  EXPECT_NE(metrics.body.find("server.diff_requests 4"), std::string::npos);
-  EXPECT_NE(metrics.body.find("server.result_cache_misses 4\n"),
-            std::string::npos);
 }
 
 TEST_F(ServerTest, KeepAliveConnectionReuseIsCountedAndExposed) {
@@ -796,9 +827,11 @@ TEST_F(ServerTest, NonNumericContentLengthGets400AndConnectionClose) {
   EXPECT_EQ(Fetch("GET", "/healthz").status, 200);
 }
 
-// A raw NUL byte inside a JunOS word used to stall the tokenizer: it
-// appended empty tokens until the daemon ran out of memory. The JSON reader
-// keeps the byte, so one request could take the daemon down.
+// A NUL byte inside a JunOS word used to stall the tokenizer: it appended
+// empty tokens until the daemon ran out of memory, so one request could
+// take the daemon down. A raw NUL inside a JSON string is malformed JSON
+// (RFC 8259) and gets a 400; sent escaped as \u0000, it decodes to a real
+// NUL that reaches the JunOS lexer, and the answer must still be prompt.
 TEST_F(ServerTest, RawNulInConfigGetsPromptAnswerAndDaemonKeepsServing) {
   StartServer(ServiceOptions{});
   std::string body = "{\"config1\":\"system { host-name a";
@@ -810,8 +843,25 @@ TEST_F(ServerTest, RawNulInConfigGetsPromptAnswerAndDaemonKeepsServing) {
                        "Content-Length: " +
                            std::to_string(body.size()) + "\r\n\r\n" + body);
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
-  EXPECT_EQ(reply.text.rfind("HTTP/1.1 200 ", 0), 0u) << reply.text;
+  EXPECT_EQ(reply.text.rfind("HTTP/1.1 400 ", 0), 0u) << reply.text;
+  EXPECT_NE(reply.text.find("control character in string"), std::string::npos)
+      << reply.text;
   EXPECT_TRUE(reply.closed);
+  EXPECT_EQ(Fetch("GET", "/healthz").status, 200);
+}
+
+TEST_F(ServerTest, EscapedNulInConfigReachesTheLexerAndGetsPromptAnswer) {
+  StartServer(ServiceOptions{});
+  const std::string body =
+      "{\"config1\":\"system { host-name a\\u0000b; }\","
+      "\"config2\":\"system { host-name ab; }\",\"format\":\"json\"}";
+  const auto start = std::chrono::steady_clock::now();
+  HttpClientResponse reply = Fetch("POST", "/diff", body);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+  EXPECT_EQ(reply.status, 200) << reply.body;
+  // The host name the lexer read carries the NUL, escaped again on output.
+  EXPECT_NE(reply.body.find("\"router1\": \"a\\u0000b\""), std::string::npos)
+      << reply.body;
   EXPECT_EQ(Fetch("GET", "/healthz").status, 200);
 }
 

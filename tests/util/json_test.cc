@@ -1,7 +1,7 @@
 // Tests for the minimal JSON reader in util/json: round-trips of the
 // document shapes this repo emits (traces, metric dumps), key-order
-// preservation, escape handling, the nesting cap, and the malformed-input
-// error paths the trace-diff tool relies on.
+// preservation, RFC 8259 string escapes, the nesting cap, and the
+// malformed-input error paths the trace-diff tool and the daemon rely on.
 
 #include <gtest/gtest.h>
 
@@ -65,10 +65,53 @@ TEST(JsonTest, RoundTripsEscapedStrings) {
   EXPECT_EQ(value.string, original);
 }
 
-TEST(JsonTest, UnicodeEscapesDecodeToPlaceholder) {
-  // Non-control \u escapes decode to '?' — enough for our own documents,
-  // which never emit them (documented in util/json.h).
-  EXPECT_EQ(ParseOrDie("\"a\\u00e9b\"").string, "a?b");
+TEST(JsonTest, UnicodeEscapesDecodeToUtf8) {
+  // One, two, three and four UTF-8 bytes; the last from a surrogate pair,
+  // as Python's json.dumps escapes characters outside the BMP.
+  EXPECT_EQ(ParseOrDie("\"a\\u0041b\"").string, "aAb");
+  EXPECT_EQ(ParseOrDie("\"a\\u00e9b\"").string, "a\xc3\xa9" "b");
+  EXPECT_EQ(ParseOrDie("\"\\u20AC\"").string, "\xe2\x82\xac");
+  EXPECT_EQ(ParseOrDie("\"\\ud83d\\ude00\"").string, "\xf0\x9f\x98\x80");
+  EXPECT_EQ(ParseOrDie("\"\\uffff\"").string, "\xef\xbf\xbf");
+  // An escaped NUL is a real NUL byte, not the end of the string.
+  const std::string nul = ParseOrDie("\"a\\u0000b\"").string;
+  EXPECT_EQ(nul, std::string("a\0b", 3));
+}
+
+TEST(JsonTest, ControlCharactersRoundTripThroughJsonEscape) {
+  // JsonEscape writes control characters as \u00XX; the reader must give
+  // back the same bytes.
+  std::string original;
+  for (int c = 0; c < 0x20; ++c) original += static_cast<char>(c);
+  original += "tail";
+  std::string text = "\"";
+  text += JsonEscape(original);
+  text += '"';
+  EXPECT_EQ(ParseOrDie(text).string, original);
+}
+
+TEST(JsonTest, RejectsRawControlCharactersAndBadUnicodeEscapes) {
+  const std::string bad[] = {
+      std::string("\"a\0b\"", 5),  // raw NUL
+      "\"a\nb\"",                  // raw newline
+      "\"a\tb\"",                  // raw tab
+      "{\"k\x01\": 1}",            // raw control character in a key
+      "\"\\u12\"",                 // short escape
+      "\"\\u00g0\"",               // non-hex digit
+      "\"\\u+123\"",               // sign is not a hex digit
+      "\"\\ud83d\"",               // lone high surrogate
+      "\"\\ud83dx\"",              // high surrogate, no escape after
+      "\"\\ud83d\\u0041\"",        // high surrogate, then a non-surrogate
+      "\"\\ud83d\\ud83d\"",        // high surrogate, then another high one
+      "\"\\ude00\"",               // lone low surrogate
+  };
+  for (const std::string& text : bad) {
+    JsonValue value;
+    std::string error;
+    EXPECT_FALSE(ParseJson(text, value, &error)) << text;
+    EXPECT_NE(error.find("at byte"), std::string::npos)
+        << "error lacks byte offset for: " << text << " -> " << error;
+  }
 }
 
 TEST(JsonTest, RejectsMalformedInputWithOffset) {
