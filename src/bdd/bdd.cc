@@ -377,8 +377,6 @@ BddMemoryStats BddManager::MemoryStats() const {
                       visit_stack_.capacity() * sizeof(BddRef);
   mem.total_bytes = mem.node_arena_bytes + mem.unique_table_bytes +
                     mem.ite_cache_bytes + mem.scratch_bytes;
-  // The arena never shrinks, so its size is the high-water mark.
-  mem.peak_live_nodes = nodes_.size();
   mem.rehash_count = stat_rehashes_;
   return mem;
 }

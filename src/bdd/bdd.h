@@ -113,7 +113,6 @@ struct BddMemoryStats {
   std::size_t ite_cache_bytes = 0;     // Direct-mapped computed cache.
   std::size_t scratch_bytes = 0;       // Stacks, stamps, per-var caches.
   std::size_t total_bytes = 0;         // Sum of the byte fields above.
-  std::size_t peak_live_nodes = 0;     // High-water live node count.
   std::uint64_t rehash_count = 0;      // Unique-table growth events.
 };
 

@@ -32,21 +32,6 @@ ir::RouteMap PassThroughMap() {
   return map;
 }
 
-// Records a pair manager's kernel + memory accounting on the pair's span
-// and into the metrics registry. One call per manager, at task end — the
-// MemoryStats() walk is cheap but not free, so it stays off when tracing
-// is disabled.
-void RecordPairBddObservability(obs::ScopedSpan& span,
-                                const bdd::BddManager& mgr) {
-  if (!obs::Enabled()) return;
-  span.AddAttr("bdd_nodes", static_cast<double>(mgr.ArenaSize()));
-  obs::RecordBddStats(mgr.Stats());
-  bdd::BddMemoryStats mem = mgr.MemoryStats();
-  span.AddAttr("bdd_mem_bytes", static_cast<double>(mem.total_bytes));
-  span.AddAttr("bdd_rehashes", static_cast<double>(mem.rehash_count));
-  obs::RecordBddMemory(mem);
-}
-
 // Resolves a route map by name, falling back to pass-through for the empty
 // name and recording a warning for a dangling reference.
 const ir::RouteMap* ResolveMap(const ir::RouterConfig& config,
@@ -147,7 +132,7 @@ std::vector<PresentedDifference> DiffRouteMapPairImpl(
   }
   span.AddAttr("differences", static_cast<double>(presented.size()));
   obs::Count("diff.route_map_pairs");
-  RecordPairBddObservability(span, mgr);
+  obs::RecordBddManager(span, mgr);
   return presented;
 }
 
@@ -193,7 +178,7 @@ std::vector<PresentedDifference> DiffAclPairImpl(
   }
   span.AddAttr("differences", static_cast<double>(presented.size()));
   obs::Count("diff.acl_pairs");
-  RecordPairBddObservability(span, mgr);
+  obs::RecordBddManager(span, mgr);
   return presented;
 }
 

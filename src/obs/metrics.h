@@ -21,6 +21,7 @@
 //   obs::MetricsScope scope(sink);        // install on this thread
 //   ... run the pipeline ...
 //   auto snapshot = sink.Snapshot();      // only THIS request's metrics
+//   totals.Merge(sink);                   // fold into the daemon's totals
 //
 // Updates are coarse-grained by design: the BDD kernel keeps its own plain
 // counters (bdd::BddStats) and exports them here once per differencing
@@ -41,6 +42,16 @@
 
 namespace campion::obs {
 
+// How a metric folds: a counter sums its deltas, a watermark keeps its
+// maximum. The first Add or Max that records a name fixes its kind, so the
+// recording site is the one place that decides it.
+enum class MetricKind { kCounter, kWatermark };
+
+struct Metric {
+  double value = 0.0;
+  MetricKind kind = MetricKind::kCounter;
+};
+
 // One metrics arena. The mutex covers concurrent updates from a request's
 // *internal* worker pool; distinct sinks share nothing.
 class MetricsSink {
@@ -53,15 +64,22 @@ class MetricsSink {
   void Add(const std::string& name, double delta);
   // Raises the named watermark to at least `value`.
   void Max(const std::string& name, double value);
+  // Folds every metric of `other` into this sink by its recorded kind.
+  void Merge(const MetricsSink& other);
 
-  // All metrics, sorted by name.
+  // All metrics with their kinds, sorted by name.
+  std::vector<std::pair<std::string, Metric>> Metrics() const;
+  // All metric values, sorted by name.
   std::vector<std::pair<std::string, double>> Snapshot() const;
 
   void Reset();
 
  private:
+  // Folds one recording into `metrics_`; the caller holds `mutex_`.
+  void RecordLocked(const std::string& name, double value, MetricKind kind);
+
   mutable std::mutex mutex_;
-  std::map<std::string, double> values_;
+  std::map<std::string, Metric> metrics_;
 };
 
 // The process-default sink: what records when no MetricsScope is

@@ -1,21 +1,15 @@
 #include "server/flight_recorder.h"
 
 #include <algorithm>
-#include <iomanip>
 #include <sstream>
 
 #include "obs/trace_report.h"
+#include "util/hash.h"
 #include "util/json.h"
 
 namespace campion::server {
 
 namespace {
-
-std::string KeyHashHex(std::uint64_t hash) {
-  std::ostringstream out;
-  out << std::hex << std::setw(16) << std::setfill('0') << hash;
-  return out.str();
-}
 
 // The summary object shared by the list and detail views.
 void AppendSummary(std::ostringstream& out, const FlightRecord& record) {
@@ -28,7 +22,8 @@ void AppendSummary(std::ostringstream& out, const FlightRecord& record) {
       << ",\"result_cache\":\"" << util::JsonEscape(record.result_cache)
       << '"';
   if (record.result_key_hash != 0) {
-    out << ",\"result_key\":\"" << KeyHashHex(record.result_key_hash) << '"';
+    out << ",\"result_key\":\"" << util::KeyHashHex(record.result_key_hash)
+        << '"';
   } else {
     out << ",\"result_key\":null";
   }

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "obs/metrics.h"
 #include "util/hash.h"
 
 namespace campion::server {
@@ -15,7 +14,6 @@ std::shared_ptr<const ResultCache::Result> ResultCache::Get(
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++stats_.misses;
-    obs::Count("diff.result_cache_misses");
     return nullptr;
   }
   lru_.erase(it->second.lru_position);
@@ -23,7 +21,6 @@ std::shared_ptr<const ResultCache::Result> ResultCache::Get(
   it->second.lru_position = lru_.begin();
   ++stats_.hits;
   ++it->second.hits;
-  obs::Count("diff.result_cache_hits");
   return it->second.result;
 }
 
@@ -51,8 +48,6 @@ void ResultCache::Put(const std::string& key,
   entries_.emplace(key, std::move(entry));
   stats_.entries = entries_.size();
   EvictIfNeeded();
-  obs::MaxGauge("diff.result_cache_resident_bytes",
-                static_cast<double>(stats_.resident_bytes));
 }
 
 void ResultCache::EvictIfNeeded() {
@@ -66,7 +61,6 @@ void ResultCache::EvictIfNeeded() {
     entries_.erase(it);
     lru_.pop_back();
     ++stats_.evictions;
-    obs::Count("diff.result_cache_evictions");
   }
   stats_.entries = entries_.size();
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <iomanip>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -12,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_report.h"
+#include "util/hash.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
 
@@ -100,14 +100,6 @@ bool ValidSessionName(const std::string& name) {
   return true;
 }
 
-// Watermark-style obs metrics keep their max across requests when folded
-// into the daemon totals; everything else is a counter and sums.
-bool IsWatermarkMetric(const std::string& name) {
-  return name.find("peak") != std::string::npos ||
-         name.find("load_factor") != std::string::npos ||
-         name.find("resident_bytes") != std::string::npos;
-}
-
 // Prometheus metric-name charset: [a-zA-Z_:][a-zA-Z0-9_:]*. The repo's
 // dotted names map by '.' -> '_' (everything else in use is already
 // legal); the exposition prefixes "campion_".
@@ -165,12 +157,6 @@ void AppendTextQuantiles(std::ostringstream& out, const std::string& prefix,
   out << prefix << ".p50_ns " << snapshot.QuantileNs(0.50) << '\n';
   out << prefix << ".p95_ns " << snapshot.QuantileNs(0.95) << '\n';
   out << prefix << ".p99_ns " << snapshot.QuantileNs(0.99) << '\n';
-}
-
-std::string KeyHashHex(std::uint64_t hash) {
-  std::ostringstream out;
-  out << std::hex << std::setw(16) << std::setfill('0') << hash;
-  return out.str();
 }
 
 // One side of the result-cache key: the vendor as the loader will see it
@@ -237,7 +223,7 @@ HttpResponse DiffService::Handle(const HttpRequest& request) {
   HttpResponse response = Dispatch(request, &endpoint);
   // The one place a failed response is counted; /batch adds its failed
   // pairs, which travel inside a 200.
-  if (response.status >= 400) BumpCounter("server.errors");
+  if (response.status >= 400) metrics_.Add("server.errors", 1);
   const std::uint64_t wall_ns = obs::NowNs() - start_ns;
   endpoint_latency_.request.Record(wall_ns);
   endpoint->Record(wall_ns);
@@ -246,7 +232,7 @@ HttpResponse DiffService::Handle(const HttpRequest& request) {
 
 HttpResponse DiffService::Dispatch(const HttpRequest& request,
                                    obs::LatencyHistogram** endpoint) {
-  BumpCounter("server.requests_total");
+  metrics_.Add("server.requests_total", 1);
   if (request.path == "/healthz") {
     *endpoint = &endpoint_latency_.healthz;
     if (request.method != "GET") return JsonError(405, "use GET");
@@ -307,7 +293,7 @@ HttpResponse DiffService::HandleDiff(const HttpRequest& request) {
   }
   task.text1 = config1->string;
   task.text2 = config2->string;
-  BumpCounter("server.diff_requests");
+  metrics_.Add("server.diff_requests", 1);
   return PairResponse(ExecutePair(task));
 }
 
@@ -327,6 +313,12 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
   PairOutcome outcome;
   const std::uint64_t wall_start = obs::NowNs();
   auto finish = [&] {
+    // Only a completed comparison counts in the daemon totals; a failed
+    // task's partial metrics are dropped.
+    if (outcome.status == 200) {
+      metrics_.Merge(sink);
+      record.metrics = sink.Snapshot();
+    }
     record.result_cache = outcome.result_cache;
     record.result_key_hash = outcome.result_key_hash;
     record.status = outcome.status;
@@ -368,8 +360,6 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
       record.equivalent = cached->equivalent;
       record.differences = cached->differences;
       record.spans = span_capture.Finish();
-      record.metrics = sink.Snapshot();
-      FoldMetrics(record.metrics);
       return finish();
     }
     outcome.result_cache = "miss";
@@ -386,7 +376,7 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
         frontend::LoadConfig(task.text2, "config2", ParseVendor(task.vendor2));
   } catch (const std::exception& error) {
     record.parse_ns = obs::NowNs() - parse_start;
-    BumpCounter("server.parse_failures");
+    metrics_.Add("server.parse_failures", 1);
     return fail(422, error.what());
   }
   record.parse_ns = obs::NowNs() - parse_start;
@@ -436,12 +426,9 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
     result_cache_.Put(result_key, std::move(cached));
   }
 
-  auto metrics = sink.Snapshot();
-  FoldMetrics(metrics);
   // Hand the trace to the recorder last: it sheds the spans again unless
   // this request ranks among the slowest K in the ring.
   record.spans = std::move(spans);
-  record.metrics = std::move(metrics);
   return finish();
 }
 
@@ -516,8 +503,8 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
     task.json_format = json_format;
     tasks.push_back(std::move(task));
   }
-  BumpCounter("server.batch_requests");
-  BumpCounter("server.batch_pairs", static_cast<double>(tasks.size()));
+  metrics_.Add("server.batch_requests", 1);
+  metrics_.Add("server.batch_pairs", static_cast<double>(tasks.size()));
 
   // Largest-first schedule: RunParallel starts indices in order, so
   // sorting the index permutation by total config bytes (descending) keeps
@@ -557,7 +544,7 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
     out << "\n{\"name\":\"" << util::JsonEscape(pair.Find("name")->string)
         << "\",\"status\":" << outcome.status;
     if (outcome.status != 200) {
-      BumpCounter("server.errors");
+      metrics_.Add("server.errors", 1);
       out << ",\"error\":\"" << util::JsonEscape(outcome.error) << "\"}";
       all_ok = false;
       all_equivalent = false;
@@ -607,10 +594,10 @@ HttpResponse DiffService::HandleMetrics(const HttpRequest& request) {
 }
 
 std::string DiffService::RenderMetrics(bool prometheus) {
-  // The one list both formats walk: folded request metrics and server
-  // counters (watermark-style names are gauges, everything else counts
-  // monotonically), the transport, result-cache and session rows, then the
-  // latency histograms with the unlabeled aggregate first.
+  // The one list both formats walk: the daemon totals (a watermark is a
+  // gauge, a counter a counter, as each was recorded), the transport,
+  // result-cache and session rows, then the latency histograms with the
+  // unlabeled aggregate first.
   std::vector<MetricsEntry> entries;
   const auto row = [&](const std::string& name, const char* type,
                        std::string value) {
@@ -620,12 +607,9 @@ std::string DiffService::RenderMetrics(bool prometheus) {
     entry.value = std::move(value);
     entries.push_back(std::move(entry));
   };
-  {
-    std::lock_guard<std::mutex> lock(metrics_mutex_);
-    for (const auto& [name, value] : cumulative_) {
-      row(name, IsWatermarkMetric(name) ? "gauge" : "counter",
-          util::JsonNumber(value));
-    }
+  for (const auto& [name, metric] : metrics_.Metrics()) {
+    row(name, metric.kind == obs::MetricKind::kWatermark ? "gauge" : "counter",
+        util::JsonNumber(metric.value));
   }
   const auto count = [](std::uint64_t value) { return std::to_string(value); };
   row("server.keepalive_reuses", "counter",
@@ -700,7 +684,7 @@ std::string DiffService::RenderMetrics(bool prometheus) {
 
 HttpResponse DiffService::HandleDebug(const HttpRequest& request) {
   if (request.method != "GET") return JsonError(405, "use GET");
-  BumpCounter("server.debug_requests");
+  metrics_.Add("server.debug_requests", 1);
   if (request.path == "/debug/requests" ||
       request.path.rfind("/debug/requests/", 0) == 0) {
     if (request.path == "/debug/requests") {
@@ -729,7 +713,7 @@ HttpResponse DiffService::HandleDebug(const HttpRequest& request) {
     for (const ResultCache::EntryInfo& info : result_cache_.EntryInfos()) {
       if (!first) out << ',';
       first = false;
-      out << "{\"key\":\"" << KeyHashHex(info.key_hash)
+      out << "{\"key\":\"" << util::KeyHashHex(info.key_hash)
           << "\",\"resident_bytes\":" << info.resident_bytes
           << ",\"hits\":" << info.hits
           << ",\"equivalent\":" << (info.equivalent ? "true" : "false")
@@ -761,7 +745,7 @@ HttpResponse DiffService::HandleDebug(const HttpRequest& request) {
 
 HttpResponse DiffService::HandleSessions(const HttpRequest& request,
                                          obs::LatencyHistogram** endpoint) {
-  BumpCounter("server.session_requests");
+  metrics_.Add("server.session_requests", 1);
   if (request.path == "/sessions") {
     if (request.method != "GET") return JsonError(405, "use GET");
     std::ostringstream out;
@@ -849,7 +833,7 @@ HttpResponse DiffService::HandleSessions(const HttpRequest& request,
       return JsonError(400, error);
     }
     task.want_obs = request.QueryParam("obs") == "1";
-    BumpCounter("server.diff_requests");
+    metrics_.Add("server.diff_requests", 1);
     return PairResponse(ExecutePair(task));
   }
 
@@ -898,24 +882,6 @@ HttpResponse DiffService::HandleSessions(const HttpRequest& request,
   }
 
   return JsonError(404, "unknown session operation '" + verb + "'");
-}
-
-void DiffService::FoldMetrics(
-    const std::vector<std::pair<std::string, double>>& snapshot) {
-  std::lock_guard<std::mutex> lock(metrics_mutex_);
-  for (const auto& [name, value] : snapshot) {
-    if (IsWatermarkMetric(name)) {
-      double& slot = cumulative_[name];
-      slot = std::max(slot, value);
-    } else {
-      cumulative_[name] += value;
-    }
-  }
-}
-
-void DiffService::BumpCounter(const std::string& name, double delta) {
-  std::lock_guard<std::mutex> lock(metrics_mutex_);
-  cumulative_[name] += delta;
 }
 
 }  // namespace campion::server

@@ -52,10 +52,10 @@
 // obs::MetricsSink (installed with obs::MetricsScope; ConfigDiff installs
 // the caller's sink on its pooled pair tasks too) and captures its own
 // spans with obs::TaskCapture on whichever thread runs it, and the service
-// folds the private snapshot into the daemon cumulative map only at task
-// completion. No lock is held across a
-// pipeline run: each request's pair tasks encode into their own fresh BDD
-// managers inside ConfigDiff, exactly as the one-shot CLI does.
+// merges the private sink into the daemon totals only at task completion.
+// No lock is held across a pipeline run: each request's pair tasks encode
+// into their own fresh BDD managers inside ConfigDiff, exactly as the
+// one-shot CLI does.
 
 #include <atomic>
 #include <cstdint>
@@ -68,6 +68,7 @@
 #include "core/config_diff.h"
 #include "ir/config.h"
 #include "obs/histogram.h"
+#include "obs/metrics.h"
 #include "server/flight_recorder.h"
 #include "server/http.h"
 #include "server/result_cache.h"
@@ -181,7 +182,7 @@ class DiffService {
   // Parses, diffs, and renders one comparison with task-private
   // observability capture (no cross-request lock — safe to call
   // concurrently from batch workers). Consults the result cache first
-  // (a hit skips parse, diff and render), folds the task's metrics, and
+  // (a hit skips parse, diff and render), merges the task's metrics, and
   // leaves one flight-recorder entry behind.
   PairOutcome ExecutePair(const PairTask& task);
 
@@ -191,10 +192,6 @@ class DiffService {
 
   // /metrics in the plain-text or the Prometheus format.
   std::string RenderMetrics(bool prometheus);
-
-  void FoldMetrics(
-      const std::vector<std::pair<std::string, double>>& snapshot);
-  void BumpCounter(const std::string& name, double delta = 1.0);
 
   ServiceOptions options_;
   ResultCache result_cache_;
@@ -206,11 +203,10 @@ class DiffService {
   std::mutex sessions_mutex_;
   std::map<std::string, Session> sessions_;
 
-  // Daemon-cumulative metrics (server.* counters plus every obs metric the
-  // requests produced, summed — watermark-style names keep their max).
-  // /metrics renders this map.
-  mutable std::mutex metrics_mutex_;
-  std::map<std::string, double> cumulative_;
+  // Daemon totals: the server.* counters plus every completed request's
+  // sink merged in, each metric folded by the kind it was recorded with.
+  // /metrics renders it.
+  obs::MetricsSink metrics_;
 };
 
 }  // namespace campion::server

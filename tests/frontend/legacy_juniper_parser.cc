@@ -117,7 +117,19 @@ class TreeBuilder {
     Node root;
     root.is_block = true;
     root.first_line = 1;
-    ParseChildren(root);
+    // The root has no '}': stray ones are skipped, with one diagnostic per
+    // run of them.
+    while (!Done()) {
+      if (Peek().text == "}") {
+        diagnostics_->push_back(filename_ + ":" +
+                                std::to_string(Peek().line) +
+                                ": unmatched '}'");
+        while (!Done() && Peek().text == "}") ++pos_;
+        continue;
+      }
+      ParseStatement(root);
+    }
+    root.last_line = tokens_.empty() ? 1 : tokens_.back().line;
     return root;
   }
 

@@ -461,6 +461,23 @@ policy-options {
   EXPECT_NE(result.diagnostics[0].find("rib"), std::string::npos);
 }
 
+TEST(JuniperParserTest, StrayTopLevelBraceIsDiagnosedAndSkipped) {
+  auto result = ParseJuniperConfig(
+      "system { host-name a; }\n}\n"
+      "policy-options { prefix-list P { 10.0.0.0/8; } }",
+      "x.conf");
+  EXPECT_EQ(result.config.hostname, "a");
+  EXPECT_EQ(result.config.prefix_lists.size(), 1u);
+  ASSERT_EQ(result.diagnostics.size(), 1u);
+  EXPECT_EQ(result.diagnostics[0], "x.conf:2: unmatched '}'");
+  // A run of stray braces is one diagnostic, and parsing goes on after it.
+  result = ParseJuniperConfig("}\n} }\nsystem { host-name b; }\n}", "y.conf");
+  EXPECT_EQ(result.config.hostname, "b");
+  EXPECT_EQ(result.diagnostics,
+            (std::vector<std::string>{"y.conf:1: unmatched '}'",
+                                      "y.conf:4: unmatched '}'"}));
+}
+
 TEST(JuniperParserTest, SpanCoversTermText) {
   auto result = ParseJuniperConfig(R"(policy-options {
     policy-statement POL {

@@ -32,8 +32,12 @@ void* operator new(std::size_t size) {
   return p;
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: inlined into a caller, std::free would meet a pointer from
+// operator new, and GCC reports -Wmismatched-new-delete there.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace campion::obs {
 namespace {

@@ -1,7 +1,7 @@
 // Unit tests for the observability layer (src/obs): disabled-mode no-op
 // behavior, span nesting, concurrent counter updates from the worker pool,
-// and determinism of the merged trace when the same task set runs inline
-// (threads=1) versus fanned out (threads=4).
+// sink merges by recorded kind, and determinism of the merged trace when
+// the same task set runs inline (threads=1) versus fanned out (threads=4).
 
 #include <gtest/gtest.h>
 
@@ -101,6 +101,31 @@ TEST_F(ObsTest, ConcurrentCounterUpdatesFromPool) {
   EXPECT_EQ(snapshot[0].second, kTasks * 100.0);
   EXPECT_EQ(snapshot[1].first, "test.watermark");
   EXPECT_EQ(snapshot[1].second, kTasks - 1.0);
+}
+
+// Merge folds by the kind each metric was recorded with, never by its
+// name: "mem.rss_bytes" names no peak, yet it is a watermark.
+TEST_F(ObsTest, MergeSumsCountersAndKeepsWatermarkMaxima) {
+  MetricsSink totals;
+  for (double rss : {30.0, 50.0, 40.0}) {
+    MetricsSink request;
+    request.Add("parse.files", 2.0);
+    request.Max("mem.rss_bytes", rss);
+    totals.Merge(request);
+  }
+  const auto metrics = totals.Metrics();
+  ASSERT_EQ(metrics.size(), 2u);
+  EXPECT_EQ(metrics[0].first, "mem.rss_bytes");
+  EXPECT_EQ(metrics[0].second.kind, MetricKind::kWatermark);
+  EXPECT_EQ(metrics[0].second.value, 50.0);
+  EXPECT_EQ(metrics[1].first, "parse.files");
+  EXPECT_EQ(metrics[1].second.kind, MetricKind::kCounter);
+  EXPECT_EQ(metrics[1].second.value, 6.0);
+  // Snapshot is the same values without the kinds.
+  const auto snapshot = totals.Snapshot();
+  ASSERT_EQ(snapshot.size(), 2u);
+  EXPECT_EQ(snapshot[0].second, 50.0);
+  EXPECT_EQ(snapshot[1].second, 6.0);
 }
 
 // The ConfigDiff merge pattern, in miniature: each task records one span

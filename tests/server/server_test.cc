@@ -502,6 +502,41 @@ TEST_F(ServerTest, PrometheusFormatExposesTypedFamiliesAndHistograms) {
   EXPECT_EQ(Fetch("GET", "/metrics?format=yaml").status, 400);
 }
 
+// The daemon folds each request's metrics by the kind they were recorded
+// with. mem.rss_bytes is a watermark whose name says nothing of it: summed
+// over three requests it would overtake the process's peak RSS.
+TEST_F(ServerTest, MetricsFoldByRecordedKind) {
+  StartServer(ServiceOptions{});
+  for (int n = 0; n < 3; ++n) {
+    ASSERT_EQ(Fetch("POST", "/diff",
+                    DiffRequestBody(Fig1CiscoVariant(n), testing::kFig1Juniper))
+                  .status,
+              200);
+  }
+  std::string text = "\n";
+  text += Fetch("GET", "/metrics").body;
+  const auto value = [&](const std::string& name) {
+    std::string needle = "\n";
+    needle += name;
+    needle += ' ';
+    const std::size_t pos = text.find(needle);
+    EXPECT_NE(pos, std::string::npos) << name;
+    return pos == std::string::npos
+               ? 0.0
+               : std::strtod(text.c_str() + pos + name.size() + 2, nullptr);
+  };
+  const double rss = value("mem.rss_bytes");
+  EXPECT_GT(rss, 0.0);
+  EXPECT_LE(rss, value("mem.peak_rss_bytes"));
+
+  const std::string prometheus =
+      Fetch("GET", "/metrics?format=prometheus").body;
+  EXPECT_NE(prometheus.find("# TYPE campion_mem_rss_bytes gauge\n"),
+            std::string::npos);
+  EXPECT_NE(prometheus.find("# TYPE campion_parse_bytes counter\n"),
+            std::string::npos);
+}
+
 TEST_F(ServerTest, PlainMetricsExposeLatencyQuantiles) {
   StartServer(ServiceOptions{});
   ASSERT_EQ(Fetch("POST", "/diff",
