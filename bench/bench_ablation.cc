@@ -110,9 +110,6 @@ void PrintMinimalityComparison() {
   using campion::util::PrefixRange;
   campion::bdd::BddManager mgr;
   campion::encode::RouteAdvLayout layout(mgr, {});
-  auto to_bdd = [&](const PrefixRange& r) {
-    return layout.MatchPrefixRange(r);
-  };
 
   // A set built from 16 nested /16 windows; GetMatch should represent it
   // with one term per contiguous region instead of one per leaf.
@@ -128,13 +125,15 @@ void PrintMinimalityComparison() {
   campion::bdd::BddRef s = mgr.False();
   for (int i = 0; i < 16; ++i) {
     // window minus exact: the Table 2(a) shape, repeated.
-    s = mgr.Or(s, mgr.Diff(to_bdd(pool[2 * i]), to_bdd(pool[2 * i + 1])));
+    s = mgr.Or(s, mgr.Diff(layout.MatchPrefixRange(pool[2 * i]),
+                           layout.MatchPrefixRange(pool[2 * i + 1])));
   }
-  auto localized = campion::core::HeaderLocalize(mgr, s, pool, to_bdd);
+  auto localized = campion::core::HeaderLocalize(mgr, s, pool,
+                                                 layout.prefix_encoding());
   // Naive representation size: every (range, in/out) leaf region.
   std::size_t naive_terms = 0;
   for (const auto& range : pool) {
-    if (mgr.Intersects(to_bdd(range), s)) ++naive_terms;
+    if (mgr.Intersects(layout.MatchPrefixRange(range), s)) ++naive_terms;
   }
   std::cout << "HeaderLocalize minimality on 16 window-minus-exact sets:\n"
             << "  GetMatch terms: " << localized.terms.size()

@@ -1,9 +1,10 @@
 // Regenerates Figure 3: the ddNF prefix-range DAG and the GetMatch result
-// {B - D, C - F, G} on the paper's seven-range example, then times the two
+// {B - D, C - F, G} on the paper's seven-range example, then times the
 // layers of HeaderLocalize as the number of configuration ranges grows (up
 // to ~1,650, the largest university comparison): building the DAG, done
-// once per comparison, and GetMatch on a prebuilt DAG, done once per
-// presented difference.
+// once per comparison; building a localizer and every internal node's
+// remainder, done once per pair; and GetMatch on a prebuilt DAG, done once
+// per presented difference.
 
 #include "bench/bench_util.h"
 #include "core/ddnf.h"
@@ -32,20 +33,19 @@ void PrintFig3() {
   Fig3 ranges;
   campion::bdd::BddManager mgr;
   campion::encode::RouteAdvLayout layout(mgr, {});
-  auto to_bdd = [&](const PrefixRange& r) {
-    return layout.MatchPrefixRange(r);
-  };
 
   // S = (B - D) u (C - F) u G.
-  campion::bdd::BddRef s = mgr.Or(
-      mgr.Or(mgr.Diff(to_bdd(ranges.b), to_bdd(ranges.d)),
-             mgr.Diff(to_bdd(ranges.c), to_bdd(ranges.f))),
-      to_bdd(ranges.g));
+  campion::bdd::BddRef s =
+      mgr.Or(mgr.Or(mgr.Diff(layout.MatchPrefixRange(ranges.b),
+                             layout.MatchPrefixRange(ranges.d)),
+                    mgr.Diff(layout.MatchPrefixRange(ranges.c),
+                             layout.MatchPrefixRange(ranges.f))),
+             layout.MatchPrefixRange(ranges.g));
 
   auto result = campion::core::HeaderLocalize(
       mgr, s,
       {ranges.a, ranges.b, ranges.c, ranges.d, ranges.e, ranges.f, ranges.g},
-      to_bdd);
+      layout.prefix_encoding());
   std::cout << "S = (B - D) u (C - F) u G over the Figure 3 DAG\n";
   std::cout << "GetMatch representation (paper: {B - D, C - F, G}):\n";
   for (const auto& term : result.terms) {
@@ -79,15 +79,13 @@ void BM_GetMatchPrebuiltDag(benchmark::State& state) {
       RangePool(static_cast<int>(state.range(0)));
   campion::bdd::BddManager mgr;
   campion::encode::RouteAdvLayout layout(mgr, {});
-  auto to_bdd = [&](const PrefixRange& r) {
-    return layout.MatchPrefixRange(r);
-  };
   campion::core::PrefixRangeDag dag(ranges);
-  campion::core::HeaderLocalizer localizer(mgr, dag, to_bdd);
+  campion::core::HeaderLocalizer localizer(mgr, dag,
+                                           layout.prefix_encoding());
   // S: the union of every third range.
   campion::bdd::BddRef s = mgr.False();
   for (std::size_t i = 0; i < ranges.size(); i += 3) {
-    s = mgr.Or(s, to_bdd(ranges[i]));
+    s = mgr.Or(s, layout.MatchPrefixRange(ranges[i]));
   }
   for (auto _ : state) {
     auto result = localizer.Localize(s);
@@ -95,7 +93,33 @@ void BM_GetMatchPrebuiltDag(benchmark::State& state) {
   }
 }
 
+// A pair's one-time localizer cost: encoding every DAG node and building
+// every internal node's remainder, on a fresh manager as in a pair task.
+void BM_LocalizerConstruction(benchmark::State& state) {
+  std::vector<PrefixRange> ranges =
+      RangePool(static_cast<int>(state.range(0)));
+  campion::core::PrefixRangeDag dag(ranges);
+  for (auto _ : state) {
+    campion::bdd::BddManager mgr;
+    campion::encode::RouteAdvLayout layout(mgr, {});
+    campion::core::HeaderLocalizer localizer(mgr, dag,
+                                             layout.prefix_encoding());
+    for (std::size_t node = 0; node < dag.size(); ++node) {
+      if (!dag.IsLeaf(node)) {
+        benchmark::DoNotOptimize(localizer.Remainder(node));
+      }
+    }
+  }
+}
+
 BENCHMARK(BM_PrefixRangeDagBuild)
+    ->Arg(8)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(1650)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LocalizerConstruction)
     ->Arg(8)
     ->Arg(64)
     ->Arg(256)

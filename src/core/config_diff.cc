@@ -121,9 +121,7 @@ std::vector<PresentedDifference> DiffRouteMapPairImpl(
   if (!diffs.empty()) {
     // One localizer for all of the pair's differences: node BDDs are
     // encoded on the pair's manager once, remainders are shared.
-    HeaderLocalizer localizer(mgr, route_dag, [&](const util::PrefixRange& r) {
-      return layout.MatchPrefixRange(r);
-    });
+    HeaderLocalizer localizer(mgr, route_dag, layout.prefix_encoding());
     for (const auto& diff : diffs) {
       presented.push_back(PresentRouteMapDifference(layout, diff, config1,
                                                     config2, map1->name,
@@ -165,12 +163,8 @@ std::vector<PresentedDifference> DiffAclPairImpl(
     };
     PrefixRangeDag dst_dag = both(AclDstRanges);
     PrefixRangeDag src_dag = both(AclSrcRanges);
-    HeaderLocalizer dst(mgr, dst_dag, [&](const util::PrefixRange& r) {
-      return layout.MatchDstPrefix(r.prefix());
-    });
-    HeaderLocalizer src(mgr, src_dag, [&](const util::PrefixRange& r) {
-      return layout.MatchSrcPrefix(r.prefix());
-    });
+    HeaderLocalizer dst(mgr, dst_dag, layout.DstPrefixEncoding());
+    HeaderLocalizer src(mgr, src_dag, layout.SrcPrefixEncoding());
     for (const auto& diff : diffs) {
       presented.push_back(PresentAclDifference(layout, diff, *acl1, *acl2,
                                                config1, config2, dst, src));

@@ -1,12 +1,97 @@
 #include "core/header_localize.h"
 
 #include <algorithm>
+#include <bitset>
+#include <cstdint>
 #include <set>
+#include <span>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace campion::core {
+namespace {
+
+// Builds the remainder of one DAG node below its own prefix bits, as a trie
+// over its children's base prefixes: each level is one Branch on the next
+// address variable, and each leaf is the node's length window minus the
+// windows of the children that end on that path. The children are sorted
+// by (address, base length); labels are normalized (host bits zero), so
+// that is a preorder of their prefix trie. The children that agree with a
+// path therefore form one contiguous span, those ending at the current
+// depth lead it, and the rest split on the next address bit.
+class RemainderTrie {
+ public:
+  // Prefix lengths as a bit set: bit n stands for length n.
+  using Lengths =
+      std::bitset<util::MaxPrefixLength(util::AddressFamily::kIpv6) + 1>;
+
+  RemainderTrie(bdd::BddManager& mgr, const encode::PrefixEncoding& encoding,
+                const PrefixRangeDag& dag, const util::PrefixRange& label)
+      : mgr_(mgr), encoding_(encoding), dag_(dag), window_(Window(label)) {}
+
+  // The remainder below depth `depth` of the path shared by `span`, given
+  // the lengths `covered` by the children ended above it.
+  bdd::BddRef Build(std::span<const std::size_t> span, int depth,
+                    Lengths covered) {
+    std::size_t ended = 0;
+    while (ended < span.size() &&
+           dag_.label(span[ended]).prefix().length() == depth) {
+      covered |= Window(dag_.label(span[ended]));
+      ++ended;
+    }
+    span = span.subspan(ended);
+    if (span.empty()) return Leaf(covered);
+    const auto upper = std::partition_point(
+        span.begin(), span.end(),
+        [&](std::size_t child) { return !AddressBit(child, depth); });
+    const auto split = static_cast<std::size_t>(upper - span.begin());
+    const bdd::BddRef low = Build(span.first(split), depth + 1, covered);
+    const bdd::BddRef high = Build(span.subspan(split), depth + 1, covered);
+    return mgr_.Branch(encoding_.address.VarAt(depth), low, high);
+  }
+
+ private:
+  // The node's window minus `covered`, one InRanges per distinct value. A
+  // host-address encoding has no length field: any child ending on the
+  // path covers all of it.
+  bdd::BddRef Leaf(const Lengths& covered) {
+    if (!encoding_.length) return covered.none() ? bdd::kTrue : bdd::kFalse;
+    const Lengths gaps = window_ & ~covered;
+    auto [it, fresh] = leaves_.try_emplace(gaps, bdd::kFalse);
+    if (fresh) {
+      std::vector<encode::SymbolicField::Interval> runs;
+      for (std::uint32_t n = 0; n < gaps.size(); ++n) {
+        if (!gaps[n]) continue;
+        std::uint32_t last = n;
+        while (last + 1 < gaps.size() && gaps[last + 1]) ++last;
+        runs.push_back({n, last});
+        n = last;
+      }
+      it->second = encoding_.length->InRanges(mgr_, std::move(runs));
+    }
+    return it->second;
+  }
+
+  static Lengths Window(const util::PrefixRange& label) {
+    Lengths window;
+    for (int n = label.low(); n <= label.high(); ++n) window.set(n);
+    return window;
+  }
+  bool AddressBit(std::size_t node, int depth) const {
+    return dag_.label(node).prefix().address().bits().Bit(
+        encoding_.address.width() - 1 - depth);
+  }
+
+  bdd::BddManager& mgr_;
+  const encode::PrefixEncoding& encoding_;
+  const PrefixRangeDag& dag_;
+  const Lengths window_;
+  std::unordered_map<Lengths, bdd::BddRef> leaves_;
+};
+
+}  // namespace
 
 // GetMatch's intermediate result: a range minus nested terms.
 struct HeaderLocalizer::MatchTerm {
@@ -16,12 +101,20 @@ struct HeaderLocalizer::MatchTerm {
 
 HeaderLocalizer::HeaderLocalizer(bdd::BddManager& mgr,
                                  const PrefixRangeDag& dag,
-                                 const RangeToBdd& range_to_bdd)
-    : mgr_(mgr), dag_(dag), remainders_(dag.size(), kUncomputed) {
+                                 const encode::PrefixEncoding& encoding)
+    : mgr_(mgr),
+      dag_(dag),
+      encoding_(encoding),
+      remainders_(dag.size(), kUncomputed) {
+  obs::ScopedSpan span("localize_encode");
+  const std::size_t arena_before = mgr_.ArenaSize();
   node_bdds_.reserve(dag.size());
   for (std::size_t n = 0; n < dag.size(); ++n) {
-    node_bdds_.push_back(range_to_bdd(dag.label(n)));
+    node_bdds_.push_back(encoding_.MatchRange(mgr_, dag.label(n)));
   }
+  span.AddAttr("dag_nodes", static_cast<double>(dag.size()));
+  span.AddAttr("bdd_nodes_created",
+               static_cast<double>(mgr_.ArenaSize() - arena_before));
 }
 
 // The GetMatch recursion of §3.2.
@@ -59,15 +152,21 @@ std::vector<HeaderLocalizer::MatchTerm> HeaderLocalizer::GetMatch(
   return result;
 }
 
-// The remainder set of an internal node: its range minus its children.
 bdd::BddRef HeaderLocalizer::Remainder(std::size_t node) {
   if (remainders_[node] != kUncomputed) return remainders_[node];
-  bdd::BddRef rem = node_bdds_[node];
-  for (std::size_t child : dag_.children(node)) {
-    rem = mgr_.Diff(rem, node_bdds_[child]);
-  }
-  remainders_[node] = rem;
-  return rem;
+  std::vector<std::size_t> children = dag_.children(node);
+  // IpPrefix orders by (address, length): the trie preorder.
+  std::sort(children.begin(), children.end(),
+            [&](std::size_t a, std::size_t b) {
+              return dag_.label(a).prefix() < dag_.label(b).prefix();
+            });
+  const util::PrefixRange& label = dag_.label(node);
+  const int base_len = label.prefix().length();
+  RemainderTrie trie(mgr_, encoding_, dag_, label);
+  const bdd::BddRef below = trie.Build(children, base_len, {});
+  remainders_[node] = encoding_.address.MatchPrefixBits(
+      mgr_, label.prefix().address().bits(), base_len, below);
+  return remainders_[node];
 }
 
 // Removes nested differences: R − (X − Y) becomes {R − X, Y} (Y ⊆ X ⊆ R and
@@ -130,26 +229,30 @@ PrefixRangeDag BuildLocalizeDag(std::vector<util::PrefixRange> ranges,
 
 HeaderLocalizeResult HeaderLocalizer::Localize(bdd::BddRef set) {
   obs::ScopedSpan span("header_localize");
+  const std::size_t arena_before = mgr_.ArenaSize();
   // Work within the universe: S may be a complement reaching outside it.
   bdd::BddRef clipped = mgr_.And(set, node_bdds_[dag_.root()]);
   HeaderLocalizeResult result;
   obs::Count("localize.calls");
-  if (clipped == bdd::kFalse) return result;
-  for (const auto& term : GetMatch(clipped, dag_.root())) {
-    FlattenInto(term, result.terms);
+  if (clipped != bdd::kFalse) {
+    for (const auto& term : GetMatch(clipped, dag_.root())) {
+      FlattenInto(term, result.terms);
+    }
+    span.AddAttr("dag_nodes", static_cast<double>(dag_.size()));
+    span.AddAttr("terms", static_cast<double>(result.terms.size()));
+    obs::Count("localize.terms", static_cast<double>(result.terms.size()));
   }
-  span.AddAttr("dag_nodes", static_cast<double>(dag_.size()));
-  span.AddAttr("terms", static_cast<double>(result.terms.size()));
-  obs::Count("localize.terms", static_cast<double>(result.terms.size()));
+  span.AddAttr("bdd_nodes_created",
+               static_cast<double>(mgr_.ArenaSize() - arena_before));
   return result;
 }
 
 HeaderLocalizeResult HeaderLocalize(bdd::BddManager& mgr, bdd::BddRef set,
                                     std::vector<util::PrefixRange> ranges,
-                                    const RangeToBdd& range_to_bdd,
+                                    const encode::PrefixEncoding& encoding,
                                     util::PrefixRange universe) {
   PrefixRangeDag dag = BuildLocalizeDag(std::move(ranges), universe);
-  return HeaderLocalizer(mgr, dag, range_to_bdd).Localize(set);
+  return HeaderLocalizer(mgr, dag, encoding).Localize(set);
 }
 
 }  // namespace campion::core

@@ -14,23 +14,20 @@
 // minus the children not in S (computed by recursing on ¬S); otherwise the
 // children are visited and their results unioned. A final pass removes
 // nested differences, e.g. C − (F − G) becomes {C − F, G}.
+//
+// The localizer knows the prefix encoding (encode::PrefixEncoding), so it
+// builds each remainder directly as one prefix trie of Branch nodes.
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "bdd/bdd.h"
 #include "core/ddnf.h"
+#include "encode/prefix_encoding.h"
 #include "util/prefix_range.h"
 
 namespace campion::core {
-
-// Maps a prefix range to the BDD of its member set. HeaderLocalize is
-// encoding-agnostic: route advertisements supply RouteAdvLayout's
-// MatchPrefixRange, dataplane ACLs supply a destination-address encoding
-// where ranges are (prefix, 32-32) address sets.
-using RangeToBdd = std::function<bdd::BddRef(const util::PrefixRange&)>;
 
 struct HeaderLocalizeResult {
   // S as a union of difference terms (include minus excludes).
@@ -50,30 +47,40 @@ PrefixRangeDag BuildLocalizeDag(std::vector<util::PrefixRange> ranges,
                                 util::PrefixRange universe);
 
 // Localizes sets against one DAG on one manager. Construction encodes every
-// node's range once; the remainder of each internal node (its range minus
-// its children) does not depend on the localized set and is memoized across
-// calls. The DAG and the manager must outlive the localizer.
+// node's range once (a `localize_encode` span); the remainder of each
+// internal node (its range minus its children) does not depend on the
+// localized set and is memoized across calls. The DAG and the manager must
+// outlive the localizer.
 class HeaderLocalizer {
  public:
+  // `encoding` lays out the DAG's ranges: RouteAdvLayout::prefix_encoding()
+  // for route maps, PacketLayout's Dst/SrcPrefixEncoding() for ACL
+  // addresses (whose ranges are host-address sets, window /32-32 or
+  // /128-128).
   HeaderLocalizer(bdd::BddManager& mgr, const PrefixRangeDag& dag,
-                  const RangeToBdd& range_to_bdd);
+                  const encode::PrefixEncoding& encoding);
 
   // `set` must be a predicate over the prefix encoding only (project other
   // variables out first), built from the DAG's range constants. Parts of
   // `set` outside the universe are ignored.
   HeaderLocalizeResult Localize(bdd::BddRef set);
 
+  // The remainder of internal node `node`: its range minus its children's.
+  // Built once, bottom-up, as a trie over the children's prefix bits whose
+  // leaves are length windows, and memoized.
+  bdd::BddRef Remainder(std::size_t node);
+
  private:
   struct MatchTerm;
   static constexpr bdd::BddRef kUncomputed = ~bdd::BddRef{0};
 
   std::vector<MatchTerm> GetMatch(bdd::BddRef set, std::size_t node);
-  bdd::BddRef Remainder(std::size_t node);
   static void FlattenInto(const MatchTerm& term,
                           std::vector<util::PrefixRangeTerm>& out);
 
   bdd::BddManager& mgr_;
   const PrefixRangeDag& dag_;
+  encode::PrefixEncoding encoding_;
   std::vector<bdd::BddRef> node_bdds_;
   std::vector<bdd::BddRef> remainders_;
 };
@@ -84,7 +91,8 @@ class HeaderLocalizer {
 // addresses).
 HeaderLocalizeResult HeaderLocalize(
     bdd::BddManager& mgr, bdd::BddRef set,
-    std::vector<util::PrefixRange> ranges, const RangeToBdd& range_to_bdd,
+    std::vector<util::PrefixRange> ranges,
+    const encode::PrefixEncoding& encoding,
     util::PrefixRange universe = util::PrefixRange::Universe());
 
 }  // namespace campion::core

@@ -49,10 +49,6 @@ bdd::BddRef PacketLayout::MatchDstPrefix(const util::IpPrefix& p) const {
   return dst_ip_.MatchPrefixBits(mgr_, p.address().bits(), p.length());
 }
 
-bdd::BddRef PacketLayout::MatchSrcPrefix(const util::IpPrefix& p) const {
-  return src_ip_.MatchPrefixBits(mgr_, p.address().bits(), p.length());
-}
-
 bdd::BddRef PacketLayout::ProtocolIs(std::uint8_t protocol) const {
   return protocol_.EqualsConst(mgr_, protocol);
 }

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bdd/bdd.h"
+#include "encode/prefix_encoding.h"
 #include "encode/symbolic_field.h"
 #include "ir/policy.h"
 #include "util/ip.h"
@@ -51,7 +52,10 @@ class PacketLayout {
   bdd::BddRef MatchSrc(const util::IpWildcard& w) const;
   bdd::BddRef MatchDst(const util::IpWildcard& w) const;
   bdd::BddRef MatchDstPrefix(const util::IpPrefix& p) const;
-  bdd::BddRef MatchSrcPrefix(const util::IpPrefix& p) const;
+  // The destination and source address fields as prefix encodings (host
+  // addresses, no length field), for header localization.
+  PrefixEncoding DstPrefixEncoding() const { return {dst_ip_, std::nullopt}; }
+  PrefixEncoding SrcPrefixEncoding() const { return {src_ip_, std::nullopt}; }
   bdd::BddRef ProtocolIs(std::uint8_t protocol) const;
   bdd::BddRef SrcPortIn(const ir::PortRange& r) const;
   bdd::BddRef DstPortIn(const ir::PortRange& r) const;

@@ -69,16 +69,7 @@ RouteAdvLayout::RouteAdvLayout(bdd::BddManager& mgr,
 bdd::BddRef RouteAdvLayout::MatchPrefixRange(
     const util::PrefixRange& range) const {
   if (range.family() != family_ || range.IsEmpty()) return mgr_.False();
-  int base_len = range.prefix().length();
-  int low = std::max(range.low(), base_len);
-  int high = std::min(range.high(), util::MaxPrefixLength(family_));
-  // The address field precedes the length field in both layouts, so the
-  // address literals chain straight onto the length predicate.
-  bdd::BddRef len_ok =
-      length_.InRange(mgr_, static_cast<std::uint32_t>(low),
-                      static_cast<std::uint32_t>(high));
-  return addr_.MatchPrefixBits(mgr_, range.prefix().address().bits(),
-                               base_len, len_ok);
+  return prefix_encoding().MatchRange(mgr_, range);
 }
 
 bdd::BddRef RouteAdvLayout::MatchExactPrefix(const util::IpPrefix& p) const {

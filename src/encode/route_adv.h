@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "bdd/bdd.h"
+#include "encode/prefix_encoding.h"
 #include "encode/symbolic_field.h"
 #include "ir/policy.h"
 #include "util/community.h"
@@ -68,6 +69,8 @@ class RouteAdvLayout {
   // The advertised prefix lies in the given prefix range. Ranges of the
   // other family match nothing.
   bdd::BddRef MatchPrefixRange(const util::PrefixRange& range) const;
+  // The advertised prefix's address and length fields.
+  PrefixEncoding prefix_encoding() const { return {addr_, length_}; }
   // The advertised prefix is exactly `p`.
   bdd::BddRef MatchExactPrefix(const util::IpPrefix& p) const;
   bdd::BddRef HasCommunity(util::Community c) const;

@@ -313,19 +313,23 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
   PairOutcome outcome;
   const std::uint64_t wall_start = obs::NowNs();
   auto finish = [&] {
-    // Only a completed comparison counts in the daemon totals; a failed
-    // task's partial metrics are dropped.
+    // Only a completed comparison counts in the daemon totals, phase
+    // histograms included, so `server.phase.parse.count` and `parse.files`
+    // count the same comparisons; a failed task's partial metrics are
+    // dropped (its flight record keeps its phase times).
     if (outcome.status == 200) {
       metrics_.Merge(sink);
       record.metrics = sink.Snapshot();
+      if (record.parse_ns > 0) phase_latency_.parse.Record(record.parse_ns);
+      if (record.diff_ns > 0) phase_latency_.diff.Record(record.diff_ns);
+      if (record.render_ns > 0) {
+        phase_latency_.render.Record(record.render_ns);
+      }
     }
     record.result_cache = outcome.result_cache;
     record.result_key_hash = outcome.result_key_hash;
     record.status = outcome.status;
     record.wall_ns = obs::NowNs() - wall_start;
-    if (record.parse_ns > 0) phase_latency_.parse.Record(record.parse_ns);
-    if (record.diff_ns > 0) phase_latency_.diff.Record(record.diff_ns);
-    if (record.render_ns > 0) phase_latency_.render.Record(record.render_ns);
     flight_.Record(std::move(record));
     return outcome;
   };

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <random>
 
+#include "encode/packet.h"
 #include "encode/route_adv.h"
 
 namespace campion::core {
@@ -23,9 +25,7 @@ class HeaderLocalizeTest : public ::testing::Test {
  protected:
   HeaderLocalizeTest() : layout_(mgr_, {}) {}
 
-  RangeToBdd ToBdd() {
-    return [this](const PrefixRange& r) { return layout_.MatchPrefixRange(r); };
-  }
+  encode::PrefixEncoding Encoding() const { return layout_.prefix_encoding(); }
 
   // Reconstructs the BDD of a HeaderLocalize result, to verify that the
   // produced representation denotes exactly the input set.
@@ -47,14 +47,14 @@ class HeaderLocalizeTest : public ::testing::Test {
 
 TEST_F(HeaderLocalizeTest, EmptySetYieldsNoTerms) {
   auto result = HeaderLocalize(mgr_, mgr_.False(),
-                               {Range("10.9.0.0/16", 16, 32)}, ToBdd());
+                               {Range("10.9.0.0/16", 16, 32)}, Encoding());
   EXPECT_TRUE(result.terms.empty());
 }
 
 TEST_F(HeaderLocalizeTest, WholeUniverse) {
   BddRef all = layout_.MatchPrefixRange(PrefixRange::Universe());
   auto result =
-      HeaderLocalize(mgr_, all, {Range("10.9.0.0/16", 16, 32)}, ToBdd());
+      HeaderLocalize(mgr_, all, {Range("10.9.0.0/16", 16, 32)}, Encoding());
   ASSERT_EQ(result.terms.size(), 1u);
   EXPECT_EQ(result.terms[0].include, PrefixRange::Universe());
   EXPECT_TRUE(result.terms[0].exclude.empty());
@@ -62,7 +62,8 @@ TEST_F(HeaderLocalizeTest, WholeUniverse) {
 
 TEST_F(HeaderLocalizeTest, SingleRange) {
   PrefixRange r = Range("10.9.0.0/16", 16, 32);
-  auto result = HeaderLocalize(mgr_, layout_.MatchPrefixRange(r), {r}, ToBdd());
+  auto result =
+      HeaderLocalize(mgr_, layout_.MatchPrefixRange(r), {r}, Encoding());
   ASSERT_EQ(result.terms.size(), 1u);
   EXPECT_EQ(result.terms[0].include, r);
   EXPECT_TRUE(result.terms[0].exclude.empty());
@@ -74,7 +75,7 @@ TEST_F(HeaderLocalizeTest, RangeMinusSubrangeAsInTable2a) {
   PrefixRange exact = Range("10.9.0.0/16", 16, 16);
   BddRef s = mgr_.Diff(layout_.MatchPrefixRange(window),
                        layout_.MatchPrefixRange(exact));
-  auto result = HeaderLocalize(mgr_, s, {window, exact}, ToBdd());
+  auto result = HeaderLocalize(mgr_, s, {window, exact}, Encoding());
   ASSERT_EQ(result.terms.size(), 1u);
   EXPECT_EQ(result.terms[0].include, window);
   EXPECT_EQ(result.terms[0].exclude, std::vector<PrefixRange>{exact});
@@ -87,7 +88,7 @@ TEST_F(HeaderLocalizeTest, ComplementAsUniverseMinusRanges) {
   BddRef s = mgr_.Diff(
       layout_.MatchPrefixRange(PrefixRange::Universe()),
       mgr_.Or(layout_.MatchPrefixRange(w1), layout_.MatchPrefixRange(w2)));
-  auto result = HeaderLocalize(mgr_, s, {w1, w2}, ToBdd());
+  auto result = HeaderLocalize(mgr_, s, {w1, w2}, Encoding());
   ASSERT_EQ(result.terms.size(), 1u);
   EXPECT_EQ(result.terms[0].include, PrefixRange::Universe());
   EXPECT_EQ(result.terms[0].exclude.size(), 2u);
@@ -102,7 +103,7 @@ TEST_F(HeaderLocalizeTest, NestedDifferenceIsFlattened) {
   BddRef s = mgr_.Diff(layout_.MatchPrefixRange(c),
                        mgr_.Diff(layout_.MatchPrefixRange(f),
                                  layout_.MatchPrefixRange(g)));
-  auto result = HeaderLocalize(mgr_, s, {c, f, g}, ToBdd());
+  auto result = HeaderLocalize(mgr_, s, {c, f, g}, Encoding());
   ASSERT_EQ(result.terms.size(), 2u);
   // One term is C - F, the other is G with no excludes.
   bool found_c_minus_f = false;
@@ -124,7 +125,7 @@ TEST_F(HeaderLocalizeTest, UnionOfDisjointRanges) {
   PrefixRange w2 = Range("10.100.0.0/16", 16, 32);
   BddRef s =
       mgr_.Or(layout_.MatchPrefixRange(w1), layout_.MatchPrefixRange(w2));
-  auto result = HeaderLocalize(mgr_, s, {w1, w2}, ToBdd());
+  auto result = HeaderLocalize(mgr_, s, {w1, w2}, Encoding());
   EXPECT_EQ(result.terms.size(), 2u);
   EXPECT_EQ(Reconstruct(result), s);
   auto included = result.IncludedRanges();
@@ -139,37 +140,60 @@ TEST_F(HeaderLocalizeTest, MinimalityPrefersSingleRangeOverUnion) {
   PrefixRange half1 = Range("10.0.0.0/9", 9, 9);
   PrefixRange half2 = Range("10.128.0.0/9", 9, 9);
   BddRef s = layout_.MatchPrefixRange(whole);
-  auto result = HeaderLocalize(mgr_, s, {whole, half1, half2}, ToBdd());
+  auto result = HeaderLocalize(mgr_, s, {whole, half1, half2}, Encoding());
   ASSERT_EQ(result.terms.size(), 1u);
   EXPECT_EQ(result.terms[0].include, whole);
 }
 
 // Property test: random boolean combinations of a random range pool are
-// always reconstructed exactly.
-class HeaderLocalizeRandomTest : public ::testing::TestWithParam<int> {};
+// always reconstructed exactly, in both address families.
+struct RandomCase {
+  util::AddressFamily family;
+  int seed;
+};
 
-TEST_P(HeaderLocalizeRandomTest, ReconstructsExactly) {
-  BddManager mgr;
-  encode::RouteAdvLayout layout(mgr, {});
-  std::mt19937_64 rng(GetParam());
+// Prints the seed alone, so test names read ".../<seed>".
+void PrintTo(const RandomCase& c, std::ostream* os) { *os << c.seed; }
 
-  std::vector<PrefixRange> pool;
-  for (int i = 0; i < 6; ++i) {
+std::vector<RandomCase> Seeds(util::AddressFamily family) {
+  std::vector<RandomCase> cases;
+  for (int seed = 1; seed <= 30; ++seed) cases.push_back({family, seed});
+  return cases;
+}
+
+// One pool range: a /8, /12 or /16 under 10.0.0.0/8 (IPv4), or a /32,
+// /48 or /64 under 2001:db8::/32 (IPv6), with a random length window.
+PrefixRange RandomPoolRange(util::AddressFamily family, std::mt19937_64& rng) {
+  if (family == util::AddressFamily::kIpv4) {
     std::uint32_t base = (10u << 24) | ((rng() % 4) << 20);
     int length = 8 + static_cast<int>(rng() % 3) * 4;
     int low = length + static_cast<int>(rng() % 4);
     int high = low + static_cast<int>(rng() % (33 - low));
-    pool.push_back(
-        PrefixRange(Prefix(Ipv4Address(base), length), low, high));
+    return PrefixRange(Prefix(Ipv4Address(base), length), low, high);
   }
-  auto to_bdd = [&](const PrefixRange& r) {
-    return layout.MatchPrefixRange(r);
-  };
+  util::U128 base(0x20010db800000000ull | ((rng() % 4) << 28), 0);
+  int length = 32 + static_cast<int>(rng() % 3) * 16;
+  int low = length + static_cast<int>(rng() % 4);
+  int high = low + static_cast<int>(rng() % (129 - low));
+  return PrefixRange(util::IpPrefix(family, base, length), low, high);
+}
+
+class HeaderLocalizeRandomTest : public ::testing::TestWithParam<RandomCase> {
+};
+
+TEST_P(HeaderLocalizeRandomTest, ReconstructsExactly) {
+  const util::AddressFamily family = GetParam().family;
+  BddManager mgr;
+  encode::RouteAdvLayout layout(mgr, {}, family);
+  std::mt19937_64 rng(GetParam().seed);
+
+  std::vector<PrefixRange> pool;
+  for (int i = 0; i < 6; ++i) pool.push_back(RandomPoolRange(family, rng));
 
   // A random expression over the pool: unions, intersections, differences.
-  BddRef s = to_bdd(pool[0]);
+  BddRef s = layout.MatchPrefixRange(pool[0]);
   for (int step = 0; step < 8; ++step) {
-    BddRef operand = to_bdd(pool[rng() % pool.size()]);
+    BddRef operand = layout.MatchPrefixRange(pool[rng() % pool.size()]);
     switch (rng() % 3) {
       case 0: s = mgr.Or(s, operand); break;
       case 1: s = mgr.And(s, operand); break;
@@ -177,19 +201,27 @@ TEST_P(HeaderLocalizeRandomTest, ReconstructsExactly) {
     }
   }
 
-  auto result = HeaderLocalize(mgr, s, pool, to_bdd);
+  const PrefixRange universe = PrefixRange::UniverseOf(family);
+  auto result =
+      HeaderLocalize(mgr, s, pool, layout.prefix_encoding(), universe);
   BddRef rebuilt = mgr.False();
   for (const auto& term : result.terms) {
-    BddRef t = to_bdd(term.include);
-    for (const auto& x : term.exclude) t = mgr.Diff(t, to_bdd(x));
+    BddRef t = layout.MatchPrefixRange(term.include);
+    for (const auto& x : term.exclude) {
+      t = mgr.Diff(t, layout.MatchPrefixRange(x));
+    }
     rebuilt = mgr.Or(rebuilt, t);
   }
-  BddRef clipped = mgr.And(s, to_bdd(PrefixRange::Universe()));
-  EXPECT_EQ(rebuilt, clipped) << "seed " << GetParam();
+  BddRef clipped = mgr.And(s, layout.MatchPrefixRange(universe));
+  EXPECT_EQ(rebuilt, clipped) << "seed " << GetParam().seed;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, HeaderLocalizeRandomTest,
-                         ::testing::Range(1, 31));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, HeaderLocalizeRandomTest,
+    ::testing::ValuesIn(Seeds(util::AddressFamily::kIpv4)));
+INSTANTIATE_TEST_SUITE_P(
+    Ipv6Seeds, HeaderLocalizeRandomTest,
+    ::testing::ValuesIn(Seeds(util::AddressFamily::kIpv6)));
 
 // One localizer reused across many sets on one manager (as a pair task
 // reuses it across its differences) must answer exactly like a fresh
@@ -207,16 +239,13 @@ TEST(HeaderLocalizerTest, ReuseMatchesFreshLocalization) {
     int high = low + static_cast<int>(rng() % (33 - low));
     pool.push_back(PrefixRange(Prefix(Ipv4Address(base), length), low, high));
   }
-  auto to_bdd = [&](const PrefixRange& r) {
-    return layout.MatchPrefixRange(r);
-  };
   PrefixRangeDag dag(pool);
-  HeaderLocalizer localizer(mgr, dag, to_bdd);
+  HeaderLocalizer localizer(mgr, dag, layout.prefix_encoding());
 
   for (int trial = 0; trial < 60; ++trial) {
-    BddRef s = to_bdd(pool[rng() % pool.size()]);
+    BddRef s = layout.MatchPrefixRange(pool[rng() % pool.size()]);
     for (int step = 0; step < 6; ++step) {
-      BddRef operand = to_bdd(pool[rng() % pool.size()]);
+      BddRef operand = layout.MatchPrefixRange(pool[rng() % pool.size()]);
       switch (rng() % 3) {
         case 0: s = mgr.Or(s, operand); break;
         case 1: s = mgr.And(s, operand); break;
@@ -225,13 +254,111 @@ TEST(HeaderLocalizerTest, ReuseMatchesFreshLocalization) {
     }
     for (BddRef set : {s, mgr.Not(s)}) {
       HeaderLocalizeResult reused = localizer.Localize(set);
-      HeaderLocalizeResult fresh = HeaderLocalize(mgr, set, pool, to_bdd);
+      HeaderLocalizeResult fresh =
+          HeaderLocalize(mgr, set, pool, layout.prefix_encoding());
       EXPECT_EQ(reused.terms, fresh.terms)
           << "trial " << trial << "\nreused:\n" << reused.ToString()
           << "\nfresh:\n" << fresh.ToString();
     }
   }
 }
+
+// The remainder of every internal node, built as a prefix trie, must be the
+// very BDD the one-Diff-per-child loop it replaced builds. The loop is kept
+// here verbatim as the oracle.
+struct OracleCase {
+  util::AddressFamily family;
+  bool length_field;  // Route advertisements; else ACL host addresses.
+  int seed;
+};
+
+void PrintTo(const OracleCase& c, std::ostream* os) {
+  *os << (c.family == util::AddressFamily::kIpv4 ? "ipv4_" : "ipv6_")
+      << (c.length_field ? "route_" : "host_") << c.seed;
+}
+
+std::vector<OracleCase> OracleCases() {
+  std::vector<OracleCase> cases;
+  for (auto family : {util::AddressFamily::kIpv4, util::AddressFamily::kIpv6}) {
+    for (bool length_field : {true, false}) {
+      for (int seed = 1; seed <= 10; ++seed) {
+        cases.push_back({family, length_field, seed});
+      }
+    }
+  }
+  return cases;
+}
+
+BddRef LoopRemainder(BddManager& mgr, const std::vector<BddRef>& node_bdds,
+                     const PrefixRangeDag& dag, std::size_t node) {
+  BddRef rem = node_bdds[node];
+  for (std::size_t child : dag.children(node)) {
+    rem = mgr.Diff(rem, node_bdds[child]);
+  }
+  return rem;
+}
+
+class RemainderOracleTest : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(RemainderOracleTest, TrieMatchesDiffLoop) {
+  const OracleCase& param = GetParam();
+  const int width = util::AddressWidth(param.family);
+  std::mt19937_64 rng(param.seed);
+
+  // Nested prefixes: the top bits stay fixed, a few bits at fixed strides
+  // below vary, so ranges share bases, nest, and meet at every depth.
+  const util::U128 top = param.family == util::AddressFamily::kIpv4
+                             ? util::U128(10u << 24)
+                             : util::U128(0x20010db800000000ull, 0);
+  const int fixed = param.family == util::AddressFamily::kIpv4 ? 8 : 32;
+  std::vector<PrefixRange> pool;
+  for (int i = 0; i < 60; ++i) {
+    util::U128 bits = top;
+    for (int at = fixed; at < width; at += (width - fixed) / 6) {
+      bits = bits | (util::U128(rng() % 2) << (width - 1 - at));
+    }
+    const int length = fixed + 1 + static_cast<int>(rng() % (width - fixed));
+    const util::IpPrefix prefix(param.family, bits, length);
+    if (!param.length_field) {
+      pool.emplace_back(prefix, width, width);
+      continue;
+    }
+    const int low = length + static_cast<int>(rng() % (width + 1 - length));
+    const int high = low + static_cast<int>(rng() % (width + 1 - low));
+    pool.emplace_back(prefix, low, high);
+  }
+  const PrefixRange universe =
+      param.length_field
+          ? PrefixRange::UniverseOf(param.family)
+          : PrefixRange(util::IpPrefix(param.family, util::U128(), 0), width,
+                        width);
+  PrefixRangeDag dag(pool, universe);
+
+  BddManager mgr;
+  encode::RouteAdvLayout routes(mgr, {}, param.family);
+  encode::PacketLayout packets(mgr, param.family);
+  const encode::PrefixEncoding encoding = param.length_field
+                                              ? routes.prefix_encoding()
+                                              : packets.DstPrefixEncoding();
+  std::vector<BddRef> node_bdds;
+  for (const PrefixRange& label : dag.labels()) {
+    node_bdds.push_back(encoding.MatchRange(mgr, label));
+  }
+  HeaderLocalizer localizer(mgr, dag, encoding);
+  std::size_t internal = 0;
+  for (std::size_t node = 0; node < dag.size(); ++node) {
+    if (dag.IsLeaf(node)) continue;
+    ++internal;
+    EXPECT_EQ(localizer.Remainder(node),
+              LoopRemainder(mgr, node_bdds, dag, node))
+        << dag.label(node).ToString();
+  }
+  EXPECT_GT(internal, 1u);
+  EXPECT_GT(dag.children(dag.root()).size(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Oracle, RemainderOracleTest,
+                         ::testing::ValuesIn(OracleCases()));
 
 }  // namespace
 }  // namespace campion::core

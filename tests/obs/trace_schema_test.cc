@@ -140,8 +140,8 @@ TEST_F(TraceSchemaTest, DocumentMatchesDocumentedSchema) {
   // The documented pipeline phases all appear for the Fig.1 pair.
   for (const char* required :
        {"parse", "config_diff", "match_policies", "localize_dag",
-        "route_map_pair", "encode", "class_intersect", "header_localize",
-        "structural"}) {
+        "route_map_pair", "encode", "class_intersect", "localize_encode",
+        "header_localize", "structural"}) {
     EXPECT_TRUE(names.count(required)) << "missing span name: " << required;
   }
 

@@ -537,6 +537,39 @@ TEST_F(ServerTest, MetricsFoldByRecordedKind) {
             std::string::npos);
 }
 
+// Phase histograms count only the comparisons whose metrics the daemon
+// keeps: a /diff that fails to parse must not add a parse sample that no
+// `parse.files` matches, or `frontend.parse_mb_per_s` skews.
+TEST_F(ServerTest, PhaseHistogramsCountOnlyCompletedComparisons) {
+  StartServer(ServiceOptions{});
+  for (int n = 0; n < 3; ++n) {
+    ASSERT_EQ(Fetch("POST", "/diff",
+                    DiffRequestBody(Fig1CiscoVariant(n), testing::kFig1Juniper))
+                  .status,
+              200);
+    if (n == 1) {
+      ASSERT_EQ(Fetch("POST", "/diff",
+                      DiffRequestBody("garbage that is neither vendor", "also"))
+                    .status,
+                422);
+    }
+  }
+  std::string text = "\n";
+  text += Fetch("GET", "/metrics").body;
+  const auto value = [&](const std::string& name) {
+    std::string needle = "\n";
+    needle += name;
+    needle += ' ';
+    const std::size_t pos = text.find(needle);
+    EXPECT_NE(pos, std::string::npos) << name;
+    return pos == std::string::npos
+               ? 0.0
+               : std::strtod(text.c_str() + pos + needle.size(), nullptr);
+  };
+  EXPECT_EQ(value("server.phase.parse.count") * 2, value("parse.files"));
+  EXPECT_EQ(value("server.phase.parse.count"), 3.0);
+}
+
 TEST_F(ServerTest, PlainMetricsExposeLatencyQuantiles) {
   StartServer(ServiceOptions{});
   ASSERT_EQ(Fetch("POST", "/diff",
