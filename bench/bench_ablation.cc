@@ -106,7 +106,7 @@ BENCHMARK(BM_RouteMapDiffClauses)
 
 void PrintMinimalityComparison() {
   using campion::util::Ipv4Address;
-  using campion::util::Prefix;
+  using campion::util::IpPrefix;
   using campion::util::PrefixRange;
   campion::bdd::BddManager mgr;
   campion::encode::RouteAdvLayout layout(mgr, {});
@@ -116,10 +116,10 @@ void PrintMinimalityComparison() {
   std::vector<PrefixRange> pool;
   for (int i = 0; i < 16; ++i) {
     pool.emplace_back(
-        Prefix(Ipv4Address(10, static_cast<std::uint8_t>(i), 0, 0), 16), 16,
+        IpPrefix(Ipv4Address(10, static_cast<std::uint8_t>(i), 0, 0), 16), 16,
         32);
     pool.emplace_back(
-        Prefix(Ipv4Address(10, static_cast<std::uint8_t>(i), 0, 0), 16), 16,
+        IpPrefix(Ipv4Address(10, static_cast<std::uint8_t>(i), 0, 0), 16), 16,
         16);
   }
   campion::bdd::BddRef s = mgr.False();

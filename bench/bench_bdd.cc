@@ -63,7 +63,7 @@ void BM_PrefixRangeEncode(benchmark::State& state) {
   for (auto _ : state) {
     for (int octet = 0; octet < 64; ++octet) {
       BddRef f = layout.MatchPrefixRange(campion::util::PrefixRange(
-          campion::util::Prefix(
+          campion::util::IpPrefix(
               campion::util::Ipv4Address(
                   10, static_cast<std::uint8_t>(octet), 0, 0),
               16),
@@ -80,7 +80,7 @@ void BM_ExistsProjection(benchmark::State& state) {
       mgr, {campion::util::Community(10, 10), campion::util::Community(10, 11)});
   BddRef f = mgr.And(
       layout.MatchPrefixRange(campion::util::PrefixRange(
-          campion::util::Prefix(campion::util::Ipv4Address(10, 9, 0, 0), 16),
+          campion::util::IpPrefix(campion::util::Ipv4Address(10, 9, 0, 0), 16),
           16, 32)),
       layout.HasCommunity(campion::util::Community(10, 10)));
   auto mask = layout.NonPrefixVarMask();
@@ -164,7 +164,7 @@ void PrintSummary() {
     campion::encode::RouteAdvLayout layout(m, {});
     for (int octet = 0; octet < 64; ++octet) {
       BddRef g = layout.MatchPrefixRange(campion::util::PrefixRange(
-          campion::util::Prefix(
+          campion::util::IpPrefix(
               campion::util::Ipv4Address(
                   10, static_cast<std::uint8_t>(octet), 0, 0),
               16),
@@ -203,7 +203,7 @@ void PrintSummary() {
     std::vector<BddRef> pool;
     for (int i = 0; i < 16; ++i) {
       pool.push_back(layout.MatchPrefixRange(campion::util::PrefixRange(
-          campion::util::Prefix(
+          campion::util::IpPrefix(
               campion::util::Ipv4Address(
                   10, static_cast<std::uint8_t>(i * 8), 0, 0),
               16),
@@ -224,7 +224,7 @@ void PrintSummary() {
     std::vector<BddRef> pool;
     for (int i = 0; i < 16; ++i) {
       pool.push_back(layout.MatchPrefixRange(campion::util::PrefixRange(
-          campion::util::Prefix(
+          campion::util::IpPrefix(
               campion::util::Ipv4Address(
                   10, static_cast<std::uint8_t>(i * 8), 0, 0),
               16),

@@ -69,9 +69,9 @@ Enumeration Enumerate(const campion::ir::RouterConfig& cisco,
   // The prefix ranges relevant to Difference 1: its two NETS windows.
   std::vector<BddRef> d1_ranges;
   for (const auto& prefix :
-       {campion::util::Prefix(campion::util::Ipv4Address(10, 9, 0, 0), 16),
-        campion::util::Prefix(campion::util::Ipv4Address(10, 100, 0, 0),
-                              16)}) {
+       {campion::util::IpPrefix(campion::util::Ipv4Address(10, 9, 0, 0), 16),
+        campion::util::IpPrefix(campion::util::Ipv4Address(10, 100, 0, 0),
+                                16)}) {
     d1_ranges.push_back(layout.MatchPrefixRange(
         campion::util::PrefixRange(prefix, 16, 32)));
   }

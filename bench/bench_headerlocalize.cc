@@ -14,19 +14,19 @@
 namespace {
 
 using campion::util::Ipv4Address;
-using campion::util::Prefix;
+using campion::util::IpPrefix;
 using campion::util::PrefixRange;
 
 // The Figure 3 shape: A contains B and C; B contains D and E; C contains E
 // and F; F contains G. S is chosen so GetMatch returns {B-D, C-F, G}.
 struct Fig3 {
-  PrefixRange a{Prefix(Ipv4Address(10, 0, 0, 0), 8), 8, 32};
-  PrefixRange b{Prefix(Ipv4Address(10, 16, 0, 0), 12), 12, 32};
-  PrefixRange c{Prefix(Ipv4Address(10, 0, 0, 0), 8), 24, 32};
-  PrefixRange d{Prefix(Ipv4Address(10, 16, 0, 0), 12), 14, 20};
-  PrefixRange e{Prefix(Ipv4Address(10, 16, 0, 0), 12), 24, 32};
-  PrefixRange f{Prefix(Ipv4Address(10, 32, 0, 0), 11), 24, 32};
-  PrefixRange g{Prefix(Ipv4Address(10, 32, 0, 0), 11), 28, 32};
+  PrefixRange a{IpPrefix(Ipv4Address(10, 0, 0, 0), 8), 8, 32};
+  PrefixRange b{IpPrefix(Ipv4Address(10, 16, 0, 0), 12), 12, 32};
+  PrefixRange c{IpPrefix(Ipv4Address(10, 0, 0, 0), 8), 24, 32};
+  PrefixRange d{IpPrefix(Ipv4Address(10, 16, 0, 0), 12), 14, 20};
+  PrefixRange e{IpPrefix(Ipv4Address(10, 16, 0, 0), 12), 24, 32};
+  PrefixRange f{IpPrefix(Ipv4Address(10, 32, 0, 0), 11), 24, 32};
+  PrefixRange g{IpPrefix(Ipv4Address(10, 32, 0, 0), 11), 28, 32};
 };
 
 void PrintFig3() {
@@ -58,8 +58,8 @@ std::vector<PrefixRange> RangePool(int count) {
   std::vector<PrefixRange> ranges;
   for (int i = 0; i < count; ++i) {
     ranges.emplace_back(
-        Prefix(Ipv4Address(10, static_cast<std::uint8_t>(i % 250), 0, 0),
-               16),
+        IpPrefix(Ipv4Address(10, static_cast<std::uint8_t>(i % 250), 0, 0),
+                 16),
         16, 16 + (i % 17));
   }
   return ranges;

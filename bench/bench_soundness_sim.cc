@@ -14,7 +14,7 @@
 namespace {
 
 using campion::util::Ipv4Address;
-using campion::util::Prefix;
+using campion::util::IpPrefix;
 
 // A two-router internet: the device under test (Fig. 1 router) exporting
 // to an external peer through POL.
@@ -24,8 +24,8 @@ campion::sim::Network BuildWorld(const campion::ir::RouterConfig& dut) {
   device.hostname = "dut";
   // The device originates a prefix inside the NETS window (not exact):
   // 10.9.1.0/24 — the space where the Figure 1 route maps disagree.
-  device.bgp->networks.push_back(Prefix(Ipv4Address(10, 9, 1, 0), 24));
-  device.bgp->networks.push_back(Prefix(Ipv4Address(172, 20, 0, 0), 16));
+  device.bgp->networks.push_back(IpPrefix(Ipv4Address(10, 9, 1, 0), 24));
+  device.bgp->networks.push_back(IpPrefix(Ipv4Address(172, 20, 0, 0), 16));
   network.AddRouter(std::move(device));
 
   campion::ir::RouterConfig peer;
@@ -61,9 +61,9 @@ void PrintExperiment() {
   // 10.9.1.0/24 (accepted by rule3) where the Cisco router rejects it.
   auto changed = campion::sim::Solve(BuildWorld(juniper));
   bool peer_sees_cisco =
-      base.ribs["peer"].contains(Prefix(Ipv4Address(10, 9, 1, 0), 24));
+      base.ribs["peer"].contains(IpPrefix(Ipv4Address(10, 9, 1, 0), 24));
   bool peer_sees_juniper =
-      changed.ribs["peer"].contains(Prefix(Ipv4Address(10, 9, 1, 0), 24));
+      changed.ribs["peer"].contains(IpPrefix(Ipv4Address(10, 9, 1, 0), 24));
   std::cout << "peer learns 10.9.1.0/24 from the Cisco DUT: "
             << (peer_sees_cisco ? "yes" : "no")
             << "  (paper: rejected by route-map POL deny 10)\n";
@@ -109,7 +109,7 @@ void BM_SolveChain(benchmark::State& state) {
       bgp.neighbors.push_back(right);
     }
     bgp.networks.push_back(
-        Prefix(Ipv4Address(10, static_cast<std::uint8_t>(i), 0, 0), 24));
+        IpPrefix(Ipv4Address(10, static_cast<std::uint8_t>(i), 0, 0), 24));
     router.bgp = std::move(bgp);
     network.AddRouter(std::move(router));
   }

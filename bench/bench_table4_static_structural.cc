@@ -44,7 +44,7 @@ void BM_StructuralDiffScale(benchmark::State& state) {
   const int routes = static_cast<int>(state.range(0));
   for (int i = 0; i < routes; ++i) {
     campion::ir::StaticRoute route;
-    route.prefix = campion::util::Prefix(
+    route.prefix = campion::util::IpPrefix(
         campion::util::Ipv4Address(10, static_cast<std::uint8_t>(i / 256),
                                    static_cast<std::uint8_t>(i % 256), 0),
         24);

@@ -188,18 +188,18 @@ std::optional<StaticRouteCounterexample> MonolithicStaticRouteCheck(
   auto covered_by = [](const ir::RouterConfig& config,
                        util::Ipv4Address ip) {
     for (const auto& route : config.static_routes) {
-      if (route.prefix.Contains(ip)) return true;
+      if (route.prefix.Contains(util::IpPrefix(ip, 32))) return true;
     }
     return false;
   };
   for (const auto& route : config1.static_routes) {
-    util::Ipv4Address probe = route.prefix.address();
+    util::Ipv4Address probe = route.prefix.address().V4();
     if (!covered_by(config2, probe)) {
       return StaticRouteCounterexample{probe, true, false};
     }
   }
   for (const auto& route : config2.static_routes) {
-    util::Ipv4Address probe = route.prefix.address();
+    util::Ipv4Address probe = route.prefix.address().V4();
     if (!covered_by(config1, probe)) {
       return StaticRouteCounterexample{probe, false, true};
     }

@@ -6,7 +6,9 @@ namespace campion::cisco {
 namespace {
 
 std::string MaskString(int length) {
-  return util::Ipv4Address(util::MaskBits(length)).ToString();
+  return util::Ipv4Address(
+             static_cast<std::uint32_t>(util::MaskBits(length, 32).lo()))
+      .ToString();
 }
 
 std::string WildcardString(const util::IpWildcard& w) {

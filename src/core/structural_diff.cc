@@ -30,14 +30,14 @@ std::vector<StructuralDifference> DiffStaticRoutes(
 
   // Group each side's routes by destination prefix.
   auto group = [](const ir::RouterConfig& config) {
-    std::map<util::Prefix, std::vector<const ir::StaticRoute*>> routes;
+    std::map<util::IpPrefix, std::vector<const ir::StaticRoute*>> routes;
     for (const auto& r : config.static_routes) routes[r.prefix].push_back(&r);
     return routes;
   };
   auto routes1 = group(config1);
   auto routes2 = group(config2);
 
-  std::set<util::Prefix> prefixes;
+  std::set<util::IpPrefix> prefixes;
   for (const auto& [p, r] : routes1) prefixes.insert(p);
   for (const auto& [p, r] : routes2) prefixes.insert(p);
 
@@ -111,7 +111,7 @@ std::vector<StructuralDifference> DiffStaticRoutes(
 std::vector<StructuralDifference> DiffConnectedRoutes(
     const ir::RouterConfig& config1, const ir::RouterConfig& config2) {
   auto subnets = [](const ir::RouterConfig& config) {
-    std::map<util::Prefix, const ir::Interface*> out;
+    std::map<util::IpPrefix, const ir::Interface*> out;
     for (const auto& iface : config.interfaces) {
       if (auto subnet = iface.ConnectedSubnet(); subnet && !iface.shutdown) {
         out.emplace(*subnet, &iface);
@@ -280,8 +280,8 @@ std::vector<StructuralDifference> DiffBgpProperties(
     }
   }
 
-  std::set<util::Prefix> nets1(b1.networks.begin(), b1.networks.end());
-  std::set<util::Prefix> nets2(b2.networks.begin(), b2.networks.end());
+  std::set<util::IpPrefix> nets1(b1.networks.begin(), b1.networks.end());
+  std::set<util::IpPrefix> nets2(b2.networks.begin(), b2.networks.end());
   for (const auto& net : nets1) {
     if (!nets2.contains(net)) {
       diffs.push_back({"BGP Network " + net.ToString(), "presence",

@@ -8,7 +8,7 @@ namespace {
 
 using util::Ipv4Address;
 using util::IpWildcard;
-using util::Prefix;
+using util::IpPrefix;
 
 class AclGenerator {
  public:
@@ -23,7 +23,7 @@ class AclGenerator {
         int length = 16 + static_cast<int>(Uniform(13));
         std::uint32_t bits =
             (10u << 24) | (Uniform(64) << 18) | (Uniform(1024) << 8);
-        network_pool_.emplace_back(Prefix(Ipv4Address(bits), length));
+        network_pool_.emplace_back(Ipv4Address(bits), length);
       }
     } else {
       // Documentation space (2001:db8::/32), lengths /48../60: the same
@@ -33,8 +33,8 @@ class AclGenerator {
         std::uint64_t hi = (0x20010db8ULL << 32) |
                            (static_cast<std::uint64_t>(Uniform(64)) << 26) |
                            (static_cast<std::uint64_t>(Uniform(1024)) << 16);
-        network_pool_.emplace_back(util::Prefix6(
-            util::Ipv6Address(util::U128(hi, 0)), length));
+        network_pool_.emplace_back(util::Ipv6Address(util::U128(hi, 0)),
+                                   length);
       }
     }
   }
@@ -63,12 +63,6 @@ class AclGenerator {
         static_cast<std::uint32_t>(network_pool_.size()))];
   }
 
-  static IpWildcard WildcardOf(const util::IpPrefix& prefix) {
-    return prefix.family() == util::AddressFamily::kIpv4
-               ? IpWildcard(prefix.V4())
-               : IpWildcard(prefix.V6());
-  }
-
   ir::AclLine RandomLine() {
     ir::AclLine line;
     line.action =
@@ -83,8 +77,8 @@ class AclGenerator {
         break;
       default: line.protocol = std::nullopt; break;  // "ip" / "ipv6"
     }
-    line.src = WildcardOf(RandomPrefix());
-    line.dst = WildcardOf(RandomPrefix());
+    line.src = IpWildcard(RandomPrefix());
+    line.dst = IpWildcard(RandomPrefix());
     if (line.protocol == ir::kProtoTcp || line.protocol == ir::kProtoUdp) {
       static constexpr std::uint16_t kPorts[] = {22,  25,  53,   80,  123,
                                                  179, 443, 3306, 8080};
@@ -131,7 +125,7 @@ class AclGenerator {
         case 2: {  // Widen the destination prefix (le 32 style bug).
           auto prefix = line.dst.AsIpPrefix();
           if (!prefix || prefix->length() < 2) continue;
-          line.dst = WildcardOf(util::IpPrefix(
+          line.dst = IpWildcard(util::IpPrefix(
               prefix->family(), prefix->address().bits(),
               prefix->length() - 1));
           description += "widened destination prefix";

@@ -7,7 +7,7 @@ namespace {
 
 using util::Community;
 using util::Ipv4Address;
-using util::Prefix;
+using util::IpPrefix;
 using util::PrefixRange;
 
 class RouteMapGenerator {
@@ -40,7 +40,7 @@ class RouteMapGenerator {
     int low = length + static_cast<int>(Uniform(4));
     int high = low + static_cast<int>(Uniform(static_cast<std::uint32_t>(
                          33 - low)));
-    return PrefixRange(Prefix(Ipv4Address(bits), length), low, high);
+    return PrefixRange(IpPrefix(Ipv4Address(bits), length), low, high);
   }
 
   Community CommunityAt(std::uint32_t index) {
@@ -214,26 +214,26 @@ std::vector<RandomRoute> SampleRoutes(const GeneratedRouteMapPair& pair,
 
   // Pool of interesting prefixes: members and near-misses of every range
   // constant in either configuration, plus some random ones.
-  std::vector<Prefix> prefixes;
+  std::vector<IpPrefix> prefixes;
   for (const ir::RouterConfig* config : {&pair.config1, &pair.config2}) {
     for (const auto& range : config->AllPrefixRanges()) {
       if (range.family() != util::AddressFamily::kIpv4) continue;
-      const Prefix base = range.prefix().V4();
+      const IpPrefix& base = range.prefix();
+      const Ipv4Address address = base.address().V4();
       prefixes.push_back(base);
       if (range.low() <= 32) {
-        prefixes.push_back(Prefix(base.address(), range.low()));
+        prefixes.push_back(IpPrefix(address, range.low()));
       }
       if (range.high() <= 32) {
-        prefixes.push_back(Prefix(base.address(), range.high()));
+        prefixes.push_back(IpPrefix(address, range.high()));
       }
       if (range.high() + 1 <= 32) {
-        prefixes.push_back(Prefix(base.address(), range.high() + 1));
+        prefixes.push_back(IpPrefix(address, range.high() + 1));
       }
       // A sibling that shares all but the last base bit.
       if (base.length() > 0) {
-        std::uint32_t flipped =
-            base.address().bits() ^ (1u << (32 - base.length()));
-        prefixes.push_back(Prefix(Ipv4Address(flipped), base.length()));
+        std::uint32_t flipped = address.bits() ^ (1u << (32 - base.length()));
+        prefixes.push_back(IpPrefix(Ipv4Address(flipped), base.length()));
       }
     }
   }
@@ -253,7 +253,7 @@ std::vector<RandomRoute> SampleRoutes(const GeneratedRouteMapPair& pair,
           prefixes[uniform(static_cast<std::uint32_t>(prefixes.size()))];
     } else {
       int length = static_cast<int>(uniform(33));
-      route.prefix = Prefix(Ipv4Address(rng() & 0xFFFFFFFFu), length);
+      route.prefix = IpPrefix(Ipv4Address(rng() & 0xFFFFFFFFu), length);
     }
     for (const auto& community : communities) {
       if (uniform(3) == 0) route.communities.push_back(community);

@@ -37,7 +37,7 @@ GeneratedRouteMapPair GenerateRouteMapPair(const RouteMapGenOptions& options);
 // the generator uses (so samples exercise the interesting boundaries).
 // Returns prefix/communities/tag/metric in an ir-independent form.
 struct RandomRoute {
-  util::Prefix prefix;
+  util::IpPrefix prefix;
   std::vector<util::Community> communities;
   std::uint32_t tag = 0;
   std::uint32_t metric = 0;

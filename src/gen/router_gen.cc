@@ -10,7 +10,7 @@ namespace {
 
 using util::Community;
 using util::Ipv4Address;
-using util::Prefix;
+using util::IpPrefix;
 
 class RouterGenerator {
  public:
@@ -52,7 +52,7 @@ class RouterGenerator {
   void AddStaticRoutes(ir::RouterConfig& config) {
     for (int i = 0; i < options_.static_routes; ++i) {
       ir::StaticRoute route;
-      route.prefix = Prefix(
+      route.prefix = IpPrefix(
           Ipv4Address(10, 250, static_cast<std::uint8_t>(Uniform(200)), 0),
           24);
       route.next_hop =
@@ -143,7 +143,7 @@ class RouterGenerator {
     bgp.router_id = Ipv4Address(10, 100, 0, 1);
     int networks = 1 + static_cast<int>(Uniform(3));
     for (int n = 0; n < networks; ++n) {
-      bgp.networks.push_back(Prefix(
+      bgp.networks.push_back(IpPrefix(
           Ipv4Address(10, 100, static_cast<std::uint8_t>(n), 0), 24));
     }
     int neighbors = 2 + static_cast<int>(Uniform(3));

@@ -7,7 +7,7 @@ namespace {
 
 using util::Community;
 using util::Ipv4Address;
-using util::Prefix;
+using util::IpPrefix;
 using util::PrefixRange;
 
 // --- small IR construction helpers -----------------------------------------
@@ -90,7 +90,7 @@ ir::RouteMap MakeRouteMap(const std::string& name,
   return map;
 }
 
-ir::StaticRoute MakeStatic(const Prefix& prefix, Ipv4Address next_hop,
+ir::StaticRoute MakeStatic(const IpPrefix& prefix, Ipv4Address next_hop,
                            int distance = 1,
                            std::optional<std::uint32_t> tag = std::nullopt) {
   ir::StaticRoute route;
@@ -145,17 +145,17 @@ ir::RouterConfig MakeTorRouter(int index, ir::Vendor vendor) {
       Ipv4Address(10, 1, rack, 1), 24));
 
   config.prefix_lists["PL-SERVICES"] = MakePrefixList(
-      "PL-SERVICES", {PrefixRange(Prefix(Ipv4Address(10, 1, rack, 0), 24)),
-                      PrefixRange(Prefix(Ipv4Address(10, 2, rack, 0), 24)),
-                      PrefixRange(Prefix(Ipv4Address(10, 3, rack, 0), 24))});
+      "PL-SERVICES", {PrefixRange(IpPrefix(Ipv4Address(10, 1, rack, 0), 24)),
+                      PrefixRange(IpPrefix(Ipv4Address(10, 2, rack, 0), 24)),
+                      PrefixRange(IpPrefix(Ipv4Address(10, 3, rack, 0), 24))});
   // The export side announces the same ranges through its own list, so an
   // import-filter bug stays localized to the import policy.
   config.prefix_lists["PL-ANNOUNCE"] = MakePrefixList(
-      "PL-ANNOUNCE", {PrefixRange(Prefix(Ipv4Address(10, 1, rack, 0), 24)),
-                      PrefixRange(Prefix(Ipv4Address(10, 2, rack, 0), 24)),
-                      PrefixRange(Prefix(Ipv4Address(10, 3, rack, 0), 24))});
+      "PL-ANNOUNCE", {PrefixRange(IpPrefix(Ipv4Address(10, 1, rack, 0), 24)),
+                      PrefixRange(IpPrefix(Ipv4Address(10, 2, rack, 0), 24)),
+                      PrefixRange(IpPrefix(Ipv4Address(10, 3, rack, 0), 24))});
   config.prefix_lists["PL-DEFAULT"] = MakePrefixList(
-      "PL-DEFAULT", {PrefixRange(Prefix(Ipv4Address(0, 0, 0, 0), 0))});
+      "PL-DEFAULT", {PrefixRange(IpPrefix(Ipv4Address(0, 0, 0, 0), 0))});
   config.community_lists["CL-DC"] =
       MakeOrCommunityList("CL-DC", {Community(65000, 100)});
 
@@ -175,7 +175,7 @@ ir::RouterConfig MakeTorRouter(int index, ir::Vendor vendor) {
   ir::BgpProcess bgp;
   bgp.asn = 65100u + static_cast<std::uint32_t>(index);
   bgp.router_id = Ipv4Address(10, 1, rack, 1);
-  bgp.networks = {Prefix(Ipv4Address(10, 1, rack, 0), 24)};
+  bgp.networks = {IpPrefix(Ipv4Address(10, 1, rack, 0), 24)};
   bgp.neighbors.push_back(MakeNeighbor(Ipv4Address(10, 200, rack, 0), 65000,
                                        "IMPORT-POL", "EXPORT-POL"));
   bgp.neighbors.push_back(MakeNeighbor(Ipv4Address(10, 201, rack, 0), 65000,
@@ -183,9 +183,11 @@ ir::RouterConfig MakeTorRouter(int index, ir::Vendor vendor) {
   config.bgp = std::move(bgp);
 
   config.static_routes.push_back(MakeStatic(
-      Prefix(Ipv4Address(10, 250, rack, 0), 24), Ipv4Address(10, 200, rack, 0)));
+      IpPrefix(Ipv4Address(10, 250, rack, 0), 24),
+      Ipv4Address(10, 200, rack, 0)));
   config.static_routes.push_back(MakeStatic(
-      Prefix(Ipv4Address(10, 251, rack, 0), 24), Ipv4Address(10, 201, rack, 0)));
+      IpPrefix(Ipv4Address(10, 251, rack, 0), 24),
+      Ipv4Address(10, 201, rack, 0)));
   return config;
 }
 
@@ -199,7 +201,7 @@ ir::RouterConfig MakeReflectorRouter(ir::Vendor vendor) {
       Ipv4Address(10, 255, 0, 1), 32));
 
   config.prefix_lists["PL-INFRA"] = MakePrefixList(
-      "PL-INFRA", {PrefixRange(Prefix(Ipv4Address(10, 0, 0, 0), 8), 8, 24)});
+      "PL-INFRA", {PrefixRange(IpPrefix(Ipv4Address(10, 0, 0, 0), 8), 8, 24)});
   config.route_maps["RR-EXPORT"] = MakeRouteMap(
       "RR-EXPORT",
       {Clause(10, ir::ClauseAction::kPermit, {MatchPrefixList("PL-INFRA")},
@@ -255,9 +257,9 @@ void AddFillerComponents(ir::RouterConfig& a, ir::RouterConfig& b,
   for (int i = 0; i < count / 2; ++i) {
     std::string list_name = "PL-FILLER-" + std::to_string(i / 16);
     PrefixRange range(
-        Prefix(Ipv4Address(172, static_cast<std::uint8_t>(16 + i / 256),
-                           static_cast<std::uint8_t>(i % 256), 0),
-               24),
+        IpPrefix(Ipv4Address(172, static_cast<std::uint8_t>(16 + i / 256),
+                             static_cast<std::uint8_t>(i % 256), 0),
+                 24),
         24, 24 + (i % 9));
     add_to_both([&](ir::RouterConfig& config) {
       auto [it, inserted] = config.prefix_lists.try_emplace(list_name);
@@ -268,9 +270,9 @@ void AddFillerComponents(ir::RouterConfig& a, ir::RouterConfig& b,
   // Static routes toward a management pod.
   for (int i = 0; i < count / 4; ++i) {
     ir::StaticRoute route = MakeStatic(
-        Prefix(Ipv4Address(10, 240, static_cast<std::uint8_t>(i % 256),
-                           0),
-               24),
+        IpPrefix(Ipv4Address(10, 240, static_cast<std::uint8_t>(i % 256),
+                             0),
+                 24),
         Ipv4Address(10, 254, 0, static_cast<std::uint8_t>(1 + i % 200)));
     add_to_both(
         [&](ir::RouterConfig& config) { config.static_routes.push_back(route); });
@@ -296,9 +298,9 @@ void AddFillerComponents(ir::RouterConfig& a, ir::RouterConfig& b,
       line.protocol = i % 3 == 0 ? std::optional<std::uint8_t>(ir::kProtoTcp)
                                  : std::nullopt;
       line.src = util::IpWildcard(
-          Prefix(Ipv4Address(10, static_cast<std::uint8_t>(i % 200), 0, 0),
-                 16));
-      line.dst = util::IpWildcard(Prefix(
+          IpPrefix(Ipv4Address(10, static_cast<std::uint8_t>(i % 200), 0, 0),
+                   16));
+      line.dst = util::IpWildcard(IpPrefix(
           Ipv4Address(10, 230, static_cast<std::uint8_t>(i % 250), 0), 24));
       if (line.protocol == ir::kProtoTcp) {
         line.dst_ports.push_back(
@@ -447,8 +449,8 @@ DataCenterScenario BuildDataCenterScenario(std::uint64_t seed) {
     auto& acl1 = scenario.gateway_pairs[1].config2.acls["VM_FILTER_1"];
     ir::AclLine extra;
     extra.action = ir::LineAction::kPermit;
-    extra.src = util::IpWildcard(Prefix(Ipv4Address(172, 31, 0, 0), 16));
-    extra.dst = util::IpWildcard(Prefix(Ipv4Address(172, 31, 0, 0), 16));
+    extra.src = util::IpWildcard(IpPrefix(Ipv4Address(172, 31, 0, 0), 16));
+    extra.dst = util::IpWildcard(IpPrefix(Ipv4Address(172, 31, 0, 0), 16));
     acl1.lines.insert(acl1.lines.begin(), extra);
     scenario.gateway_pairs[1].injected.push_back(
         "ACL: extra permit for 172.31.0.0/16 management traffic");
@@ -474,12 +476,13 @@ UniversityScenario BuildUniversityScenario(int filler_components) {
   scenario.border_exports = {"EXPORT-3", "EXPORT-4", "EXPORT-5"};
   scenario.import_policy = "IMPORT-CORE";
 
-  const PrefixRange nets_window1(Prefix(Ipv4Address(10, 9, 0, 0), 16), 16, 32);
-  const PrefixRange nets_window2(Prefix(Ipv4Address(10, 100, 0, 0), 16), 16,
+  const PrefixRange nets_window1(IpPrefix(Ipv4Address(10, 9, 0, 0), 16), 16,
                                  32);
-  const PrefixRange nets_exact1(Prefix(Ipv4Address(10, 9, 0, 0), 16));
-  const PrefixRange nets_exact2(Prefix(Ipv4Address(10, 100, 0, 0), 16));
-  const PrefixRange pl3_range(Prefix(Ipv4Address(192, 168, 0, 0), 16), 16,
+  const PrefixRange nets_window2(IpPrefix(Ipv4Address(10, 100, 0, 0), 16), 16,
+                                 32);
+  const PrefixRange nets_exact1(IpPrefix(Ipv4Address(10, 9, 0, 0), 16));
+  const PrefixRange nets_exact2(IpPrefix(Ipv4Address(10, 100, 0, 0), 16));
+  const PrefixRange pl3_range(IpPrefix(Ipv4Address(192, 168, 0, 0), 16), 16,
                               24);
 
   // ---- Core pair --------------------------------------------------------------
@@ -557,15 +560,15 @@ UniversityScenario BuildUniversityScenario(int filler_components) {
   // (the intentional class), and two workaround routes present only on the
   // Cisco side (the §2.2 class).
   cisco.static_routes.push_back(
-      MakeStatic(Prefix(Ipv4Address(172, 16, 1, 0), 24),
+      MakeStatic(IpPrefix(Ipv4Address(172, 16, 1, 0), 24),
                  Ipv4Address(10, 0, 1, 254), 1));
   juniper.static_routes.push_back(
-      MakeStatic(Prefix(Ipv4Address(172, 16, 1, 0), 24),
+      MakeStatic(IpPrefix(Ipv4Address(172, 16, 1, 0), 24),
                  Ipv4Address(10, 0, 1, 253), 5));
   cisco.static_routes.push_back(MakeStatic(
-      Prefix(Ipv4Address(10, 1, 1, 2), 31), Ipv4Address(10, 2, 2, 2), 1));
+      IpPrefix(Ipv4Address(10, 1, 1, 2), 31), Ipv4Address(10, 2, 2, 2), 1));
   cisco.static_routes.push_back(MakeStatic(
-      Prefix(Ipv4Address(10, 1, 1, 4), 31), Ipv4Address(10, 2, 2, 2), 1));
+      IpPrefix(Ipv4Address(10, 1, 1, 4), 31), Ipv4Address(10, 2, 2, 2), 1));
 
   // BGP: two external neighbors carrying the export policies, one import
   // pair, and the send-community property difference on the iBGP neighbors
@@ -648,12 +651,12 @@ UniversityScenario BuildUniversityScenario(int filler_components) {
   // EXPORT-5: one prefix absent from the Juniper list; the differing
   // fall-through contributes a second raw output for the same issue.
   border_cisco.prefix_lists["PL5"] = MakePrefixList(
-      "PL5", {PrefixRange(Prefix(Ipv4Address(198, 51, 100, 0), 24)),
-              PrefixRange(Prefix(Ipv4Address(203, 0, 113, 0), 24)),
-              PrefixRange(Prefix(Ipv4Address(198, 18, 0, 0), 15))});
+      "PL5", {PrefixRange(IpPrefix(Ipv4Address(198, 51, 100, 0), 24)),
+              PrefixRange(IpPrefix(Ipv4Address(203, 0, 113, 0), 24)),
+              PrefixRange(IpPrefix(Ipv4Address(198, 18, 0, 0), 15))});
   border_juniper.prefix_lists["PL5"] = MakePrefixList(
-      "PL5", {PrefixRange(Prefix(Ipv4Address(198, 51, 100, 0), 24)),
-              PrefixRange(Prefix(Ipv4Address(203, 0, 113, 0), 24))});
+      "PL5", {PrefixRange(IpPrefix(Ipv4Address(198, 51, 100, 0), 24)),
+              PrefixRange(IpPrefix(Ipv4Address(203, 0, 113, 0), 24))});
   border_cisco.route_maps["EXPORT-5"] = MakeRouteMap(
       "EXPORT-5",
       {Clause(10, ir::ClauseAction::kPermit, {MatchPrefixList("PL5")},

@@ -45,9 +45,9 @@ struct Interface {
 
   util::SourceSpan span;
 
-  std::optional<util::Prefix> ConnectedSubnet() const {
+  std::optional<util::IpPrefix> ConnectedSubnet() const {
     if (!address) return std::nullopt;
-    return util::Prefix(*address, prefix_length);
+    return util::IpPrefix(*address, prefix_length);
   }
 
   friend bool operator==(const Interface&, const Interface&) = default;
@@ -58,7 +58,7 @@ struct Interface {
 // ---------------------------------------------------------------------------
 
 struct StaticRoute {
-  util::Prefix prefix;
+  util::IpPrefix prefix;
   std::optional<util::Ipv4Address> next_hop;
   std::string next_hop_interface;  // Empty if next hop is an IP.
   int admin_distance = 1;
@@ -114,7 +114,7 @@ struct BgpNeighbor {
 struct BgpProcess {
   std::uint32_t asn = 0;
   std::optional<util::Ipv4Address> router_id;
-  std::vector<util::Prefix> networks;  // Locally originated prefixes.
+  std::vector<util::IpPrefix> networks;  // Locally originated prefixes.
   std::vector<BgpNeighbor> neighbors;
   std::vector<Redistribution> redistributions;
   util::SourceSpan span;

@@ -16,7 +16,7 @@ using ir::LineAction;
 using ir::Protocol;
 using util::Ipv4Address;
 using util::IpWildcard;
-using util::Prefix;
+using util::IpPrefix;
 
 using frontend::ParseU32;
 using frontend::Token;
@@ -313,7 +313,8 @@ class Converter {
         if (const Node* family = unit.Find("family")) {
           if (family->Word(1) == "inet") {
             if (const Node* address = family->Find("address")) {
-              if (auto prefix = Prefix::Parse(address->Word(1))) {
+              auto prefix = IpPrefix::Parse(address->Word(1));
+              if (prefix && prefix->family() == util::AddressFamily::kIpv4) {
                 // Keep the host address; the subnet is derived from it.
                 iface.address = Ipv4Address::Parse(
                     address->Word(1).substr(0, address->Word(1).find('/')));
@@ -354,8 +355,10 @@ class Converter {
   }
 
   void ConvertStaticRoute(const Node& route) {
-    auto prefix = Prefix::Parse(route.Word(1));
-    if (!prefix) return Diagnose(route, "bad static route prefix");
+    auto prefix = IpPrefix::Parse(route.Word(1));
+    if (!prefix || prefix->family() != util::AddressFamily::kIpv4) {
+      return Diagnose(route, "bad static route prefix");
+    }
     ir::StaticRoute r;
     r.prefix = *prefix;
     r.admin_distance = 5;  // JunOS static route default preference.
@@ -825,13 +828,8 @@ class Converter {
     // families ("10.0.0.0/8", "2001:db8::/32").
     auto parse_address = [&](const Node& condition,
                              std::vector<IpWildcard>& out, const char* what) {
-      if (family == util::AddressFamily::kIpv6) {
-        if (auto prefix = util::Prefix6::Parse(condition.Word(1))) {
-          out.push_back(IpWildcard(*prefix));
-        } else {
-          Diagnose(condition, std::string("bad ") + what);
-        }
-      } else if (auto prefix = Prefix::Parse(condition.Word(1))) {
+      auto prefix = IpPrefix::Parse(condition.Word(1));
+      if (prefix && prefix->family() == family) {
         out.push_back(IpWildcard(*prefix));
       } else {
         Diagnose(condition, std::string("bad ") + what);
@@ -1047,7 +1045,8 @@ class Converter {
       // Dialect extension mirroring Cisco `network` statements (see
       // DESIGN.md and the unparser).
       if (network.Word(0) != "network") continue;
-      if (auto prefix = Prefix::Parse(network.Word(1))) {
+      auto prefix = IpPrefix::Parse(network.Word(1));
+      if (prefix && prefix->family() == util::AddressFamily::kIpv4) {
         config().bgp->networks.push_back(*prefix);
       } else {
         Diagnose(network, "bad bgp network");

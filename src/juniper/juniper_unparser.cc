@@ -33,8 +33,8 @@ std::string RouteFilterLine(const util::PrefixRange& range,
 // (the parser turns them back into one IR line per prefix with the same
 // action). Returns the expansion, or empty when it would exceed `cap`
 // prefixes.
-std::vector<util::Prefix> ExpandWildcard(const util::IpWildcard& w,
-                                         std::size_t cap) {
+std::vector<util::IpPrefix> ExpandWildcard(const util::IpWildcard& w,
+                                           std::size_t cap) {
   std::uint32_t mask = w.wildcard_bits();
   int suffix = 0;
   while (suffix < 32 && ((mask >> suffix) & 1u) != 0) ++suffix;
@@ -46,7 +46,7 @@ std::vector<util::Prefix> ExpandWildcard(const util::IpWildcard& w,
       (std::size_t{1} << free_bits.size()) > cap) {
     return {};
   }
-  std::vector<util::Prefix> out;
+  std::vector<util::IpPrefix> out;
   out.reserve(std::size_t{1} << free_bits.size());
   for (std::size_t combo = 0; combo < (std::size_t{1} << free_bits.size());
        ++combo) {
@@ -264,7 +264,7 @@ std::string UnparseFilter(const ir::Acl& acl) {
                keyword + " " + w.ToString() + " */\n";
         return;
       }
-      std::vector<util::Prefix> prefixes = ExpandWildcard(w, 256);
+      std::vector<util::IpPrefix> prefixes = ExpandWildcard(w, 256);
       if (prefixes.empty()) {
         out += std::string("                    /* unrepresentable "
                            "wildcard ") +

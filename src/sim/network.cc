@@ -34,7 +34,7 @@ const ir::RouterConfig* Network::FindRouter(const std::string& name) const {
 
 namespace {
 
-using Rib = std::map<util::Prefix, Route>;
+using Rib = std::map<util::IpPrefix, Route>;
 
 void Install(Rib& rib, const Route& route) {
   auto [it, inserted] = rib.try_emplace(route.prefix, route);

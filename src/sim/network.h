@@ -75,7 +75,7 @@ class Network {
 
 // The routing solution: every router's RIB (best route per prefix).
 struct RoutingSolution {
-  std::map<std::string, std::map<util::Prefix, Route>> ribs;
+  std::map<std::string, std::map<util::IpPrefix, Route>> ribs;
 
   // Compares two solutions' forwarding-relevant content, ignoring
   // router-local identifiers. Used to validate Theorem 3.3. Attribute

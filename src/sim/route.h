@@ -18,7 +18,7 @@
 namespace campion::sim {
 
 struct Route {
-  util::Prefix prefix;
+  util::IpPrefix prefix;
   ir::Protocol protocol = ir::Protocol::kConnected;
   int admin_distance = 0;
   // BGP attributes (higher local_pref preferred, then shorter AS path,

@@ -191,48 +191,11 @@ std::string Ipv6Address::ToString() const {
   return out;
 }
 
-std::optional<int> MaskToLength(std::uint32_t mask) {
-  for (int len = 0; len <= 32; ++len) {
-    if (mask == MaskBits(len)) return len;
-  }
-  return std::nullopt;
-}
-
-std::optional<int> MaskToLengthWide(U128 mask, int width) {
+std::optional<int> MaskToLength(U128 mask, int width) {
   for (int len = 0; len <= width; ++len) {
-    if (mask == MaskBitsWide(len, width)) return len;
+    if (mask == MaskBits(len, width)) return len;
   }
   return std::nullopt;
-}
-
-std::optional<Prefix> Prefix::Parse(std::string_view text) {
-  auto slash = text.find('/');
-  if (slash == std::string_view::npos) return std::nullopt;
-  auto addr = Ipv4Address::Parse(text.substr(0, slash));
-  if (!addr) return std::nullopt;
-  std::string_view len_text = text.substr(slash + 1);
-  auto len = ParseDecimal(len_text, 32);
-  if (!len || !len_text.empty()) return std::nullopt;
-  return Prefix(*addr, static_cast<int>(*len));
-}
-
-std::string Prefix::ToString() const {
-  return addr_.ToString() + "/" + std::to_string(length_);
-}
-
-std::optional<Prefix6> Prefix6::Parse(std::string_view text) {
-  auto slash = text.find('/');
-  if (slash == std::string_view::npos) return std::nullopt;
-  auto addr = Ipv6Address::Parse(text.substr(0, slash));
-  if (!addr) return std::nullopt;
-  std::string_view len_text = text.substr(slash + 1);
-  auto len = ParseDecimal(len_text, 128);
-  if (!len || !len_text.empty()) return std::nullopt;
-  return Prefix6(*addr, static_cast<int>(*len));
-}
-
-std::string Prefix6::ToString() const {
-  return addr_.ToString() + "/" + std::to_string(length_);
 }
 
 std::string IpAddress::ToString() const {
@@ -240,25 +203,31 @@ std::string IpAddress::ToString() const {
 }
 
 std::optional<IpPrefix> IpPrefix::Parse(std::string_view text) {
-  if (auto v4 = Prefix::Parse(text)) return IpPrefix(*v4);
-  if (auto v6 = Prefix6::Parse(text)) return IpPrefix(*v6);
-  return std::nullopt;
+  auto slash = text.find('/');
+  if (slash == std::string_view::npos) return std::nullopt;
+  std::string_view addr_text = text.substr(0, slash);
+  std::string_view len_text = text.substr(slash + 1);
+  std::optional<IpAddress> addr;
+  if (auto v4 = Ipv4Address::Parse(addr_text)) {
+    addr = *v4;
+  } else if (auto v6 = Ipv6Address::Parse(addr_text)) {
+    addr = *v6;
+  } else {
+    return std::nullopt;
+  }
+  const int width = AddressWidth(addr->family());
+  auto len = ParseDecimal(len_text, static_cast<std::uint32_t>(width));
+  if (!len || !len_text.empty()) return std::nullopt;
+  return IpPrefix(addr->family(), addr->bits(), static_cast<int>(*len));
 }
 
 std::string IpPrefix::ToString() const {
-  return family_ == AddressFamily::kIpv4 ? V4().ToString() : V6().ToString();
-}
-
-std::optional<Prefix> IpWildcard::AsPrefix() const {
-  if (family_ != AddressFamily::kIpv4) return std::nullopt;
-  auto len = MaskToLength(~wildcard_bits());
-  if (!len) return std::nullopt;
-  return Prefix(address(), *len);
+  return address().ToString() + "/" + std::to_string(length_);
 }
 
 std::optional<IpPrefix> IpWildcard::AsIpPrefix() const {
   int width = AddressWidth(family_);
-  auto len = MaskToLengthWide(U128::Ones(width) ^ wildcard_, width);
+  auto len = MaskToLength(U128::Ones(width) ^ wildcard_, width);
   if (!len) return std::nullopt;
   return IpPrefix(family_, addr_, *len);
 }

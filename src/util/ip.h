@@ -4,12 +4,12 @@
 //
 // These are the basic value types used throughout Campion: configurations
 // match on prefixes (route maps, prefix lists, static routes) and on
-// address/wildcard pairs (Cisco extended ACLs). The original types
-// (Ipv4Address, Prefix, IpWildcard) are 32-bit; the width-parametric layer
-// (Ipv6Address, Prefix6, and the family-tagged IpAddress/IpPrefix) carries
-// both families through the encoder on the same code paths. All-IPv4
-// collections order identically whether stored as Prefix or IpPrefix, so
-// report output is unchanged for v4-only workloads.
+// address/wildcard pairs (Cisco extended ACLs). Addresses come in one type
+// per family (Ipv4Address, Ipv6Address) plus the family-tagged IpAddress;
+// prefixes and wildcards have one family-tagged type each (IpPrefix,
+// IpWildcard), so every layer carries both families on the same code
+// paths. IPv4 values occupy the low 32 bits of the 128-bit storage, and
+// all-IPv4 collections of IpPrefix order by address, then length.
 
 #include <compare>
 #include <cstdint>
@@ -82,82 +82,17 @@ class Ipv6Address {
   U128 bits_;
 };
 
-// The network mask with `len` leading one bits (32-bit form).
-constexpr std::uint32_t MaskBits(int len) {
-  return len <= 0 ? 0u : (len >= 32 ? ~0u : ~0u << (32 - len));
-}
-
 // The mask with `len` leading one bits inside a `width`-bit field,
-// right-aligned at bit 0 (so for width 32 it equals MaskBits(len)).
-constexpr U128 MaskBitsWide(int len, int width) {
+// right-aligned at bit 0.
+constexpr U128 MaskBits(int len, int width) {
   if (len <= 0) return U128();
   if (len >= width) return U128::Ones(width);
   return U128::Ones(width) ^ U128::Ones(width - len);
 }
 
-// Returns the prefix length if `mask` is a contiguous netmask
+// Returns the prefix length if `mask` is a contiguous `width`-bit netmask
 // (255.255.254.0 etc.), nullopt otherwise.
-std::optional<int> MaskToLength(std::uint32_t mask);
-
-// Width-parametric form of MaskToLength over a `width`-bit mask.
-std::optional<int> MaskToLengthWide(U128 mask, int width);
-
-// An IPv4 prefix: address plus length, with host bits always zeroed so that
-// equal prefixes compare equal.
-class Prefix {
- public:
-  constexpr Prefix() = default;
-  constexpr Prefix(Ipv4Address addr, int length)
-      : addr_(addr.bits() & MaskBits(length)), length_(length) {}
-
-  // Parses "a.b.c.d/len". Returns nullopt on malformed input.
-  static std::optional<Prefix> Parse(std::string_view text);
-
-  constexpr Ipv4Address address() const { return addr_; }
-  constexpr int length() const { return length_; }
-  std::string ToString() const;
-
-  // True if `addr` lies inside this prefix.
-  constexpr bool Contains(Ipv4Address addr) const {
-    return (addr.bits() & MaskBits(length_)) == addr_.bits();
-  }
-
-  // True if `other` is a (non-strict) subnet of this prefix.
-  constexpr bool Contains(const Prefix& other) const {
-    return other.length_ >= length_ && Contains(other.addr_);
-  }
-
-  friend constexpr auto operator<=>(const Prefix&, const Prefix&) = default;
-
- private:
-  Ipv4Address addr_;
-  int length_ = 0;
-};
-
-// An IPv6 prefix: address plus length, host bits zeroed.
-class Prefix6 {
- public:
-  constexpr Prefix6() = default;
-  constexpr Prefix6(Ipv6Address addr, int length)
-      : addr_(addr.bits() & MaskBitsWide(length, 128)), length_(length) {}
-
-  // Parses "addr/len". Returns nullopt on malformed input.
-  static std::optional<Prefix6> Parse(std::string_view text);
-
-  constexpr Ipv6Address address() const { return addr_; }
-  constexpr int length() const { return length_; }
-  std::string ToString() const;
-
-  constexpr bool Contains(Ipv6Address addr) const {
-    return (addr.bits() & MaskBitsWide(length_, 128)) == addr_.bits();
-  }
-
-  friend constexpr auto operator<=>(const Prefix6&, const Prefix6&) = default;
-
- private:
-  Ipv6Address addr_;
-  int length_ = 0;
-};
+std::optional<int> MaskToLength(U128 mask, int width);
 
 // A family-tagged address. IPv4 values occupy the low 32 bits.
 class IpAddress {
@@ -185,21 +120,19 @@ class IpAddress {
   AddressFamily family_ = AddressFamily::kIpv4;
 };
 
-// A family-tagged prefix. Implicitly constructible from Prefix/Prefix6 so
-// width-agnostic layers (PrefixRange, layouts) accept both; all-IPv4 sets
-// order exactly as sets of Prefix did (family compares equal, then bits
-// then length — the same key Prefix uses).
+// A family-tagged prefix: address plus length, with host bits always
+// zeroed so that equal prefixes compare equal. Prefixes order by address
+// bits, then length, then family, so an all-IPv4 set orders by address and
+// then length.
 class IpPrefix {
  public:
   constexpr IpPrefix() = default;
-  constexpr IpPrefix(const Prefix& p)  // NOLINT(runtime/explicit)
-      : bits_(p.address().bits()), length_(p.length()) {}
-  constexpr IpPrefix(const Prefix6& p)  // NOLINT(runtime/explicit)
-      : bits_(p.address().bits()),
-        length_(p.length()),
-        family_(AddressFamily::kIpv6) {}
+  constexpr IpPrefix(Ipv4Address addr, int length)
+      : IpPrefix(AddressFamily::kIpv4, U128(addr.bits()), length) {}
+  constexpr IpPrefix(Ipv6Address addr, int length)
+      : IpPrefix(AddressFamily::kIpv6, addr.bits(), length) {}
   constexpr IpPrefix(AddressFamily family, U128 bits, int length)
-      : bits_(bits & MaskBitsWide(length, AddressWidth(family))),
+      : bits_(bits & MaskBits(length, AddressWidth(family))),
         length_(length),
         family_(family) {}
 
@@ -213,19 +146,12 @@ class IpPrefix {
                ? IpAddress(Ipv4Address(static_cast<std::uint32_t>(bits_.lo())))
                : IpAddress(Ipv6Address(bits_));
   }
-  constexpr Prefix V4() const {
-    return Prefix(Ipv4Address(static_cast<std::uint32_t>(bits_.lo())),
-                  length_);
-  }
-  constexpr Prefix6 V6() const { return Prefix6(Ipv6Address(bits_), length_); }
-
   std::string ToString() const;
 
   // True if `other` is a (non-strict) subnet of this prefix.
   constexpr bool Contains(const IpPrefix& other) const {
     return family_ == other.family_ && other.length_ >= length_ &&
-           (other.bits_ &
-            MaskBitsWide(length_, AddressWidth(family_))) == bits_;
+           (other.bits_ & MaskBits(length_, AddressWidth(family_))) == bits_;
   }
 
   friend constexpr auto operator<=>(const IpPrefix&,
@@ -247,9 +173,6 @@ class IpWildcard {
   constexpr IpWildcard() = default;
   constexpr IpWildcard(Ipv4Address addr, std::uint32_t wildcard_bits)
       : addr_(addr.bits() & ~wildcard_bits), wildcard_(wildcard_bits) {}
-  // A wildcard that matches exactly the given prefix.
-  constexpr explicit IpWildcard(const Prefix& p)
-      : IpWildcard(p.address(), ~MaskBits(p.length())) {}
   // A wildcard matching exactly one address.
   constexpr explicit IpWildcard(Ipv4Address host) : IpWildcard(host, 0) {}
   // IPv6 forms.
@@ -257,10 +180,13 @@ class IpWildcard {
       : addr_(addr.bits() & ~wildcard_bits),
         wildcard_(wildcard_bits),
         family_(AddressFamily::kIpv6) {}
-  constexpr explicit IpWildcard(const Prefix6& p)
-      : IpWildcard(p.address(),
-                   U128::Ones(128) ^ MaskBitsWide(p.length(), 128)) {}
   constexpr explicit IpWildcard(Ipv6Address host) : IpWildcard(host, U128()) {}
+  // A wildcard that matches exactly the given prefix.
+  constexpr explicit IpWildcard(const IpPrefix& p)
+      : addr_(p.address().bits()),
+        wildcard_(U128::Ones(AddressWidth(p.family())) ^
+                  MaskBits(p.length(), AddressWidth(p.family()))),
+        family_(p.family()) {}
   // A host wildcard of either family.
   constexpr explicit IpWildcard(const IpAddress& host)
       : addr_(host.bits()), wildcard_(U128()), family_(host.family()) {}
@@ -305,8 +231,7 @@ class IpWildcard {
   }
 
   // If the wildcard is a contiguous suffix of don't-care bits, the
-  // equivalent prefix. The 32-bit form is nullopt for IPv6 wildcards.
-  std::optional<Prefix> AsPrefix() const;
+  // equivalent prefix.
   std::optional<IpPrefix> AsIpPrefix() const;
 
   std::string ToString() const;

@@ -31,7 +31,7 @@ class PrefixRange {
 
   // The universe U = (0.0.0.0/0, 0-32): every IPv4 prefix.
   static constexpr PrefixRange Universe() {
-    return PrefixRange(Prefix(Ipv4Address(0), 0), 0, 32);
+    return UniverseOf(AddressFamily::kIpv4);
   }
   // The all-prefixes range of either family.
   static constexpr PrefixRange UniverseOf(AddressFamily family) {

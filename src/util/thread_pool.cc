@@ -115,7 +115,9 @@ void RunParallel(unsigned num_threads, std::size_t n,
   {
     std::unique_lock<std::mutex> lock(call->mutex);
     call->all_done.wait(lock, [&] { return call->done == n; });
-    error = call->error;
+    // Moved, not copied: a helper that outlives this call may drop the
+    // last reference to `call`, and must not take the exception with it.
+    error = std::exchange(call->error, nullptr);
   }
   if (error) std::rethrow_exception(error);
 }

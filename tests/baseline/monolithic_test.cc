@@ -10,7 +10,7 @@ namespace campion::baseline {
 namespace {
 
 using util::Ipv4Address;
-using util::Prefix;
+using util::IpPrefix;
 
 class MonolithicFig1Test : public ::testing::Test {
  protected:
@@ -85,7 +85,7 @@ TEST_F(MonolithicFig1Test, LexMinYieldsLexicographicallySmallest) {
   ASSERT_TRUE(second.has_value());
   // The least difference is a community-only route at prefix 0.0.0.0/0
   // (Difference 2 covers the all-prefix space).
-  EXPECT_EQ(first->advertisement.prefix, Prefix(Ipv4Address(0), 0));
+  EXPECT_EQ(first->advertisement.prefix, IpPrefix(Ipv4Address(0), 0));
 }
 
 TEST_F(MonolithicFig1Test, OutputStringHasNoLocalization) {
@@ -194,7 +194,7 @@ TEST(MonolithicAclTest, EquivalentAclsYieldNothing) {
   acl.name = "A";
   ir::AclLine line;
   line.action = ir::LineAction::kPermit;
-  line.dst = util::IpWildcard(*Prefix::Parse("10.0.0.0/8"));
+  line.dst = util::IpWildcard(*IpPrefix::Parse("10.0.0.0/8"));
   acl.lines.push_back(line);
   MonolithicAclChecker checker(acl, acl);
   EXPECT_TRUE(checker.Equivalent());
@@ -218,7 +218,7 @@ TEST(MonolithicStaticTest, FindsMissingRouteAddress) {
 TEST(MonolithicStaticTest, EquivalentWhenCovered) {
   ir::RouterConfig a, b;
   ir::StaticRoute route;
-  route.prefix = *Prefix::Parse("10.1.0.0/16");
+  route.prefix = *IpPrefix::Parse("10.1.0.0/16");
   route.next_hop = *Ipv4Address::Parse("10.0.0.1");
   a.static_routes.push_back(route);
   b.static_routes.push_back(route);
@@ -231,7 +231,7 @@ TEST(MonolithicStaticTest, MonolithicMissesAttributeDifferences) {
   // while StructuralDiff does.
   ir::RouterConfig a, b;
   ir::StaticRoute route;
-  route.prefix = *Prefix::Parse("10.1.0.0/16");
+  route.prefix = *IpPrefix::Parse("10.1.0.0/16");
   route.next_hop = *Ipv4Address::Parse("10.0.0.1");
   a.static_routes.push_back(route);
   route.next_hop = *Ipv4Address::Parse("10.0.0.99");

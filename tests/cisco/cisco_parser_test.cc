@@ -6,7 +6,7 @@ namespace campion::cisco {
 namespace {
 
 using util::Ipv4Address;
-using util::Prefix;
+using util::IpPrefix;
 using util::PrefixRange;
 
 ir::RouterConfig Parse(const std::string& text) {
@@ -29,7 +29,7 @@ TEST(CiscoParserTest, InterfaceAddressAndMask) {
   EXPECT_EQ(iface.name, "GigabitEthernet0/1");
   EXPECT_EQ(iface.address, Ipv4Address(10, 0, 1, 1));
   EXPECT_EQ(iface.prefix_length, 24);
-  EXPECT_EQ(iface.ConnectedSubnet(), *Prefix::Parse("10.0.1.0/24"));
+  EXPECT_EQ(iface.ConnectedSubnet(), *IpPrefix::Parse("10.0.1.0/24"));
 }
 
 TEST(CiscoParserTest, InterfaceShutdownAndAcls) {
@@ -51,7 +51,7 @@ TEST(CiscoParserTest, StaticRouteBasic) {
   auto config = Parse("ip route 10.1.1.2 255.255.255.254 10.2.2.2\n");
   ASSERT_EQ(config.static_routes.size(), 1u);
   const ir::StaticRoute& route = config.static_routes[0];
-  EXPECT_EQ(route.prefix, *Prefix::Parse("10.1.1.2/31"));
+  EXPECT_EQ(route.prefix, *IpPrefix::Parse("10.1.1.2/31"));
   EXPECT_EQ(route.next_hop, Ipv4Address(10, 2, 2, 2));
   EXPECT_EQ(route.admin_distance, 1);
   EXPECT_FALSE(route.tag.has_value());
@@ -83,13 +83,13 @@ TEST(CiscoParserTest, PrefixListWindows) {
   ASSERT_NE(list, nullptr);
   ASSERT_EQ(list->entries.size(), 4u);
   EXPECT_EQ(list->entries[0].range,
-            PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 32));
+            PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 32));
   EXPECT_EQ(list->entries[1].range,
-            PrefixRange(*Prefix::Parse("10.10.0.0/16"), 24, 32));
+            PrefixRange(*IpPrefix::Parse("10.10.0.0/16"), 24, 32));
   EXPECT_EQ(list->entries[2].range,
-            PrefixRange(*Prefix::Parse("10.11.0.0/16"), 20, 28));
+            PrefixRange(*IpPrefix::Parse("10.11.0.0/16"), 20, 28));
   EXPECT_EQ(list->entries[3].range,
-            PrefixRange(*Prefix::Parse("10.12.0.0/16"), 16, 16));
+            PrefixRange(*IpPrefix::Parse("10.12.0.0/16"), 16, 16));
   EXPECT_EQ(list->entries[3].action, ir::LineAction::kDeny);
 }
 
@@ -259,7 +259,7 @@ TEST(CiscoParserTest, DiscontiguousWildcardPreservedBitForBit) {
   // The constructor zeroes don't-care address bits (third octet, 77).
   EXPECT_EQ(src.address(), Ipv4Address(10, 1, 0, 5));
   // Not expressible as a prefix: the free bits are not a suffix.
-  EXPECT_FALSE(src.AsPrefix().has_value());
+  EXPECT_FALSE(src.AsIpPrefix().has_value());
   // Free third octet matches anything; the care octets are exact.
   EXPECT_TRUE(src.Matches(Ipv4Address(10, 1, 0, 5)));
   EXPECT_TRUE(src.Matches(Ipv4Address(10, 1, 200, 5)));
@@ -349,7 +349,7 @@ TEST(CiscoParserTest, BgpNeighborsAndProperties) {
   EXPECT_EQ(config.bgp->asn, 65000u);
   EXPECT_EQ(config.bgp->router_id, Ipv4Address(2, 2, 2, 2));
   ASSERT_EQ(config.bgp->networks.size(), 1u);
-  EXPECT_EQ(config.bgp->networks[0], *Prefix::Parse("10.1.0.0/16"));
+  EXPECT_EQ(config.bgp->networks[0], *IpPrefix::Parse("10.1.0.0/16"));
   ASSERT_EQ(config.bgp->neighbors.size(), 2u);
   const ir::BgpNeighbor& ebgp = config.bgp->neighbors[0];
   EXPECT_EQ(ebgp.remote_as, 65001u);
@@ -460,12 +460,12 @@ TEST(CiscoParserTest, Ipv6PrefixListWindows) {
   EXPECT_EQ(list->family, util::AddressFamily::kIpv6);
   ASSERT_EQ(list->entries.size(), 3u);
   EXPECT_EQ(list->entries[0].range,
-            PrefixRange(*util::Prefix6::Parse("2001:db8::/32"), 32, 128));
+            PrefixRange(*util::IpPrefix::Parse("2001:db8::/32"), 32, 128));
   EXPECT_EQ(list->entries[1].range,
-            PrefixRange(*util::Prefix6::Parse("2001:db8:9::/48"), 56, 128));
+            PrefixRange(*util::IpPrefix::Parse("2001:db8:9::/48"), 56, 128));
   // Without ge/le the entry matches the exact length, as in v4.
   EXPECT_EQ(list->entries[2].range,
-            PrefixRange(*util::Prefix6::Parse("2001:db8:bad::/48"), 48, 48));
+            PrefixRange(*util::IpPrefix::Parse("2001:db8:bad::/48"), 48, 48));
   EXPECT_EQ(list->entries[2].action, ir::LineAction::kDeny);
 }
 
@@ -484,7 +484,7 @@ TEST(CiscoParserTest, Ipv6NamedAcl) {
   EXPECT_EQ(acl->lines[0].protocol, ir::kProtoTcp);
   ASSERT_TRUE(acl->lines[0].src.AsIpPrefix().has_value());
   EXPECT_EQ(*acl->lines[0].src.AsIpPrefix(),
-            util::IpPrefix(*util::Prefix6::Parse("2001:db8:1::/48")));
+            *util::IpPrefix::Parse("2001:db8:1::/48"));
   EXPECT_TRUE(acl->lines[0].dst.IsAny());
   ASSERT_EQ(acl->lines[0].dst_ports.size(), 1u);
   EXPECT_EQ(acl->lines[0].dst_ports[0], (ir::PortRange{179, 179}));

@@ -8,13 +8,13 @@ namespace campion::cisco {
 namespace {
 
 using util::Ipv4Address;
-using util::Prefix;
+using util::IpPrefix;
 using util::PrefixRange;
 
 TEST(UnparsePrefixListTest, WindowModifiers) {
   ir::PrefixList list;
   list.name = "PL";
-  auto base = *Prefix::Parse("10.9.0.0/16");
+  auto base = *IpPrefix::Parse("10.9.0.0/16");
   list.entries.push_back(
       {ir::LineAction::kPermit, PrefixRange(base, 16, 16), {}});
   list.entries.push_back(
@@ -36,7 +36,7 @@ TEST(UnparsePrefixListTest, WindowModifiers) {
 TEST(UnparsePrefixListTest, RoundTripsWindows) {
   ir::PrefixList list;
   list.name = "PL";
-  auto base = *Prefix::Parse("172.16.0.0/12");
+  auto base = *IpPrefix::Parse("172.16.0.0/12");
   for (auto [low, high] : {std::pair{12, 12}, {12, 32}, {20, 32}, {14, 20}}) {
     list.entries.push_back(
         {ir::LineAction::kPermit, PrefixRange(base, low, high), {}});
@@ -103,7 +103,7 @@ TEST(UnparseAclTest, WildcardShapes) {
   acl.lines.push_back(host_line);
   ir::AclLine range_line;
   range_line.protocol = ir::kProtoUdp;
-  range_line.dst = util::IpWildcard(*Prefix::Parse("10.2.0.0/16"));
+  range_line.dst = util::IpWildcard(*IpPrefix::Parse("10.2.0.0/16"));
   range_line.dst_ports.push_back({1024, 2048});
   acl.lines.push_back(range_line);
 
@@ -117,7 +117,7 @@ TEST(UnparseAclTest, WildcardShapes) {
 
 TEST(UnparseStaticRouteTest, AllFields) {
   ir::StaticRoute route;
-  route.prefix = *Prefix::Parse("10.1.1.2/31");
+  route.prefix = *IpPrefix::Parse("10.1.1.2/31");
   route.next_hop = Ipv4Address(10, 2, 2, 2);
   route.admin_distance = 250;
   route.tag = 99;
@@ -138,7 +138,7 @@ TEST(UnparsePrefixListTest, Ipv6RoundTripsWindows) {
   ir::PrefixList list;
   list.name = "PL6";
   list.family = util::AddressFamily::kIpv6;
-  auto base = *util::Prefix6::Parse("2001:db8::/32");
+  auto base = *util::IpPrefix::Parse("2001:db8::/32");
   // The window ceiling is 128, not 32: an "orlonger" v6 entry must emit
   // "le 128" and parse back to [32, 128].
   for (auto [low, high] :
@@ -175,7 +175,8 @@ TEST(UnparseAclTest, Ipv6RoundTrips) {
   acl.lines.push_back(host_line);
   ir::AclLine prefix_line = any_line;
   prefix_line.action = ir::LineAction::kDeny;
-  prefix_line.dst = util::IpWildcard(*util::Prefix6::Parse("2001:db8:bad::/48"));
+  prefix_line.dst =
+      util::IpWildcard(*util::IpPrefix::Parse("2001:db8:bad::/48"));
   acl.lines.push_back(prefix_line);
 
   std::string text = UnparseAcl(acl);

@@ -174,7 +174,7 @@ TEST(AclClassCountTest, EquivalentPairBuildsNoClass) {
     ir::AclLine line;
     line.action = acl.lines.size() == 1 ? ir::LineAction::kDeny
                                         : ir::LineAction::kPermit;
-    line.dst = util::IpWildcard(*util::Prefix::Parse(prefix));
+    line.dst = util::IpWildcard(*util::IpPrefix::Parse(prefix));
     acl.lines.push_back(line);
   }
   ir::Acl reordered = acl;

@@ -21,7 +21,7 @@ class ConfigDiffTest : public ::testing::Test {
 // "0.0.255.0" (free third octet) must NOT collapse to the "0.0.255.255"
 // prefix approximation — they differ on every packet whose fourth octet
 // moves. And two identical discontiguous lines must stay equivalent.
-TEST(AclWildcardSemanticsTest, DiscontiguousWildcardNotTreatedAsPrefix) {
+TEST(AclWildcardSemanticsTest, DiscontiguousWildcardIsNotAPrefix) {
   ir::RouterConfig exact = testing::ParseCiscoOrDie(
       "hostname r1\n"
       "ip access-list extended DW\n"
@@ -134,7 +134,7 @@ TEST_F(ConfigDiffTest, RedistributionPoliciesDiffed) {
     list.name = "STATICS";
     list.entries.push_back(
         {ir::LineAction::kPermit,
-         util::PrefixRange(*util::Prefix::Parse("10.5.0.0/16"), 16,
+         util::PrefixRange(*util::IpPrefix::Parse("10.5.0.0/16"), 16,
                            config == &a ? 32 : 24),
          {}});
     config->prefix_lists["STATICS"] = list;

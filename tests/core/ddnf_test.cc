@@ -13,12 +13,11 @@ namespace {
 using util::AddressFamily;
 using util::IpPrefix;
 using util::Ipv4Address;
-using util::Prefix;
 using util::PrefixRange;
 using util::U128;
 
 PrefixRange Range(const char* prefix, int low, int high) {
-  return PrefixRange(*Prefix::Parse(prefix), low, high);
+  return PrefixRange(*IpPrefix::Parse(prefix), low, high);
 }
 
 TEST(PrefixRangeDagTest, EmptyInputHasOnlyRoot) {
@@ -251,7 +250,7 @@ std::vector<PrefixRange> RandomRanges(std::mt19937_64& rng,
                                      static_cast<int>(rng() % (width / 4)));
     // Keep the parent's bits, randomize the new ones.
     U128 bits = parent.address().bits() |
-                (random_bits() & ~util::MaskBitsWide(parent.length(), width));
+                (random_bits() & ~util::MaskBits(parent.length(), width));
     bases.emplace_back(family, bits, length);
   }
   std::vector<PrefixRange> ranges;

@@ -14,11 +14,11 @@ namespace {
 using bdd::BddManager;
 using bdd::BddRef;
 using util::Ipv4Address;
-using util::Prefix;
+using util::IpPrefix;
 using util::PrefixRange;
 
 PrefixRange Range(const char* prefix, int low, int high) {
-  return PrefixRange(*Prefix::Parse(prefix), low, high);
+  return PrefixRange(*IpPrefix::Parse(prefix), low, high);
 }
 
 class HeaderLocalizeTest : public ::testing::Test {
@@ -169,7 +169,7 @@ PrefixRange RandomPoolRange(util::AddressFamily family, std::mt19937_64& rng) {
     int length = 8 + static_cast<int>(rng() % 3) * 4;
     int low = length + static_cast<int>(rng() % 4);
     int high = low + static_cast<int>(rng() % (33 - low));
-    return PrefixRange(Prefix(Ipv4Address(base), length), low, high);
+    return PrefixRange(IpPrefix(Ipv4Address(base), length), low, high);
   }
   util::U128 base(0x20010db800000000ull | ((rng() % 4) << 28), 0);
   int length = 32 + static_cast<int>(rng() % 3) * 16;
@@ -237,7 +237,7 @@ TEST(HeaderLocalizerTest, ReuseMatchesFreshLocalization) {
     int length = 8 + static_cast<int>(rng() % 3) * 4;
     int low = length + static_cast<int>(rng() % 4);
     int high = low + static_cast<int>(rng() % (33 - low));
-    pool.push_back(PrefixRange(Prefix(Ipv4Address(base), length), low, high));
+    pool.push_back(PrefixRange(IpPrefix(Ipv4Address(base), length), low, high));
   }
   PrefixRangeDag dag(pool);
   HeaderLocalizer localizer(mgr, dag, layout.prefix_encoding());

@@ -10,7 +10,7 @@ namespace campion::core {
 namespace {
 
 using util::Ipv4Address;
-using util::Prefix;
+using util::IpPrefix;
 using util::PrefixRange;
 
 class PresentRouteMapTest : public ::testing::Test {
@@ -74,7 +74,7 @@ TEST(PresentAclTest, TableShowsPacketSpacesAndExample) {
   ir::AclLine line;
   line.action = ir::LineAction::kDeny;
   line.protocol = ir::kProtoIcmp;
-  line.src = util::IpWildcard(*Prefix::Parse("9.140.0.0/23"));
+  line.src = util::IpWildcard(*IpPrefix::Parse("9.140.0.0/23"));
   acl1.lines.push_back(line);
   ir::AclLine rest;
   rest.action = ir::LineAction::kPermit;
@@ -118,8 +118,8 @@ TEST(AclRangeExtractionTest, DstAndSrcRanges) {
   ir::Acl acl;
   acl.name = "F";
   ir::AclLine line;
-  line.src = util::IpWildcard(*Prefix::Parse("10.1.0.0/16"));
-  line.dst = util::IpWildcard(*Prefix::Parse("10.2.0.0/24"));
+  line.src = util::IpWildcard(*IpPrefix::Parse("10.1.0.0/16"));
+  line.dst = util::IpWildcard(*IpPrefix::Parse("10.2.0.0/24"));
   acl.lines.push_back(line);
   // A non-prefix wildcard is skipped.
   ir::AclLine odd;
@@ -130,9 +130,9 @@ TEST(AclRangeExtractionTest, DstAndSrcRanges) {
   auto src = AclSrcRanges(acl);
   // Line 2's "any" dst (prefix /0) is included; its src is not.
   ASSERT_EQ(dst.size(), 2u);
-  EXPECT_EQ(dst[0], PrefixRange(*Prefix::Parse("10.2.0.0/24"), 32, 32));
+  EXPECT_EQ(dst[0], PrefixRange(*IpPrefix::Parse("10.2.0.0/24"), 32, 32));
   ASSERT_EQ(src.size(), 1u);
-  EXPECT_EQ(src[0], PrefixRange(*Prefix::Parse("10.1.0.0/16"), 32, 32));
+  EXPECT_EQ(src[0], PrefixRange(*IpPrefix::Parse("10.1.0.0/16"), 32, 32));
 }
 
 }  // namespace

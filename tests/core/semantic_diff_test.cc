@@ -8,7 +8,7 @@ namespace {
 using bdd::BddManager;
 using bdd::BddRef;
 using util::Community;
-using util::Prefix;
+using util::IpPrefix;
 using util::PrefixRange;
 
 // --- route map helpers -------------------------------------------------------
@@ -51,7 +51,7 @@ class RouteMapClassesTest : public ::testing::Test {
  protected:
   RouteMapClassesTest()
       : config_(ConfigWithList(
-            "NETS", {PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 32)})),
+            "NETS", {PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 32)})),
         layout_(mgr_, {}) {}
 
   BddManager mgr_;
@@ -157,7 +157,7 @@ TEST_F(RouteMapClassesTest, UnreachableClauseProducesNoClass) {
 
 TEST(SemanticDiffRouteMapsTest, IdenticalMapsHaveNoDifferences) {
   ir::RouterConfig config = ConfigWithList(
-      "NETS", {PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 32)});
+      "NETS", {PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 32)});
   ir::RouteMap map;
   map.name = "M";
   map.clauses.push_back(Clause(ir::ClauseAction::kDeny, {"NETS"}));
@@ -173,10 +173,10 @@ TEST(SemanticDiffRouteMapsTest, StructurallyDifferentButEquivalent) {
   // Map A denies NETS then permits all; map B permits NOT-NETS... expressed
   // as: deny NETS, permit rest — split over two equivalent list layouts.
   ir::RouterConfig config1 = ConfigWithList(
-      "NETS", {PrefixRange(*Prefix::Parse("10.8.0.0/15"), 16, 32)});
+      "NETS", {PrefixRange(*IpPrefix::Parse("10.8.0.0/15"), 16, 32)});
   ir::RouterConfig config2 = ConfigWithList(
-      "NETS", {PrefixRange(*Prefix::Parse("10.8.0.0/16"), 16, 32),
-               PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 32)});
+      "NETS", {PrefixRange(*IpPrefix::Parse("10.8.0.0/16"), 16, 32),
+               PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 32)});
   ir::RouteMap map;
   map.name = "M";
   map.clauses.push_back(Clause(ir::ClauseAction::kDeny, {"NETS"}));
@@ -190,7 +190,7 @@ TEST(SemanticDiffRouteMapsTest, StructurallyDifferentButEquivalent) {
 
 TEST(SemanticDiffRouteMapsTest, AttributeDifferenceOnAcceptedRoutes) {
   ir::RouterConfig config = ConfigWithList(
-      "NETS", {PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 32)});
+      "NETS", {PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 32)});
   ir::RouteMap map1;
   map1.name = "M";
   map1.clauses.push_back(
@@ -212,9 +212,9 @@ TEST(SemanticDiffRouteMapsTest, DifferenceSetsAreDisjointAndCorrect) {
   // The union of difference input sets must be exactly the set where the
   // two maps disagree on accept/reject or attributes.
   ir::RouterConfig config1 = ConfigWithList(
-      "L", {PrefixRange(*Prefix::Parse("10.0.0.0/8"), 8, 32)});
+      "L", {PrefixRange(*IpPrefix::Parse("10.0.0.0/8"), 8, 32)});
   ir::RouterConfig config2 = ConfigWithList(
-      "L", {PrefixRange(*Prefix::Parse("10.0.0.0/8"), 8, 24)});
+      "L", {PrefixRange(*IpPrefix::Parse("10.0.0.0/8"), 8, 24)});
   ir::RouteMap map;
   map.name = "M";
   map.clauses.push_back(Clause(ir::ClauseAction::kPermit, {"L"}));
@@ -226,9 +226,10 @@ TEST(SemanticDiffRouteMapsTest, DifferenceSetsAreDisjointAndCorrect) {
   ASSERT_EQ(diffs.size(), 1u);
   // The disagreement space is lengths 25..32 under 10/8.
   BddRef expected = mgr.Diff(
-      layout.MatchPrefixRange(PrefixRange(*Prefix::Parse("10.0.0.0/8"), 8, 32)),
       layout.MatchPrefixRange(
-          PrefixRange(*Prefix::Parse("10.0.0.0/8"), 8, 24)));
+          PrefixRange(*IpPrefix::Parse("10.0.0.0/8"), 8, 32)),
+      layout.MatchPrefixRange(
+          PrefixRange(*IpPrefix::Parse("10.0.0.0/8"), 8, 24)));
   EXPECT_EQ(diffs[0].input_set, expected);
 }
 
@@ -239,7 +240,7 @@ ir::AclLine Line(ir::LineAction action, const char* dst_prefix,
   ir::AclLine line;
   line.action = action;
   line.protocol = protocol;
-  line.dst = util::IpWildcard(*Prefix::Parse(dst_prefix));
+  line.dst = util::IpWildcard(*IpPrefix::Parse(dst_prefix));
   return line;
 }
 
@@ -289,7 +290,7 @@ TEST(AclClassesTest, ScopeLimitsTheWalk) {
   BddManager mgr;
   encode::PacketLayout layout(mgr);
   std::vector<BddRef> matches = LineMatches(layout, acl);
-  BddRef scope = layout.MatchDstPrefix(*Prefix::Parse("10.2.0.0/16"));
+  BddRef scope = layout.MatchDstPrefix(*IpPrefix::Parse("10.2.0.0/16"));
   auto classes = BuildAclClasses(mgr, acl, matches, scope);
   ASSERT_EQ(classes.size(), 1u);  // No later line, no implicit deny.
   EXPECT_EQ(classes[0].predicate, scope);
@@ -381,7 +382,7 @@ TEST(SemanticDiffAclsTest, OverlappingReorderIsDifference) {
   auto diffs = SemanticDiffAcls(layout, acl1, acl2);
   ASSERT_EQ(diffs.size(), 1u);
   EXPECT_EQ(diffs[0].input_set,
-            layout.MatchDstPrefix(*Prefix::Parse("10.1.0.0/16")));
+            layout.MatchDstPrefix(*IpPrefix::Parse("10.1.0.0/16")));
 }
 
 TEST(SemanticDiffAclsTest, DifferencesAreSymmetric) {

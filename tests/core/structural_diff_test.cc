@@ -6,13 +6,13 @@ namespace campion::core {
 namespace {
 
 using util::Ipv4Address;
-using util::Prefix;
+using util::IpPrefix;
 
 ir::StaticRoute Static(const char* prefix, const char* next_hop,
                        int distance = 1,
                        std::optional<std::uint32_t> tag = std::nullopt) {
   ir::StaticRoute route;
-  route.prefix = *Prefix::Parse(prefix);
+  route.prefix = *IpPrefix::Parse(prefix);
   route.next_hop = *Ipv4Address::Parse(next_hop);
   route.admin_distance = distance;
   route.tag = tag;
@@ -103,7 +103,7 @@ TEST(DiffStaticRoutesTest, MultipathSamePrefixMatchedByNextHop) {
 TEST(DiffStaticRoutesTest, InterfaceNextHopRoutes) {
   ir::RouterConfig a, b;
   ir::StaticRoute route;
-  route.prefix = *Prefix::Parse("0.0.0.0/0");
+  route.prefix = *IpPrefix::Parse("0.0.0.0/0");
   route.next_hop_interface = "Null0";
   a.static_routes = {route};
   b.static_routes = {route};
@@ -292,7 +292,7 @@ TEST(DiffBgpPropertiesTest, RemoteAsMismatch) {
 TEST(DiffBgpPropertiesTest, NetworkStatementSets) {
   ir::RouterConfig a = BgpConfig(65000);
   ir::RouterConfig b = BgpConfig(65000);
-  a.bgp->networks = {*Prefix::Parse("10.1.0.0/24")};
+  a.bgp->networks = {*IpPrefix::Parse("10.1.0.0/24")};
   auto diffs = DiffBgpProperties(a, b);
   ASSERT_EQ(diffs.size(), 1u);
   EXPECT_EQ(diffs[0].component, "BGP Network 10.1.0.0/24");

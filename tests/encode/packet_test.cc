@@ -14,7 +14,7 @@ using bdd::BddManager;
 using bdd::BddRef;
 using util::Ipv4Address;
 using util::IpWildcard;
-using util::Prefix;
+using util::IpPrefix;
 
 class PacketTest : public ::testing::Test {
  protected:
@@ -54,8 +54,8 @@ TEST_F(PacketTest, MatchLineFullTuple) {
   ir::AclLine line;
   line.action = ir::LineAction::kPermit;
   line.protocol = ir::kProtoTcp;
-  line.src = IpWildcard(*Prefix::Parse("10.1.0.0/16"));
-  line.dst = IpWildcard(*Prefix::Parse("10.2.0.0/16"));
+  line.src = IpWildcard(*IpPrefix::Parse("10.1.0.0/16"));
+  line.dst = IpWildcard(*IpPrefix::Parse("10.2.0.0/16"));
   line.dst_ports.push_back({443, 443});
 
   EXPECT_TRUE(Matches(line, Tcp("10.1.5.5", "10.2.1.1", 443)));
@@ -135,10 +135,11 @@ TEST_F(PacketTest, DecodeRoundTrip) {
 }
 
 TEST_F(PacketTest, DstProjectionMask) {
-  BddRef set = mgr_.And(layout_.MatchDstPrefix(*Prefix::Parse("10.2.0.0/16")),
-                        layout_.ProtocolIs(ir::kProtoTcp));
+  BddRef set =
+      mgr_.And(layout_.MatchDstPrefix(*IpPrefix::Parse("10.2.0.0/16")),
+               layout_.ProtocolIs(ir::kProtoTcp));
   BddRef projected = mgr_.Exists(set, layout_.NonDstIpVarMask());
-  EXPECT_EQ(projected, layout_.MatchDstPrefix(*Prefix::Parse("10.2.0.0/16")));
+  EXPECT_EQ(projected, layout_.MatchDstPrefix(*IpPrefix::Parse("10.2.0.0/16")));
 }
 
 TEST_F(PacketTest, ExampleToStringShowsPortsOnlyForTcpUdp) {

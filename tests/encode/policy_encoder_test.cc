@@ -8,7 +8,7 @@ namespace {
 using bdd::BddManager;
 using bdd::BddRef;
 using util::Community;
-using util::Prefix;
+using util::IpPrefix;
 using util::PrefixRange;
 
 class PolicyEncoderTest : public ::testing::Test {
@@ -19,10 +19,10 @@ class PolicyEncoderTest : public ::testing::Test {
     nets.name = "NETS";
     nets.entries.push_back(
         {ir::LineAction::kPermit,
-         PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 32), {}});
+         PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 32), {}});
     nets.entries.push_back(
         {ir::LineAction::kPermit,
-         PrefixRange(*Prefix::Parse("10.100.0.0/16"), 16, 32), {}});
+         PrefixRange(*IpPrefix::Parse("10.100.0.0/16"), 16, 32), {}});
     config_.prefix_lists["NETS"] = nets;
 
     // COMM: OR of two single-community entries (Cisco semantics).
@@ -45,7 +45,7 @@ class PolicyEncoderTest : public ::testing::Test {
 
   bool ContainsPrefix(BddRef set, const char* prefix) {
     return mgr_.Intersects(set,
-                           layout_.MatchExactPrefix(*Prefix::Parse(prefix)));
+                           layout_.MatchExactPrefix(*IpPrefix::Parse(prefix)));
   }
 
   BddManager mgr_;
@@ -58,10 +58,10 @@ TEST_F(PolicyEncoderTest, PrefixListFirstMatchWins) {
   list.name = "L";
   list.entries.push_back(
       {ir::LineAction::kDeny,
-       PrefixRange(*Prefix::Parse("10.9.1.0/24"), 24, 32), {}});
+       PrefixRange(*IpPrefix::Parse("10.9.1.0/24"), 24, 32), {}});
   list.entries.push_back(
       {ir::LineAction::kPermit,
-       PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 32), {}});
+       PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 32), {}});
   PolicyEncoder encoder(layout_, config_);
   BddRef permits = encoder.PrefixListPermits(list);
   // 10.9.1.0/24 hits the deny first; 10.9.2.0/24 falls to the permit.
@@ -150,11 +150,11 @@ TEST_F(PolicyEncoderTest, ClauseGuardIsConjunction) {
   BddRef guard = encoder.ClauseGuard(clause);
   // Matching prefix but no community fails the guard.
   BddRef in_nets_no_comm =
-      mgr_.And(layout_.MatchExactPrefix(*Prefix::Parse("10.9.1.0/24")),
+      mgr_.And(layout_.MatchExactPrefix(*IpPrefix::Parse("10.9.1.0/24")),
                layout_.NoCommunities());
   EXPECT_FALSE(mgr_.Intersects(guard, in_nets_no_comm));
   BddRef in_nets_comm =
-      mgr_.And(layout_.MatchExactPrefix(*Prefix::Parse("10.9.1.0/24")),
+      mgr_.And(layout_.MatchExactPrefix(*IpPrefix::Parse("10.9.1.0/24")),
                layout_.HasCommunity(Community(10, 10)));
   EXPECT_TRUE(mgr_.Intersects(guard, in_nets_comm));
 }

@@ -9,7 +9,7 @@ using bdd::BddManager;
 using bdd::BddRef;
 using util::Community;
 using util::Ipv4Address;
-using util::Prefix;
+using util::IpPrefix;
 using util::PrefixRange;
 
 class RouteAdvTest : public ::testing::Test {
@@ -18,7 +18,7 @@ class RouteAdvTest : public ::testing::Test {
       : layout_(mgr_, {Community(10, 10), Community(10, 11)}) {}
 
   // Membership of a concrete prefix in a symbolic set.
-  bool Contains(BddRef set, const Prefix& p) {
+  bool Contains(BddRef set, const IpPrefix& p) {
     return mgr_.Intersects(set, layout_.MatchExactPrefix(p));
   }
 
@@ -27,20 +27,20 @@ class RouteAdvTest : public ::testing::Test {
 };
 
 TEST_F(RouteAdvTest, ExactPrefixMembership) {
-  BddRef set = layout_.MatchExactPrefix(*Prefix::Parse("10.9.0.0/16"));
-  EXPECT_TRUE(Contains(set, *Prefix::Parse("10.9.0.0/16")));
-  EXPECT_FALSE(Contains(set, *Prefix::Parse("10.9.1.0/24")));
-  EXPECT_FALSE(Contains(set, *Prefix::Parse("10.8.0.0/16")));
+  BddRef set = layout_.MatchExactPrefix(*IpPrefix::Parse("10.9.0.0/16"));
+  EXPECT_TRUE(Contains(set, *IpPrefix::Parse("10.9.0.0/16")));
+  EXPECT_FALSE(Contains(set, *IpPrefix::Parse("10.9.1.0/24")));
+  EXPECT_FALSE(Contains(set, *IpPrefix::Parse("10.8.0.0/16")));
 }
 
 TEST_F(RouteAdvTest, PrefixRangeWindowMembership) {
   BddRef set = layout_.MatchPrefixRange(
-      PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 32));
-  EXPECT_TRUE(Contains(set, *Prefix::Parse("10.9.0.0/16")));
-  EXPECT_TRUE(Contains(set, *Prefix::Parse("10.9.1.0/24")));
-  EXPECT_TRUE(Contains(set, *Prefix::Parse("10.9.1.1/32")));
-  EXPECT_FALSE(Contains(set, *Prefix::Parse("10.8.0.0/15")));
-  EXPECT_FALSE(Contains(set, *Prefix::Parse("10.100.0.0/16")));
+      PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 32));
+  EXPECT_TRUE(Contains(set, *IpPrefix::Parse("10.9.0.0/16")));
+  EXPECT_TRUE(Contains(set, *IpPrefix::Parse("10.9.1.0/24")));
+  EXPECT_TRUE(Contains(set, *IpPrefix::Parse("10.9.1.1/32")));
+  EXPECT_FALSE(Contains(set, *IpPrefix::Parse("10.8.0.0/15")));
+  EXPECT_FALSE(Contains(set, *IpPrefix::Parse("10.100.0.0/16")));
 }
 
 TEST_F(RouteAdvTest, SymbolicContainmentMatchesRangeContainment) {
@@ -49,14 +49,14 @@ TEST_F(RouteAdvTest, SymbolicContainmentMatchesRangeContainment) {
     PrefixRange a, b;
   };
   std::vector<Sample> samples = {
-      {PrefixRange(*Prefix::Parse("10.0.0.0/8"), 8, 32),
-       PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 32)},
-      {PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 32),
-       PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 16)},
-      {PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 24),
-       PrefixRange(*Prefix::Parse("10.9.0.0/16"), 20, 32)},
-      {PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 32),
-       PrefixRange(*Prefix::Parse("10.100.0.0/16"), 16, 32)},
+      {PrefixRange(*IpPrefix::Parse("10.0.0.0/8"), 8, 32),
+       PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 32)},
+      {PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 32),
+       PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 16)},
+      {PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 24),
+       PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 20, 32)},
+      {PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 32),
+       PrefixRange(*IpPrefix::Parse("10.100.0.0/16"), 16, 32)},
   };
   for (const auto& [a, b] : samples) {
     BddRef sa = layout_.MatchPrefixRange(a);
@@ -70,7 +70,7 @@ TEST_F(RouteAdvTest, SymbolicContainmentMatchesRangeContainment) {
 
 TEST_F(RouteAdvTest, EmptyRangeIsFalse) {
   EXPECT_EQ(layout_.MatchPrefixRange(
-                PrefixRange(*Prefix::Parse("10.9.0.0/16"), 4, 8)),
+                PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 4, 8)),
             mgr_.False());
 }
 
@@ -112,7 +112,7 @@ TEST_F(RouteAdvTest, TagEquality) {
 
 TEST_F(RouteAdvTest, DecodeRoundTrip) {
   BddRef set = mgr_.And(
-      layout_.MatchExactPrefix(*Prefix::Parse("10.9.1.0/24")),
+      layout_.MatchExactPrefix(*IpPrefix::Parse("10.9.1.0/24")),
       mgr_.And(layout_.HasCommunity(Community(10, 10)),
                mgr_.Not(layout_.HasCommunity(Community(10, 11)))));
   set = mgr_.And(set, layout_.TagEquals(77));
@@ -120,7 +120,7 @@ TEST_F(RouteAdvTest, DecodeRoundTrip) {
   auto cube = mgr_.AnySat(set);
   ASSERT_TRUE(cube.has_value());
   RouteAdvExample example = layout_.Decode(*cube);
-  EXPECT_EQ(example.prefix, *Prefix::Parse("10.9.1.0/24"));
+  EXPECT_EQ(example.prefix, *IpPrefix::Parse("10.9.1.0/24"));
   EXPECT_EQ(example.communities,
             std::vector<Community>{Community(10, 10)});
   EXPECT_EQ(example.tag, 77u);
@@ -130,12 +130,12 @@ TEST_F(RouteAdvTest, DecodeRoundTrip) {
 TEST_F(RouteAdvTest, ProjectionOntoPrefixVars) {
   BddRef set = mgr_.And(
       layout_.MatchPrefixRange(
-          PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 32)),
+          PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 32)),
       layout_.HasCommunity(Community(10, 10)));
   BddRef projected = mgr_.Exists(set, layout_.NonPrefixVarMask());
   // The projection is exactly the prefix range predicate.
   EXPECT_EQ(projected, layout_.MatchPrefixRange(PrefixRange(
-                           *Prefix::Parse("10.9.0.0/16"), 16, 32)));
+                           *IpPrefix::Parse("10.9.0.0/16"), 16, 32)));
 }
 
 TEST_F(RouteAdvTest, UninterpretedPredicatesAreStable) {
@@ -157,7 +157,7 @@ TEST_F(RouteAdvTest, ValidBoundsLength) {
 
 TEST_F(RouteAdvTest, ExampleToStringMentionsFields) {
   RouteAdvExample example;
-  example.prefix = *Prefix::Parse("10.9.1.0/24");
+  example.prefix = *IpPrefix::Parse("10.9.1.0/24");
   example.communities = {Community(10, 10)};
   example.tag = 5;
   std::string text = example.ToString();

@@ -22,7 +22,20 @@ using ir::LineAction;
 using ir::Protocol;
 using util::Ipv4Address;
 using util::IpWildcard;
-using util::Prefix;
+using util::IpPrefix;
+
+// The one-family prefix parses this parser was written against: one
+// IpPrefix::Parse plus a family check.
+std::optional<IpPrefix> ParseV4Prefix(std::string_view text) {
+  auto prefix = IpPrefix::Parse(text);
+  if (prefix && prefix->family() != util::AddressFamily::kIpv4) return {};
+  return prefix;
+}
+std::optional<IpPrefix> ParseV6Prefix(std::string_view text) {
+  auto prefix = IpPrefix::Parse(text);
+  if (prefix && prefix->family() != util::AddressFamily::kIpv6) return {};
+  return prefix;
+}
 
 std::vector<std::string> Tokenize(const std::string& line) {
   std::vector<std::string> tokens;
@@ -245,7 +258,7 @@ class Parser {
         Diagnose("bad ip address: " + raw);
         return;
       }
-      auto len = util::MaskToLength(mask->bits());
+      auto len = util::MaskToLength(mask->bits(), 32);
       if (!len) {
         Diagnose("non-contiguous interface mask: " + raw);
         return;
@@ -294,13 +307,13 @@ class Parser {
       Diagnose("bad static route destination: " + raw);
       return;
     }
-    auto len = util::MaskToLength(mask->bits());
+    auto len = util::MaskToLength(mask->bits(), 32);
     if (!len) {
       Diagnose("non-contiguous static route mask: " + raw);
       return;
     }
     ir::StaticRoute route;
-    route.prefix = Prefix(*addr, *len);
+    route.prefix = IpPrefix(*addr, *len);
     route.span = Span(raw);
     std::size_t i = 4;
     if (auto next_hop = Ipv4Address::Parse(t[i])) {
@@ -352,9 +365,9 @@ class Parser {
     if (i >= t.size()) return Diagnose("missing prefix: " + raw);
     std::optional<util::IpPrefix> prefix;
     if (family == util::AddressFamily::kIpv4) {
-      if (auto p = Prefix::Parse(t[i])) prefix = util::IpPrefix(*p);
+      if (auto p = ParseV4Prefix(t[i])) prefix = util::IpPrefix(*p);
     } else {
-      if (auto p = util::Prefix6::Parse(t[i])) prefix = util::IpPrefix(*p);
+      if (auto p = ParseV6Prefix(t[i])) prefix = util::IpPrefix(*p);
     }
     ++i;
     if (!prefix) return Diagnose("bad prefix: " + raw);
@@ -720,7 +733,7 @@ class Parser {
       if (t.size() >= 4 && t[2] == "mask") {
         auto mask = Ipv4Address::Parse(t[3]);
         if (!mask) return Diagnose("bad network mask: " + raw);
-        auto len = util::MaskToLength(mask->bits());
+        auto len = util::MaskToLength(mask->bits(), 32);
         if (!len) return Diagnose("non-contiguous network mask: " + raw);
         length = *len;
       }
@@ -795,7 +808,7 @@ class Parser {
         i += 2;
         return IpWildcard(*ip);
       }
-      if (auto prefix = util::Prefix6::Parse(t[i])) {
+      if (auto prefix = ParseV6Prefix(t[i])) {
         ++i;
         return IpWildcard(*prefix);
       }

@@ -22,7 +22,20 @@ using ir::LineAction;
 using ir::Protocol;
 using util::Ipv4Address;
 using util::IpWildcard;
-using util::Prefix;
+using util::IpPrefix;
+
+// The one-family prefix parses this parser was written against: one
+// IpPrefix::Parse plus a family check.
+std::optional<IpPrefix> ParseV4Prefix(std::string_view text) {
+  auto prefix = IpPrefix::Parse(text);
+  if (prefix && prefix->family() != util::AddressFamily::kIpv4) return {};
+  return prefix;
+}
+std::optional<IpPrefix> ParseV6Prefix(std::string_view text) {
+  auto prefix = IpPrefix::Parse(text);
+  if (prefix && prefix->family() != util::AddressFamily::kIpv6) return {};
+  return prefix;
+}
 
 // ---------------------------------------------------------------------------
 // Tokenizer: words, braces, semicolons; brackets group lists; '#' and '/*'
@@ -321,7 +334,7 @@ class Converter {
         if (const Node* family = unit.Find("family")) {
           if (family->Word(1) == "inet") {
             if (const Node* address = family->Find("address")) {
-              if (auto prefix = Prefix::Parse(address->Word(1))) {
+              if (auto prefix = ParseV4Prefix(address->Word(1))) {
                 // Keep the host address; the subnet is derived from it.
                 iface.address = Ipv4Address::Parse(
                     address->Word(1).substr(0, address->Word(1).find('/')));
@@ -362,7 +375,7 @@ class Converter {
   }
 
   void ConvertStaticRoute(const Node& route) {
-    auto prefix = Prefix::Parse(route.Word(1));
+    auto prefix = ParseV4Prefix(route.Word(1));
     if (!prefix) return Diagnose(route, "bad static route prefix");
     ir::StaticRoute r;
     r.prefix = *prefix;
@@ -835,12 +848,12 @@ class Converter {
     auto parse_address = [&](const Node& condition,
                              std::vector<IpWildcard>& out, const char* what) {
       if (family == util::AddressFamily::kIpv6) {
-        if (auto prefix = util::Prefix6::Parse(condition.Word(1))) {
+        if (auto prefix = ParseV6Prefix(condition.Word(1))) {
           out.push_back(IpWildcard(*prefix));
         } else {
           Diagnose(condition, std::string("bad ") + what);
         }
-      } else if (auto prefix = Prefix::Parse(condition.Word(1))) {
+      } else if (auto prefix = ParseV4Prefix(condition.Word(1))) {
         out.push_back(IpWildcard(*prefix));
       } else {
         Diagnose(condition, std::string("bad ") + what);
@@ -1055,7 +1068,7 @@ class Converter {
       // Dialect extension mirroring Cisco `network` statements (see
       // DESIGN.md and the unparser).
       if (network.Word(0) != "network") continue;
-      if (auto prefix = Prefix::Parse(network.Word(1))) {
+      if (auto prefix = ParseV4Prefix(network.Word(1))) {
         config().bgp->networks.push_back(*prefix);
       } else {
         Diagnose(network, "bad bgp network");

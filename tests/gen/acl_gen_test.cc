@@ -92,8 +92,8 @@ TEST(AclGenTest, GeneratedLinesHavePrefixShapedAddresses) {
   options.differences = 0;
   auto pair = GenerateAclPair(options);
   for (const auto& line : pair.acl1.lines) {
-    EXPECT_TRUE(line.src.AsPrefix().has_value());
-    EXPECT_TRUE(line.dst.AsPrefix().has_value());
+    EXPECT_TRUE(line.src.AsIpPrefix().has_value());
+    EXPECT_TRUE(line.dst.AsIpPrefix().has_value());
   }
 }
 

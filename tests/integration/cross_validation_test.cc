@@ -100,7 +100,7 @@ TEST_P(CrossValidationTest, SymbolicAndConcreteSemanticsAgree) {
     ASSERT_TRUE(cube.has_value());
     encode::RouteAdvExample example = layout.Decode(*cube);
     gen::RandomRoute witness;
-    witness.prefix = example.prefix.V4();
+    witness.prefix = example.prefix;
     witness.communities = example.communities;
     witness.tag = example.tag;
     witness.metric = example.metric;

@@ -170,7 +170,7 @@ TEST_F(DualStackDiffTest, EquivalentV6PairReportsNoDifferences) {
   ir::RouterConfig cisco = *cisco_;
   // Align the prefix-list window (drop "le 128" from seq 5)...
   cisco.prefix_lists["NETS6"].entries[0].range =
-      util::PrefixRange(*util::Prefix6::Parse("2001:db8:9::/48"), 48, 48);
+      util::PrefixRange(*util::IpPrefix::Parse("2001:db8:9::/48"), 48, 48);
   // ...and the ACL deny line.
   auto& lines = cisco.acls["V6FILTER"].lines;
   lines.erase(lines.begin() + 2);

@@ -415,13 +415,13 @@ TEST(PartialSupportTest, UnsupportedMatchStillLocalizes) {
     bool excludes = false;
     for (const auto& range : diff.included) {
       if (range == util::PrefixRange(
-                       *util::Prefix::Parse("10.9.0.0/16"), 16, 32)) {
+                       *util::IpPrefix::Parse("10.9.0.0/16"), 16, 32)) {
         includes = true;
       }
     }
     for (const auto& range : diff.excluded) {
       if (range == util::PrefixRange(
-                       *util::Prefix::Parse("10.9.0.0/16"), 16, 24)) {
+                       *util::IpPrefix::Parse("10.9.0.0/16"), 16, 24)) {
         excludes = true;
       }
     }

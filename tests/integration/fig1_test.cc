@@ -14,7 +14,7 @@ namespace campion {
 namespace {
 
 using util::Ipv4Address;
-using util::Prefix;
+using util::IpPrefix;
 using util::PrefixRange;
 
 class Fig1Test : public ::testing::Test {
@@ -49,9 +49,9 @@ TEST_F(Fig1Test, ParsersProduceExpectedComponents) {
   ASSERT_NE(cisco_nets, nullptr);
   ASSERT_NE(juniper_nets, nullptr);
   EXPECT_EQ(cisco_nets->entries[0].range,
-            PrefixRange(Prefix(Ipv4Address(10, 9, 0, 0), 16), 16, 32));
+            PrefixRange(IpPrefix(Ipv4Address(10, 9, 0, 0), 16), 16, 32));
   EXPECT_EQ(juniper_nets->entries[0].range,
-            PrefixRange(Prefix(Ipv4Address(10, 9, 0, 0), 16), 16, 16));
+            PrefixRange(IpPrefix(Ipv4Address(10, 9, 0, 0), 16), 16, 16));
 
   // Cisco COMM: two OR entries. Juniper COMM: one AND entry of both.
   const ir::CommunityList* cisco_comm = cisco_.FindCommunityList("COMM");
@@ -80,14 +80,14 @@ TEST_F(Fig1Test, Difference1LocalizesPrefixRanges) {
     if (d.included.size() == 2) d1 = &d;
   }
   ASSERT_NE(d1, nullptr) << "no difference with two included ranges";
-  PrefixRange nets1(Prefix(Ipv4Address(10, 9, 0, 0), 16), 16, 32);
-  PrefixRange nets2(Prefix(Ipv4Address(10, 100, 0, 0), 16), 16, 32);
+  PrefixRange nets1(IpPrefix(Ipv4Address(10, 9, 0, 0), 16), 16, 32);
+  PrefixRange nets2(IpPrefix(Ipv4Address(10, 100, 0, 0), 16), 16, 32);
   EXPECT_TRUE(std::find(d1->included.begin(), d1->included.end(), nets1) !=
               d1->included.end());
   EXPECT_TRUE(std::find(d1->included.begin(), d1->included.end(), nets2) !=
               d1->included.end());
-  PrefixRange exact1(Prefix(Ipv4Address(10, 9, 0, 0), 16), 16, 16);
-  PrefixRange exact2(Prefix(Ipv4Address(10, 100, 0, 0), 16), 16, 16);
+  PrefixRange exact1(IpPrefix(Ipv4Address(10, 9, 0, 0), 16), 16, 16);
+  PrefixRange exact2(IpPrefix(Ipv4Address(10, 100, 0, 0), 16), 16, 16);
   EXPECT_TRUE(std::find(d1->excluded.begin(), d1->excluded.end(), exact1) !=
               d1->excluded.end());
   EXPECT_TRUE(std::find(d1->excluded.begin(), d1->excluded.end(), exact2) !=
@@ -120,8 +120,8 @@ TEST_F(Fig1Test, Difference2LocalizesCommunityDifference) {
     }
   }
   ASSERT_NE(d2, nullptr) << "no difference covering the whole prefix space";
-  PrefixRange nets1(Prefix(Ipv4Address(10, 9, 0, 0), 16), 16, 32);
-  PrefixRange nets2(Prefix(Ipv4Address(10, 100, 0, 0), 16), 16, 32);
+  PrefixRange nets1(IpPrefix(Ipv4Address(10, 9, 0, 0), 16), 16, 32);
+  PrefixRange nets2(IpPrefix(Ipv4Address(10, 100, 0, 0), 16), 16, 32);
   EXPECT_TRUE(std::find(d2->excluded.begin(), d2->excluded.end(), nets1) !=
               d2->excluded.end());
   EXPECT_TRUE(std::find(d2->excluded.begin(), d2->excluded.end(), nets2) !=

@@ -7,7 +7,7 @@ namespace {
 
 using util::Community;
 using util::Ipv4Address;
-using util::Prefix;
+using util::IpPrefix;
 using util::PrefixRange;
 
 RouterConfig MakeConfig() {
@@ -18,19 +18,19 @@ RouterConfig MakeConfig() {
   list.name = "PL";
   list.entries.push_back(
       {LineAction::kPermit,
-       PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 32), {}});
+       PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 32), {}});
   list.entries.push_back(
-      {LineAction::kDeny, PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 32),
+      {LineAction::kDeny, PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 32),
        {}});  // Duplicate range, different action.
   config.prefix_lists["PL"] = list;
 
   StaticRoute route;
-  route.prefix = *Prefix::Parse("10.7.0.0/16");
+  route.prefix = *IpPrefix::Parse("10.7.0.0/16");
   config.static_routes.push_back(route);
 
   BgpProcess bgp;
   bgp.asn = 65000;
-  bgp.networks.push_back(*Prefix::Parse("10.8.0.0/16"));
+  bgp.networks.push_back(*IpPrefix::Parse("10.8.0.0/16"));
   config.bgp = std::move(bgp);
 
   CommunityList comm;
@@ -58,13 +58,13 @@ TEST(RouterConfigTest, AllPrefixRangesDeduplicatesAndCoversSources) {
   // as exact ranges.
   ASSERT_EQ(ranges.size(), 3u);
   EXPECT_TRUE(std::find(ranges.begin(), ranges.end(),
-                        PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 32)) !=
+                        PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 32)) !=
               ranges.end());
   EXPECT_TRUE(std::find(ranges.begin(), ranges.end(),
-                        PrefixRange(*Prefix::Parse("10.7.0.0/16"))) !=
+                        PrefixRange(*IpPrefix::Parse("10.7.0.0/16"))) !=
               ranges.end());
   EXPECT_TRUE(std::find(ranges.begin(), ranges.end(),
-                        PrefixRange(*Prefix::Parse("10.8.0.0/16"))) !=
+                        PrefixRange(*IpPrefix::Parse("10.8.0.0/16"))) !=
               ranges.end());
 }
 
@@ -96,7 +96,7 @@ TEST(InterfaceTest, ConnectedSubnetDerivation) {
   EXPECT_FALSE(iface.ConnectedSubnet().has_value());
   iface.address = Ipv4Address(10, 0, 1, 7);
   iface.prefix_length = 24;
-  EXPECT_EQ(iface.ConnectedSubnet(), *Prefix::Parse("10.0.1.0/24"));
+  EXPECT_EQ(iface.ConnectedSubnet(), *IpPrefix::Parse("10.0.1.0/24"));
 }
 
 TEST(AdminDistancesTest, ForProtocol) {

@@ -7,7 +7,7 @@ namespace {
 
 using util::Community;
 using util::Ipv4Address;
-using util::Prefix;
+using util::IpPrefix;
 using util::PrefixRange;
 
 ir::RouterConfig Parse(const std::string& text) {
@@ -50,7 +50,7 @@ interfaces {
   EXPECT_EQ(config.interfaces[0].address, Ipv4Address(10, 0, 1, 2));
   EXPECT_EQ(config.interfaces[0].prefix_length, 24);
   EXPECT_EQ(config.interfaces[0].ConnectedSubnet(),
-            *Prefix::Parse("10.0.1.0/24"));
+            *IpPrefix::Parse("10.0.1.0/24"));
   EXPECT_EQ(config.interfaces[1].name, "xe-0/0/0.100");
   EXPECT_EQ(config.interfaces[1].prefix_length, 31);
   // disable on the physical interface shuts all units down.
@@ -71,11 +71,11 @@ routing-options {
 }
 )");
   ASSERT_EQ(config.static_routes.size(), 2u);
-  EXPECT_EQ(config.static_routes[0].prefix, *Prefix::Parse("10.1.1.2/31"));
+  EXPECT_EQ(config.static_routes[0].prefix, *IpPrefix::Parse("10.1.1.2/31"));
   EXPECT_EQ(config.static_routes[0].next_hop, Ipv4Address(10, 2, 2, 2));
   EXPECT_EQ(config.static_routes[0].admin_distance, 7);
   EXPECT_EQ(config.static_routes[0].tag, 42u);
-  EXPECT_EQ(config.static_routes[1].prefix, *Prefix::Parse("0.0.0.0/0"));
+  EXPECT_EQ(config.static_routes[1].prefix, *IpPrefix::Parse("0.0.0.0/0"));
   EXPECT_EQ(config.static_routes[1].next_hop, Ipv4Address(10, 0, 0, 1));
   // JunOS default static preference.
   EXPECT_EQ(config.static_routes[1].admin_distance, 5);
@@ -95,7 +95,7 @@ policy-options {
   ASSERT_EQ(list->entries.size(), 2u);
   // Exact windows: the crux of the paper's Difference 1.
   EXPECT_EQ(list->entries[0].range,
-            PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 16));
+            PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 16));
 }
 
 TEST(JuniperParserTest, CommunityMembersAreConjunction) {
@@ -220,11 +220,11 @@ policy-options {
     EXPECT_NE(list, nullptr);
     return list->entries[0].range;
   };
-  EXPECT_EQ(range_of(0), PrefixRange(*Prefix::Parse("10.0.0.0/8"), 8, 8));
-  EXPECT_EQ(range_of(1), PrefixRange(*Prefix::Parse("10.1.0.0/16"), 16, 32));
-  EXPECT_EQ(range_of(2), PrefixRange(*Prefix::Parse("10.2.0.0/16"), 17, 32));
-  EXPECT_EQ(range_of(3), PrefixRange(*Prefix::Parse("10.3.0.0/16"), 16, 24));
-  EXPECT_EQ(range_of(4), PrefixRange(*Prefix::Parse("10.4.0.0/16"), 20, 28));
+  EXPECT_EQ(range_of(0), PrefixRange(*IpPrefix::Parse("10.0.0.0/8"), 8, 8));
+  EXPECT_EQ(range_of(1), PrefixRange(*IpPrefix::Parse("10.1.0.0/16"), 16, 32));
+  EXPECT_EQ(range_of(2), PrefixRange(*IpPrefix::Parse("10.2.0.0/16"), 17, 32));
+  EXPECT_EQ(range_of(3), PrefixRange(*IpPrefix::Parse("10.3.0.0/16"), 16, 24));
+  EXPECT_EQ(range_of(4), PrefixRange(*IpPrefix::Parse("10.4.0.0/16"), 20, 28));
 }
 
 TEST(JuniperParserTest, CommunitySetActions) {
@@ -566,7 +566,7 @@ policy-options {
   // orlonger widens each entry to [base, 32] — the JunOS counterpart of
   // Cisco's `le 32` window, making Fig.1-style pairs expressible.
   EXPECT_EQ(lowered->entries[0].range,
-            PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 32));
+            PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 32));
 }
 
 TEST(JuniperParserTest, PrefixListFilterUndefinedListDiagnosed) {
@@ -622,7 +622,7 @@ firewall {
   EXPECT_EQ(acl->lines[0].src.family(), util::AddressFamily::kIpv6);
   ASSERT_TRUE(acl->lines[0].src.AsIpPrefix().has_value());
   EXPECT_EQ(*acl->lines[0].src.AsIpPrefix(),
-            util::IpPrefix(*util::Prefix6::Parse("2001:db8:1::/48")));
+            *util::IpPrefix::Parse("2001:db8:1::/48"));
   EXPECT_EQ(acl->lines[0].dst_ports[0], (ir::PortRange{179, 179}));
   // next-header is the inet6 spelling of protocol; icmpv6 echo-request is
   // type 128 (not the v4 type 8).
@@ -678,7 +678,7 @@ policy-options {
   EXPECT_EQ(list->family, util::AddressFamily::kIpv6);
   ASSERT_EQ(list->entries.size(), 2u);
   EXPECT_EQ(list->entries[0].range,
-            PrefixRange(*util::Prefix6::Parse("2001:db8:9::/48"), 48, 48));
+            PrefixRange(*util::IpPrefix::Parse("2001:db8:9::/48"), 48, 48));
   const ir::RouteMap* map = config.FindRouteMap("P");
   ASSERT_NE(map, nullptr);
   // orlonger on a v6 route-filter must run to /128, not /32. Route filters
@@ -691,7 +691,7 @@ policy-options {
   EXPECT_EQ(lowered->family, util::AddressFamily::kIpv6);
   ASSERT_EQ(lowered->entries.size(), 1u);
   EXPECT_EQ(lowered->entries[0].range,
-            PrefixRange(*util::Prefix6::Parse("2001:db8::/32"), 32, 128));
+            PrefixRange(*util::IpPrefix::Parse("2001:db8::/32"), 32, 128));
 }
 
 TEST(JuniperParserTest, MixedFamilyPrefixListDiagnosed) {
@@ -727,6 +727,81 @@ firewall {
   EXPECT_EQ(result.config.FindAcl("M"), nullptr);
   ASSERT_FALSE(result.diagnostics.empty());
   EXPECT_NE(result.diagnostics[0].find("family"), std::string::npos);
+}
+
+// Positions whose syntax takes one address family reject a literal of the
+// other with the diagnostic they always gave, and keep nothing of it: no
+// interface address, static route or BGP network, and no filter address
+// (the term's line keeps matching any source, as it always has).
+TEST(JuniperParserTest, OneFamilyPositionsRejectTheOtherFamily) {
+  struct Case {
+    const char* position;
+    const char* text;
+    const char* diagnostic;
+  };
+  const Case cases[] = {
+      {"family inet address",
+       "interfaces {\n"
+       "    xe-0/0/0 { unit 0 { family inet { address 2001:db8::1/64; } } }\n"
+       "}\n",
+       "j.conf:2: bad interface address"},
+      {"static route",
+       "routing-options {\n"
+       "    static {\n"
+       "        route 2001:db8::/32 next-hop 10.0.0.1;\n"
+       "    }\n"
+       "}\n",
+       "j.conf:3: bad static route prefix"},
+      {"bgp network",
+       "protocols {\n"
+       "    bgp {\n"
+       "        network 2001:db8::/32;\n"
+       "    }\n"
+       "}\n",
+       "j.conf:3: bad bgp network"},
+      {"family inet filter source-address",
+       "firewall {\n"
+       "    family inet {\n"
+       "        filter F4 {\n"
+       "            term t {\n"
+       "                from { source-address 2001:db8::/32; }\n"
+       "                then accept;\n"
+       "            }\n"
+       "        }\n"
+       "    }\n"
+       "}\n",
+       "j.conf:5: bad source-address"},
+      {"family inet6 filter source-address",
+       "firewall {\n"
+       "    family inet6 {\n"
+       "        filter F6 {\n"
+       "            term t {\n"
+       "                from { source-address 10.0.0.0/8; }\n"
+       "                then accept;\n"
+       "            }\n"
+       "        }\n"
+       "    }\n"
+       "}\n",
+       "j.conf:5: bad source-address"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.position);
+    auto result = ParseJuniperConfig(c.text, "j.conf");
+    EXPECT_EQ(result.diagnostics, std::vector<std::string>{c.diagnostic});
+    const ir::RouterConfig& config = result.config;
+    for (const ir::Interface& iface : config.interfaces) {
+      EXPECT_FALSE(iface.address.has_value()) << iface.name;
+    }
+    EXPECT_TRUE(config.static_routes.empty());
+    if (config.bgp) {
+      EXPECT_TRUE(config.bgp->networks.empty());
+    }
+    for (const auto& [name, acl] : config.acls) {
+      for (const ir::AclLine& line : acl.lines) {
+        EXPECT_EQ(line.src, util::IpWildcard::AnyOf(acl.family)) << name;
+      }
+    }
+  }
 }
 
 }  // namespace

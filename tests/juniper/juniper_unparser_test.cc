@@ -8,14 +8,14 @@ namespace campion::juniper {
 namespace {
 
 using util::Community;
-using util::Prefix;
+using util::IpPrefix;
 using util::PrefixRange;
 
 TEST(UnparseRouteFilterTest, AllWindowModes) {
   ir::RouterConfig config;
   ir::PrefixList list;
   list.name = "W";
-  auto base = *Prefix::Parse("10.0.0.0/8");
+  auto base = *IpPrefix::Parse("10.0.0.0/8");
   list.entries.push_back(
       {ir::LineAction::kPermit, PrefixRange(base, 8, 8), {}});      // exact
   list.entries.push_back(
@@ -100,7 +100,7 @@ TEST(UnparseFilterTest, TermsCarryConditionsAndActions) {
   ir::AclLine line;
   line.action = ir::LineAction::kDeny;
   line.protocol = ir::kProtoTcp;
-  line.src = util::IpWildcard(*Prefix::Parse("10.1.0.0/16"));
+  line.src = util::IpWildcard(*IpPrefix::Parse("10.1.0.0/16"));
   line.dst_ports.push_back({443, 443});
   acl.lines.push_back(line);
   std::string text = UnparseFilter(acl);
@@ -192,7 +192,7 @@ TEST(UnparseRouteFilterTest, Ipv6WindowModesRoundTrip) {
   ir::PrefixList list;
   list.name = "W6";
   list.family = util::AddressFamily::kIpv6;
-  auto base = *util::Prefix6::Parse("2001:db8::/32");
+  auto base = *util::IpPrefix::Parse("2001:db8::/32");
   list.entries.push_back(
       {ir::LineAction::kPermit, PrefixRange(base, 32, 32), {}});    // exact
   list.entries.push_back(
@@ -248,7 +248,7 @@ TEST(UnparseFilterTest, Inet6FilterRoundTrips) {
   acl.name = "F6";
   acl.family = util::AddressFamily::kIpv6;
   ir::AclLine line;
-  line.src = util::IpWildcard(*util::Prefix6::Parse("2001:db8:1::/48"));
+  line.src = util::IpWildcard(*util::IpPrefix::Parse("2001:db8:1::/48"));
   line.dst = util::IpWildcard::AnyOf(util::AddressFamily::kIpv6);
   line.protocol = ir::kProtoTcp;
   line.dst_ports.push_back({179, 179});
@@ -277,7 +277,7 @@ TEST(UnparseFilterTest, V4OnlyConfigEmitsNoInet6Block) {
   ir::Acl acl;
   acl.name = "F4";
   ir::AclLine line;
-  line.src = util::IpWildcard(*Prefix::Parse("10.0.0.0/8"));
+  line.src = util::IpWildcard(*IpPrefix::Parse("10.0.0.0/8"));
   acl.lines.push_back(line);
   config.acls["F4"] = acl;
   std::string text = UnparseJuniperConfig(config);

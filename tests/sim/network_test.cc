@@ -14,7 +14,7 @@ namespace campion::sim {
 namespace {
 
 using util::Ipv4Address;
-using util::Prefix;
+using util::IpPrefix;
 
 // A three-router line: left -(eBGP)- middle -(eBGP)- right.
 struct LineTopology {
@@ -40,7 +40,7 @@ struct LineTopology {
     ir::BgpProcess bgp;
     bgp.asn = asn;
     bgp.networks.push_back(
-        Prefix(Ipv4Address(10, static_cast<std::uint8_t>(index), 0, 0), 24));
+        IpPrefix(Ipv4Address(10, static_cast<std::uint8_t>(index), 0, 0), 24));
     if (index > 0) {
       ir::BgpNeighbor left;
       left.ip = Addr(index - 1, 1);
@@ -64,7 +64,7 @@ TEST(SolveTest, BgpPropagatesAlongLine) {
   LineTopology topo;
   RoutingSolution solution = Solve(topo.network);
   // right learns left's network over two eBGP hops.
-  Prefix left_net(Ipv4Address(10, 0, 0, 0), 24);
+  IpPrefix left_net(Ipv4Address(10, 0, 0, 0), 24);
   ASSERT_TRUE(solution.ribs["right"].contains(left_net));
   const Route& route = solution.ribs["right"][left_net];
   EXPECT_EQ(route.protocol, ir::Protocol::kBgp);
@@ -87,7 +87,7 @@ TEST(SolveTest, ExportPolicyFilters) {
   block.name = "BLOCK";
   block.entries.push_back(
       {ir::LineAction::kPermit,
-       util::PrefixRange(Prefix(Ipv4Address(10, 0, 0, 0), 24)), {}});
+       util::PrefixRange(IpPrefix(Ipv4Address(10, 0, 0, 0), 24)), {}});
   middle.prefix_lists["BLOCK"] = block;
   ir::RouteMap policy;
   policy.name = "EXP";
@@ -105,16 +105,16 @@ TEST(SolveTest, ExportPolicyFilters) {
 
   RoutingSolution solution = Solve(topo.network);
   EXPECT_FALSE(
-      solution.ribs["right"].contains(Prefix(Ipv4Address(10, 0, 0, 0), 24)));
+      solution.ribs["right"].contains(IpPrefix(Ipv4Address(10, 0, 0, 0), 24)));
   // Middle's own network still reaches right.
   EXPECT_TRUE(
-      solution.ribs["right"].contains(Prefix(Ipv4Address(10, 1, 0, 0), 24)));
+      solution.ribs["right"].contains(IpPrefix(Ipv4Address(10, 1, 0, 0), 24)));
 }
 
 TEST(SolveTest, LocalPrefDoesNotCrossEbgp) {
   LineTopology topo;
   RoutingSolution solution = Solve(topo.network);
-  Prefix left_net(Ipv4Address(10, 0, 0, 0), 24);
+  IpPrefix left_net(Ipv4Address(10, 0, 0, 0), 24);
   EXPECT_EQ(solution.ribs["right"][left_net].local_pref, 100u);
 }
 
@@ -137,7 +137,7 @@ TEST(SolveTest, SendCommunityControlsPropagation) {
   topo.network.ReplaceRouter("left", left);
 
   RoutingSolution with_send = Solve(topo.network);
-  Prefix left_net(Ipv4Address(10, 0, 0, 0), 24);
+  IpPrefix left_net(Ipv4Address(10, 0, 0, 0), 24);
   EXPECT_TRUE(with_send.ribs["middle"][left_net].communities.contains(
       util::Community(65001, 1)));
 
@@ -159,15 +159,17 @@ TEST(SolveTest, StaticAndConnectedRoutesInstall) {
   iface.prefix_length = 24;
   router.interfaces.push_back(iface);
   ir::StaticRoute s;
-  s.prefix = Prefix(Ipv4Address(10, 7, 0, 0), 16);
+  s.prefix = IpPrefix(Ipv4Address(10, 7, 0, 0), 16);
   s.next_hop = Ipv4Address(10, 0, 1, 254);
   router.static_routes.push_back(s);
   network.AddRouter(router);
 
   RoutingSolution solution = Solve(network);
-  EXPECT_TRUE(solution.ribs["r"].contains(Prefix(Ipv4Address(10, 0, 1, 0), 24)));
-  EXPECT_TRUE(solution.ribs["r"].contains(Prefix(Ipv4Address(10, 7, 0, 0), 16)));
-  EXPECT_EQ(solution.ribs["r"][Prefix(Ipv4Address(10, 7, 0, 0), 16)].protocol,
+  EXPECT_TRUE(
+      solution.ribs["r"].contains(IpPrefix(Ipv4Address(10, 0, 1, 0), 24)));
+  EXPECT_TRUE(
+      solution.ribs["r"].contains(IpPrefix(Ipv4Address(10, 7, 0, 0), 16)));
+  EXPECT_EQ(solution.ribs["r"][IpPrefix(Ipv4Address(10, 7, 0, 0), 16)].protocol,
             ir::Protocol::kStatic);
 }
 
@@ -199,7 +201,7 @@ TEST(SolveTest, OspfFloodsWithCost) {
   network.AddAdjacency("a", "e0", "b", "e0");
 
   RoutingSolution solution = Solve(network);
-  Prefix b_lan(Ipv4Address(10, 2, 0, 0), 24);
+  IpPrefix b_lan(Ipv4Address(10, 2, 0, 0), 24);
   ASSERT_TRUE(solution.ribs["a"].contains(b_lan));
   EXPECT_EQ(solution.ribs["a"][b_lan].protocol, ir::Protocol::kOspf);
   EXPECT_EQ(solution.ribs["a"][b_lan].metric, 10u);
@@ -234,7 +236,7 @@ TEST(SolveTest, OspfRespectsAreasAndPassive) {
   network.AddAdjacency("a", "e0", "b", "e0");
   RoutingSolution different_areas = Solve(network);
   EXPECT_FALSE(different_areas.ribs["a"].contains(
-      Prefix(Ipv4Address(10, 2, 0, 0), 24)));
+      IpPrefix(Ipv4Address(10, 2, 0, 0), 24)));
 
   // Passive interface: no exchange either.
   Network network2;
@@ -243,7 +245,7 @@ TEST(SolveTest, OspfRespectsAreasAndPassive) {
   network2.AddAdjacency("a", "e0", "b", "e0");
   RoutingSolution passive = Solve(network2);
   EXPECT_FALSE(
-      passive.ribs["a"].contains(Prefix(Ipv4Address(10, 2, 0, 0), 24)));
+      passive.ribs["a"].contains(IpPrefix(Ipv4Address(10, 2, 0, 0), 24)));
 }
 
 TEST(SolveTest, RouteReflectionRequiresClientFlag) {
@@ -277,7 +279,7 @@ TEST(SolveTest, RouteReflectionRequiresClientFlag) {
       to_hub.send_community = true;
       bgp.neighbors.push_back(to_hub);
       if (i == 1) {
-        bgp.networks.push_back(Prefix(Ipv4Address(10, 77, 0, 0), 16));
+        bgp.networks.push_back(IpPrefix(Ipv4Address(10, 77, 0, 0), 16));
       }
       spoke.bgp = std::move(bgp);
       network.AddRouter(spoke);
@@ -291,10 +293,10 @@ TEST(SolveTest, RouteReflectionRequiresClientFlag) {
 
   RoutingSolution no_reflect = Solve(build(false));
   EXPECT_FALSE(no_reflect.ribs["spoke2"].contains(
-      Prefix(Ipv4Address(10, 77, 0, 0), 16)));
+      IpPrefix(Ipv4Address(10, 77, 0, 0), 16)));
   RoutingSolution reflect = Solve(build(true));
   EXPECT_TRUE(reflect.ribs["spoke2"].contains(
-      Prefix(Ipv4Address(10, 77, 0, 0), 16)));
+      IpPrefix(Ipv4Address(10, 77, 0, 0), 16)));
 }
 
 // --- Theorem 3.3 ------------------------------------------------------------
@@ -322,7 +324,7 @@ TEST(SoundnessTest, CampionCleanReplacementPreservesSolutions) {
   allow.name = "ALLOW";
   allow.entries.push_back(
       {ir::LineAction::kPermit,
-       util::PrefixRange(Prefix(Ipv4Address(0, 0, 0, 0), 0), 0, 32), {}});
+       util::PrefixRange(IpPrefix(Ipv4Address(0, 0, 0, 0), 0), 0, 32), {}});
   middle.prefix_lists["ALLOW"] = allow;
   ir::RouteMap pass;
   pass.name = "PASS";
@@ -381,7 +383,7 @@ TEST(SoundnessTest, ReportedDifferenceManifests) {
   chooser.route_maps["PREF-A"] = pref;
   network.AddRouter(chooser);
 
-  Prefix target(Ipv4Address(10, 50, 0, 0), 16);
+  IpPrefix target(Ipv4Address(10, 50, 0, 0), 16);
   for (int i = 1; i <= 2; ++i) {
     ir::RouterConfig origin;
     origin.hostname = "origin" + std::to_string(i);
@@ -425,7 +427,7 @@ TEST(SoundnessTest, LatentDifferenceDoesNotManifest) {
 
   ir::RouterConfig middle = *topo.network.FindRouter("middle");
   ir::StaticRoute unused;
-  unused.prefix = Prefix(Ipv4Address(203, 0, 113, 0), 24);
+  unused.prefix = IpPrefix(Ipv4Address(203, 0, 113, 0), 24);
   unused.next_hop = Ipv4Address(10, 255, 0, 1);
   middle.static_routes.push_back(unused);
 
@@ -462,7 +464,7 @@ TEST(SolveTest, OspfRedistributesStaticRoutes) {
   // a redistributes its static route into OSPF through a policy that
   // matches protocol static and sets a tag.
   ir::StaticRoute external;
-  external.prefix = Prefix(Ipv4Address(203, 0, 113, 0), 24);
+  external.prefix = IpPrefix(Ipv4Address(203, 0, 113, 0), 24);
   external.next_hop = Ipv4Address(10, 200, 0, 254);
   a.static_routes.push_back(external);
   ir::RouteMap redist;
@@ -488,7 +490,7 @@ TEST(SolveTest, OspfRedistributesStaticRoutes) {
   network.AddAdjacency("a", "e0", "b", "e0");
 
   RoutingSolution solution = Solve(network);
-  Prefix ext(Ipv4Address(203, 0, 113, 0), 24);
+  IpPrefix ext(Ipv4Address(203, 0, 113, 0), 24);
   ASSERT_TRUE(solution.ribs["b"].contains(ext));
   const Route& learned = solution.ribs["b"][ext];
   EXPECT_EQ(learned.protocol, ir::Protocol::kOspf);
@@ -517,7 +519,7 @@ TEST(SolveTest, RedistributionPolicyFilters) {
   link.ospf_area = 0;
   a.interfaces.push_back(link);
   ir::StaticRoute external;
-  external.prefix = Prefix(Ipv4Address(203, 0, 113, 0), 24);
+  external.prefix = IpPrefix(Ipv4Address(203, 0, 113, 0), 24);
   a.static_routes.push_back(external);
   ir::RouteMap deny_all;
   deny_all.name = "NONE";
@@ -537,7 +539,7 @@ TEST(SolveTest, RedistributionPolicyFilters) {
 
   RoutingSolution solution = Solve(network);
   EXPECT_FALSE(
-      solution.ribs["b"].contains(Prefix(Ipv4Address(203, 0, 113, 0), 24)));
+      solution.ribs["b"].contains(IpPrefix(Ipv4Address(203, 0, 113, 0), 24)));
 }
 
 }  // namespace

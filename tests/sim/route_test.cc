@@ -7,7 +7,7 @@ namespace {
 
 using util::Community;
 using util::Ipv4Address;
-using util::Prefix;
+using util::IpPrefix;
 using util::PrefixRange;
 
 ir::RouterConfig MakeConfig() {
@@ -16,7 +16,7 @@ ir::RouterConfig MakeConfig() {
   nets.name = "NETS";
   nets.entries.push_back(
       {ir::LineAction::kPermit,
-       PrefixRange(*Prefix::Parse("10.9.0.0/16"), 16, 32), {}});
+       PrefixRange(*IpPrefix::Parse("10.9.0.0/16"), 16, 32), {}});
   config.prefix_lists["NETS"] = nets;
 
   ir::CommunityList comm;
@@ -29,7 +29,7 @@ ir::RouterConfig MakeConfig() {
 
 Route BgpRoute(const char* prefix) {
   Route route;
-  route.prefix = *Prefix::Parse(prefix);
+  route.prefix = *IpPrefix::Parse(prefix);
   route.protocol = ir::Protocol::kBgp;
   route.admin_distance = 20;
   return route;

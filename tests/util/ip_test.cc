@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
+#include <string>
+#include <vector>
 
 namespace campion::util {
 namespace {
@@ -49,77 +52,117 @@ TEST(Ipv4AddressTest, Ordering) {
 }
 
 TEST(MaskTest, MaskBits) {
-  EXPECT_EQ(MaskBits(0), 0u);
-  EXPECT_EQ(MaskBits(8), 0xFF000000u);
-  EXPECT_EQ(MaskBits(24), 0xFFFFFF00u);
-  EXPECT_EQ(MaskBits(31), 0xFFFFFFFEu);
-  EXPECT_EQ(MaskBits(32), 0xFFFFFFFFu);
+  EXPECT_EQ(MaskBits(0, 32), U128());
+  EXPECT_EQ(MaskBits(8, 32), U128(0xFF000000u));
+  EXPECT_EQ(MaskBits(24, 32), U128(0xFFFFFF00u));
+  EXPECT_EQ(MaskBits(31, 32), U128(0xFFFFFFFEu));
+  EXPECT_EQ(MaskBits(32, 32), U128(0xFFFFFFFFu));
+  EXPECT_EQ(MaskBits(0, 128), U128());
+  EXPECT_EQ(MaskBits(48, 128), U128(0xFFFFFFFFFFFF0000ull, 0));
+  EXPECT_EQ(MaskBits(65, 128), U128(~0ull, 0x8000000000000000ull));
+  EXPECT_EQ(MaskBits(128, 128), U128::Ones(128));
 }
 
 TEST(MaskTest, MaskToLengthRoundTrip) {
-  for (int len = 0; len <= 32; ++len) {
-    auto back = MaskToLength(MaskBits(len));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, len);
+  for (int width : {32, 128}) {
+    for (int len = 0; len <= width; ++len) {
+      auto back = MaskToLength(MaskBits(len, width), width);
+      ASSERT_TRUE(back.has_value()) << width << "/" << len;
+      EXPECT_EQ(*back, len);
+    }
   }
 }
 
 TEST(MaskTest, MaskToLengthRejectsNonContiguous) {
-  EXPECT_FALSE(MaskToLength(0xFF00FF00u).has_value());
-  EXPECT_FALSE(MaskToLength(0x00000001u).has_value());
-  EXPECT_FALSE(MaskToLength(0xFFFFFF01u).has_value());
+  EXPECT_FALSE(MaskToLength(U128(0xFF00FF00u), 32).has_value());
+  EXPECT_FALSE(MaskToLength(U128(0x00000001u), 32).has_value());
+  EXPECT_FALSE(MaskToLength(U128(0xFFFFFF01u), 32).has_value());
+  // 128-bit masks: a hole in either half, a stray low bit, and a mask
+  // wider than its field.
+  EXPECT_FALSE(
+      MaskToLength(U128(0xFFFF0000FFFF0000ull, 0), 128).has_value());
+  EXPECT_FALSE(MaskToLength(U128(~0ull, 0x00FF000000000000ull), 128)
+                   .has_value());
+  EXPECT_FALSE(MaskToLength(U128(0x8000000000000000ull, 1), 128).has_value());
+  EXPECT_FALSE(MaskToLength(U128::Ones(33), 32).has_value());
 }
 
 TEST(PrefixTest, HostBitsAreZeroed) {
-  Prefix p(Ipv4Address(10, 9, 200, 77), 16);
+  IpPrefix p(Ipv4Address(10, 9, 200, 77), 16);
   EXPECT_EQ(p.address().ToString(), "10.9.0.0");
   EXPECT_EQ(p.ToString(), "10.9.0.0/16");
 }
 
 TEST(PrefixTest, ParseValid) {
-  auto p = Prefix::Parse("10.100.0.0/16");
+  auto p = IpPrefix::Parse("10.100.0.0/16");
   ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->family(), AddressFamily::kIpv4);
   EXPECT_EQ(p->length(), 16);
-  EXPECT_EQ(p->address(), Ipv4Address(10, 100, 0, 0));
+  EXPECT_EQ(p->address(), IpAddress(Ipv4Address(10, 100, 0, 0)));
 }
 
 TEST(PrefixTest, ParseCanonicalizes) {
-  auto p = Prefix::Parse("10.100.3.7/16");
+  auto p = IpPrefix::Parse("10.100.3.7/16");
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->ToString(), "10.100.0.0/16");
 }
 
 TEST(PrefixTest, ParseRejectsMalformed) {
-  EXPECT_FALSE(Prefix::Parse("10.100.0.0").has_value());
-  EXPECT_FALSE(Prefix::Parse("10.100.0.0/33").has_value());
-  EXPECT_FALSE(Prefix::Parse("10.100.0.0/").has_value());
-  EXPECT_FALSE(Prefix::Parse("10.100.0.0/16x").has_value());
-  EXPECT_FALSE(Prefix::Parse("/16").has_value());
+  EXPECT_FALSE(IpPrefix::Parse("10.100.0.0").has_value());
+  EXPECT_FALSE(IpPrefix::Parse("10.100.0.0/33").has_value());
+  EXPECT_FALSE(IpPrefix::Parse("10.100.0.0/").has_value());
+  EXPECT_FALSE(IpPrefix::Parse("10.100.0.0/16x").has_value());
+  EXPECT_FALSE(IpPrefix::Parse("/16").has_value());
+  EXPECT_FALSE(IpPrefix::Parse("10.100.0.256/16").has_value());
+  EXPECT_FALSE(IpPrefix::Parse("10.100.0/16").has_value());
+  EXPECT_FALSE(IpPrefix::Parse("10.100.0.0/-1").has_value());
+  EXPECT_FALSE(IpPrefix::Parse("10.100.0.0/16/16").has_value());
 }
 
 TEST(PrefixTest, ContainsAddress) {
-  Prefix p(Ipv4Address(10, 9, 0, 0), 16);
-  EXPECT_TRUE(p.Contains(Ipv4Address(10, 9, 1, 2)));
-  EXPECT_TRUE(p.Contains(Ipv4Address(10, 9, 255, 255)));
-  EXPECT_FALSE(p.Contains(Ipv4Address(10, 10, 0, 0)));
+  // An address is contained as its host prefix.
+  IpPrefix p(Ipv4Address(10, 9, 0, 0), 16);
+  EXPECT_TRUE(p.Contains(IpPrefix(Ipv4Address(10, 9, 1, 2), 32)));
+  EXPECT_TRUE(p.Contains(IpPrefix(Ipv4Address(10, 9, 255, 255), 32)));
+  EXPECT_FALSE(p.Contains(IpPrefix(Ipv4Address(10, 10, 0, 0), 32)));
 }
 
 TEST(PrefixTest, ContainsPrefix) {
-  Prefix wide(Ipv4Address(10, 0, 0, 0), 8);
-  Prefix narrow(Ipv4Address(10, 9, 1, 0), 24);
+  IpPrefix wide(Ipv4Address(10, 0, 0, 0), 8);
+  IpPrefix narrow(Ipv4Address(10, 9, 1, 0), 24);
   EXPECT_TRUE(wide.Contains(narrow));
   EXPECT_FALSE(narrow.Contains(wide));
   EXPECT_TRUE(wide.Contains(wide));
 }
 
 TEST(PrefixTest, ZeroLengthContainsEverything) {
-  Prefix all(Ipv4Address(0), 0);
-  EXPECT_TRUE(all.Contains(Ipv4Address(255, 255, 255, 255)));
-  EXPECT_TRUE(all.Contains(Prefix(Ipv4Address(1, 2, 3, 4), 32)));
+  IpPrefix all(Ipv4Address(0), 0);
+  EXPECT_TRUE(all.Contains(IpPrefix(Ipv4Address(255, 255, 255, 255), 32)));
+  EXPECT_TRUE(all.Contains(IpPrefix(Ipv4Address(1, 2, 3, 4), 32)));
+}
+
+// Structural-diff reports list static routes, interfaces and BGP networks
+// in set order, so an all-IPv4 set of IpPrefix must order by address, then
+// length, the order reports have always had.
+TEST(PrefixTest, Ipv4SetOrdersByAddressThenLength) {
+  std::set<IpPrefix> set{
+      IpPrefix(Ipv4Address(10, 9, 0, 0), 24),
+      IpPrefix(Ipv4Address(10, 0, 0, 0), 8),
+      IpPrefix(Ipv4Address(9, 255, 0, 0), 16),
+      IpPrefix(Ipv4Address(10, 0, 0, 0), 16),
+      IpPrefix(Ipv4Address(0, 0, 0, 0), 0),
+      IpPrefix(Ipv4Address(10, 9, 0, 0), 16),
+  };
+  std::vector<std::string> order;
+  for (const IpPrefix& p : set) order.push_back(p.ToString());
+  EXPECT_EQ(order, (std::vector<std::string>{
+                       "0.0.0.0/0", "9.255.0.0/16", "10.0.0.0/8",
+                       "10.0.0.0/16", "10.9.0.0/16", "10.9.0.0/24"}));
 }
 
 TEST(IpWildcardTest, PrefixWildcardMatches) {
-  IpWildcard w(Prefix(Ipv4Address(10, 9, 0, 0), 16));
+  IpWildcard w(IpPrefix(Ipv4Address(10, 9, 0, 0), 16));
+  EXPECT_EQ(w.wildcard_bits(), 0x0000FFFFu);
   EXPECT_TRUE(w.Matches(Ipv4Address(10, 9, 42, 1)));
   EXPECT_FALSE(w.Matches(Ipv4Address(10, 8, 42, 1)));
 }
@@ -142,7 +185,7 @@ TEST(IpWildcardTest, ContiguousWildcardIsPrefixShaped) {
   EXPECT_TRUE(w.Matches(Ipv4Address(9, 140, 0, 7)));
   EXPECT_TRUE(w.Matches(Ipv4Address(9, 140, 1, 200)));
   EXPECT_FALSE(w.Matches(Ipv4Address(9, 140, 2, 0)));
-  auto p = w.AsPrefix();
+  auto p = w.AsIpPrefix();
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->ToString(), "9.140.0.0/23");
 }
@@ -154,12 +197,12 @@ TEST(IpWildcardTest, NonContiguousWildcard) {
   EXPECT_TRUE(w.Matches(Ipv4Address(9, 140, 0, 9)));
   EXPECT_TRUE(w.Matches(Ipv4Address(9, 140, 1, 9)));
   EXPECT_FALSE(w.Matches(Ipv4Address(9, 140, 0, 8)));
-  EXPECT_FALSE(w.AsPrefix().has_value());
+  EXPECT_FALSE(w.AsIpPrefix().has_value());
 }
 
 TEST(IpWildcardTest, AsPrefixRoundTrip) {
-  Prefix p(Ipv4Address(172, 16, 0, 0), 12);
-  auto back = IpWildcard(p).AsPrefix();
+  IpPrefix p(Ipv4Address(172, 16, 0, 0), 12);
+  auto back = IpWildcard(p).AsIpPrefix();
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, p);
 }
@@ -177,9 +220,9 @@ TEST(Ipv4AddressTest, ParseRejectsLeadingZeros) {
   EXPECT_FALSE(Ipv4Address::Parse("010.0.0.1").has_value());
   EXPECT_FALSE(Ipv4Address::Parse("10.01.0.1").has_value());
   EXPECT_FALSE(Ipv4Address::Parse("10.0.0.00").has_value());
-  EXPECT_FALSE(Prefix::Parse("10.0.0.0/08").has_value());
+  EXPECT_FALSE(IpPrefix::Parse("10.0.0.0/08").has_value());
   EXPECT_TRUE(Ipv4Address::Parse("0.0.0.0").has_value());  // Bare zero is fine.
-  EXPECT_TRUE(Prefix::Parse("0.0.0.0/0").has_value());
+  EXPECT_TRUE(IpPrefix::Parse("0.0.0.0/0").has_value());
 }
 
 TEST(Ipv6AddressTest, ParseBasicForms) {
@@ -253,16 +296,23 @@ TEST(Ipv6AddressTest, RandomizedRoundTrip) {
   }
 }
 
-TEST(Prefix6Test, ParseAndCanonicalize) {
-  auto p = Prefix6::Parse("2001:db8::/32");
+TEST(IpPrefixTest, ParseAndCanonicalizeIpv6) {
+  auto p = IpPrefix::Parse("2001:db8::/32");
   ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->family(), AddressFamily::kIpv6);
   EXPECT_EQ(p->length(), 32);
   EXPECT_EQ(p->ToString(), "2001:db8::/32");
   // Host bits are zeroed.
-  EXPECT_EQ(Prefix6::Parse("2001:db8::ff/32")->address().bits(),
-            Prefix6::Parse("2001:db8::/32")->address().bits());
-  EXPECT_FALSE(Prefix6::Parse("2001:db8::/129").has_value());
-  EXPECT_FALSE(Prefix6::Parse("2001:db8::").has_value());
+  EXPECT_EQ(*IpPrefix::Parse("2001:db8::ff/32"), *p);
+  EXPECT_EQ(IpPrefix(*Ipv6Address::Parse("2001:db8::ff"), 32), *p);
+  EXPECT_TRUE(IpPrefix::Parse("::/0").has_value());
+  EXPECT_TRUE(IpPrefix::Parse("2001:db8::1/128").has_value());
+  EXPECT_FALSE(IpPrefix::Parse("2001:db8::/129").has_value());
+  EXPECT_FALSE(IpPrefix::Parse("2001:db8::").has_value());
+  EXPECT_FALSE(IpPrefix::Parse("2001:db8::/32 ").has_value());
+  EXPECT_FALSE(IpPrefix::Parse("2001:db8::/032").has_value());
+  EXPECT_FALSE(IpPrefix::Parse("2001:db8:::/32").has_value());
+  EXPECT_FALSE(IpPrefix::Parse("2001:dg8::/32").has_value());
 }
 
 TEST(IpPrefixTest, ParseEitherFamily) {
@@ -282,7 +332,7 @@ TEST(IpPrefixTest, ParseEitherFamily) {
 }
 
 TEST(IpWildcardTest, Ipv6PrefixShapedWildcard) {
-  IpWildcard w(*Prefix6::Parse("2001:db8::/32"));
+  IpWildcard w(*IpPrefix::Parse("2001:db8::/32"));
   EXPECT_EQ(w.family(), AddressFamily::kIpv6);
   EXPECT_TRUE(w.Matches(*Ipv6Address::Parse("2001:db8::1")));
   EXPECT_FALSE(w.Matches(*Ipv6Address::Parse("2001:db9::1")));
@@ -291,7 +341,7 @@ TEST(IpWildcardTest, Ipv6PrefixShapedWildcard) {
   auto back = w.AsIpPrefix();
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->ToString(), "2001:db8::/32");
-  EXPECT_FALSE(w.AsPrefix().has_value());  // 32-bit view is v4-only.
+  EXPECT_EQ(w.wildcard_wide(), U128(0xFFFFFFFFull, ~0ull));
 }
 
 TEST(IpWildcardTest, AnyOfEachFamily) {

@@ -6,39 +6,40 @@ namespace campion::util {
 namespace {
 
 PrefixRange Range(const char* prefix, int low, int high) {
-  return PrefixRange(*Prefix::Parse(prefix), low, high);
+  return PrefixRange(*IpPrefix::Parse(prefix), low, high);
 }
 
 TEST(PrefixRangeTest, UniverseContainsEverything) {
   PrefixRange u = PrefixRange::Universe();
-  EXPECT_TRUE(u.Contains(*Prefix::Parse("0.0.0.0/0")));
-  EXPECT_TRUE(u.Contains(*Prefix::Parse("10.9.1.0/24")));
-  EXPECT_TRUE(u.Contains(*Prefix::Parse("255.255.255.255/32")));
+  EXPECT_TRUE(u.Contains(*IpPrefix::Parse("0.0.0.0/0")));
+  EXPECT_TRUE(u.Contains(*IpPrefix::Parse("10.9.1.0/24")));
+  EXPECT_TRUE(u.Contains(*IpPrefix::Parse("255.255.255.255/32")));
 }
 
 TEST(PrefixRangeTest, MembershipPaperExamples) {
   // From §3.2: 1.2.3.0/24 is a member of (1.2.0.0/16, 16-32).
-  EXPECT_TRUE(Range("1.2.0.0/16", 16, 32).Contains(*Prefix::Parse("1.2.3.0/24")));
+  EXPECT_TRUE(
+      Range("1.2.0.0/16", 16, 32).Contains(*IpPrefix::Parse("1.2.3.0/24")));
   // (1.0.0.0/8, 24-24) is the set of prefixes of length 24 starting with 1.
   PrefixRange slash24s = Range("1.0.0.0/8", 24, 24);
-  EXPECT_TRUE(slash24s.Contains(*Prefix::Parse("1.2.3.0/24")));
-  EXPECT_FALSE(slash24s.Contains(*Prefix::Parse("1.2.0.0/16")));
-  EXPECT_FALSE(slash24s.Contains(*Prefix::Parse("2.2.3.0/24")));
+  EXPECT_TRUE(slash24s.Contains(*IpPrefix::Parse("1.2.3.0/24")));
+  EXPECT_FALSE(slash24s.Contains(*IpPrefix::Parse("1.2.0.0/16")));
+  EXPECT_FALSE(slash24s.Contains(*IpPrefix::Parse("2.2.3.0/24")));
 }
 
 TEST(PrefixRangeTest, ExactRangeMatchesOnlyItself) {
-  PrefixRange exact(*Prefix::Parse("10.9.0.0/16"));
-  EXPECT_TRUE(exact.Contains(*Prefix::Parse("10.9.0.0/16")));
-  EXPECT_FALSE(exact.Contains(*Prefix::Parse("10.9.1.0/24")));
-  EXPECT_FALSE(exact.Contains(*Prefix::Parse("10.8.0.0/15")));
+  PrefixRange exact(*IpPrefix::Parse("10.9.0.0/16"));
+  EXPECT_TRUE(exact.Contains(*IpPrefix::Parse("10.9.0.0/16")));
+  EXPECT_FALSE(exact.Contains(*IpPrefix::Parse("10.9.1.0/24")));
+  EXPECT_FALSE(exact.Contains(*IpPrefix::Parse("10.8.0.0/15")));
 }
 
 TEST(PrefixRangeTest, LengthWindowBoundaries) {
   PrefixRange r = Range("10.0.0.0/8", 16, 24);
-  EXPECT_FALSE(r.Contains(*Prefix::Parse("10.1.0.0/15")));
-  EXPECT_TRUE(r.Contains(*Prefix::Parse("10.1.0.0/16")));
-  EXPECT_TRUE(r.Contains(*Prefix::Parse("10.1.2.0/24")));
-  EXPECT_FALSE(r.Contains(*Prefix::Parse("10.1.2.0/25")));
+  EXPECT_FALSE(r.Contains(*IpPrefix::Parse("10.1.0.0/15")));
+  EXPECT_TRUE(r.Contains(*IpPrefix::Parse("10.1.0.0/16")));
+  EXPECT_TRUE(r.Contains(*IpPrefix::Parse("10.1.2.0/24")));
+  EXPECT_FALSE(r.Contains(*IpPrefix::Parse("10.1.2.0/25")));
 }
 
 TEST(PrefixRangeTest, EmptyWindow) {
@@ -90,7 +91,7 @@ TEST(PrefixRangeTest, IntersectNestedBaseTakesLonger) {
   auto meet =
       Range("10.0.0.0/8", 8, 32).Intersect(Range("10.9.0.0/16", 16, 24));
   ASSERT_TRUE(meet.has_value());
-  EXPECT_EQ(meet->prefix(), *Prefix::Parse("10.9.0.0/16"));
+  EXPECT_EQ(meet->prefix(), *IpPrefix::Parse("10.9.0.0/16"));
   EXPECT_EQ(meet->low(), 16);
   EXPECT_EQ(meet->high(), 24);
 }
@@ -128,7 +129,7 @@ TEST(PrefixRangeTest, IntersectionMembershipIsConjunction) {
   for (std::uint32_t addr : {0x0A100000u, 0x0A180000u, 0x0A000000u,
                              0x0B000000u, 0x0A1F0000u}) {
     for (int len : {8, 12, 13, 14, 20, 24, 25, 30, 32}) {
-      Prefix p(Ipv4Address(addr), len);
+      IpPrefix p(Ipv4Address(addr), len);
       EXPECT_EQ(meet->Contains(p), a.Contains(p) && b.Contains(p))
           << p.ToString();
     }
