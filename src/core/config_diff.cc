@@ -119,8 +119,8 @@ std::vector<PresentedDifference> DiffRouteMapPairImpl(
   std::vector<PresentedDifference> presented;
   presented.reserve(diffs.size());
   if (!diffs.empty()) {
-    // One localizer for all of the pair's differences: node BDDs are
-    // encoded on the pair's manager once, remainders are shared.
+    // One localizer for all of the pair's differences: its length windows
+    // are encoded on the pair's manager once, remainders are shared.
     HeaderLocalizer localizer(mgr, route_dag, layout.prefix_encoding());
     for (const auto& diff : diffs) {
       presented.push_back(PresentRouteMapDifference(layout, diff, config1,

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <bitset>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -108,9 +111,15 @@ HeaderLocalizer::HeaderLocalizer(bdd::BddManager& mgr,
       remainders_(dag.size(), kUncomputed) {
   obs::ScopedSpan span("localize_encode");
   const std::size_t arena_before = mgr_.ArenaSize();
-  node_bdds_.reserve(dag.size());
-  for (std::size_t n = 0; n < dag.size(); ++n) {
-    node_bdds_.push_back(encoding_.MatchRange(mgr_, dag.label(n)));
+  root_bdd_ = encoding_.MatchRange(mgr_, dag.label(dag.root()));
+  // Windows by clamped (low, high): DAG nodes share few of them.
+  std::map<std::pair<int, int>, bdd::BddRef> windows;
+  windows_.reserve(dag.size());
+  for (const util::PrefixRange& label : dag.labels()) {
+    auto [it, fresh] = windows.try_emplace(
+        {label.EffectiveLow(), label.EffectiveHigh()}, bdd::kFalse);
+    if (fresh) it->second = encoding_.MatchWindow(mgr_, label);
+    windows_.push_back(it->second);
   }
   span.AddAttr("dag_nodes", static_cast<double>(dag.size()));
   span.AddAttr("bdd_nodes_created",
@@ -119,12 +128,17 @@ HeaderLocalizer::HeaderLocalizer(bdd::BddManager& mgr,
 
 // The GetMatch recursion of §3.2.
 std::vector<HeaderLocalizer::MatchTerm> HeaderLocalizer::GetMatch(
-    bdd::BddRef set, std::size_t node) {
-  bdd::BddRef node_bdd = node_bdds_[node];
+    bdd::BddRef set, std::size_t node, bdd::BddRef above) {
   // Short-circuits (these also keep the output minimal): a node disjoint
   // from S contributes nothing; a node fully inside S is itself a term.
-  if (!mgr_.Intersects(node_bdd, set)) return {};
-  if (mgr_.Subset(node_bdd, set)) return {{dag_.label(node), {}}};
+  // The node's range is its prefix bits and its window, and the window
+  // lies below those bits, so both tests read the window against S's
+  // cofactor at the prefix. A child's base prefix extends its parent's, so
+  // the walk resumes from the parent's cofactor.
+  const bdd::BddRef window = windows_[node];
+  const bdd::BddRef cofactor = Cofactor(above, node);
+  if (!mgr_.Intersects(window, cofactor)) return {};
+  if (mgr_.Subset(window, cofactor)) return {{dag_.label(node), {}}};
 
   if (dag_.IsLeaf(node)) {
     // By construction (S built from the DAG's ranges) a leaf is contained
@@ -137,7 +151,8 @@ std::vector<HeaderLocalizer::MatchTerm> HeaderLocalizer::GetMatch(
     // R's remainder is in S: include R, minus the child parts not in S.
     MatchTerm term{dag_.label(node), {}};
     for (std::size_t child : dag_.children(node)) {
-      auto nonmatches = GetMatch(mgr_.Not(set), child);
+      auto nonmatches =
+          GetMatch(mgr_.Not(set), child, mgr_.Not(cofactor));
       term.subtracted.insert(term.subtracted.end(), nonmatches.begin(),
                              nonmatches.end());
     }
@@ -146,10 +161,25 @@ std::vector<HeaderLocalizer::MatchTerm> HeaderLocalizer::GetMatch(
   // Otherwise recurse and union the children's results.
   std::vector<MatchTerm> result;
   for (std::size_t child : dag_.children(node)) {
-    auto sub = GetMatch(set, child);
+    auto sub = GetMatch(set, child, cofactor);
     result.insert(result.end(), sub.begin(), sub.end());
   }
   return result;
+}
+
+bdd::BddRef HeaderLocalizer::Cofactor(bdd::BddRef set,
+                                      std::size_t node) const {
+  const util::IpPrefix& prefix = dag_.label(node).prefix();
+  const util::U128 bits = prefix.address().bits();
+  const encode::SymbolicField& address = encoding_.address;
+  const bdd::Var end = address.VarAt(prefix.length());
+  // Localize checked that no variable lies above the address field.
+  while (!mgr_.IsTerminal(set) && mgr_.NodeVar(set) < end) {
+    const int depth = static_cast<int>(mgr_.NodeVar(set) - address.first_var());
+    set = bits.Bit(address.width() - 1 - depth) ? mgr_.NodeHigh(set)
+                                                : mgr_.NodeLow(set);
+  }
+  return set;
 }
 
 bdd::BddRef HeaderLocalizer::Remainder(std::size_t node) {
@@ -230,12 +260,18 @@ PrefixRangeDag BuildLocalizeDag(std::vector<util::PrefixRange> ranges,
 HeaderLocalizeResult HeaderLocalizer::Localize(bdd::BddRef set) {
   obs::ScopedSpan span("header_localize");
   const std::size_t arena_before = mgr_.ArenaSize();
+  // Cofactor reads every variable above a base length as an address bit.
+  if (!mgr_.IsTerminal(set) &&
+      mgr_.NodeVar(set) < encoding_.address.first_var()) {
+    throw std::logic_error(
+        "HeaderLocalizer::Localize: set branches above the address field");
+  }
   // Work within the universe: S may be a complement reaching outside it.
-  bdd::BddRef clipped = mgr_.And(set, node_bdds_[dag_.root()]);
+  bdd::BddRef clipped = mgr_.And(set, root_bdd_);
   HeaderLocalizeResult result;
   obs::Count("localize.calls");
   if (clipped != bdd::kFalse) {
-    for (const auto& term : GetMatch(clipped, dag_.root())) {
+    for (const auto& term : GetMatch(clipped, dag_.root(), clipped)) {
       FlattenInto(term, result.terms);
     }
     span.AddAttr("dag_nodes", static_cast<double>(dag_.size()));

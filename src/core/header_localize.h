@@ -8,15 +8,18 @@
 // The algorithm runs over the prefix-range containment DAG (core/ddnf.h)
 // built from every range constant appearing in the two configurations. That
 // DAG is an invariant of a comparison, so it is built once (BuildLocalizeDag)
-// and a HeaderLocalizer associates each node with its symbolic member set
-// once, then localizes any number of sets with the recursive GetMatch
-// traversal: a node whose remainder lies inside S contributes its range
-// minus the children not in S (computed by recursing on ¬S); otherwise the
-// children are visited and their results unioned. A final pass removes
-// nested differences, e.g. C − (F − G) becomes {C − F, G}.
+// and a HeaderLocalizer localizes any number of sets over it with the
+// recursive GetMatch traversal: a node whose remainder lies inside S
+// contributes its range minus the children not in S (computed by recursing
+// on ¬S); otherwise the children are visited and their results unioned. A
+// final pass removes nested differences, e.g. C − (F − G) becomes {C − F, G}.
 //
-// The localizer knows the prefix encoding (encode::PrefixEncoding), so it
-// builds each remainder directly as one prefix trie of Branch nodes.
+// The localizer knows the prefix encoding (encode::PrefixEncoding). A node's
+// range is its base prefix's bits conjoined with a length window over later
+// variables, so GetMatch never builds a node's set: it asks whether the
+// window meets, or lies inside, the cofactor of S at the base prefix (S
+// walked down the prefix bits). Each remainder is built directly as one
+// prefix trie of Branch nodes.
 
 #include <cstddef>
 #include <string>
@@ -46,8 +49,10 @@ struct HeaderLocalizeResult {
 PrefixRangeDag BuildLocalizeDag(std::vector<util::PrefixRange> ranges,
                                 util::PrefixRange universe);
 
-// Localizes sets against one DAG on one manager. Construction encodes every
-// node's range once (a `localize_encode` span); the remainder of each
+// Localizes sets against one DAG on one manager. Construction (a
+// `localize_encode` span) encodes the root's range, to clip S to the
+// universe, and one length window per distinct clamped window of the DAG's
+// nodes; no other node's range is ever encoded. The remainder of each
 // internal node (its range minus its children) does not depend on the
 // localized set and is memoized across calls. The DAG and the manager must
 // outlive the localizer.
@@ -62,7 +67,8 @@ class HeaderLocalizer {
 
   // `set` must be a predicate over the prefix encoding only (project other
   // variables out first), built from the DAG's range constants. Parts of
-  // `set` outside the universe are ignored.
+  // `set` outside the universe are ignored. A set branching on a variable
+  // above the address field throws std::logic_error.
   HeaderLocalizeResult Localize(bdd::BddRef set);
 
   // The remainder of internal node `node`: its range minus its children's.
@@ -74,14 +80,23 @@ class HeaderLocalizer {
   struct MatchTerm;
   static constexpr bdd::BddRef kUncomputed = ~bdd::BddRef{0};
 
-  std::vector<MatchTerm> GetMatch(bdd::BddRef set, std::size_t node);
+  // `above` is `set`'s cofactor at the base prefix of a range containing
+  // `node`'s (`set` itself at the root), where the walk to `node`'s own
+  // cofactor resumes.
+  std::vector<MatchTerm> GetMatch(bdd::BddRef set, std::size_t node,
+                                  bdd::BddRef above);
+  // `set` with the address bits above `node`'s base length fixed to its
+  // base prefix: a walk down `set` that creates no BDD node.
+  bdd::BddRef Cofactor(bdd::BddRef set, std::size_t node) const;
   static void FlattenInto(const MatchTerm& term,
                           std::vector<util::PrefixRangeTerm>& out);
 
   bdd::BddManager& mgr_;
   const PrefixRangeDag& dag_;
   encode::PrefixEncoding encoding_;
-  std::vector<bdd::BddRef> node_bdds_;
+  bdd::BddRef root_bdd_ = bdd::kFalse;
+  // Each node's length window over the length field (kTrue without one).
+  std::vector<bdd::BddRef> windows_;
   std::vector<bdd::BddRef> remainders_;
 };
 

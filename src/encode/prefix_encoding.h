@@ -4,7 +4,7 @@
 // carry an address field and a prefix-length field (RouteAdvLayout); ACL
 // packets carry host addresses with no length (PacketLayout's destination
 // and source fields), so a range there denotes the address set of its base
-// prefix. HeaderLocalize builds its node and remainder sets from these
+// prefix. HeaderLocalize builds its windows and remainder sets from these
 // fields directly, so it shares this one range encoder with the layouts.
 
 #include <optional>
@@ -26,6 +26,10 @@ struct PrefixEncoding {
   // unconstrained. An empty window is false.
   bdd::BddRef MatchRange(bdd::BddManager& mgr,
                          const util::PrefixRange& range) const;
+  // The length-field part of MatchRange alone: `range`'s clamped window
+  // (false when empty), or true for a host-address encoding.
+  bdd::BddRef MatchWindow(bdd::BddManager& mgr,
+                          const util::PrefixRange& range) const;
 };
 
 }  // namespace campion::encode

@@ -4,6 +4,7 @@
 #include <array>
 #include <charconv>
 #include <cstring>
+#include <utility>
 
 namespace campion::frontend {
 namespace {
@@ -124,6 +125,20 @@ std::optional<std::uint32_t> ParseU32(std::string_view token) {
   auto [ptr, ec] = std::from_chars(token.data(), end, value);
   if (ec != std::errc() || ptr != end) return std::nullopt;
   return value;
+}
+
+std::optional<std::uint16_t> ParsePort(std::string_view token) {
+  if (auto n = ParseU32(token); n && *n <= 65535) {
+    return static_cast<std::uint16_t>(*n);
+  }
+  static constexpr std::pair<std::string_view, std::uint16_t> kServices[] = {
+      {"bgp", 179},   {"domain", 53}, {"ftp", 21}, {"ssh", 22},
+      {"telnet", 23}, {"smtp", 25},   {"www", 80}, {"snmp", 161},
+  };
+  for (const auto& [name, port] : kServices) {
+    if (token == name) return port;
+  }
+  return std::nullopt;
 }
 
 }  // namespace campion::frontend

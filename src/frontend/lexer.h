@@ -74,4 +74,9 @@ class JunosLexer {
 // no blanks, no overflow).
 std::optional<std::uint32_t> ParseU32(std::string_view token);
 
+// A port operand of either vendor's filters: a decimal number up to 65535
+// or one of the well-known service names in the one table both parsers
+// share; nullopt for anything else.
+std::optional<std::uint16_t> ParsePort(std::string_view token);
+
 }  // namespace campion::frontend

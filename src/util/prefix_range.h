@@ -69,10 +69,8 @@ class PrefixRange {
   // Renders as "10.9.0.0/16 : 16-32", matching the paper's tables.
   std::string ToString() const;
 
-  friend constexpr auto operator<=>(const PrefixRange&,
-                                    const PrefixRange&) = default;
-
- private:
+  // The member lengths: [low, high] clamped to [base length, family
+  // maximum]. Empty when EffectiveLow() > EffectiveHigh().
   constexpr int EffectiveLow() const {
     return low_ < prefix_.length() ? prefix_.length() : low_;
   }
@@ -81,6 +79,10 @@ class PrefixRange {
     return high_ > max ? max : high_;
   }
 
+  friend constexpr auto operator<=>(const PrefixRange&,
+                                    const PrefixRange&) = default;
+
+ private:
   IpPrefix prefix_;
   int low_ = 0;
   int high_ = 0;

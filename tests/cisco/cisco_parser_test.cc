@@ -528,5 +528,57 @@ TEST(CiscoParserTest, RouteMapMatchIpv6AddressPrefixList) {
             std::vector<std::string>{"NETS6"});
 }
 
+// Port operands: numbers up to 65535 and the shared service names parse;
+// anything else (an unknown name, a number past 65535) is diagnosed and
+// skips the line instead of becoming some other port.
+TEST(CiscoParserTest, AclPortOperandsTable) {
+  struct Case {
+    const char* line;
+    std::vector<ir::PortRange> src_ports;
+    std::vector<ir::PortRange> dst_ports;
+  };
+  const Case parsed[] = {
+      {"permit tcp any any eq ssh", {}, {{22, 22}}},
+      {"permit tcp any any eq www", {}, {{80, 80}}},
+      {"permit udp any any eq snmp", {}, {{161, 161}}},
+      {"permit tcp any eq bgp any", {{179, 179}}, {}},
+      {"permit tcp any any range ftp telnet", {}, {{21, 23}}},
+      {"permit tcp any any eq 65535", {}, {{65535, 65535}}},
+      {"permit tcp any any gt smtp", {}, {{26, 65535}}},
+      {"permit udp any any lt domain", {}, {{0, 52}}},
+  };
+  for (const Case& c : parsed) {
+    SCOPED_TRACE(c.line);
+    auto result = ParseCiscoConfig(
+        std::string("ip access-list extended P\n ") + c.line + "\n", "c.cfg");
+    EXPECT_TRUE(result.diagnostics.empty());
+    const ir::Acl* acl = result.config.FindAcl("P");
+    ASSERT_NE(acl, nullptr);
+    ASSERT_EQ(acl->lines.size(), 1u);
+    EXPECT_EQ(acl->lines[0].src_ports, c.src_ports);
+    EXPECT_EQ(acl->lines[0].dst_ports, c.dst_ports);
+  }
+  const char* rejected[] = {
+      "permit tcp any any eq bogus",
+      "permit tcp any any eq 65536",
+      "permit tcp any any range 1024 70000",
+      "permit tcp any eq gopher any",
+      "permit tcp any any gt 99999",
+      "permit tcp any any lt http",
+  };
+  for (const char* line : rejected) {
+    SCOPED_TRACE(line);
+    // The diagnostic quotes the raw line, indentation included.
+    const std::string raw = std::string(" ") + line;
+    auto result = ParseCiscoConfig(
+        "ip access-list extended P\n" + raw + "\n", "c.cfg");
+    EXPECT_EQ(result.diagnostics,
+              std::vector<std::string>{"c.cfg:2: bad acl port: " + raw});
+    const ir::Acl* acl = result.config.FindAcl("P");
+    ASSERT_NE(acl, nullptr);
+    EXPECT_TRUE(acl->lines.empty());
+  }
+}
+
 }  // namespace
 }  // namespace campion::cisco

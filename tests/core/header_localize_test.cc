@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 #include <random>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
+#include "core/present.h"
 #include "encode/packet.h"
 #include "encode/route_adv.h"
+#include "frontend/loader.h"
 
 namespace campion::core {
 namespace {
@@ -298,19 +305,16 @@ BddRef LoopRemainder(BddManager& mgr, const std::vector<BddRef>& node_bdds,
   return rem;
 }
 
-class RemainderOracleTest : public ::testing::TestWithParam<OracleCase> {};
-
-TEST_P(RemainderOracleTest, TrieMatchesDiffLoop) {
-  const OracleCase& param = GetParam();
-  const int width = util::AddressWidth(param.family);
-  std::mt19937_64 rng(param.seed);
-
-  // Nested prefixes: the top bits stay fixed, a few bits at fixed strides
-  // below vary, so ranges share bases, nest, and meet at every depth.
-  const util::U128 top = param.family == util::AddressFamily::kIpv4
+// 60 nested prefixes: the top bits stay fixed, a few bits at fixed strides
+// below vary, so ranges share bases, nest, and meet at every depth. Without
+// a length field they are host-address ranges (window /width-width).
+std::vector<PrefixRange> NestedPool(util::AddressFamily family,
+                                    bool length_field, std::mt19937_64& rng) {
+  const int width = util::AddressWidth(family);
+  const util::U128 top = family == util::AddressFamily::kIpv4
                              ? util::U128(10u << 24)
                              : util::U128(0x20010db800000000ull, 0);
-  const int fixed = param.family == util::AddressFamily::kIpv4 ? 8 : 32;
+  const int fixed = family == util::AddressFamily::kIpv4 ? 8 : 32;
   std::vector<PrefixRange> pool;
   for (int i = 0; i < 60; ++i) {
     util::U128 bits = top;
@@ -318,8 +322,8 @@ TEST_P(RemainderOracleTest, TrieMatchesDiffLoop) {
       bits = bits | (util::U128(rng() % 2) << (width - 1 - at));
     }
     const int length = fixed + 1 + static_cast<int>(rng() % (width - fixed));
-    const util::IpPrefix prefix(param.family, bits, length);
-    if (!param.length_field) {
+    const util::IpPrefix prefix(family, bits, length);
+    if (!length_field) {
       pool.emplace_back(prefix, width, width);
       continue;
     }
@@ -327,12 +331,24 @@ TEST_P(RemainderOracleTest, TrieMatchesDiffLoop) {
     const int high = low + static_cast<int>(rng() % (width + 1 - low));
     pool.emplace_back(prefix, low, high);
   }
-  const PrefixRange universe =
-      param.length_field
-          ? PrefixRange::UniverseOf(param.family)
-          : PrefixRange(util::IpPrefix(param.family, util::U128(), 0), width,
-                        width);
-  PrefixRangeDag dag(pool, universe);
+  return pool;
+}
+
+// The root of NestedPool's DAG: every advertisement, or every host address.
+PrefixRange NestedUniverse(util::AddressFamily family, bool length_field) {
+  const int width = util::AddressWidth(family);
+  return length_field ? PrefixRange::UniverseOf(family)
+                      : PrefixRange(util::IpPrefix(family, util::U128(), 0),
+                                    width, width);
+}
+
+class RemainderOracleTest : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(RemainderOracleTest, TrieMatchesDiffLoop) {
+  const OracleCase& param = GetParam();
+  std::mt19937_64 rng(param.seed);
+  PrefixRangeDag dag(NestedPool(param.family, param.length_field, rng),
+                     NestedUniverse(param.family, param.length_field));
 
   BddManager mgr;
   encode::RouteAdvLayout routes(mgr, {}, param.family);
@@ -359,6 +375,228 @@ TEST_P(RemainderOracleTest, TrieMatchesDiffLoop) {
 
 INSTANTIATE_TEST_SUITE_P(Oracle, RemainderOracleTest,
                          ::testing::ValuesIn(OracleCases()));
+
+// GetMatch as it stood when every DAG node had its own BDD, kept verbatim
+// as the oracle of the cofactor tests that replaced it: each node's range
+// is encoded in full and tested against S, and remainders are the
+// one-Diff-per-child loop.
+class NodeBddLocalizer {
+ public:
+  NodeBddLocalizer(BddManager& mgr, const PrefixRangeDag& dag,
+                   const encode::PrefixEncoding& encoding)
+      : mgr_(mgr), dag_(dag) {
+    for (const PrefixRange& label : dag.labels()) {
+      node_bdds_.push_back(encoding.MatchRange(mgr, label));
+    }
+  }
+
+  std::vector<util::PrefixRangeTerm> Localize(BddRef set) {
+    BddRef clipped = mgr_.And(set, node_bdds_[dag_.root()]);
+    std::vector<util::PrefixRangeTerm> terms;
+    if (clipped != bdd::kFalse) {
+      for (const auto& term : GetMatch(clipped, dag_.root())) {
+        FlattenInto(term, terms);
+      }
+    }
+    return terms;
+  }
+
+ private:
+  struct MatchTerm {
+    util::PrefixRange range;
+    std::vector<MatchTerm> subtracted;
+  };
+
+  std::vector<MatchTerm> GetMatch(BddRef set, std::size_t node) {
+    BddRef node_bdd = node_bdds_[node];
+    // Short-circuits (these also keep the output minimal): a node disjoint
+    // from S contributes nothing; a node fully inside S is itself a term.
+    if (!mgr_.Intersects(node_bdd, set)) return {};
+    if (mgr_.Subset(node_bdd, set)) return {{dag_.label(node), {}}};
+
+    if (dag_.IsLeaf(node)) {
+      // By construction (S built from the DAG's ranges) a leaf is contained
+      // in S or disjoint from it; both cases were handled above. If S used
+      // a range we were not given, fall back to reporting the overlap.
+      return {{dag_.label(node), {}}};
+    }
+
+    if (mgr_.Subset(LoopRemainder(mgr_, node_bdds_, dag_, node), set)) {
+      // R's remainder is in S: include R, minus the child parts not in S.
+      MatchTerm term{dag_.label(node), {}};
+      for (std::size_t child : dag_.children(node)) {
+        auto nonmatches = GetMatch(mgr_.Not(set), child);
+        term.subtracted.insert(term.subtracted.end(), nonmatches.begin(),
+                               nonmatches.end());
+      }
+      return {std::move(term)};
+    }
+    // Otherwise recurse and union the children's results.
+    std::vector<MatchTerm> result;
+    for (std::size_t child : dag_.children(node)) {
+      auto sub = GetMatch(set, child);
+      result.insert(result.end(), sub.begin(), sub.end());
+    }
+    return result;
+  }
+
+  static void FlattenInto(const MatchTerm& term,
+                          std::vector<util::PrefixRangeTerm>& out) {
+    util::PrefixRangeTerm flat{term.range, {}};
+    for (const auto& sub : term.subtracted) {
+      flat.exclude.push_back(sub.range);
+    }
+    std::sort(flat.exclude.begin(), flat.exclude.end());
+    out.push_back(std::move(flat));
+    for (const auto& sub : term.subtracted) {
+      for (const auto& nested : sub.subtracted) {
+        FlattenInto(nested, out);
+      }
+    }
+  }
+
+  BddManager& mgr_;
+  const PrefixRangeDag& dag_;
+  std::vector<BddRef> node_bdds_;
+};
+
+// Which prefix encoding a localizer oracle case runs on: route
+// advertisements (address and length fields), or a PacketLayout host
+// address field. The two packet fields sit at different variable offsets.
+enum class OracleField { kRoute, kDst, kSrc };
+
+struct LocalizerOracleCase {
+  util::AddressFamily family;
+  OracleField field;
+  int seed;
+};
+
+void PrintTo(const LocalizerOracleCase& c, std::ostream* os) {
+  static constexpr const char* kFields[] = {"route_", "dst_", "src_"};
+  *os << (c.family == util::AddressFamily::kIpv4 ? "ipv4_" : "ipv6_")
+      << kFields[static_cast<int>(c.field)] << c.seed;
+}
+
+std::vector<LocalizerOracleCase> LocalizerOracleCases() {
+  std::vector<LocalizerOracleCase> cases;
+  for (auto family : {util::AddressFamily::kIpv4, util::AddressFamily::kIpv6}) {
+    for (auto field : {OracleField::kRoute, OracleField::kDst,
+                       OracleField::kSrc}) {
+      for (int seed = 1; seed <= 6; ++seed) {
+        cases.push_back({family, field, seed});
+      }
+    }
+  }
+  return cases;
+}
+
+class HeaderLocalizerOracleTest
+    : public ::testing::TestWithParam<LocalizerOracleCase> {};
+
+// Localize's terms must equal the node-BDD GetMatch's, term for term, on
+// random unions, intersections and differences of the DAG's own ranges and
+// their complements.
+TEST_P(HeaderLocalizerOracleTest, CofactorTestsMatchNodeBdds) {
+  const LocalizerOracleCase& param = GetParam();
+  const bool length_field = param.field == OracleField::kRoute;
+  std::mt19937_64 rng(param.seed);
+  PrefixRangeDag dag(NestedPool(param.family, length_field, rng),
+                     NestedUniverse(param.family, length_field));
+
+  BddManager mgr;
+  encode::RouteAdvLayout routes(mgr, {}, param.family);
+  encode::PacketLayout packets(mgr, param.family);
+  const encode::PrefixEncoding encoding =
+      param.field == OracleField::kRoute ? routes.prefix_encoding()
+      : param.field == OracleField::kDst ? packets.DstPrefixEncoding()
+                                         : packets.SrcPrefixEncoding();
+  HeaderLocalizer localizer(mgr, dag, encoding);
+  NodeBddLocalizer oracle(mgr, dag, encoding);
+
+  auto random_range = [&] {
+    return encoding.MatchRange(mgr, dag.label(rng() % dag.size()));
+  };
+  std::size_t nonempty = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    BddRef s = random_range();
+    for (int step = 0; step < 5; ++step) {
+      BddRef operand = random_range();
+      if (rng() % 4 == 0) operand = mgr.Not(operand);
+      switch (rng() % 3) {
+        case 0: s = mgr.Or(s, operand); break;
+        case 1: s = mgr.And(s, operand); break;
+        default: s = mgr.Diff(s, operand); break;
+      }
+    }
+    for (BddRef set : {s, mgr.Not(s)}) {
+      const auto expected = oracle.Localize(set);
+      const HeaderLocalizeResult actual = localizer.Localize(set);
+      EXPECT_EQ(actual.terms, expected)
+          << "trial " << trial << "\nactual:\n" << actual.ToString();
+      if (!expected.empty()) ++nonempty;
+    }
+  }
+  EXPECT_GT(nonempty, 40u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Oracle, HeaderLocalizerOracleTest,
+                         ::testing::ValuesIn(LocalizerOracleCases()));
+
+// Localize reads every variable above a node's base length as an address
+// bit, so a set still branching on a variable above the address field (not
+// projected onto it) is refused rather than misread.
+TEST(HeaderLocalizerTest, UnprojectedSetThrows) {
+  BddManager mgr;
+  encode::PacketLayout packets(mgr, util::AddressFamily::kIpv4);
+  const encode::PrefixEncoding dst = packets.DstPrefixEncoding();
+  const encode::PrefixEncoding src = packets.SrcPrefixEncoding();
+  ASSERT_LT(src.address.first_var(), dst.address.first_var());
+  const PrefixRange range = Range("10.0.0.0/8", 32, 32);
+  PrefixRangeDag dag({range}, Range("0.0.0.0/0", 32, 32));
+  HeaderLocalizer localizer(mgr, dag, dst);
+
+  const BddRef projected = dst.MatchRange(mgr, range);
+  const BddRef unprojected =
+      mgr.And(src.MatchRange(mgr, range), projected);
+  EXPECT_THROW(localizer.Localize(unprojected), std::logic_error);
+  const HeaderLocalizeResult result = localizer.Localize(projected);
+  ASSERT_EQ(result.terms.size(), 1u);
+  EXPECT_EQ(result.terms[0].include, range);
+}
+
+// Building a localizer encodes the root's range and one length window per
+// distinct clamped window, never a node's range: over the university core
+// pair's route DAG it grows the arena by at most (distinct windows) ×
+// (length-field width) nodes. An encoding per node grows it by every
+// node's prefix chain.
+TEST(HeaderLocalizerTest, ConstructionGrowsArenaByWindowsOnly) {
+  auto load = [](const char* name) {
+    return frontend::LoadConfigFile(
+               std::string(CAMPION_SOURCE_DIR "/examples/configs/") + name)
+        .config;
+  };
+  const ir::RouterConfig cisco = load("university_core_cisco.cfg");
+  const ir::RouterConfig juniper = load("university_core_juniper.conf");
+  const PrefixRangeDag dag = BuildLocalizeDag(
+      RouteMapRanges(cisco, juniper, util::AddressFamily::kIpv4),
+      PrefixRange::Universe());
+  std::set<std::pair<int, int>> windows;
+  for (const PrefixRange& label : dag.labels()) {
+    windows.insert({label.EffectiveLow(), label.EffectiveHigh()});
+  }
+
+  BddManager mgr;
+  encode::RouteAdvLayout layout(mgr, {});
+  const encode::PrefixEncoding encoding = layout.prefix_encoding();
+  const std::size_t bound =
+      windows.size() * static_cast<std::size_t>(encoding.length->width());
+  ASSERT_LT(bound, dag.size());
+
+  const std::size_t before = mgr.ArenaSize();
+  HeaderLocalizer localizer(mgr, dag, encoding);
+  EXPECT_LE(mgr.ArenaSize() - before, bound)
+      << dag.size() << " DAG nodes, " << windows.size() << " windows";
+}
 
 }  // namespace
 }  // namespace campion::core

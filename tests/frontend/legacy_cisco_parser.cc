@@ -9,6 +9,7 @@
 #include <optional>
 #include <sstream>
 
+#include "frontend/lexer.h"
 #include "util/community.h"
 #include "util/text_table.h"
 
@@ -836,41 +837,33 @@ class Parser {
     return IpWildcard(*addr);  // Bare address: host match.
   }
 
-  // Parses an optional port spec at t[i]; advances i.
-  std::vector<ir::PortRange> ParsePortSpec(const std::vector<std::string>& t,
-                                           std::size_t& i) {
+  // Parses an optional port spec at t[i]; advances i. nullopt when an
+  // operand is neither a port number nor a known service name.
+  std::optional<std::vector<ir::PortRange>> ParsePortSpec(
+      const std::vector<std::string>& t, std::size_t& i) {
     std::vector<ir::PortRange> ports;
     if (i >= t.size()) return ports;
-    auto port_number = [&](const std::string& token) -> std::uint16_t {
-      if (auto n = ParseNumber(token); n && *n <= 65535) {
-        return static_cast<std::uint16_t>(*n);
-      }
-      // A handful of well-known service names.
-      if (token == "bgp") return 179;
-      if (token == "domain") return 53;
-      if (token == "ftp") return 21;
-      if (token == "ssh") return 22;
-      if (token == "telnet") return 23;
-      if (token == "smtp") return 25;
-      if (token == "www") return 80;
-      if (token == "snmp") return 161;
-      return 0;
-    };
     if (t[i] == "eq" && i + 1 < t.size()) {
-      std::uint16_t p = port_number(t[i + 1]);
-      ports.push_back({p, p});
+      auto p = frontend::ParsePort(t[i + 1]);
+      if (!p) return std::nullopt;
+      ports.push_back({*p, *p});
       i += 2;
     } else if (t[i] == "range" && i + 2 < t.size()) {
-      ports.push_back({port_number(t[i + 1]), port_number(t[i + 2])});
+      auto low = frontend::ParsePort(t[i + 1]);
+      auto high = frontend::ParsePort(t[i + 2]);
+      if (!low || !high) return std::nullopt;
+      ports.push_back({*low, *high});
       i += 3;
     } else if (t[i] == "gt" && i + 1 < t.size()) {
-      std::uint16_t p = port_number(t[i + 1]);
-      ports.push_back({static_cast<std::uint16_t>(p == 65535 ? 65535 : p + 1),
-                       65535});
+      auto p = frontend::ParsePort(t[i + 1]);
+      if (!p) return std::nullopt;
+      ports.push_back(
+          {static_cast<std::uint16_t>(*p == 65535 ? 65535 : *p + 1), 65535});
       i += 2;
     } else if (t[i] == "lt" && i + 1 < t.size()) {
-      std::uint16_t p = port_number(t[i + 1]);
-      ports.push_back({0, static_cast<std::uint16_t>(p == 0 ? 0 : p - 1)});
+      auto p = frontend::ParsePort(t[i + 1]);
+      if (!p) return std::nullopt;
+      ports.push_back({0, static_cast<std::uint16_t>(*p == 0 ? 0 : *p - 1)});
       i += 2;
     }
     return ports;
@@ -914,11 +907,15 @@ class Parser {
     auto src = ParseAddressSpec(t, i, family);
     if (!src) return Diagnose("bad acl source: " + raw);
     line.src = *src;
-    line.src_ports = ParsePortSpec(t, i);
+    auto src_ports = ParsePortSpec(t, i);
+    if (!src_ports) return Diagnose("bad acl port: " + raw);
+    line.src_ports = std::move(*src_ports);
     auto dst = ParseAddressSpec(t, i, family);
     if (!dst) return Diagnose("bad acl destination: " + raw);
     line.dst = *dst;
-    line.dst_ports = ParsePortSpec(t, i);
+    auto dst_ports = ParsePortSpec(t, i);
+    if (!dst_ports) return Diagnose("bad acl port: " + raw);
+    line.dst_ports = std::move(*dst_ports);
     if ((line.protocol == ir::kProtoIcmp ||
          line.protocol == ir::kProtoIcmpv6) &&
         i < t.size()) {

@@ -10,6 +10,7 @@
 #include <optional>
 #include <sstream>
 
+#include "frontend/lexer.h"
 #include "util/community.h"
 
 namespace campion::legacy_juniper {
@@ -843,6 +844,16 @@ class Converter {
     LineAction action = LineAction::kPermit;
     bool has_action = false;
 
+    // A condition none of whose operands parses drops the whole term.
+    bool dropped = false;
+    auto require = [&](const Node& condition, bool parsed) {
+      if (parsed) return;
+      if (condition.words.size() < 2) {
+        Diagnose(condition, "missing operand: " + condition.Word(0));
+      }
+      dropped = true;
+    };
+
     // source-address/destination-address operands are prefix-shaped in both
     // families ("10.0.0.0/8", "2001:db8::/32").
     auto parse_address = [&](const Node& condition,
@@ -852,31 +863,36 @@ class Converter {
           out.push_back(IpWildcard(*prefix));
         } else {
           Diagnose(condition, std::string("bad ") + what);
+          dropped = true;
         }
       } else if (auto prefix = ParseV4Prefix(condition.Word(1))) {
         out.push_back(IpWildcard(*prefix));
       } else {
         Diagnose(condition, std::string("bad ") + what);
+        dropped = true;
       }
     };
 
     auto parse_ports = [&](const Node& condition,
                            std::vector<ir::PortRange>& ports) {
+      bool parsed = false;
       for (std::size_t i = 1; i < condition.words.size(); ++i) {
         const std::string& word = condition.words[i];
+        std::optional<std::uint16_t> low = frontend::ParsePort(word);
+        std::optional<std::uint16_t> high = low;
         auto dash = word.find('-');
-        if (dash != std::string::npos) {
-          auto low = ParseNumber(word.substr(0, dash));
-          auto high = ParseNumber(word.substr(dash + 1));
-          if (low && high) {
-            ports.push_back({static_cast<std::uint16_t>(*low),
-                             static_cast<std::uint16_t>(*high)});
-          }
-        } else if (auto port = ParseNumber(word)) {
-          ports.push_back({static_cast<std::uint16_t>(*port),
-                           static_cast<std::uint16_t>(*port)});
+        if (!low && dash != std::string::npos) {
+          low = frontend::ParsePort(word.substr(0, dash));
+          high = frontend::ParsePort(word.substr(dash + 1));
+        }
+        if (low && high) {
+          ports.push_back({*low, *high});
+          parsed = true;
+        } else {
+          Diagnose(condition, "bad port: " + word);
         }
       }
+      require(condition, parsed);
     };
 
     if (const Node* from = term.Find("from")) {
@@ -887,14 +903,17 @@ class Converter {
         } else if (kind == "destination-address") {
           parse_address(condition, destinations, "destination-address");
         } else if (kind == "protocol" || kind == "next-header") {
+          bool parsed = false;
           for (std::size_t i = 1; i < condition.words.size(); ++i) {
             if (auto protocol = ParseIpProtocol(condition.words[i])) {
               protocols.push_back(protocol);
+              parsed = true;
             } else {
               Diagnose(condition,
                        "unsupported protocol: " + condition.words[i]);
             }
           }
+          require(condition, parsed);
         } else if (kind == "source-port") {
           parse_ports(condition, src_ports);
         } else if (kind == "destination-port" || kind == "port") {
@@ -905,18 +924,23 @@ class Converter {
           established = true;
         } else if (kind == "icmp-type" || kind == "icmpv6-type") {
           const bool v6 = family == util::AddressFamily::kIpv6;
-          if (auto type = ParseNumber(condition.Word(1))) {
+          if (auto type = ParseNumber(condition.Word(1));
+              type && *type <= 255) {
             icmp_type = static_cast<std::uint8_t>(*type);
           } else if (condition.Word(1) == "echo-request") {
             icmp_type = v6 ? 128 : 8;
           } else if (condition.Word(1) == "echo-reply") {
             icmp_type = v6 ? 129 : 0;
+          } else {
+            Diagnose(condition, "bad icmp-type: " + condition.Word(1));
+            dropped = true;
           }
         } else {
           Diagnose(condition, "unsupported filter condition: " + kind);
         }
       }
     }
+    if (dropped) return;
     const Node* then_node = term.Find("then");
     if (then_node != nullptr) {
       auto apply = [&](const std::string& word) {

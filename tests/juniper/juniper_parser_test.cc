@@ -804,5 +804,90 @@ TEST(JuniperParserTest, OneFamilyPositionsRejectTheOtherFamily) {
   }
 }
 
+// A filter condition none of whose operands parses is diagnosed and drops
+// the whole term; ignoring it would widen the term to every value of the
+// field. Port operands take the service names Cisco takes, and numbers only
+// up to 65535.
+TEST(JuniperParserTest, FilterOperandsNeverWidenATerm) {
+  auto filter = [](const std::string& family, const std::string& from) {
+    return "firewall {\n"
+           "    family " + family + " {\n"
+           "        filter F {\n"
+           "            term t {\n"
+           "                from { " + from + " }\n"
+           "                then discard;\n"
+           "            }\n"
+           "            term rest { then accept; }\n"
+           "        }\n"
+           "    }\n"
+           "}\n";
+  };
+  struct Dropped {
+    const char* family;
+    const char* from;
+    std::vector<std::string> diagnostics;
+  };
+  const Dropped dropped[] = {
+      {"inet", "source-address 2001:db8::/32;",
+       {"j.conf:5: bad source-address"}},
+      {"inet6", "destination-address 10.0.0.0/8;",
+       {"j.conf:5: bad destination-address"}},
+      {"inet", "protocol bogus;", {"j.conf:5: unsupported protocol: bogus"}},
+      {"inet", "protocol tcp; destination-port bogus;",
+       {"j.conf:5: bad port: bogus"}},
+      {"inet", "protocol tcp; destination-port 70000;",
+       {"j.conf:5: bad port: 70000"}},
+      {"inet", "protocol tcp; source-port 1024-65536;",
+       {"j.conf:5: bad port: 1024-65536"}},
+      {"inet", "protocol tcp; destination-port;",
+       {"j.conf:5: missing operand: destination-port"}},
+      {"inet", "protocol icmp; icmp-type 256;",
+       {"j.conf:5: bad icmp-type: 256"}},
+      {"inet", "protocol icmp; icmp-type bogus;",
+       {"j.conf:5: bad icmp-type: bogus"}},
+  };
+  for (const Dropped& c : dropped) {
+    SCOPED_TRACE(c.from);
+    auto result = ParseJuniperConfig(filter(c.family, c.from), "j.conf");
+    EXPECT_EQ(result.diagnostics, c.diagnostics);
+    const ir::Acl* acl = result.config.FindAcl("F");
+    ASSERT_NE(acl, nullptr);
+    // Only `rest` is left: one permit-everything line.
+    ASSERT_EQ(acl->lines.size(), 1u);
+    EXPECT_EQ(acl->lines[0].action, ir::LineAction::kPermit);
+  }
+
+  struct Kept {
+    const char* from;
+    std::vector<std::string> diagnostics;
+    std::vector<ir::PortRange> dst_ports;
+    std::size_t lines;  // One per protocol operand that parsed.
+  };
+  const Kept kept[] = {
+      {"protocol tcp; destination-port ssh;", {}, {{22, 22}}, 1},
+      {"protocol tcp; destination-port [ bgp 8080 ];", {},
+       {{179, 179}, {8080, 8080}}, 1},
+      {"protocol tcp; destination-port ftp-telnet;", {}, {{21, 23}}, 1},
+      {"protocol tcp; destination-port 1024-65535;", {}, {{1024, 65535}}, 1},
+      // A bad operand beside good ones narrows the condition, no more.
+      {"protocol tcp; destination-port [ 22 bogus ];",
+       {"j.conf:5: bad port: bogus"}, {{22, 22}}, 1},
+      {"protocol [ tcp bogus udp ];",
+       {"j.conf:5: unsupported protocol: bogus"}, {}, 2},
+  };
+  for (const Kept& c : kept) {
+    SCOPED_TRACE(c.from);
+    auto result = ParseJuniperConfig(filter("inet", c.from), "j.conf");
+    EXPECT_EQ(result.diagnostics, c.diagnostics);
+    const ir::Acl* acl = result.config.FindAcl("F");
+    ASSERT_NE(acl, nullptr);
+    ASSERT_EQ(acl->lines.size(), c.lines + 1);
+    for (std::size_t i = 0; i < c.lines; ++i) {
+      EXPECT_EQ(acl->lines[i].action, ir::LineAction::kDeny);
+      EXPECT_EQ(acl->lines[i].dst_ports, c.dst_ports);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace campion::juniper
