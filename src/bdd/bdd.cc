@@ -8,11 +8,11 @@
 namespace campion::bdd {
 namespace {
 
-// Initial capacities. Managers are created per differencing task, so the
-// footprint at rest stays small; both tables grow with the workload.
+// The unique table starts small and doubles with the arena. The ITE cache
+// keeps one size: letting it grow with the arena (to 2^21 entries) gained
+// no hits on the example and benchmark pairs (EXPERIMENTS.md).
 constexpr std::size_t kInitialUniqueCapacity = 1u << 13;
-constexpr std::size_t kInitialCacheCapacity = 1u << 12;
-constexpr std::size_t kMaxCacheCapacity = 1u << 21;
+constexpr std::size_t kCacheCapacity = 1u << 12;
 
 // IteFrame::state value for a frame whose triple is already standardized
 // and whose cache miss is already counted (the root of each Ite call);
@@ -43,8 +43,41 @@ BddManager::BddManager(Var num_vars) : num_vars_(num_vars) {
   var_true_.resize(num_vars_, kFalse);
   unique_slots_.assign(kInitialUniqueCapacity, 0);
   unique_mask_ = kInitialUniqueCapacity - 1;
-  ite_cache_.assign(kInitialCacheCapacity, CacheEntry{});
-  cache_mask_ = kInitialCacheCapacity - 1;
+  ite_cache_.assign(kCacheCapacity, CacheEntry{});
+  cache_mask_ = kCacheCapacity - 1;
+}
+
+void BddManager::Reset() {
+  // Undo the arena's inserts newest first. The table is the one that
+  // inserting the arena in order builds (RehashUnique keeps it so), so a
+  // node's probe path holds only older nodes, all still in place when it is
+  // removed, and clearing its slot restores the table it was inserted into.
+  for (BddRef index = static_cast<BddRef>(nodes_.size()) - 1; index > 0;
+       --index) {
+    const std::size_t slot = UniqueSlotOf(index);
+    assert(unique_slots_[slot] == index);
+    unique_slots_[slot] = 0;
+  }
+  nodes_.resize(1);
+  unique_size_ = 0;
+  std::fill(ite_cache_.begin(), ite_cache_.end(), CacheEntry{});
+  num_vars_ = 0;
+  var_true_.clear();
+  stat_rehashes_ = 0;
+  stat_unique_lookups_ = 0;
+  stat_unique_probes_ = 0;
+  stat_unique_hits_ = 0;
+  stat_cache_misses_ = 0;
+  stat_cache_hits_ = 0;
+}
+
+std::size_t BddManager::UniqueSlotOf(BddRef index) const {
+  const Node& n = nodes_[index];
+  std::size_t idx = MixHash(n.var, n.low, n.high) & unique_mask_;
+  while (unique_slots_[idx] != 0 && unique_slots_[idx] != index) {
+    idx = (idx + 1) & unique_mask_;
+  }
+  return idx;
 }
 
 bool BddManager::CheckInvariants() const {
@@ -72,17 +105,7 @@ bool BddManager::CheckInvariants() const {
   }
   if (slots_used != unique_size_) return false;
   for (BddRef index = 1; index < nodes_.size(); ++index) {
-    const Node& n = nodes_[index];
-    std::size_t idx = MixHash(n.var, n.low, n.high) & unique_mask_;
-    bool found = false;
-    while (unique_slots_[idx] != 0) {
-      if (unique_slots_[idx] == index) {
-        found = true;
-        break;
-      }
-      idx = (idx + 1) & unique_mask_;
-    }
-    if (!found) return false;
+    if (unique_slots_[UniqueSlotOf(index)] != index) return false;
   }
   return true;
 }
@@ -142,38 +165,18 @@ BddRef BddManager::MakeNode(Var var, BddRef low, BddRef high) {
   // Rehash at 50% load: linear probing stays short and slots are 4 bytes.
   if (++unique_size_ * 2 >= unique_slots_.size()) {
     RehashUnique(unique_slots_.size() * 2);
-    MaybeGrowCache();
   }
   return (index << 1) | out_complement;
 }
 
 void BddManager::RehashUnique(std::size_t new_capacity) {
   ++stat_rehashes_;
-  std::vector<BddRef> old = std::move(unique_slots_);
   unique_slots_.assign(new_capacity, 0);
   unique_mask_ = new_capacity - 1;
-  for (BddRef index : old) {
-    if (index == 0) continue;
-    const Node& n = nodes_[index];
-    std::size_t idx = MixHash(n.var, n.low, n.high) & unique_mask_;
-    while (unique_slots_[idx] != 0) idx = (idx + 1) & unique_mask_;
-    unique_slots_[idx] = index;
-  }
-}
-
-void BddManager::MaybeGrowCache() {
-  // Track the arena: a cache much smaller than the working set thrashes.
-  // Entries stay valid across growth (results are canonical refs), so
-  // reinsert them; collisions overwrite, which is fine for a lossy cache.
-  if (ite_cache_.size() >= kMaxCacheCapacity) return;
-  if (nodes_.size() < ite_cache_.size()) return;
-  std::vector<CacheEntry> old = std::move(ite_cache_);
-  std::size_t new_capacity = old.size() * 2;
-  ite_cache_.assign(new_capacity, CacheEntry{});
-  cache_mask_ = new_capacity - 1;
-  for (const CacheEntry& e : old) {
-    if (e.f == 0) continue;
-    ite_cache_[MixHash(e.f, e.g, e.h) & cache_mask_] = e;
+  // In arena order, so the table stays the one that inserting the arena in
+  // order builds (Reset relies on it).
+  for (BddRef index = 1; index < nodes_.size(); ++index) {
+    unique_slots_[UniqueSlotOf(index)] = index;
   }
 }
 

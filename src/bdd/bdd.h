@@ -6,8 +6,11 @@
 // This is Campion's symbolic substrate, standing in for the JavaBDD library
 // used by the paper. Sets of packets, route advertisements, and IP prefix
 // ranges are all encoded as BDDs over a variable order (see src/encode).
-// Managers are cheap and each differencing task owns one, so nodes live
-// for the task and nothing needs collecting.
+// Each differencing task owns one manager for as long as it runs, so
+// nodes live for the task and nothing needs collecting. A thread that runs
+// task after task keeps one manager and Reset()s it in between: the arena,
+// the tables and the scratch keep their capacity, so a warm manager neither
+// reallocates nor rehashes for a task no larger than its largest so far.
 //
 // The kernel is laid out for speed, CUDD-style:
 //   * references carry a complement bit: a BddRef packs a node-arena index
@@ -27,10 +30,12 @@
 //   * the unique table is a single flat open-addressing array (power-of-two
 //     capacity, linear probing, amortized doubling) whose slots are node
 //     indices — keys live in the node arena itself, so a probe touches at
-//     most two cache lines;
-//   * the ITE computed table is a lossy direct-mapped cache (fixed-size
-//     power-of-two array, overwrite on collision) so memoization costs O(1)
-//     with zero allocation on the hot path;
+//     most two cache lines. A rehash reinserts in arena order, so the
+//     table is always the one that inserting the arena in order builds,
+//     and Reset() empties it by undoing those inserts newest first;
+//   * the ITE computed table is a lossy direct-mapped cache (a fixed-size
+//     power-of-two array that never grows, overwrite on collision) so
+//     memoization costs O(1) with zero allocation on the hot path;
 //   * ITE itself runs on an explicit frame stack, so pathological inputs
 //     cannot overflow the machine stack;
 //   * traversals (NodeCount, Support) reuse a per-manager visited-stamp
@@ -74,8 +79,8 @@ inline constexpr BddRef kTrue = 1;   // Terminal node 0, complemented.
 using Cube = std::vector<std::int8_t>;
 
 // Kernel instrumentation, exposed through BddManager::Stats(). Counters
-// accumulate over the manager's lifetime; benchmarks snapshot them before
-// and after a workload to report per-phase numbers.
+// accumulate from construction or the last Reset(); benchmarks snapshot
+// them before and after a workload to report per-phase numbers.
 struct BddStats {
   std::size_t arena_size = 0;       // Nodes, including the terminal.
   std::size_t unique_capacity = 0;  // Open-addressing table slots.
@@ -103,9 +108,9 @@ struct BddStats {
 // Memory accounting, exposed through BddManager::MemoryStats(). Bytes are
 // computed from container capacities (what the manager actually reserved,
 // not just what it filled), so the numbers add up to the manager's real
-// heap footprint. All fields are deterministic for a deterministic
-// workload — the same sequence of operations reports the same bytes at any
-// thread count, which keeps traces comparable across runs.
+// heap footprint. Reset() keeps every buffer, so on a reused manager the
+// byte fields describe the largest task it has run, not the last one; the
+// rehash count restarts at Reset().
 struct BddMemoryStats {
   std::size_t node_arena_bytes = 0;    // nodes_ capacity, in bytes.
   std::size_t unique_table_bytes = 0;  // Open-addressing slot array.
@@ -125,6 +130,12 @@ class BddManager {
 
   BddManager(const BddManager&) = delete;
   BddManager& operator=(const BddManager&) = delete;
+
+  // Returns the manager to its just-constructed state with no variables:
+  // the arena holds only the terminal, the unique table and the ITE cache
+  // are empty, and the counters read zero. Every buffer keeps its
+  // capacity. References from before the call are invalid after it.
+  void Reset();
 
   // Structural self-check: terminal at index 0, every node obeys the
   // regular-then-edge invariant and branches on a smaller variable than
@@ -189,7 +200,7 @@ class BddManager {
   BddStats Stats() const;
 
   // Memory accounting: reserved bytes per structure, unique-table load
-  // factor, peak live node count, and rehash count.
+  // factor, and rehash count.
   BddMemoryStats MemoryStats() const;
 
   // The set of variables f depends on (ascending variable id).
@@ -263,7 +274,9 @@ class BddManager {
 
   BddRef MakeNode(Var var, BddRef low, BddRef high);
   void RehashUnique(std::size_t new_capacity);
-  void MaybeGrowCache();
+  // The unique-table slot holding arena node `index`, or the empty slot
+  // where its probe ends when the table does not hold it.
+  std::size_t UniqueSlotOf(BddRef index) const;
   // Applies the ITE standard-triple rules in place: constant-operand
   // substitution, trivial-result detection, commutative argument reordering
   // by rank, and complement canonicalization (f and g regular). Returns
@@ -297,7 +310,7 @@ class BddManager {
   std::size_t unique_mask_ = 0;
   std::size_t unique_size_ = 0;  // Interned nodes (== internal nodes).
 
-  // Direct-mapped lossy ITE cache.
+  // Direct-mapped lossy ITE cache of a fixed size.
   std::vector<CacheEntry> ite_cache_;
   std::size_t cache_mask_ = 0;
 

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "bdd/bdd.h"
@@ -23,6 +24,40 @@
 
 namespace campion::core {
 namespace {
+
+// The calling thread's BDD manager, leased to one pair task and Reset()
+// for it. A thread keeps its manager for life, so a warm thread reuses the
+// arena and tables of its largest task so far instead of allocating and
+// regrowing them for every pair. Reuse is safe because a thread runs one
+// pair task at a time: RunParallel's caller runs only its own call's
+// indices and a pair task starts no fan-out, so no pair task ever runs
+// inside another on one thread. The lease checks that.
+class PairTaskManager {
+ public:
+  PairTaskManager() : slot_(ThreadSlot()) {
+    if (slot_.leased) {
+      throw std::logic_error("a pair task started inside another pair task");
+    }
+    slot_.leased = true;
+    slot_.mgr.Reset();
+  }
+  ~PairTaskManager() { slot_.leased = false; }
+  PairTaskManager(const PairTaskManager&) = delete;
+  PairTaskManager& operator=(const PairTaskManager&) = delete;
+
+  bdd::BddManager& manager() { return slot_.mgr; }
+
+ private:
+  struct Slot {
+    bdd::BddManager mgr;
+    bool leased = false;
+  };
+  static Slot& ThreadSlot() {
+    thread_local Slot slot;
+    return slot;
+  }
+  Slot& slot_;
+};
 
 // The accept-everything route map that models "no policy configured".
 ir::RouteMap PassThroughMap() {
@@ -106,9 +141,10 @@ std::vector<PresentedDifference> DiffRouteMapPairImpl(
   // IPv6 pair diffs over the 128-bit advertisement space.
   util::AddressFamily family = route_dag.label(route_dag.root()).family();
 
-  // One fresh manager per pair keeps each arena as small as the pair's own
-  // work (paper §3–4: modular checking) and lifetimes obvious.
-  bdd::BddManager mgr;
+  // One manager per pair, reset for it, keeps each arena as small as the
+  // pair's own work (paper §3–4: modular checking).
+  PairTaskManager lease;
+  bdd::BddManager& mgr = lease.manager();
   std::vector<util::Community> communities = config1.AllCommunities();
   auto more = config2.AllCommunities();
   communities.insert(communities.end(), more.begin(), more.end());
@@ -146,7 +182,8 @@ std::vector<PresentedDifference> DiffAclPairImpl(
   obs::ScopedSpan span("acl_pair", name);
 
   // IPv6 ACLs diff over the 256-bit-address packet space.
-  bdd::BddManager mgr;
+  PairTaskManager lease;
+  bdd::BddManager& mgr = lease.manager();
   encode::PacketLayout layout(mgr, acl1->family);
   std::vector<AclDifference> diffs = SemanticDiffAcls(layout, *acl1, *acl2);
   std::vector<PresentedDifference> presented;
@@ -322,10 +359,11 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
   };
 
   // The semantic checks are the expensive part (each pair builds and
-  // compares BDDs), and every pair is independent: each task constructs its
-  // own BddManager and layout, so tasks share no mutable state. Fan the
-  // distinct pairs out across the worker pool, then merge results back in
-  // pair-declaration order so the report is byte-identical to a serial run.
+  // compares BDDs), and every pair is independent: each task runs on its
+  // thread's reset BddManager (PairTaskManager) and builds its own layout,
+  // so tasks share no mutable state. Fan the distinct pairs out across the
+  // worker pool, then merge results back in pair-declaration order so the
+  // report is byte-identical to a serial run.
   std::map<util::AddressFamily, PrefixRangeDag> route_dags;
   struct SemanticTask {
     DifferenceEntry::Kind kind;

@@ -39,9 +39,12 @@ struct DiffOptions {
   bool check_admin_distances = true;
   // Most per-pair semantic diffs one ConfigDiff runs at once, on the
   // calling thread and the shared pool (util::RunParallel): 0 = hardware
-  // concurrency, 1 = fully serial. Each policy pair runs against its own
-  // BddManager, and results are merged back in pair-declaration order, so
-  // the report is byte-identical for every thread count.
+  // concurrency, 1 = fully serial. Each policy pair runs against its
+  // thread's BddManager, reset for the pair: a thread runs one pair at a
+  // time (RunParallel's caller runs only its own call's indices), so every
+  // pair starts from an empty manager. Results are merged back in
+  // pair-declaration order, so the report is byte-identical for every
+  // thread count.
   unsigned num_threads = 0;
 };
 

@@ -838,16 +838,35 @@ class Converter {
     };
 
     // source-address/destination-address operands are prefix-shaped in both
-    // families ("10.0.0.0/8", "2001:db8::/32").
+    // families ("10.0.0.0/8", "2001:db8::/32"), written after the keyword or
+    // as the block JunOS itself prints, `source-address { 10.0.0.0/8; }`,
+    // whose entries OR together. The IR cannot express an `except` entry,
+    // so one drops the term.
     auto parse_address = [&](const Node& condition,
                              std::vector<IpWildcard>& out, const char* what) {
-      auto prefix = IpPrefix::Parse(condition.Word(1));
-      if (prefix && prefix->family() == family) {
-        out.push_back(IpWildcard(*prefix));
-      } else {
-        Diagnose(condition, std::string("bad ") + what);
-        dropped = true;
+      bool parsed = false;
+      auto entry = [&](const Node& at, std::string_view operand,
+                       std::string_view qualifier) {
+        auto prefix = IpPrefix::Parse(operand);
+        if (qualifier == "except") {
+          Diagnose(at, "unsupported except: ", operand);
+          dropped = true;
+        } else if (prefix && prefix->family() == family) {
+          out.push_back(IpWildcard(*prefix));
+          parsed = true;
+        } else {
+          Diagnose(at, std::string("bad ") + what);
+        }
+      };
+      if (!condition.is_block) {
+        entry(condition, condition.Word(1), condition.Word(2));
+      } else if (condition.children.empty()) {
+        Diagnose(condition, "missing operand: ", condition.Word(0));
       }
+      for (const Node& item : condition.children) {
+        entry(item, item.Word(0), item.Word(1));
+      }
+      if (!parsed) dropped = true;
     };
 
     // Port operands are numbers, service names or low-high ranges of them.

@@ -254,9 +254,6 @@ std::string RenderStatsSummary(
     snprintf(buffer, sizeof(buffer), "%.4f",
              Metric(metrics, "bdd.unique_hits") / unique_lookups);
     table.AddRow({"bdd.unique_hit_rate (derived)", buffer});
-    snprintf(buffer, sizeof(buffer), "%.4f",
-             Metric(metrics, "bdd.unique_probes") / unique_lookups);
-    table.AddRow({"bdd.unique_avg_probe_len (derived)", buffer});
   }
   out += "\nMetrics (counters and watermarks):\n";
   out += table.Render();

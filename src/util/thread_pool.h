@@ -9,9 +9,9 @@
 // started on first use, so no call starts or joins a thread. The calling
 // thread runs its own tasks alongside at most `num_threads - 1` pooled
 // helpers, and never runs another call's tasks, so a nested call cannot
-// deadlock waiting for workers held by its outer call. Each task owns all
-// of its mutable state (its own BddManager and encoding layout), so the
-// pool needs no shared-state machinery beyond the queue itself.
+// deadlock waiting for workers held by its outer call. A task owns all of
+// its mutable state or holds it per thread (a pair task's BddManager), so
+// the pool needs no shared-state machinery beyond the queue itself.
 //
 // ThreadPool is the queue-and-workers primitive under it, also used
 // directly for the daemon's connection workers.

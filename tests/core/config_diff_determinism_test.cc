@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -73,8 +74,8 @@ TEST(ConfigDiffDeterminismTest, ZeroMeansHardwareConcurrency) {
 }
 
 TEST(ConfigDiffDeterminismTest, TracingAndMemoryAccountingAreInvisible) {
-  // With observability on, every pair additionally samples BDD memory
-  // accounting and the pipeline samples process RSS; none of that may
+  // With observability on, every pair additionally records its BDD kernel
+  // counters and the pipeline samples process RSS; none of that may
   // leak into the report, at any thread count.
   gen::UniversityScenario scenario = gen::BuildUniversityScenario();
   std::string plain =
@@ -131,10 +132,10 @@ void CollectPairNodes(const obs::Span& span,
   for (const auto& child : span.children) CollectPairNodes(child, out);
 }
 
-// Every pair encodes from scratch into its own fresh manager, so the
-// per-pair arena sizes must be identical run to run and at any thread
-// count — the BDD workload is deterministic, and this pin is what makes
-// two traces comparable pair by pair.
+// Every pair encodes from scratch into its thread's manager, reset for it,
+// so the per-pair arena sizes must be identical run to run and at any
+// thread count — the BDD workload is deterministic, and this pin is what
+// makes two traces comparable pair by pair.
 TEST(ConfigDiffDeterminismTest, PairArenaSizesDeterministic) {
   gen::RouteMapGenOptions options;
   options.seed = 9;
@@ -161,6 +162,36 @@ TEST(ConfigDiffDeterminismTest, PairArenaSizesDeterministic) {
   for (const auto& [key, value] : serial) EXPECT_GT(value, 0.0) << key;
   EXPECT_EQ(run(4), serial);
   EXPECT_EQ(run(1), serial);  // Run-to-run, not just across thread counts.
+}
+
+// Threads keep one BDD manager across pair tasks, so a pair's kernel
+// metrics must not show what its thread ran before: the border pair reads
+// the same on a new thread, on the calling thread right after the larger
+// core pair, and fanned out over warm pool threads.
+TEST(ConfigDiffDeterminismTest, KernelCountersIgnoreThreadHistory) {
+  gen::UniversityScenario scenario = gen::BuildUniversityScenario();
+  auto bdd_metrics = [&](const gen::RouterPair& pair, unsigned threads) {
+    obs::MetricsSink sink;
+    {
+      obs::MetricsScope scope(sink);
+      obs::SetEnabled(true);
+      ConfigDiff(pair.config1, pair.config2, WithThreads(threads));
+      obs::SetEnabled(false);
+    }
+    obs::ResetThreadTrace();
+    std::vector<std::pair<std::string, double>> out;
+    for (const auto& [name, value] : sink.Snapshot()) {
+      if (name.rfind("bdd.", 0) == 0) out.push_back({name, value});
+    }
+    return out;
+  };
+  std::vector<std::pair<std::string, double>> cold;
+  std::thread([&] { cold = bdd_metrics(scenario.border, 1); }).join();
+  ASSERT_FALSE(cold.empty());
+  bdd_metrics(scenario.core, 1);
+  EXPECT_EQ(bdd_metrics(scenario.border, 1), cold);
+  bdd_metrics(scenario.core, 8);
+  EXPECT_EQ(bdd_metrics(scenario.border, 8), cold);
 }
 
 }  // namespace

@@ -855,22 +855,40 @@ class Converter {
     };
 
     // source-address/destination-address operands are prefix-shaped in both
-    // families ("10.0.0.0/8", "2001:db8::/32").
+    // families ("10.0.0.0/8", "2001:db8::/32"), written after the keyword or
+    // as a block of entries that OR together; an `except` entry drops the
+    // term.
     auto parse_address = [&](const Node& condition,
                              std::vector<IpWildcard>& out, const char* what) {
-      if (family == util::AddressFamily::kIpv6) {
-        if (auto prefix = ParseV6Prefix(condition.Word(1))) {
-          out.push_back(IpWildcard(*prefix));
-        } else {
-          Diagnose(condition, std::string("bad ") + what);
+      bool parsed = false;
+      auto entry = [&](const Node& at, const std::string& operand,
+                       const std::string& qualifier) {
+        if (qualifier == "except") {
+          Diagnose(at, "unsupported except: " + operand);
           dropped = true;
+        } else if (family == util::AddressFamily::kIpv6) {
+          if (auto prefix = ParseV6Prefix(operand)) {
+            out.push_back(IpWildcard(*prefix));
+            parsed = true;
+          } else {
+            Diagnose(at, std::string("bad ") + what);
+          }
+        } else if (auto prefix = ParseV4Prefix(operand)) {
+          out.push_back(IpWildcard(*prefix));
+          parsed = true;
+        } else {
+          Diagnose(at, std::string("bad ") + what);
         }
-      } else if (auto prefix = ParseV4Prefix(condition.Word(1))) {
-        out.push_back(IpWildcard(*prefix));
-      } else {
-        Diagnose(condition, std::string("bad ") + what);
-        dropped = true;
+      };
+      if (!condition.is_block) {
+        entry(condition, condition.Word(1), condition.Word(2));
+      } else if (condition.children.empty()) {
+        Diagnose(condition, "missing operand: " + condition.Word(0));
       }
+      for (const Node& item : condition.children) {
+        entry(item, item.Word(0), item.Word(1));
+      }
+      if (!parsed) dropped = true;
     };
 
     auto parse_ports = [&](const Node& condition,

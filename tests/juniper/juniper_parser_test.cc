@@ -804,24 +804,28 @@ TEST(JuniperParserTest, OneFamilyPositionsRejectTheOtherFamily) {
   }
 }
 
+// Filter F of `family`: a discarding term t with the given `from` body on
+// line 5, then an accept-everything term.
+std::string FilterWithTerm(const std::string& family, const std::string& from) {
+  return "firewall {\n"
+         "    family " + family + " {\n"
+         "        filter F {\n"
+         "            term t {\n"
+         "                from { " + from + " }\n"
+         "                then discard;\n"
+         "            }\n"
+         "            term rest { then accept; }\n"
+         "        }\n"
+         "    }\n"
+         "}\n";
+}
+
 // A filter condition none of whose operands parses is diagnosed and drops
 // the whole term; ignoring it would widen the term to every value of the
 // field. Port operands take the service names Cisco takes, and numbers only
 // up to 65535.
 TEST(JuniperParserTest, FilterOperandsNeverWidenATerm) {
-  auto filter = [](const std::string& family, const std::string& from) {
-    return "firewall {\n"
-           "    family " + family + " {\n"
-           "        filter F {\n"
-           "            term t {\n"
-           "                from { " + from + " }\n"
-           "                then discard;\n"
-           "            }\n"
-           "            term rest { then accept; }\n"
-           "        }\n"
-           "    }\n"
-           "}\n";
-  };
+  const auto& filter = FilterWithTerm;
   struct Dropped {
     const char* family;
     const char* from;
@@ -886,6 +890,57 @@ TEST(JuniperParserTest, FilterOperandsNeverWidenATerm) {
       EXPECT_EQ(acl->lines[i].action, ir::LineAction::kDeny);
       EXPECT_EQ(acl->lines[i].dst_ports, c.dst_ports);
     }
+  }
+}
+
+// The block form JunOS itself prints, `source-address { 10.0.0.0/8; }`,
+// lists entries that OR together, like the one-operand form. A bad entry
+// beside good ones is diagnosed and narrows the condition; an `except`
+// entry, which the IR cannot express, is diagnosed and drops the term.
+TEST(JuniperParserTest, FilterAddressBlocksOrTheirEntries) {
+  struct Case {
+    const char* family;
+    const char* from;
+    std::vector<std::string> diagnostics;
+    std::vector<std::string> sources;       // Of t's lines, in order.
+    std::vector<std::string> destinations;  // Of t's lines, in order.
+  };
+  const Case cases[] = {
+      {"inet", "source-address { 10.0.0.0/8; }", {}, {"10.0.0.0/8"},
+       {"0.0.0.0/0"}},
+      {"inet", "source-address { 10.0.0.0/8; 192.168.0.0/16; }", {},
+       {"10.0.0.0/8", "192.168.0.0/16"}, {"0.0.0.0/0", "0.0.0.0/0"}},
+      {"inet6", "destination-address { 2001:db8::/32; }", {}, {"::/0"},
+       {"2001:db8::/32"}},
+      {"inet", "source-address { 10.0.0.0/8; bogus; }",
+       {"j.conf:5: bad source-address"}, {"10.0.0.0/8"}, {"0.0.0.0/0"}},
+      {"inet", "source-address { 10.0.0.0/8; 10.1.0.0/16 except; }",
+       {"j.conf:5: unsupported except: 10.1.0.0/16"}, {}, {}},
+      {"inet", "source-address 10.0.0.0/8 except;",
+       {"j.conf:5: unsupported except: 10.0.0.0/8"}, {}, {}},
+      {"inet", "destination-address { bogus; }",
+       {"j.conf:5: bad destination-address"}, {}, {}},
+      {"inet", "source-address { }",
+       {"j.conf:5: missing operand: source-address"}, {}, {}},
+  };
+  auto wildcard = [](const std::string& prefix) {
+    return util::IpWildcard(*util::IpPrefix::Parse(prefix));
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.from);
+    auto result = ParseJuniperConfig(FilterWithTerm(c.family, c.from),
+                                     "j.conf");
+    EXPECT_EQ(result.diagnostics, c.diagnostics);
+    const ir::Acl* acl = result.config.FindAcl("F");
+    ASSERT_NE(acl, nullptr);
+    // t's lines (none when it was dropped), then `rest`.
+    ASSERT_EQ(acl->lines.size(), c.sources.size() + 1);
+    for (std::size_t i = 0; i < c.sources.size(); ++i) {
+      EXPECT_EQ(acl->lines[i].action, ir::LineAction::kDeny);
+      EXPECT_EQ(acl->lines[i].src, wildcard(c.sources[i]));
+      EXPECT_EQ(acl->lines[i].dst, wildcard(c.destinations[i]));
+    }
+    EXPECT_EQ(acl->lines.back().action, ir::LineAction::kPermit);
   }
 }
 

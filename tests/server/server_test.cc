@@ -469,7 +469,7 @@ TEST_F(ServerTest, PrometheusFormatExposesTypedFamiliesAndHistograms) {
   EXPECT_NE(text.find("campion_phase_duration_ns_bucket{phase=\"diff\",le="),
             std::string::npos);
   // Watermark-style metrics expose as gauges, counters as counters.
-  EXPECT_NE(text.find("# TYPE campion_bdd_mem_peak_bytes gauge"),
+  EXPECT_NE(text.find("# TYPE campion_bdd_peak_live_nodes gauge"),
             std::string::npos);
 
   // Cumulative bucket counts must be non-decreasing in le order, ending at

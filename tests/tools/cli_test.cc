@@ -139,6 +139,43 @@ TEST_F(CliTest, ChecksFilter) {
   EXPECT_EQ(result.exit_code, 0) << result.output;
 }
 
+// The address block JunOS itself prints, `source-address { 10.0.0.0/8; }`,
+// reads as its entries, so this filter is the Cisco ACL's equivalent.
+TEST_F(CliTest, JunosAddressBlockMatchesTheCiscoAcl) {
+  Write("acl.cfg",
+        "hostname r1\n"
+        "ip access-list extended F\n"
+        " deny ip 10.0.0.0 0.255.255.255 any\n"
+        " permit ip any any\n");
+  Write("acl.conf",
+        "system {\n"
+        "    host-name r2;\n"
+        "}\n"
+        "firewall {\n"
+        "    family inet {\n"
+        "        filter F {\n"
+        "            term t {\n"
+        "                from {\n"
+        "                    source-address {\n"
+        "                        10.0.0.0/8;\n"
+        "                    }\n"
+        "                }\n"
+        "                then discard;\n"
+        "            }\n"
+        "            term rest {\n"
+        "                then accept;\n"
+        "            }\n"
+        "        }\n"
+        "    }\n"
+        "}\n");
+  RunResult result = RunCli(Path("acl.cfg") + " " + Path("acl.conf"));
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("behaviorally equivalent"), std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("warning"), std::string::npos)
+      << result.output;
+}
+
 TEST_F(CliTest, UsageOnBadInvocation) {
   EXPECT_EQ(RunCli("").exit_code, 1);
   EXPECT_EQ(RunCli("onlyone.cfg").exit_code, 1);
