@@ -16,6 +16,7 @@
 #include "gen/acl_gen.h"
 #include "juniper/juniper_parser.h"
 #include "juniper/juniper_unparser.h"
+#include "obs/trace.h"
 #include "util/text_table.h"
 
 namespace {
@@ -100,6 +101,29 @@ void PrintSweep() {
   std::cout << "\n" << table6.Render();
 }
 
+// ITE cache lookups per ACL line, summed over the `encode` spans of one
+// traced run on a fresh manager: the line predicates, the two permit-set
+// folds (the shared suffix folded once) and the class walks. It counts
+// work, not time, so one run gives the figure.
+double IteLookupsPerLine(const campion::gen::GeneratedAclPair& pair) {
+  campion::bdd::BddManager mgr;
+  campion::encode::PacketLayout layout(mgr, pair.acl1.family);
+  campion::obs::ResetThreadTrace();
+  campion::obs::SetEnabled(true);
+  auto diffs = campion::core::SemanticDiffAcls(layout, pair.acl1, pair.acl2);
+  campion::obs::SetEnabled(false);
+  benchmark::DoNotOptimize(diffs);
+  double lookups = 0;
+  for (const campion::obs::Span& span : campion::obs::TakeThreadSpans()) {
+    if (span.name != "encode") continue;
+    for (const auto& [key, value] : span.attrs) {
+      if (key == "ite_lookups") lookups += value;
+    }
+  }
+  return lookups /
+         static_cast<double>(pair.acl1.lines.size() + pair.acl2.lines.size());
+}
+
 void BM_SemanticDiffAcl(benchmark::State& state) {
   campion::gen::AclGenOptions options;
   options.rules = static_cast<int>(state.range(0));
@@ -113,6 +137,7 @@ void BM_SemanticDiffAcl(benchmark::State& state) {
         campion::core::SemanticDiffAcls(layout, pair.acl1, pair.acl2);
     benchmark::DoNotOptimize(diffs);
   }
+  state.counters["ite_lookups_per_line"] = IteLookupsPerLine(pair);
 }
 BENCHMARK(BM_SemanticDiffAcl)
     ->Arg(100)
@@ -135,6 +160,7 @@ void BM_SemanticDiffAclV6(benchmark::State& state) {
         campion::core::SemanticDiffAcls(layout, pair.acl1, pair.acl2);
     benchmark::DoNotOptimize(diffs);
   }
+  state.counters["ite_lookups_per_line"] = IteLookupsPerLine(pair);
 }
 BENCHMARK(BM_SemanticDiffAclV6)
     ->Arg(100)

@@ -1,5 +1,7 @@
 #include "core/semantic_diff.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 
 #include "obs/metrics.h"
@@ -19,31 +21,52 @@ std::string ClauseText(const ir::RouteMapClause& clause) {
   return out;
 }
 
+// The number of lines at the bottom of `a` and `b` that match alike.
+std::size_t SharedSuffixLength(const ir::Acl& a, const ir::Acl& b) {
+  auto [end_a, end_b] =
+      std::mismatch(a.lines.rbegin(), a.lines.rend(), b.lines.rbegin(),
+                    b.lines.rend(), ir::SameMatch);
+  return static_cast<std::size_t>(end_a - a.lines.rbegin());
+}
+
 // One ACL of a compared pair: its line predicates, its permit set, and its
-// `encode` span. The classes are built from both ACLs' permit sets, so the
-// span's time is summed over two phases (encoding, then the class walk)
-// and the span is attached by AttachEncodeSpans once both walks are done.
+// `encode` span. Under first match the permit set of the last k lines
+// depends on those lines alone, so the pair's `shared` trailing lines are
+// folded once, by the first ACL. The second takes the first's predicates
+// and permit set at that boundary, and folds only its own head on top.
+// The classes are built from both ACLs' permit sets, so the span's time is
+// summed over two phases (encoding, then the class walk) and the span is
+// attached by AttachEncodeSpans once both walks are done.
 class AclEncoding {
  public:
-  AclEncoding(const encode::PacketLayout& layout, const ir::Acl& acl)
-      : mgr_(layout.manager()), acl_(acl), traced_(obs::Enabled()) {
+  AclEncoding(const encode::PacketLayout& layout, const ir::Acl& acl,
+              std::size_t shared, const AclEncoding* first = nullptr)
+      : mgr_(layout.manager()),
+        acl_(acl),
+        shared_(shared),
+        traced_(obs::Enabled()) {
     if (traced_) {
       span_.name = "encode";
       span_.detail = acl.name;
       span_.start_ns = obs::NowNs();
     }
     Timed([&] {
+      const std::size_t head = acl.lines.size() - shared;
+      const std::size_t own = first ? head : acl.lines.size();
       matches_.reserve(acl.lines.size());
-      for (const auto& line : acl.lines) {
-        matches_.push_back(layout.MatchLine(line));
+      for (std::size_t i = 0; i < own; ++i) {
+        matches_.push_back(layout.MatchLine(acl.lines[i]));
       }
-      // Bottom-up: a packet line i matches takes line i's action; any other
-      // packet takes whatever the lines below decide.
-      for (std::size_t i = acl.lines.size(); i-- > 0;) {
-        permit_set_ = acl.lines[i].action == ir::LineAction::kPermit
-                          ? mgr_.Or(matches_[i], permit_set_)
-                          : mgr_.Diff(permit_set_, matches_[i]);
+      if (first) {
+        matches_.insert(
+            matches_.end(),
+            first->matches_.end() - static_cast<std::ptrdiff_t>(shared),
+            first->matches_.end());
+        suffix_set_ = first->suffix_set_;
+      } else {
+        suffix_set_ = Fold(head, acl.lines.size(), bdd::kFalse);
       }
+      permit_set_ = Fold(0, head, suffix_set_);
     });
   }
 
@@ -56,7 +79,9 @@ class AclEncoding {
     if (traced_) {
       span_.attrs = {{"classes", static_cast<double>(classes.size())},
                      {"lines", static_cast<double>(acl_.lines.size())},
-                     {"bdd_vars", static_cast<double>(mgr_.num_vars())}};
+                     {"bdd_vars", static_cast<double>(mgr_.num_vars())},
+                     {"shared_lines", static_cast<double>(shared_)},
+                     {"ite_lookups", static_cast<double>(ite_lookups_)}};
     }
     return classes;
   }
@@ -74,19 +99,36 @@ class AclEncoding {
   }
 
  private:
+  // Lines [begin, end) folded bottom-up on top of `below`, the permit set
+  // of the lines after them: a packet line i matches takes line i's action;
+  // any other packet takes whatever the lines below decide.
+  bdd::BddRef Fold(std::size_t begin, std::size_t end, bdd::BddRef below) {
+    for (std::size_t i = end; i-- > begin;) {
+      below = acl_.lines[i].action == ir::LineAction::kPermit
+                  ? mgr_.Or(matches_[i], below)
+                  : mgr_.Diff(below, matches_[i]);
+    }
+    return below;
+  }
+
   template <typename Work>
   void Timed(Work&& work) {
     if (!traced_) return work();
     std::uint64_t start_ns = obs::NowNs();
+    std::uint64_t lookups = mgr_.Stats().cache_lookups;
     work();
+    ite_lookups_ += mgr_.Stats().cache_lookups - lookups;
     span_.duration_ns += obs::NowNs() - start_ns;
   }
 
   bdd::BddManager& mgr_;
   const ir::Acl& acl_;
+  std::size_t shared_ = 0;
   bool traced_ = false;
   obs::Span span_;
+  std::uint64_t ite_lookups_ = 0;  // Over the timed phases; traced only.
   std::vector<bdd::BddRef> matches_;
+  bdd::BddRef suffix_set_ = bdd::kFalse;  // Permit set of the shared lines.
   bdd::BddRef permit_set_ = bdd::kFalse;
 };
 
@@ -252,12 +294,21 @@ std::vector<AclPathClass> BuildAclClasses(
   return classes;
 }
 
+AclPermitSets FoldAclPermitSets(encode::PacketLayout& layout,
+                                const ir::Acl& acl1, const ir::Acl& acl2) {
+  const std::size_t shared = SharedSuffixLength(acl1, acl2);
+  AclEncoding encoding1(layout, acl1, shared);
+  AclEncoding encoding2(layout, acl2, shared, &encoding1);
+  return {encoding1.permit_set(), encoding2.permit_set(), shared};
+}
+
 std::vector<AclDifference> SemanticDiffAcls(encode::PacketLayout& layout,
                                             const ir::Acl& acl1,
                                             const ir::Acl& acl2) {
   bdd::BddManager& mgr = layout.manager();
-  AclEncoding encoding1(layout, acl1);
-  AclEncoding encoding2(layout, acl2);
+  const std::size_t shared = SharedSuffixLength(acl1, acl2);
+  AclEncoding encoding1(layout, acl1, shared);
+  AclEncoding encoding2(layout, acl2, shared, &encoding1);
 
   // Two classes with different actions overlap only where the permit sets
   // disagree, so the classes are built inside the disagreement alone, and

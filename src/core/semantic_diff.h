@@ -10,6 +10,7 @@
 // pairwise intersections of their classes whose actions disagree; each such
 // intersection becomes one difference quintuple (i, a1, a2, t1, t2).
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -96,8 +97,22 @@ struct AclDifference {
   std::string text2;
 };
 
+// The permit sets SemanticDiffAcls compares. Each ACL's lines are folded
+// bottom-up into one set, and the `shared_lines` trailing lines the two
+// ACLs have in common (ir::SameMatch) are folded once: `acl2`'s fold
+// starts from `acl1`'s set at that boundary and covers only its own head.
+struct AclPermitSets {
+  bdd::BddRef acl1 = bdd::kFalse;
+  bdd::BddRef acl2 = bdd::kFalse;
+  std::size_t shared_lines = 0;
+};
+
+AclPermitSets FoldAclPermitSets(encode::PacketLayout& layout,
+                                const ir::Acl& acl1, const ir::Acl& acl2);
+
 // All behavioral differences between two ACLs, ordered by `acl1`'s class,
-// then by `acl2`'s. Each ACL's permit set is folded from its lines first;
+// then by `acl2`'s. The two permit sets are folded first, as
+// FoldAclPermitSets does, sharing the trailing lines the ACLs agree on;
 // the first-match class walk runs only where the two sets disagree.
 std::vector<AclDifference> SemanticDiffAcls(encode::PacketLayout& layout,
                                             const ir::Acl& acl1,

@@ -35,6 +35,13 @@ std::string AsPathList::Signature() const {
   return out;
 }
 
+bool SameMatch(const AclLine& a, const AclLine& b) {
+  return a.action == b.action && a.protocol == b.protocol && a.src == b.src &&
+         a.dst == b.dst && a.src_ports == b.src_ports &&
+         a.dst_ports == b.dst_ports && a.icmp_type == b.icmp_type &&
+         a.established == b.established;
+}
+
 std::string PortRange::ToString() const {
   if (IsAny()) return "any";
   if (low == high) return std::to_string(low);

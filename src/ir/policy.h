@@ -219,6 +219,13 @@ struct AclLine {
   friend bool operator==(const AclLine&, const AclLine&) = default;
 };
 
+// True when `a` and `b` take the same action on the same packets because
+// every field but `span` is equal. The defaulted == compares spans too, so
+// it never equates a Cisco line with the JunOS line it mirrors. SemanticDiff
+// folds the lines two ACLs share at the bottom once, for both: a field added
+// to AclLine and left out here makes those folds silently wrong.
+bool SameMatch(const AclLine& a, const AclLine& b);
+
 struct Acl {
   std::string name;
   // Address family of the whole ACL ("ip access-list" vs "ipv6

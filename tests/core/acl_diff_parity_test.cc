@@ -166,8 +166,10 @@ double SpanAttr(const obs::Span& span, const std::string& key) {
 }
 
 TEST(AclClassCountTest, EquivalentPairBuildsNoClass) {
-  // The two ACLs differ only in the order of disjoint lines, so their
-  // permit sets are equal.
+  // The reordered copy differs only in the order of disjoint lines, so
+  // its permit set is equal, but its last line is not acl's: no line is
+  // shared. The identical copy shares every line, so the second ACL's
+  // fold is the first's and costs no ITE call.
   ir::Acl acl;
   acl.name = "EDGE_IN";
   for (const char* prefix : {"10.1.0.0/16", "10.2.0.0/16", "10.3.0.0/16"}) {
@@ -179,46 +181,64 @@ TEST(AclClassCountTest, EquivalentPairBuildsNoClass) {
   }
   ir::Acl reordered = acl;
   std::reverse(reordered.lines.begin(), reordered.lines.end());
-  ir::RouterConfig config1 = gen::WrapAclInConfig(acl, "r1", ir::Vendor::kCisco);
-  ir::RouterConfig config2 =
-      gen::WrapAclInConfig(reordered, "r2", ir::Vendor::kCisco);
+  const struct {
+    const char* label;
+    const ir::Acl& other;
+    double shared_lines;
+  } cases[] = {{"reordered", reordered, 0}, {"identical", acl, 3}};
 
-  obs::MetricsSink sink;
-  obs::MetricsScope metrics_scope(sink);
-  DiffOptions options;
-  options.num_threads = 1;
-  obs::ResetThreadTrace();
-  obs::SetEnabled(true);
-  DiffReport report = ConfigDiff(config1, config2, options);
-  obs::SetEnabled(false);
-  std::vector<obs::Span> roots = obs::TakeThreadSpans();
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.label);
+    ir::RouterConfig config1 =
+        gen::WrapAclInConfig(acl, "r1", ir::Vendor::kCisco);
+    ir::RouterConfig config2 =
+        gen::WrapAclInConfig(c.other, "r2", ir::Vendor::kCisco);
 
-  EXPECT_EQ(report.CountOf(DifferenceEntry::Kind::kAclSemantic), 0);
-  EXPECT_EQ(MetricValue(sink, "encode.acl_classes"), 0);
-  std::vector<const obs::Span*> pairs, encodes, intersects;
-  for (const obs::Span& root : roots) {
-    CollectSpans(root, "acl_pair", &pairs);
-    CollectSpans(root, "encode", &encodes);
-    CollectSpans(root, "class_intersect", &intersects);
+    obs::MetricsSink sink;
+    obs::MetricsScope metrics_scope(sink);
+    DiffOptions options;
+    options.num_threads = 1;
+    obs::ResetThreadTrace();
+    obs::SetEnabled(true);
+    DiffReport report = ConfigDiff(config1, config2, options);
+    obs::SetEnabled(false);
+    std::vector<obs::Span> roots = obs::TakeThreadSpans();
+
+    EXPECT_EQ(report.CountOf(DifferenceEntry::Kind::kAclSemantic), 0);
+    EXPECT_EQ(MetricValue(sink, "encode.acl_classes"), 0);
+    std::vector<const obs::Span*> pairs, encodes, intersects;
+    for (const obs::Span& root : roots) {
+      CollectSpans(root, "acl_pair", &pairs);
+      CollectSpans(root, "encode", &encodes);
+      CollectSpans(root, "class_intersect", &intersects);
+    }
+    EXPECT_TRUE(intersects.empty());
+    ASSERT_EQ(pairs.size(), 1u);
+    ASSERT_EQ(encodes.size(), 2u);
+    for (const obs::Span* span : encodes) {
+      EXPECT_EQ(span->detail, "EDGE_IN");
+      EXPECT_EQ(SpanAttr(*span, "classes"), 0);
+      EXPECT_EQ(SpanAttr(*span, "lines"), 3);
+      EXPECT_EQ(SpanAttr(*span, "shared_lines"), c.shared_lines);
+    }
+    // Both encode spans are children of the pair span, in order, and do
+    // not overlap. The first folds the shared lines; the second folds only
+    // its head, which is empty for the identical copy.
+    ASSERT_EQ(pairs[0]->children.size(), 2u);
+    const obs::Span& first = pairs[0]->children[0];
+    const obs::Span& second = pairs[0]->children[1];
+    EXPECT_EQ(first.name, "encode");
+    EXPECT_EQ(second.name, "encode");
+    EXPECT_LE(first.start_ns + first.duration_ns, second.start_ns);
+    EXPECT_LE(second.start_ns + second.duration_ns,
+              pairs[0]->start_ns + pairs[0]->duration_ns);
+    EXPECT_GT(SpanAttr(first, "ite_lookups"), 0);
+    if (c.shared_lines == 3) {
+      EXPECT_EQ(SpanAttr(second, "ite_lookups"), 0);
+    } else {
+      EXPECT_GT(SpanAttr(second, "ite_lookups"), 0);
+    }
   }
-  EXPECT_TRUE(intersects.empty());
-  ASSERT_EQ(pairs.size(), 1u);
-  ASSERT_EQ(encodes.size(), 2u);
-  for (const obs::Span* span : encodes) {
-    EXPECT_EQ(span->detail, "EDGE_IN");
-    EXPECT_EQ(SpanAttr(*span, "classes"), 0);
-    EXPECT_EQ(SpanAttr(*span, "lines"), 3);
-  }
-  // Both encode spans are children of the pair span, in order, and do not
-  // overlap.
-  ASSERT_EQ(pairs[0]->children.size(), 2u);
-  const obs::Span& first = pairs[0]->children[0];
-  const obs::Span& second = pairs[0]->children[1];
-  EXPECT_EQ(first.name, "encode");
-  EXPECT_EQ(second.name, "encode");
-  EXPECT_LE(first.start_ns + first.duration_ns, second.start_ns);
-  EXPECT_LE(second.start_ns + second.duration_ns,
-            pairs[0]->start_ns + pairs[0]->duration_ns);
 }
 
 TEST(AclClassCountTest, DifferingPairBuildsFewerClassesThanFullSpaceWalk) {

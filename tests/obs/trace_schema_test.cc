@@ -171,16 +171,62 @@ TEST_F(TraceSchemaTest, DocumentMatchesDocumentedSchema) {
 
 // Structure-only rendering of a parsed trace: name/detail/nesting, no
 // timings — the part docs/trace_format.md guarantees is deterministic.
+// `encode` spans add their attrs, kernel counts included: each pair task
+// runs on a manager reset for it, so they cannot depend on the schedule.
 void StructureOf(const JsonValue& span, int depth, std::string& out) {
   out.append(static_cast<std::size_t>(depth) * 2, ' ');
   out += span.Find("name")->string;
   if (const JsonValue* detail = span.Find("detail")) {
     out += " [" + detail->string + "]";
   }
+  if (const JsonValue* attrs = span.Find("attrs");
+      attrs != nullptr && span.Find("name")->string == "encode") {
+    for (const auto& [key, value] : attrs->object) {
+      out += ' ';
+      out += key;
+      out += '=';
+      out += std::to_string(value.number);
+    }
+  }
   out += "\n";
   for (const JsonValue& child : span.Find("children")->array) {
     StructureOf(child, depth + 1, out);
   }
+}
+
+double Attr(const JsonValue& span, const std::string& key) {
+  const JsonValue* attrs = span.Find("attrs");
+  const JsonValue* value = attrs == nullptr ? nullptr : attrs->Find(key);
+  EXPECT_NE(value, nullptr) << "no attr " << key;
+  return value == nullptr ? -1 : value->number;
+}
+
+// Checks the two `encode` children of every `acl_pair` span: both carry
+// the pair's shared line count, and where one ACL is all shared lines the
+// second span folds nothing. Returns the number of such pairs.
+int CheckAclEncodeSpans(const JsonValue& span) {
+  int identical = 0;
+  const JsonValue& children = *span.Find("children");
+  if (span.Find("name")->string == "acl_pair") {
+    EXPECT_GE(children.array.size(), 2u);
+    if (children.array.size() < 2) return 0;
+    const JsonValue& first = children.array[0];
+    const JsonValue& second = children.array[1];
+    EXPECT_EQ(first.Find("name")->string, "encode");
+    EXPECT_EQ(second.Find("name")->string, "encode");
+    double shared = Attr(first, "shared_lines");
+    EXPECT_EQ(Attr(second, "shared_lines"), shared);
+    EXPECT_LE(shared, Attr(first, "lines"));
+    EXPECT_LE(shared, Attr(second, "lines"));
+    if (shared == Attr(second, "lines") && shared == Attr(first, "lines")) {
+      EXPECT_EQ(Attr(second, "ite_lookups"), 0);
+      ++identical;
+    }
+  }
+  for (const JsonValue& child : children.array) {
+    identical += CheckAclEncodeSpans(child);
+  }
+  return identical;
 }
 
 // Runs on Fig.1, on the committed dual-stack example pair, whose ACL pair
@@ -196,14 +242,15 @@ TEST_F(TraceSchemaTest, StructureIsIdenticalAcrossThreadCounts) {
   const struct {
     std::string label, config1, config2;
     std::vector<std::string> required;  // Beyond the Fig.1 schema test's.
+    int identical_acl_pairs;  // ACL pairs whose lines all match alike.
   } pairs[] = {
-      {"fig1", Path("cisco.cfg"), Path("juniper.conf"), {}},
+      {"fig1", Path("cisco.cfg"), Path("juniper.conf"), {}, 0},
       {"dualstack", examples + "dualstack_edge_cisco.cfg",
        examples + "dualstack_edge_juniper.conf",
-       {"acl_pair", "header_localize"}},
+       {"acl_pair", "header_localize"}, 0},
       {"university_core", examples + "university_core_cisco.cfg",
        examples + "university_core_juniper.conf",
-       {"acl_pair", "route_map_pair"}},
+       {"acl_pair", "route_map_pair"}, 1},  // EDGE-PROTECT.
   };
   // The one exception to exact counter agreement is the `mem.` RSS
   // watermarks: resident-set sizes are an OS artifact and vary run to run,
@@ -226,10 +273,13 @@ TEST_F(TraceSchemaTest, StructureIsIdenticalAcrossThreadCounts) {
                                 pair.config1, pair.config2);
     std::string serial_structure, pooled_structure;
     std::set<std::string> names;
+    int identical = 0;
     for (const JsonValue& span : serial.Find("spans")->array) {
       ValidateSpan(span, names);
       StructureOf(span, 0, serial_structure);
+      identical += CheckAclEncodeSpans(span);
     }
+    EXPECT_EQ(identical, pair.identical_acl_pairs);
     for (const JsonValue& span : pooled.Find("spans")->array) {
       StructureOf(span, 0, pooled_structure);
     }
