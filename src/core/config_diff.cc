@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <deque>
 #include <functional>
 #include <iterator>
-#include <map>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -118,28 +120,60 @@ util::AddressFamily RouteMapPairFamily(const ir::RouterConfig& config1,
                                               : family;
 }
 
-// The route-map localization DAG of a family: every prefix-range constant
-// of both configurations in that family's advertisement space.
-PrefixRangeDag BuildRouteDag(const ir::RouterConfig& config1,
-                             const ir::RouterConfig& config2,
-                             util::AddressFamily family) {
-  return BuildLocalizeDag(RouteMapRanges(config1, config2, family),
-                          util::PrefixRange::UniverseOf(family));
-}
+// The route-map localization DAG of one address family: every
+// prefix-range constant of both configurations in that family's
+// advertisement space. Every route-map difference of a comparison
+// localizes over the same ranges, so the DAG is built at most once, by the
+// first pair task that has a difference to localize, and a comparison
+// without one builds none. The build's `localize_dag` span is taken off
+// that task's subtree and kept here for the caller to attach at a fixed
+// position, so the trace does not depend on which task built it.
+class RouteDag {
+ public:
+  RouteDag(const ir::RouterConfig& config1, const ir::RouterConfig& config2,
+           util::AddressFamily family)
+      : config1_(config1), config2_(config2), family_(family) {}
+
+  util::AddressFamily family() const { return family_; }
+
+  // Builds the DAG on first call; safe to call from concurrent tasks.
+  const PrefixRangeDag& Get() {
+    std::call_once(built_, [this] {
+      obs::TaskCapture capture;
+      dag_.emplace(
+          BuildLocalizeDag(RouteMapRanges(config1_, config2_, family_),
+                           util::PrefixRange::UniverseOf(family_)));
+      spans_ = capture.Finish();
+    });
+    return *dag_;
+  }
+
+  // The build's spans (none when no task needed the DAG). Call after every
+  // task that may call Get() has finished.
+  std::vector<obs::Span> TakeSpans() { return std::move(spans_); }
+
+ private:
+  const ir::RouterConfig& config1_;
+  const ir::RouterConfig& config2_;
+  const util::AddressFamily family_;
+  std::once_flag built_;
+  std::optional<PrefixRangeDag> dag_;
+  std::vector<obs::Span> spans_;
+};
 
 std::vector<PresentedDifference> DiffRouteMapPairImpl(
     const ir::RouterConfig& config1, const std::string& name1,
     const ir::RouterConfig& config2, const std::string& name2,
-    std::vector<std::string>* warnings, const PrefixRangeDag& route_dag) {
+    std::vector<std::string>* warnings, RouteDag& route_dag) {
   ir::RouteMap fallback = PassThroughMap();
   const ir::RouteMap* map1 = ResolveMap(config1, name1, fallback, warnings);
   const ir::RouteMap* map2 = ResolveMap(config2, name2, fallback, warnings);
   obs::ScopedSpan span("route_map_pair",
                        map1->name + " vs " + map2->name);
 
-  // `route_dag` was built for the pair's family (RouteMapPairFamily). An
-  // IPv6 pair diffs over the 128-bit advertisement space.
-  util::AddressFamily family = route_dag.label(route_dag.root()).family();
+  // `route_dag` is for the pair's family (RouteMapPairFamily). An IPv6
+  // pair diffs over the 128-bit advertisement space.
+  util::AddressFamily family = route_dag.family();
 
   // One manager per pair, reset for it, keeps each arena as small as the
   // pair's own work (paper §3–4: modular checking).
@@ -157,7 +191,8 @@ std::vector<PresentedDifference> DiffRouteMapPairImpl(
   if (!diffs.empty()) {
     // One localizer for all of the pair's differences: its length windows
     // are encoded on the pair's manager once, remainders are shared.
-    HeaderLocalizer localizer(mgr, route_dag, layout.prefix_encoding());
+    HeaderLocalizer localizer(mgr, route_dag.Get(),
+                              layout.prefix_encoding());
     for (const auto& diff : diffs) {
       presented.push_back(PresentRouteMapDifference(layout, diff, config1,
                                                     config2, map1->name,
@@ -259,10 +294,12 @@ std::string DiffReport::Render() const {
 std::vector<PresentedDifference> DiffRouteMapPair(
     const ir::RouterConfig& config1, const std::string& name1,
     const ir::RouterConfig& config2, const std::string& name2) {
-  PrefixRangeDag route_dag = BuildRouteDag(
-      config1, config2, RouteMapPairFamily(config1, name1, config2, name2));
-  return DiffRouteMapPairImpl(config1, name1, config2, name2, nullptr,
-                              route_dag);
+  RouteDag route_dag(config1, config2,
+                     RouteMapPairFamily(config1, name1, config2, name2));
+  std::vector<PresentedDifference> presented = DiffRouteMapPairImpl(
+      config1, name1, config2, name2, nullptr, route_dag);
+  obs::AttachSpans(route_dag.TakeSpans());
+  return presented;
 }
 
 std::vector<PresentedDifference> DiffAclPair(const ir::RouterConfig& config1,
@@ -323,70 +360,45 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
   obs::ScopedSpan pipeline_span("config_diff",
                                 config1.hostname + " vs " + config2.hostname);
   DiffReport report;
-  std::vector<std::string> warnings;
+  // Both configs' interfaces by name, for the pairing and the OSPF check.
+  const ir::InterfaceIndex interfaces1(config1);
+  const ir::InterfaceIndex interfaces2(config2);
   PolicyPairing pairing;
   {
     obs::ScopedSpan span("match_policies");
-    pairing = MatchPolicies(config1, config2);
+    pairing = MatchPolicies(config1, interfaces1, config2, interfaces2);
     span.AddAttr("route_map_pairs",
                  static_cast<double>(pairing.route_maps.size()));
     span.AddAttr("acl_pairs", static_cast<double>(pairing.acls.size()));
     span.AddAttr("unmatched", static_cast<double>(pairing.unmatched.size()));
   }
 
-  auto add_semantic = [&](DifferenceEntry::Kind kind,
-                          std::vector<PresentedDifference> diffs) {
-    for (auto& d : diffs) {
-      DifferenceEntry entry;
-      entry.kind = kind;
-      entry.title = d.title;
-      entry.rendered = d.table;
-      entry.detail = std::move(d);
-      report.entries.push_back(std::move(entry));
-    }
-  };
-  auto add_structural = [&](std::vector<StructuralDifference> diffs) {
-    for (const auto& d : diffs) {
-      PresentedDifference presented =
-          PresentStructuralDifference(d, config1, config2);
-      DifferenceEntry entry;
-      entry.kind = DifferenceEntry::Kind::kStructural;
-      entry.title = presented.title;
-      entry.rendered = presented.table;
-      entry.detail = std::move(presented);
-      report.entries.push_back(std::move(entry));
-    }
-  };
-
-  // The semantic checks are the expensive part (each pair builds and
-  // compares BDDs), and every pair is independent: each task runs on its
-  // thread's reset BddManager (PairTaskManager) and builds its own layout,
-  // so tasks share no mutable state. Fan the distinct pairs out across the
-  // worker pool, then merge results back in pair-declaration order so the
-  // report is byte-identical to a serial run.
-  std::map<util::AddressFamily, PrefixRangeDag> route_dags;
-  struct SemanticTask {
+  // Every check is a task: the semantic pair checks (the expensive part:
+  // each pair builds and compares BDDs), then the structural checks. The
+  // tasks are independent: each pair task runs on its thread's reset
+  // BddManager (PairTaskManager) and builds its own layout, the structural
+  // checks only read the two IRs and the pairing, and the route DAGs are
+  // built once under their own flag. Fan them out across the worker pool,
+  // then merge results back in task-declaration order so the report is
+  // byte-identical to a serial run.
+  struct Task {
     DifferenceEntry::Kind kind;
     std::function<std::vector<PresentedDifference>(std::vector<std::string>*)>
         run;
   };
-  std::vector<SemanticTask> tasks;
+  std::vector<Task> tasks;
+  // One DAG per family in use, in order of its first route-map pair; a
+  // deque keeps each in place as more are added.
+  std::deque<RouteDag> route_dags;
   if (options.check_route_maps) {
-    // Route-map localization expresses every difference over the same
-    // ranges, so each family's DAG is built once, here on the calling
-    // thread when its first pair is declared (a fixed trace position at
-    // any thread count), and only read by the pair tasks.
     auto route_dag = [&](const std::string& name1,
-                         const std::string& name2) -> const PrefixRangeDag* {
+                         const std::string& name2) -> RouteDag* {
       util::AddressFamily family =
           RouteMapPairFamily(config1, name1, config2, name2);
-      auto it = route_dags.find(family);
-      if (it == route_dags.end()) {
-        it = route_dags
-                 .emplace(family, BuildRouteDag(config1, config2, family))
-                 .first;
+      for (RouteDag& dag : route_dags) {
+        if (dag.family() == family) return &dag;
       }
-      return &it->second;
+      return &route_dags.emplace_back(config1, config2, family);
     };
     // Several neighbors often share one policy pair (e.g. both uplinks use
     // the same import map); each distinct (name1, name2) pair is diffed
@@ -435,6 +447,40 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
            }});
     }
   }
+  auto structural = [&](bool enabled, const char* detail,
+                        std::function<std::vector<StructuralDifference>()>
+                            check) {
+    if (!enabled) return;
+    tasks.push_back(
+        {DifferenceEntry::Kind::kStructural,
+         [&config1, &config2, detail,
+          check = std::move(check)](std::vector<std::string>*) {
+           obs::ScopedSpan span("structural", detail);
+           std::vector<StructuralDifference> diffs = check();
+           span.AddAttr("differences", static_cast<double>(diffs.size()));
+           obs::Count("diff.structural_differences",
+                      static_cast<double>(diffs.size()));
+           std::vector<PresentedDifference> presented;
+           presented.reserve(diffs.size());
+           for (const auto& d : diffs) {
+             presented.push_back(
+                 PresentStructuralDifference(d, config1, config2));
+           }
+           return presented;
+         }});
+  };
+  structural(options.check_static_routes, "static",
+             [&] { return DiffStaticRoutes(config1, config2); });
+  structural(options.check_connected_routes, "connected",
+             [&] { return DiffConnectedRoutes(config1, config2); });
+  structural(options.check_ospf, "ospf", [&] {
+    return DiffOspf(config1, interfaces1, config2, interfaces2,
+                    pairing.interfaces);
+  });
+  structural(options.check_bgp_properties, "bgp",
+             [&] { return DiffBgpProperties(config1, config2); });
+  structural(options.check_admin_distances, "admin",
+             [&] { return DiffAdminDistances(config1, config2); });
 
   std::vector<std::vector<PresentedDifference>> task_results(tasks.size());
   std::vector<std::vector<std::string>> task_warnings(tasks.size());
@@ -451,35 +497,24 @@ DiffReport ConfigDiff(const ir::RouterConfig& config1,
     task_results[i] = tasks[i].run(&task_warnings[i]);
     task_spans[i] = capture.Finish();
   });
+  // The route DAGs' builds sit right after match_policies, in order of
+  // each family's first pair, wherever their tasks ran.
+  for (RouteDag& dag : route_dags) obs::AttachSpans(dag.TakeSpans());
+  std::vector<std::string> warnings;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     obs::AttachSpans(std::move(task_spans[i]));
-    add_semantic(tasks[i].kind, std::move(task_results[i]));
+    for (auto& d : task_results[i]) {
+      DifferenceEntry entry;
+      entry.kind = tasks[i].kind;
+      entry.title = d.title;
+      entry.rendered = d.table;
+      entry.detail = std::move(d);
+      report.entries.push_back(std::move(entry));
+    }
     warnings.insert(warnings.end(),
                     std::make_move_iterator(task_warnings[i].begin()),
                     std::make_move_iterator(task_warnings[i].end()));
   }
-  auto structural_check = [&](bool enabled, const char* detail,
-                              const std::function<
-                                  std::vector<StructuralDifference>()>& run) {
-    if (!enabled) return;
-    obs::ScopedSpan span("structural", detail);
-    std::vector<StructuralDifference> diffs = run();
-    span.AddAttr("differences", static_cast<double>(diffs.size()));
-    obs::Count("diff.structural_differences",
-               static_cast<double>(diffs.size()));
-    add_structural(std::move(diffs));
-  };
-  structural_check(options.check_static_routes, "static",
-                   [&] { return DiffStaticRoutes(config1, config2); });
-  structural_check(options.check_connected_routes, "connected",
-                   [&] { return DiffConnectedRoutes(config1, config2); });
-  structural_check(options.check_ospf, "ospf", [&] {
-    return DiffOspf(config1, config2, pairing.interfaces);
-  });
-  structural_check(options.check_bgp_properties, "bgp",
-                   [&] { return DiffBgpProperties(config1, config2); });
-  structural_check(options.check_admin_distances, "admin",
-                   [&] { return DiffAdminDistances(config1, config2); });
 
   for (const auto& note : pairing.unmatched) {
     DifferenceEntry entry;

@@ -1,7 +1,9 @@
 #include "core/match_policies.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <map>
-#include <set>
+#include <utility>
 
 namespace campion::core {
 
@@ -104,43 +106,75 @@ void MatchRedistributions(const ir::RouterConfig& config1,
   }
 }
 
+// Pairs interfaces by identical name, then by shared subnet: each
+// remaining config1 interface, in order, takes the first config2 interface
+// on its subnet whose name is neither on config1 nor taken yet (backup
+// routers sit on the same subnets with different host addresses). A name
+// stands for every interface that carries it, duplicates included.
 void MatchInterfaces(const ir::RouterConfig& config1,
+                     const ir::InterfaceIndex& interfaces1,
                      const ir::RouterConfig& config2,
+                     const ir::InterfaceIndex& interfaces2,
                      PolicyPairing& pairing) {
-  std::set<std::string> used2;
+  const std::vector<ir::Interface>& all2 = config2.interfaces;
+  // Taken config2 names, marked at the first interface of each name (where
+  // InterfaceIndex::Find lands).
+  std::vector<bool> taken(all2.size());
+  auto slot = [&](const ir::Interface& i2) {
+    return static_cast<std::size_t>(interfaces2.Find(i2.name) - all2.data());
+  };
+
   // Pass 1: identical names.
   for (const auto& i1 : config1.interfaces) {
-    if (config2.FindInterface(i1.name) != nullptr) {
+    if (interfaces2.Find(i1.name) != nullptr) {
       pairing.interfaces.emplace_back(i1.name, i1.name);
-      used2.insert(i1.name);
     }
   }
-  // Pass 2: shared subnet (backup routers sit on the same subnets with
-  // different host addresses).
+
+  // Pass 2: shared subnet. The candidates are config2's addressed
+  // interfaces whose names config1 lacks, sorted by (subnet, position), so
+  // each subnet's candidates form one run in config order. `next` holds,
+  // at each run's first slot, the run's first candidate not yet seen
+  // taken (a taken name stays taken).
+  std::vector<std::pair<util::IpPrefix, std::size_t>> candidates;
+  for (std::size_t j = 0; j < all2.size(); ++j) {
+    if (interfaces1.Find(all2[j].name) != nullptr) continue;
+    if (auto subnet = all2[j].ConnectedSubnet()) {
+      candidates.emplace_back(*subnet, j);
+    }
+  }
+  std::sort(candidates.begin(), candidates.end());
+  std::vector<std::size_t> next(candidates.size());
+  for (std::size_t k = 0; k < next.size(); ++k) next[k] = k;
+
   for (const auto& i1 : config1.interfaces) {
-    if (config2.FindInterface(i1.name) != nullptr) continue;
+    if (interfaces2.Find(i1.name) != nullptr) continue;
     auto subnet1 = i1.ConnectedSubnet();
     if (!subnet1) continue;
-    bool matched = false;
-    for (const auto& i2 : config2.interfaces) {
-      if (used2.contains(i2.name)) continue;
-      auto subnet2 = i2.ConnectedSubnet();
-      if (subnet2 && *subnet1 == *subnet2) {
-        pairing.interfaces.emplace_back(i1.name, i2.name);
-        used2.insert(i2.name);
-        matched = true;
-        break;
-      }
+    const std::size_t first =
+        std::lower_bound(candidates.begin(), candidates.end(),
+                         std::pair(*subnet1, std::size_t{0})) -
+        candidates.begin();
+    auto on_subnet = [&](std::size_t k) {
+      return k < candidates.size() && candidates[k].first == *subnet1;
+    };
+    const ir::Interface* match = nullptr;
+    if (on_subnet(first)) {
+      std::size_t& k = next[first];
+      while (on_subnet(k) && taken[slot(all2[candidates[k].second])]) ++k;
+      if (on_subnet(k)) match = &all2[candidates[k++].second];
     }
-    if (!matched) {
+    if (match == nullptr) {
       pairing.unmatched.push_back("interface " + i1.name +
                                   " exists only in " + config1.hostname);
-    }
-  }
-  for (const auto& i2 : config2.interfaces) {
-    if (config1.FindInterface(i2.name) != nullptr || used2.contains(i2.name)) {
       continue;
     }
+    pairing.interfaces.emplace_back(i1.name, match->name);
+    taken[slot(*match)] = true;
+  }
+
+  for (const auto& i2 : all2) {
+    if (interfaces1.Find(i2.name) != nullptr || taken[slot(i2)]) continue;
     pairing.unmatched.push_back("interface " + i2.name + " exists only in " +
                                 config2.hostname);
   }
@@ -150,11 +184,19 @@ void MatchInterfaces(const ir::RouterConfig& config1,
 
 PolicyPairing MatchPolicies(const ir::RouterConfig& config1,
                             const ir::RouterConfig& config2) {
+  return MatchPolicies(config1, ir::InterfaceIndex(config1), config2,
+                       ir::InterfaceIndex(config2));
+}
+
+PolicyPairing MatchPolicies(const ir::RouterConfig& config1,
+                            const ir::InterfaceIndex& interfaces1,
+                            const ir::RouterConfig& config2,
+                            const ir::InterfaceIndex& interfaces2) {
   PolicyPairing pairing;
   MatchBgpNeighbors(config1, config2, pairing);
   MatchAcls(config1, config2, pairing);
   MatchRedistributions(config1, config2, pairing);
-  MatchInterfaces(config1, config2, pairing);
+  MatchInterfaces(config1, interfaces1, config2, interfaces2, pairing);
   return pairing;
 }
 

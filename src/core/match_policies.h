@@ -53,4 +53,12 @@ struct PolicyPairing {
 PolicyPairing MatchPolicies(const ir::RouterConfig& config1,
                             const ir::RouterConfig& config2);
 
+// The same, over interface indexes the caller built for the two configs
+// (ConfigDiff builds them once per comparison and shares them with
+// DiffOspf).
+PolicyPairing MatchPolicies(const ir::RouterConfig& config1,
+                            const ir::InterfaceIndex& interfaces1,
+                            const ir::RouterConfig& config2,
+                            const ir::InterfaceIndex& interfaces2);
+
 }  // namespace campion::core

@@ -1,8 +1,13 @@
 #include "core/structural_diff.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <map>
+#include <optional>
 #include <set>
+#include <span>
+#include <string_view>
+#include <utility>
 
 namespace campion::core {
 namespace {
@@ -22,88 +27,160 @@ std::string OptToString(const std::optional<std::uint32_t>& v) {
 
 std::string BoolToString(bool b) { return b ? "yes" : "no"; }
 
+using RouteRun = std::span<const ir::StaticRoute* const>;
+
+// True when two sides' routes to one prefix have the same next hops, and
+// the same admin distance and tag per next hop: DiffStaticPrefix would
+// report nothing. Decided without building a string. Next hops compare as
+// their rendered keys do (the address when set, else the interface), and,
+// as there, the last route of a next hop stands for it.
+bool SameStaticRoutes(RouteRun routes1, RouteRun routes2) {
+  using Key = std::pair<std::optional<util::Ipv4Address>, std::string_view>;
+  auto by_next_hop = [](RouteRun routes) {
+    std::vector<std::pair<Key, const ir::StaticRoute*>> keyed;
+    keyed.reserve(routes.size());
+    for (const ir::StaticRoute* r : routes) {
+      keyed.push_back({{r->next_hop, r->next_hop ? std::string_view()
+                                                  : r->next_hop_interface},
+                       r});
+    }
+    std::stable_sort(keyed.begin(), keyed.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    // Keep the last route of each next hop.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < keyed.size(); ++i) {
+      if (i + 1 < keyed.size() && keyed[i + 1].first == keyed[i].first) {
+        continue;
+      }
+      keyed[kept++] = keyed[i];
+    }
+    keyed.resize(kept);
+    return keyed;
+  };
+  const auto side1 = by_next_hop(routes1);
+  const auto side2 = by_next_hop(routes2);
+  return std::equal(side1.begin(), side1.end(), side2.begin(), side2.end(),
+                    [](const auto& a, const auto& b) {
+                      return a.first == b.first &&
+                             a.second->admin_distance ==
+                                 b.second->admin_distance &&
+                             a.second->tag == b.second->tag;
+                    });
+}
+
+// Appends the differences between two sides' routes to `prefix`, each
+// side's in config order (one side may be empty).
+void DiffStaticPrefix(const util::IpPrefix& prefix, RouteRun routes1,
+                      RouteRun routes2,
+                      std::vector<StructuralDifference>& diffs) {
+  if (!routes1.empty() && !routes2.empty() &&
+      SameStaticRoutes(routes1, routes2)) {
+    return;
+  }
+  std::string component = "Static Route " + prefix.ToString();
+  if (routes1.empty() || routes2.empty()) {
+    const ir::StaticRoute* present =
+        !routes1.empty() ? routes1.front() : routes2.front();
+    StructuralDifference d;
+    d.component = component;
+    d.field = "presence";
+    d.value1 = !routes1.empty() ? "configured" : kAbsent;
+    d.value2 = !routes2.empty() ? "configured" : kAbsent;
+    (!routes1.empty() ? d.span1 : d.span2) = present->span;
+    diffs.push_back(std::move(d));
+    return;
+  }
+  // Both sides configure the prefix: compare the route attribute tuples,
+  // keyed by next hop so multipath static routes line up.
+  auto tuple_key = [](const ir::StaticRoute* r) {
+    return OptIpToString(r->next_hop, r->next_hop_interface);
+  };
+  std::map<std::string, const ir::StaticRoute*> side1, side2;
+  for (const auto* r : routes1) side1[tuple_key(r)] = r;
+  for (const auto* r : routes2) side2[tuple_key(r)] = r;
+
+  bool next_hops_match = true;
+  for (const auto& [key, r] : side1) {
+    if (!side2.contains(key)) next_hops_match = false;
+  }
+  for (const auto& [key, r] : side2) {
+    if (!side1.contains(key)) next_hops_match = false;
+  }
+  if (!next_hops_match) {
+    StructuralDifference d;
+    d.component = component;
+    d.field = "next hop";
+    for (const auto& [key, r] : side1) {
+      if (!d.value1.empty()) d.value1 += "\n";
+      d.value1 += key;
+      d.span1 = r->span;
+    }
+    for (const auto& [key, r] : side2) {
+      if (!d.value2.empty()) d.value2 += "\n";
+      d.value2 += key;
+      d.span2 = r->span;
+    }
+    diffs.push_back(std::move(d));
+    return;
+  }
+  for (const auto& [key, r1] : side1) {
+    const ir::StaticRoute* r2 = side2.at(key);
+    if (r1->admin_distance != r2->admin_distance) {
+      diffs.push_back({component + " via " + key, "admin distance",
+                       std::to_string(r1->admin_distance),
+                       std::to_string(r2->admin_distance), r1->span,
+                       r2->span});
+    }
+    if (r1->tag != r2->tag) {
+      diffs.push_back({component + " via " + key, "tag",
+                       OptToString(r1->tag), OptToString(r2->tag), r1->span,
+                       r2->span});
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<StructuralDifference> DiffStaticRoutes(
     const ir::RouterConfig& config1, const ir::RouterConfig& config2) {
-  std::vector<StructuralDifference> diffs;
-
-  // Group each side's routes by destination prefix.
-  auto group = [](const ir::RouterConfig& config) {
-    std::map<util::IpPrefix, std::vector<const ir::StaticRoute*>> routes;
-    for (const auto& r : config.static_routes) routes[r.prefix].push_back(&r);
+  // Each side's routes in prefix order (config order within a prefix),
+  // walked together one prefix at a time.
+  auto by_prefix = [](const ir::RouterConfig& config) {
+    std::vector<const ir::StaticRoute*> routes;
+    routes.reserve(config.static_routes.size());
+    for (const auto& r : config.static_routes) routes.push_back(&r);
+    std::stable_sort(routes.begin(), routes.end(),
+                     [](const ir::StaticRoute* a, const ir::StaticRoute* b) {
+                       return a->prefix < b->prefix;
+                     });
     return routes;
   };
-  auto routes1 = group(config1);
-  auto routes2 = group(config2);
+  const std::vector<const ir::StaticRoute*> routes1 = by_prefix(config1);
+  const std::vector<const ir::StaticRoute*> routes2 = by_prefix(config2);
+  // The run of `routes` from `i` that is routes to `prefix`.
+  auto run = [](const std::vector<const ir::StaticRoute*>& routes,
+                std::size_t i, const util::IpPrefix& prefix) {
+    std::size_t end = i;
+    while (end < routes.size() && routes[end]->prefix == prefix) ++end;
+    return RouteRun(routes.data() + i, end - i);
+  };
 
-  std::set<util::IpPrefix> prefixes;
-  for (const auto& [p, r] : routes1) prefixes.insert(p);
-  for (const auto& [p, r] : routes2) prefixes.insert(p);
-
-  for (const auto& prefix : prefixes) {
-    auto it1 = routes1.find(prefix);
-    auto it2 = routes2.find(prefix);
-    std::string component = "Static Route " + prefix.ToString();
-    if (it1 == routes1.end() || it2 == routes2.end()) {
-      const ir::StaticRoute* present =
-          it1 != routes1.end() ? it1->second.front() : it2->second.front();
-      StructuralDifference d;
-      d.component = component;
-      d.field = "presence";
-      d.value1 = it1 != routes1.end() ? "configured" : kAbsent;
-      d.value2 = it2 != routes2.end() ? "configured" : kAbsent;
-      (it1 != routes1.end() ? d.span1 : d.span2) = present->span;
-      diffs.push_back(std::move(d));
-      continue;
-    }
-    // Both sides configure the prefix: compare the route attribute tuples,
-    // keyed by next hop so multipath static routes line up.
-    auto tuple_key = [](const ir::StaticRoute* r) {
-      return OptIpToString(r->next_hop, r->next_hop_interface);
-    };
-    std::map<std::string, const ir::StaticRoute*> side1, side2;
-    for (const auto* r : it1->second) side1[tuple_key(r)] = r;
-    for (const auto* r : it2->second) side2[tuple_key(r)] = r;
-
-    bool next_hops_match = true;
-    for (const auto& [key, r] : side1) {
-      if (!side2.contains(key)) next_hops_match = false;
-    }
-    for (const auto& [key, r] : side2) {
-      if (!side1.contains(key)) next_hops_match = false;
-    }
-    if (!next_hops_match) {
-      StructuralDifference d;
-      d.component = component;
-      d.field = "next hop";
-      for (const auto& [key, r] : side1) {
-        if (!d.value1.empty()) d.value1 += "\n";
-        d.value1 += key;
-        d.span1 = r->span;
-      }
-      for (const auto& [key, r] : side2) {
-        if (!d.value2.empty()) d.value2 += "\n";
-        d.value2 += key;
-        d.span2 = r->span;
-      }
-      diffs.push_back(std::move(d));
-      continue;
-    }
-    for (const auto& [key, r1] : side1) {
-      const ir::StaticRoute* r2 = side2.at(key);
-      if (r1->admin_distance != r2->admin_distance) {
-        diffs.push_back({component + " via " + key, "admin distance",
-                         std::to_string(r1->admin_distance),
-                         std::to_string(r2->admin_distance), r1->span,
-                         r2->span});
-      }
-      if (r1->tag != r2->tag) {
-        diffs.push_back({component + " via " + key, "tag",
-                         OptToString(r1->tag), OptToString(r2->tag), r1->span,
-                         r2->span});
-      }
-    }
+  std::vector<StructuralDifference> diffs;
+  std::size_t i1 = 0;
+  std::size_t i2 = 0;
+  while (i1 < routes1.size() || i2 < routes2.size()) {
+    const bool first_in_1 = i1 < routes1.size() &&
+                            (i2 == routes2.size() ||
+                             routes1[i1]->prefix < routes2[i2]->prefix);
+    const util::IpPrefix prefix =
+        first_in_1 ? routes1[i1]->prefix : routes2[i2]->prefix;
+    const RouteRun run1 = run(routes1, i1, prefix);
+    const RouteRun run2 = run(routes2, i2, prefix);
+    DiffStaticPrefix(prefix, run1, run2, diffs);
+    i1 += run1.size();
+    i2 += run2.size();
   }
   return diffs;
 }
@@ -141,13 +218,14 @@ std::vector<StructuralDifference> DiffConnectedRoutes(
 }
 
 std::vector<StructuralDifference> DiffOspf(
-    const ir::RouterConfig& config1, const ir::RouterConfig& config2,
+    const ir::RouterConfig& config1, const ir::InterfaceIndex& interfaces1,
+    const ir::RouterConfig& config2, const ir::InterfaceIndex& interfaces2,
     const std::vector<std::pair<std::string, std::string>>& interface_pairs) {
   std::vector<StructuralDifference> diffs;
 
   for (const auto& [name1, name2] : interface_pairs) {
-    const ir::Interface* i1 = config1.FindInterface(name1);
-    const ir::Interface* i2 = config2.FindInterface(name2);
+    const ir::Interface* i1 = interfaces1.Find(name1);
+    const ir::Interface* i2 = interfaces2.Find(name2);
     if (i1 == nullptr || i2 == nullptr) continue;
     std::string component = "OSPF Interface " + name1 + " / " + name2;
     if (i1->ospf_enabled != i2->ospf_enabled) {

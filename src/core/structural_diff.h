@@ -43,10 +43,12 @@ std::vector<StructuralDifference> DiffConnectedRoutes(
 
 // OSPF link attributes, compared per interface pair. `interface_pairs`
 // comes from MatchPolicies (backup routers' interfaces rarely share
-// addresses, so matching is heuristic). Also compares process-level
-// attributes (reference bandwidth, redistribution presence).
+// addresses, so matching is heuristic); its names are looked up in the
+// two configs' interface indexes. Also compares process-level attributes
+// (reference bandwidth, redistribution presence).
 std::vector<StructuralDifference> DiffOspf(
-    const ir::RouterConfig& config1, const ir::RouterConfig& config2,
+    const ir::RouterConfig& config1, const ir::InterfaceIndex& interfaces1,
+    const ir::RouterConfig& config2, const ir::InterfaceIndex& interfaces2,
     const std::vector<std::pair<std::string, std::string>>& interface_pairs);
 
 // BGP properties not implemented with route maps: neighbor presence,

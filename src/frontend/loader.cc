@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -14,6 +15,7 @@
 #include "obs/mem_metrics.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/thread_pool.h"
 
 namespace campion::frontend {
 namespace {
@@ -190,6 +192,23 @@ LoadResult LoadConfigFile(const std::string& path, ir::Vendor vendor) {
   std::ostringstream buffer;
   buffer << file.rdbuf();
   return LoadConfig(buffer.str(), path, vendor);
+}
+
+std::pair<LoadResult, LoadResult> LoadBoth(
+    unsigned num_threads, const std::function<LoadResult()>& load1,
+    const std::function<LoadResult()>& load2) {
+  obs::MetricsSink* metrics_sink = &obs::CurrentMetrics();
+  LoadResult results[2];
+  std::vector<obs::Span> spans[2];
+  util::RunParallel(num_threads, 2, [&](std::size_t i) {
+    obs::MetricsScope metrics(*metrics_sink);
+    obs::TaskCapture capture;
+    results[i] = (i == 0 ? load1 : load2)();
+    spans[i] = capture.Finish();
+  });
+  obs::AttachSpans(std::move(spans[0]));
+  obs::AttachSpans(std::move(spans[1]));
+  return {std::move(results[0]), std::move(results[1])};
 }
 
 }  // namespace campion::frontend

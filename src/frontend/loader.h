@@ -4,8 +4,10 @@
 // line-oriented directives vs JunOS's brace hierarchy) and dispatches to
 // the right parser. This is the entry point the CLI and examples use.
 
+#include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ir/config.h"
@@ -37,5 +39,15 @@ LoadResult LoadConfig(const std::string& text, const std::string& filename,
 // failed detection.
 LoadResult LoadConfigFile(const std::string& path,
                           ir::Vendor vendor = ir::Vendor::kUnknown);
+
+// Runs the two loads of a comparison at once (util::RunParallel with at
+// most `num_threads`; 1 runs them in order on the calling thread) and
+// returns their results in argument order. As if they ran in series, the
+// loads' spans are attached in argument order and their metrics go to the
+// caller's sink; when both throw, the first load's exception propagates.
+// A failed pair attaches no spans.
+std::pair<LoadResult, LoadResult> LoadBoth(
+    unsigned num_threads, const std::function<LoadResult()>& load1,
+    const std::function<LoadResult()>& load2);
 
 }  // namespace campion::frontend

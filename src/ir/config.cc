@@ -47,6 +47,24 @@ const Interface* RouterConfig::FindInterface(const std::string& name) const {
   return nullptr;
 }
 
+InterfaceIndex::InterfaceIndex(const RouterConfig& config) {
+  by_name_.reserve(config.interfaces.size());
+  for (const auto& iface : config.interfaces) by_name_.push_back(&iface);
+  std::stable_sort(by_name_.begin(), by_name_.end(),
+                   [](const Interface* a, const Interface* b) {
+                     return a->name < b->name;
+                   });
+}
+
+const Interface* InterfaceIndex::Find(std::string_view name) const {
+  auto it = std::lower_bound(
+      by_name_.begin(), by_name_.end(), name,
+      [](const Interface* iface, std::string_view key) {
+        return iface->name < key;
+      });
+  return it != by_name_.end() && (*it)->name == name ? *it : nullptr;
+}
+
 const BgpNeighbor* RouterConfig::FindBgpNeighbor(util::Ipv4Address ip) const {
   if (!bgp) return nullptr;
   for (const auto& neighbor : bgp->neighbors) {

@@ -9,6 +9,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/policy.h"
@@ -184,6 +185,22 @@ struct RouterConfig {
   std::vector<util::Community> AllCommunities() const;
 
   friend bool operator==(const RouterConfig&, const RouterConfig&) = default;
+};
+
+// A configuration's interfaces by name, for callers that look up many
+// names: Find returns what RouterConfig::FindInterface returns (the first
+// interface of that name, or nullptr) with a binary search instead of a
+// scan. Build one per comparison; it holds pointers into the config, which
+// must outlive it and stay unmodified.
+class InterfaceIndex {
+ public:
+  explicit InterfaceIndex(const RouterConfig& config);
+
+  const Interface* Find(std::string_view name) const;
+
+ private:
+  // Every interface, sorted by name and, among equal names, by position.
+  std::vector<const Interface*> by_name_;
 };
 
 }  // namespace campion::ir

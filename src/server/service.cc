@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -273,8 +274,8 @@ HttpResponse DiffService::HandleDiff(const HttpRequest& request) {
     return JsonError(400, "request body must be a JSON object: " +
                               parse_error);
   }
-  const util::JsonValue* config1 = body.Find("config1");
-  const util::JsonValue* config2 = body.Find("config2");
+  util::JsonValue* config1 = body.Find("config1");
+  util::JsonValue* config2 = body.Find("config2");
   if (config1 == nullptr || !config1->IsString() || config2 == nullptr ||
       !config2->IsString()) {
     return JsonError(400, "fields 'config1' and 'config2' (strings) are required");
@@ -291,8 +292,9 @@ HttpResponse DiffService::HandleDiff(const HttpRequest& request) {
     if (!v->IsBool()) return JsonError(400, "field 'obs' must be a boolean");
     task.want_obs = v->boolean;
   }
-  task.text1 = config1->string;
-  task.text2 = config2->string;
+  // The configs are the bulk of the body: move them out, not copy.
+  task.text1 = std::move(config1->string);
+  task.text2 = std::move(config2->string);
   metrics_.Add("server.diff_requests", 1);
   return PairResponse(ExecutePair(task));
 }
@@ -374,10 +376,16 @@ DiffService::PairOutcome DiffService::ExecutePair(const PairTask& task) {
   frontend::LoadResult loaded2;
   const std::uint64_t parse_start = obs::NowNs();
   try {
-    loaded1 =
-        frontend::LoadConfig(task.text1, "config1", ParseVendor(task.vendor1));
-    loaded2 =
-        frontend::LoadConfig(task.text2, "config2", ParseVendor(task.vendor2));
+    std::tie(loaded1, loaded2) = frontend::LoadBoth(
+        task.options.num_threads,
+        [&] {
+          return frontend::LoadConfig(task.text1, "config1",
+                                      ParseVendor(task.vendor1));
+        },
+        [&] {
+          return frontend::LoadConfig(task.text2, "config2",
+                                      ParseVendor(task.vendor2));
+        });
   } catch (const std::exception& error) {
     record.parse_ns = obs::NowNs() - parse_start;
     metrics_.Add("server.parse_failures", 1);
@@ -460,7 +468,7 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
   }
   // Either {"pairs": [...], "format": ..., "checks": ...} or a bare array
   // of pair objects.
-  const util::JsonValue* pairs_json = nullptr;
+  util::JsonValue* pairs_json = nullptr;
   bool json_format = false;
   core::DiffOptions diff_options = options_.diff;
   if (body.IsArray()) {
@@ -481,13 +489,13 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
 
   std::vector<PairTask> tasks;
   tasks.reserve(pairs_json->array.size());
-  for (const util::JsonValue& pair : pairs_json->array) {
+  for (util::JsonValue& pair : pairs_json->array) {
     if (!pair.IsObject()) {
       return JsonError(400, "each pair must be a JSON object");
     }
     const util::JsonValue* name = pair.Find("name");
-    const util::JsonValue* config1 = pair.Find("config1");
-    const util::JsonValue* config2 = pair.Find("config2");
+    util::JsonValue* config1 = pair.Find("config1");
+    util::JsonValue* config2 = pair.Find("config2");
     if (name == nullptr || !name->IsString() || name->string.empty() ||
         config1 == nullptr || !config1->IsString() || config2 == nullptr ||
         !config2->IsString()) {
@@ -497,8 +505,9 @@ HttpResponse DiffService::HandleBatch(const HttpRequest& request) {
     }
     PairTask task;
     task.endpoint = "/batch#" + name->string;
-    task.text1 = config1->string;
-    task.text2 = config2->string;
+    // Moved out of the body; the merge below reads only the names.
+    task.text1 = std::move(config1->string);
+    task.text2 = std::move(config2->string);
     std::string error;
     if (!ReadVendors(pair, &task.vendor1, &task.vendor2, &error)) {
       return JsonError(400, error);

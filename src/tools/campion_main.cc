@@ -38,6 +38,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/config_diff.h"
@@ -291,10 +292,16 @@ int Run(const Options& options) {
   campion::frontend::LoadResult loaded1;
   campion::frontend::LoadResult loaded2;
   try {
-    loaded1 = campion::frontend::LoadConfigFile(options.path1,
-                                                options.vendor1);
-    loaded2 = campion::frontend::LoadConfigFile(options.path2,
-                                                options.vendor2);
+    std::tie(loaded1, loaded2) = campion::frontend::LoadBoth(
+        options.checks.num_threads,
+        [&] {
+          return campion::frontend::LoadConfigFile(options.path1,
+                                                   options.vendor1);
+        },
+        [&] {
+          return campion::frontend::LoadConfigFile(options.path2,
+                                                   options.vendor2);
+        });
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;

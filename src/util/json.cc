@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 namespace campion::util {
 
@@ -45,6 +46,10 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
     if (k == key) return &v;
   }
   return nullptr;
+}
+
+JsonValue* JsonValue::Find(const std::string& key) {
+  return const_cast<JsonValue*>(std::as_const(*this).Find(key));
 }
 
 double JsonValue::NumberOr(const std::string& key, double fallback) const {
@@ -165,17 +170,21 @@ class Parser {
       return Fail("expected string");
     }
     ++pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_];
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Fail("control character in string");
+    for (;;) {
+      // The run of plain bytes up to the next quote, backslash or control
+      // byte goes in with one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size()) {
+        const unsigned char c = static_cast<unsigned char>(text_[pos_]);
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++pos_;
       }
-      ++pos_;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) return Fail("unterminated escape");
+      out.append(text_, run, pos_ - run);
+      if (pos_ >= text_.size()) return Fail("unterminated string");
+      const char c = text_[pos_];
+      if (c == '"') break;
+      if (c != '\\') return Fail("control character in string");
+      if (++pos_ >= text_.size()) return Fail("unterminated escape");
       char esc = text_[pos_++];
       switch (esc) {
         case '"': out += '"'; break;
@@ -192,7 +201,6 @@ class Parser {
         default: return Fail("unknown escape");
       }
     }
-    if (pos_ >= text_.size()) return Fail("unterminated string");
     ++pos_;  // Closing quote.
     return true;
   }

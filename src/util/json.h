@@ -46,8 +46,10 @@ struct JsonValue {
   bool IsNumber() const { return type == Type::kNumber; }
   bool IsString() const { return type == Type::kString; }
 
-  // First value under `key`, or nullptr (also when not an object).
+  // First value under `key`, or nullptr (also when not an object). The
+  // mutable form lets a reader move a large string out of the document.
   const JsonValue* Find(const std::string& key) const;
+  JsonValue* Find(const std::string& key);
   // Find + number access with a default; sugar for metric lookups.
   double NumberOr(const std::string& key, double fallback) const;
 };

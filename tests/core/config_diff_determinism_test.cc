@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <utility>
@@ -192,6 +193,80 @@ TEST(ConfigDiffDeterminismTest, KernelCountersIgnoreThreadHistory) {
   EXPECT_EQ(bdd_metrics(scenario.border, 1), cold);
   bdd_metrics(scenario.core, 8);
   EXPECT_EQ(bdd_metrics(scenario.border, 8), cold);
+}
+
+// Traces one ConfigDiff and returns its config_diff span.
+obs::Span TracedDiff(const ir::RouterConfig& config1,
+                     const ir::RouterConfig& config2, unsigned threads) {
+  obs::ResetThreadTrace();
+  obs::SetEnabled(true);
+  ConfigDiff(config1, config2, WithThreads(threads));
+  obs::SetEnabled(false);
+  std::vector<obs::Span> roots = obs::TakeThreadSpans();
+  EXPECT_EQ(roots.size(), 1u);
+  return roots.empty() ? obs::Span{} : std::move(roots.front());
+}
+
+int CountSpans(const obs::Span& span, const std::string& name) {
+  int count = span.name == name ? 1 : 0;
+  for (const auto& child : span.children) count += CountSpans(child, name);
+  return count;
+}
+
+// "name [detail]" of each direct child of a span, in order.
+std::vector<std::string> ChildLabels(const obs::Span& span) {
+  std::vector<std::string> labels;
+  for (const auto& child : span.children) {
+    labels.push_back(child.name + " [" + child.detail + "]");
+  }
+  return labels;
+}
+
+// The route DAG is built only for a route-map pair with a difference to
+// localize: a comparison whose route-map pairs are all equivalent records
+// no localize_dag span at any thread count, and one that has a differing
+// pair records it once per family, right after match_policies.
+TEST(ConfigDiffDeterminismTest, NoRouteDagWhenNoRouteMapPairDiffers) {
+  gen::UniversityScenario scenario = gen::BuildUniversityScenario();
+  const ir::RouterConfig& config = scenario.core.config1;
+  ASSERT_FALSE(config.route_maps.empty());
+  for (unsigned threads : {1u, 4u}) {
+    obs::Span same = TracedDiff(config, config, threads);
+    EXPECT_GT(CountSpans(same, "route_map_pair"), 0) << threads;
+    EXPECT_EQ(CountSpans(same, "localize_dag"), 0) << threads;
+
+    obs::Span differing =
+        TracedDiff(scenario.core.config1, scenario.core.config2, threads);
+    std::vector<std::string> labels = ChildLabels(differing);
+    ASSERT_GE(labels.size(), 2u);
+    EXPECT_EQ(labels[0], "match_policies []");
+    EXPECT_EQ(labels[1], "localize_dag [ipv4]");
+    EXPECT_EQ(std::count(labels.begin(), labels.end(), "localize_dag [ipv4]"),
+              1);
+  }
+}
+
+// The structural checks run as tasks of the pair fan-out; their spans are
+// merged back in task order, after every pair span, whichever threads ran
+// them.
+TEST(ConfigDiffDeterminismTest, StructuralSpansKeepTheirPlaceAtAnyThreadCount) {
+  gen::UniversityScenario scenario = gen::BuildUniversityScenario();
+  for (const gen::RouterPair* pair : {&scenario.core, &scenario.border}) {
+    const std::vector<std::string> serial =
+        ChildLabels(TracedDiff(pair->config1, pair->config2, 1));
+    ASSERT_GE(serial.size(), 5u);
+    const std::vector<std::string> tail(serial.end() - 5, serial.end());
+    EXPECT_EQ(tail, (std::vector<std::string>{
+                        "structural [static]", "structural [connected]",
+                        "structural [ospf]", "structural [bgp]",
+                        "structural [admin]"}))
+        << pair->label;
+    for (int run = 0; run < 3; ++run) {
+      EXPECT_EQ(ChildLabels(TracedDiff(pair->config1, pair->config2, 4)),
+                serial)
+          << pair->label;
+    }
+  }
 }
 
 }  // namespace

@@ -151,13 +151,19 @@ ir::Interface OspfIface(const char* name, std::uint32_t cost,
   return iface;
 }
 
+std::vector<StructuralDifference> OspfDiffs(
+    const ir::RouterConfig& a, const ir::RouterConfig& b,
+    const std::vector<std::pair<std::string, std::string>>& pairs) {
+  return DiffOspf(a, ir::InterfaceIndex(a), b, ir::InterfaceIndex(b), pairs);
+}
+
 TEST(DiffOspfTest, EqualLinkAttributes) {
   ir::RouterConfig a, b;
   a.interfaces = {OspfIface("e1", 10, 0)};
   b.interfaces = {OspfIface("x1", 10, 0)};
   a.ospf.emplace();
   b.ospf.emplace();
-  EXPECT_TRUE(DiffOspf(a, b, {{"e1", "x1"}}).empty());
+  EXPECT_TRUE(OspfDiffs(a, b, {{"e1", "x1"}}).empty());
 }
 
 TEST(DiffOspfTest, CostMismatch) {
@@ -166,7 +172,7 @@ TEST(DiffOspfTest, CostMismatch) {
   b.interfaces = {OspfIface("x1", 20, 0)};
   a.ospf.emplace();
   b.ospf.emplace();
-  auto diffs = DiffOspf(a, b, {{"e1", "x1"}});
+  auto diffs = OspfDiffs(a, b, {{"e1", "x1"}});
   ASSERT_EQ(diffs.size(), 1u);
   EXPECT_EQ(diffs[0].field, "cost");
   EXPECT_EQ(diffs[0].value1, "10");
@@ -180,7 +186,7 @@ TEST(DiffOspfTest, AreaAndPassiveMismatch) {
   b.interfaces[0].ospf_passive = true;
   a.ospf.emplace();
   b.ospf.emplace();
-  auto diffs = DiffOspf(a, b, {{"e1", "x1"}});
+  auto diffs = OspfDiffs(a, b, {{"e1", "x1"}});
   EXPECT_EQ(diffs.size(), 2u);  // area + passive
 }
 
@@ -190,7 +196,7 @@ TEST(DiffOspfTest, EnabledMismatchShortCircuits) {
   b.interfaces = {Iface("x1", "10.0.1.2", 24)};  // OSPF disabled.
   a.ospf.emplace();
   b.ospf.emplace();
-  auto diffs = DiffOspf(a, b, {{"e1", "x1"}});
+  auto diffs = OspfDiffs(a, b, {{"e1", "x1"}});
   ASSERT_EQ(diffs.size(), 1u);
   EXPECT_EQ(diffs[0].field, "ospf enabled");
 }
@@ -198,7 +204,7 @@ TEST(DiffOspfTest, EnabledMismatchShortCircuits) {
 TEST(DiffOspfTest, ProcessPresence) {
   ir::RouterConfig a, b;
   a.ospf.emplace();
-  auto diffs = DiffOspf(a, b, {});
+  auto diffs = OspfDiffs(a, b, {});
   ASSERT_EQ(diffs.size(), 1u);
   EXPECT_EQ(diffs[0].component, "OSPF Process");
   EXPECT_EQ(diffs[0].field, "presence");
@@ -212,7 +218,7 @@ TEST(DiffOspfTest, ReferenceBandwidthAndRedistribution) {
   ir::RouterConfig a, b;
   a.ospf = std::move(ospf_a);
   b.ospf = std::move(ospf_b);
-  auto diffs = DiffOspf(a, b, {});
+  auto diffs = OspfDiffs(a, b, {});
   ASSERT_EQ(diffs.size(), 2u);
   EXPECT_EQ(diffs[0].field, "reference bandwidth (Mbps)");
   EXPECT_NE(diffs[1].component.find("Redistribution of static"),

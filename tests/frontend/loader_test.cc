@@ -5,7 +5,13 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "tests/testdata.h"
 
 #ifndef CAMPION_SOURCE_DIR
@@ -152,6 +158,56 @@ TEST(LoadConfigFileTest, LoadsExampleConfigs) {
   LoadResult result =
       LoadConfigFile(CAMPION_SOURCE_DIR "/examples/configs/fig1_cisco.cfg");
   EXPECT_EQ(result.config.hostname, "cisco_router");
+}
+
+// Both sides parse at once, yet read as if they ran in series: results and
+// `parse` spans in argument order, metrics in the caller's sink.
+TEST(LoadBothTest, ResultsSpansAndMetricsInArgumentOrder) {
+  for (unsigned threads : {1u, 4u}) {
+    obs::MetricsSink sink;
+    obs::ResetThreadTrace();
+    std::pair<LoadResult, LoadResult> loaded;
+    {
+      obs::MetricsScope scope(sink);
+      obs::SetEnabled(true);
+      loaded = LoadBoth(
+          threads, [] { return LoadConfig(testing::kFig1Cisco, "c.cfg"); },
+          [] { return LoadConfig(testing::kFig1Juniper, "j.conf"); });
+      obs::SetEnabled(false);
+    }
+    EXPECT_EQ(loaded.first.config.hostname, "cisco_router");
+    EXPECT_EQ(loaded.second.config.hostname, "juniper_router");
+    std::vector<obs::Span> spans = obs::TakeThreadSpans();
+    ASSERT_EQ(spans.size(), 2u) << threads;
+    EXPECT_EQ(spans[0].name, "parse");
+    EXPECT_EQ(spans[0].detail, "c.cfg");
+    EXPECT_EQ(spans[1].detail, "j.conf");
+    double files = 0;
+    for (const auto& [name, value] : sink.Snapshot()) {
+      if (name == "parse.files") files = value;
+    }
+    EXPECT_EQ(files, 2.0) << threads;
+  }
+}
+
+// When both sides fail, the error reported is config1's, however the two
+// parses were scheduled.
+TEST(LoadBothTest, FirstLoadsErrorWinsWhenBothFail) {
+  for (int run = 0; run < 20; ++run) {
+    try {
+      LoadBoth(
+          4, [] { return LoadConfig("gibberish", "config1"); },
+          [] { return LoadConfig("gibberish", "config2"); });
+      ADD_FAILURE() << "no error";
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "config1: cannot detect configuration format");
+    }
+  }
+  EXPECT_THROW(LoadBoth(
+                   4, [] { return LoadConfig(testing::kFig1Cisco, "c.cfg"); },
+                   [] { return LoadConfig("gibberish", "config2"); }),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "util/json.h"
 
@@ -88,6 +92,120 @@ TEST(JsonTest, ControlCharactersRoundTripThroughJsonEscape) {
   text += JsonEscape(original);
   text += '"';
   EXPECT_EQ(ParseOrDie(text).string, original);
+}
+
+// Appends code point `code` to `out` as UTF-8.
+void AppendUtf8(std::uint32_t code, std::string& out) {
+  if (code < 0x80) {
+    out += static_cast<char>(code);
+  } else if (code < 0x800) {
+    out += static_cast<char>(0xC0 | code >> 6);
+    out += static_cast<char>(0x80 | (code & 0x3F));
+  } else if (code < 0x10000) {
+    out += static_cast<char>(0xE0 | code >> 12);
+    out += static_cast<char>(0x80 | (code >> 6 & 0x3F));
+    out += static_cast<char>(0x80 | (code & 0x3F));
+  } else {
+    out += static_cast<char>(0xF0 | code >> 18);
+    out += static_cast<char>(0x80 | (code >> 12 & 0x3F));
+    out += static_cast<char>(0x80 | (code >> 6 & 0x3F));
+    out += static_cast<char>(0x80 | (code & 0x3F));
+  }
+}
+
+// Appends code point `code` as a JSON \u escape: one for the BMP, a
+// surrogate pair above it.
+void AppendEscaped(std::uint32_t code, std::string& out) {
+  char buffer[16];
+  if (code < 0x10000) {
+    std::snprintf(buffer, sizeof(buffer), "\\u%04x", code);
+  } else {
+    code -= 0x10000;
+    std::snprintf(buffer, sizeof(buffer), "\\u%04X\\u%04X",
+                  0xD800 + (code >> 10), 0xDC00 + (code & 0x3FF));
+  }
+  out += buffer;
+}
+
+// Seeded strings of plain runs, control bytes, quotes, backslashes and
+// multi-byte UTF-8 read back verbatim, whether written by JsonEscape (raw
+// UTF-8) or with every non-ASCII code point as a \u escape (surrogate
+// pairs above the BMP), alone or as values inside one document.
+TEST(JsonTest, SeededStringsRoundTripThroughJsonEscape) {
+  std::mt19937 rng(8259);
+  auto pick = [&](std::uint32_t n) {
+    return std::uniform_int_distribution<std::uint32_t>(0, n - 1)(rng);
+  };
+  // A code point of each UTF-8 length, surrogates excluded.
+  auto code_point = [&]() -> std::uint32_t {
+    switch (pick(4)) {
+      case 0: return 0x80 + pick(0x800 - 0x80);
+      case 1: return 0x800 + pick(0xD800 - 0x800);
+      case 2: return 0xE000 + pick(0x10000 - 0xE000);
+      default: return 0x10000 + pick(0x110000 - 0x10000);
+    }
+  };
+  std::string document = "[";
+  std::vector<std::string> originals;
+  for (int trial = 0; trial < 500; ++trial) {
+    std::string original;  // The bytes the reader must give back.
+    std::string escaped;   // The same, non-ASCII as \u escapes.
+    const int pieces = static_cast<int>(pick(24));
+    for (int i = 0; i < pieces; ++i) {
+      switch (pick(5)) {
+        case 0: {  // A plain run, long enough to cross any chunking.
+          const std::string run(1 + pick(40),
+                                static_cast<char>('a' + pick(26)));
+          original += run;
+          escaped += JsonEscape(run);
+          break;
+        }
+        case 1: {  // A control byte.
+          const std::string control(1, static_cast<char>(pick(0x20)));
+          original += control;
+          escaped += JsonEscape(control);
+          break;
+        }
+        case 2: {  // Quotes, backslashes and a slash.
+          const std::string special(1, "\"\\/"[pick(3)]);
+          original += special;
+          escaped += JsonEscape(special);
+          break;
+        }
+        default: {  // Multi-byte UTF-8.
+          const std::uint32_t code = code_point();
+          AppendUtf8(code, original);
+          AppendEscaped(code, escaped);
+          break;
+        }
+      }
+    }
+    // Appends, not chained operator+: GCC 12 misreads the latter as an
+    // overlapping copy (-Wrestrict).
+    auto quoted = [](const std::string& body) {
+      std::string text = "\"";
+      text += body;
+      text += '"';
+      return text;
+    };
+    EXPECT_EQ(ParseOrDie(quoted(JsonEscape(original))).string, original)
+        << "trial " << trial;
+    EXPECT_EQ(ParseOrDie(quoted(escaped)).string, original)
+        << "trial " << trial << ": " << escaped;
+    document += trial > 0 ? ",{\"k\":" : "{\"k\":";
+    document += quoted(escaped);
+    document += ",\"raw\":";
+    document += quoted(JsonEscape(original));
+    document += '}';
+    originals.push_back(std::move(original));
+  }
+  document += ']';
+  const JsonValue parsed = ParseOrDie(document);
+  ASSERT_EQ(parsed.array.size(), originals.size());
+  for (std::size_t i = 0; i < originals.size(); ++i) {
+    EXPECT_EQ(parsed.array[i].Find("k")->string, originals[i]) << i;
+    EXPECT_EQ(parsed.array[i].Find("raw")->string, originals[i]) << i;
+  }
 }
 
 TEST(JsonTest, RejectsRawControlCharactersAndBadUnicodeEscapes) {
