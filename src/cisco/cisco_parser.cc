@@ -70,6 +70,7 @@ class Parser {
     }
     ApplyOspfNetworks();
     ApplyPeerGroups();
+    result_.lines = lines_.size();
     return std::move(result_);
   }
 

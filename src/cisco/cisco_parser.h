@@ -21,6 +21,8 @@ struct ParseResult {
   ir::RouterConfig config;
   // Unrecognized or malformed lines ("file:line: message").
   std::vector<std::string> diagnostics;
+  // The text's lines, as frontend::LineIndex splits them.
+  int lines = 0;
 };
 
 ParseResult ParseCiscoConfig(const std::string& text,

@@ -41,10 +41,22 @@ class LineIndex {
 // \v, \f and \r. Every other byte, NUL included, is a word byte.
 void SplitWords(std::string_view line, std::vector<std::string_view>& words);
 
+// What a JunOS token is. A quoted string is always a word, whatever its
+// contents: `description "}";` has two words and no brace.
+enum class TokenKind : std::uint8_t {
+  kWord,  // A word or a quoted string's contents.
+  kOpenBrace,
+  kCloseBrace,
+  kSemicolon,
+  kOpenBracket,
+  kCloseBracket,
+};
+
 // A JunOS token: a word, a quoted string's contents, or one of { } ; [ ].
 struct Token {
   std::string_view text;
   int line = 0;  // The line the token ends on.
+  TokenKind kind = TokenKind::kWord;
 };
 
 // The JunOS tokens of a text, one at a time. Blanks (space, \t, \r, \n)
@@ -52,6 +64,10 @@ struct Token {
 // comments may span lines. A word ends at a blank, a punctuation byte, '"'
 // or '#'; every other byte, NUL included, belongs to it. An unterminated
 // string runs to the end of the text.
+//
+// One 256-entry table classifies every byte. Runs of spaces, most of a
+// configuration's bytes as indentation, are skipped eight at a time, and
+// '#' comments and strings end at a memchr.
 class JunosLexer {
  public:
   explicit JunosLexer(std::string_view text) : text_(text) {}

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -65,49 +66,89 @@ constexpr std::uint32_t MarkersOf(MarkerKind kind) {
   return bits;
 }
 
-// For each byte, the markers that begin with it, as bits of kMarkers.
-constexpr std::array<std::uint32_t, 256> kMarkersByFirstByte = [] {
-  std::array<std::uint32_t, 256> table{};
-  for (int marker = 0; marker < kMarkerCount; ++marker) {
-    table[static_cast<unsigned char>(kMarkers[marker].text[0])] |=
-        1u << marker;
+constexpr std::uint32_t kPairMarkers = MarkersOf(MarkerKind::kJuniperPair);
+constexpr std::uint32_t kWordMarkers = kAllMarkers & ~kPairMarkers;
+
+// Every marker but the one-byte pair is at least kMinWordMarker bytes long,
+// so a kGram-byte window sampled every kStride bytes lies wholly inside any
+// occurrence of one: the occurrence's windows start at the
+// length - kGram + 1 >= kStride positions from its start on, and one of
+// them is a multiple of kStride. Only those windows are looked up, and a
+// hit is verified with starts_with.
+constexpr std::size_t kGram = 4;
+constexpr std::size_t kStride = 6;
+constexpr std::size_t kMinWordMarker = [] {
+  std::size_t shortest = SIZE_MAX;
+  for (const Marker& marker : kMarkers) {
+    if (marker.kind != MarkerKind::kJuniperPair) {
+      shortest = std::min(shortest, marker.text.size());
+    }
   }
-  return table;
+  return shortest;
 }();
+static_assert(kStride + kGram - 1 <= kMinWordMarker);
+static_assert(kMarkerCount <= 16);
 
-// Every marker but the one-byte pair is at least four bytes long. A 2^16-bit
-// set holds a hash of each one's first four bytes; testing the four bytes at
-// a position against it rejects nearly every position with one load and one
-// multiply, leaving starts_with for the rare hits.
-constexpr unsigned HashPrefix(std::uint32_t four_bytes) {
-  return (four_bytes * 0x9E3779B1u) >> 16;
-}
-
-constexpr std::uint32_t LoadPrefix(const unsigned char* p) {
+constexpr std::uint32_t LoadGram(const unsigned char* p) {
   return p[0] | p[1] << 8 | p[2] << 16 |
          static_cast<std::uint32_t>(p[3]) << 24;
 }
 
-constexpr std::array<std::uint64_t, 1024> kPrefixHashes = [] {
-  std::array<std::uint64_t, 1024> bits{};
-  for (const Marker& marker : kMarkers) {
-    if (marker.text.size() < 4) continue;
-    unsigned char prefix[4] = {};
-    for (int k = 0; k < 4; ++k) {
-      prefix[k] = static_cast<unsigned char>(marker.text[k]);
-    }
-    const unsigned hash = HashPrefix(LoadPrefix(prefix));
-    bits[hash >> 6] |= std::uint64_t{1} << (hash & 63);
+constexpr std::uint32_t LoadGram(std::string_view text, std::size_t at) {
+  unsigned char gram[kGram] = {};
+  for (std::size_t k = 0; k < kGram; ++k) {
+    gram[k] = static_cast<unsigned char>(text[at + k]);
   }
-  return bits;
+  return LoadGram(gram);
+}
+
+constexpr unsigned kBucketBits = 12;
+constexpr unsigned Bucket(std::uint32_t gram) {
+  return (gram * 0x9E3779B1u) >> (32 - kBucketBits);
+}
+
+// One window of a marker: `gram` is the marker's bytes at `offset`.
+struct GramEntry {
+  std::uint32_t gram = 0;
+  std::uint8_t offset = 0;
+};
+
+constexpr std::size_t kGramEntryCount = [] {
+  std::size_t count = 0;
+  for (const Marker& marker : kMarkers) {
+    if (marker.kind != MarkerKind::kJuniperPair) {
+      count += marker.text.size() - kGram + 1;
+    }
+  }
+  return count;
 }();
 
-std::size_t CountLines(const std::string& text) {
-  std::size_t newlines =
-      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
-  // A final line without a trailing newline still counts.
-  return newlines + (!text.empty() && text.back() != '\n' ? 1 : 0);
-}
+// Every window of every word marker, grouped by marker: marker m's windows
+// are entries[first[m] .. first[m + 1]). Flat and constexpr: no heap, no
+// static constructor.
+struct GramTable {
+  std::array<GramEntry, kGramEntryCount> entries{};
+  std::array<std::uint16_t, kMarkerCount + 1> first{};
+  // For each bucket, the markers that have a window hashing to it.
+  std::array<std::uint16_t, 1u << kBucketBits> markers{};
+};
+
+constexpr GramTable kGrams = [] {
+  GramTable table;
+  std::size_t next = 0;
+  for (int marker = 0; marker < kMarkerCount; ++marker) {
+    table.first[marker] = static_cast<std::uint16_t>(next);
+    const std::string_view text = kMarkers[marker].text;
+    if (kMarkers[marker].kind == MarkerKind::kJuniperPair) continue;
+    for (std::size_t offset = 0; offset + kGram <= text.size(); ++offset) {
+      const std::uint32_t gram = LoadGram(text, offset);
+      table.entries[next++] = {gram, static_cast<std::uint8_t>(offset)};
+      table.markers[Bucket(gram)] |= static_cast<std::uint16_t>(1u << marker);
+    }
+  }
+  table.first[kMarkerCount] = static_cast<std::uint16_t>(next);
+  return table;
+}();
 
 }  // namespace
 
@@ -119,35 +160,34 @@ std::optional<ir::Vendor> ParseVendorName(const std::string& name) {
 }
 
 ir::Vendor DetectVendor(const std::string& text) {
-  // One pass over the text finds every marker at once. A marker scores when
-  // it occurs anywhere, overlapping occurrences included.
+  // A marker scores when it occurs anywhere, overlapping occurrences
+  // included. The word markers are found on a stride of sampled windows,
+  // the one-byte pair with memchr.
   std::uint32_t found = 0;
   const std::string_view view(text);
   const auto* bytes = reinterpret_cast<const unsigned char*>(view.data());
-  auto match_at = [&](std::size_t i) {
-    std::uint32_t candidates = kMarkersByFirstByte[bytes[i]] & ~found;
+  for (std::size_t at = 0;
+       at + kGram <= view.size() && found != kWordMarkers; at += kStride) {
+    const std::uint32_t gram = LoadGram(bytes + at);
+    std::uint32_t candidates = kGrams.markers[Bucket(gram)] & ~found;
     while (candidates != 0) {
       const int marker = std::countr_zero(candidates);
       candidates &= candidates - 1;
-      if (view.substr(i).starts_with(kMarkers[marker].text)) {
-        found |= 1u << marker;
+      for (int e = kGrams.first[marker]; e < kGrams.first[marker + 1]; ++e) {
+        const GramEntry& entry = kGrams.entries[e];
+        if (entry.gram == gram && entry.offset <= at &&
+            view.substr(at - entry.offset)
+                .starts_with(kMarkers[marker].text)) {
+          found |= 1u << marker;
+          break;
+        }
       }
     }
-  };
-  constexpr std::uint32_t kPair = MarkersOf(MarkerKind::kJuniperPair);
-  std::size_t i = 0;
-  for (; i + 4 <= view.size() && found != kAllMarkers; ++i) {
-    const unsigned hash = HashPrefix(LoadPrefix(bytes + i));
-    if ((kPrefixHashes[hash >> 6] >> (hash & 63) & 1) != 0 ||
-        ((found & kPair) != kPair && (bytes[i] == '{' || bytes[i] == ';'))) {
-      match_at(i);
-    }
   }
-  // Only the one-byte markers fit in the last three bytes.
-  for (; i < view.size() && found != kAllMarkers; ++i) match_at(i);
+  const bool pair = std::memchr(view.data(), '{', view.size()) != nullptr &&
+                    std::memchr(view.data(), ';', view.size()) != nullptr;
   const int juniper_score =
-      std::popcount(found & MarkersOf(MarkerKind::kJuniper)) +
-      ((found & kPair) == kPair ? 1 : 0);
+      std::popcount(found & MarkersOf(MarkerKind::kJuniper)) + (pair ? 1 : 0);
   const int cisco_score = std::popcount(found & MarkersOf(MarkerKind::kCisco));
 
   if (juniper_score == 0 && cisco_score == 0) return ir::Vendor::kUnknown;
@@ -165,23 +205,26 @@ LoadResult LoadConfig(const std::string& text, const std::string& filename,
                                ": cannot detect configuration format");
     }
   }
-  std::size_t lines = CountLines(text);
-  span.AddAttr("lines", static_cast<double>(lines));
-  span.AddAttr("bytes", static_cast<double>(text.size()));
-  obs::Count("parse.files");
-  obs::Count("parse.lines", static_cast<double>(lines));
-  obs::Count("parse.bytes", static_cast<double>(text.size()));
   LoadResult result;
+  int lines = 0;
   if (vendor == ir::Vendor::kCisco) {
     auto parsed = cisco::ParseCiscoConfig(text, filename);
     result.config = std::move(parsed.config);
     result.diagnostics = std::move(parsed.diagnostics);
+    lines = parsed.lines;
   } else {
     auto parsed = juniper::ParseJuniperConfig(text, filename);
     result.config = std::move(parsed.config);
     result.diagnostics = std::move(parsed.diagnostics);
+    lines = parsed.lines;
   }
+  // The parsers count the lines as they split them.
+  span.AddAttr("lines", static_cast<double>(lines));
+  span.AddAttr("bytes", static_cast<double>(text.size()));
   span.AddAttr("diagnostics", static_cast<double>(result.diagnostics.size()));
+  obs::Count("parse.files");
+  obs::Count("parse.lines", static_cast<double>(lines));
+  obs::Count("parse.bytes", static_cast<double>(text.size()));
   obs::RecordSpanMemory(span);
   return result;
 }

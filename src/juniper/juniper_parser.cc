@@ -1,7 +1,6 @@
 #include "juniper/juniper_parser.h"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -21,6 +20,7 @@ using util::IpPrefix;
 using frontend::ParsePort;
 using frontend::ParseU32;
 using frontend::Token;
+using frontend::TokenKind;
 
 // ---------------------------------------------------------------------------
 // Hierarchy tree
@@ -61,7 +61,9 @@ struct Tree {
 
 // Builds the Tree in one pass over the token stream. Words and nodes go to
 // the two arenas, so the tree costs a few arena growths instead of two
-// allocations per node.
+// allocations per node. The builder keeps its own stack of open blocks
+// instead of recursing, so nesting depth is bounded by memory, not by the
+// thread's stack.
 class TreeBuilder {
  public:
   TreeBuilder(std::string_view text, std::vector<std::string>* diagnostics,
@@ -73,10 +75,29 @@ class TreeBuilder {
   }
 
   Tree Build() {
+    // Statements up to each block's '}', or the end of the text. The root
+    // has no '}': stray ones there are skipped, with one diagnostic per run
+    // of them so that a text of braces costs no more than a text of
+    // statements.
+    while (!Done()) {
+      if (Peek().kind != TokenKind::kCloseBrace) {
+        ParseStatement();
+      } else if (!open_.empty()) {
+        Close(Peek().line);
+        Advance();  // consume '}'
+      } else {
+        diagnostics_->push_back(filename_ + ":" +
+                                std::to_string(Peek().line) +
+                                ": unmatched '}'");
+        while (!Done() && Peek().kind == TokenKind::kCloseBrace) Advance();
+      }
+    }
+    while (!open_.empty()) Close(last_line_);
     Tree tree;
     tree.root.is_block = true;
     tree.root.first_line = 1;
-    const Extent root_children = ParseChildren(tree.root);
+    tree.root.last_line = last_line_;
+    const Extent root_children = Flush(0);
     // The arenas are final: turn every node's extents into spans.
     tree.words = std::move(words_);
     tree.nodes = std::move(nodes_);
@@ -111,6 +132,13 @@ class TreeBuilder {
     Node node;
     Extents extents;
   };
+  // A block whose '}' has not been read yet. Its children so far are
+  // pending_[children_begin..].
+  struct Open {
+    Extent words;
+    int first_line = 0;
+    std::size_t children_begin = 0;
+  };
 
   bool Done() const { return !has_token_; }
   const Token& Peek() const { return token_; }
@@ -119,84 +147,85 @@ class TreeBuilder {
     if (has_token_) last_line_ = token_.line;
   }
 
-  // Parses statements up to the block's '}' (or the end of the text) and
-  // returns where they now lie in the node arena. The root has no '}':
-  // stray ones there are skipped, with one diagnostic per run of them so
-  // that a text of braces costs no more than a text of statements. A
-  // block's children are collected in a buffer for their depth, since
-  // their own descendants are parsed in between, and then appended to the
-  // arena together.
-  Extent ParseChildren(Node& parent) {
-    const bool root = depth_ == 0;
-    if (depth_ == pending_.size()) pending_.emplace_back();
-    std::vector<Pending>& children = pending_[depth_++];
-    while (!Done()) {
-      if (Peek().text == "}") {
-        if (!root) break;
-        diagnostics_->push_back(filename_ + ":" +
-                                std::to_string(Peek().line) +
-                                ": unmatched '}'");
-        while (!Done() && Peek().text == "}") Advance();
-        continue;
-      }
-      ParseStatement(children);
+  // Appends pending_[begin..] to the node arena and returns where they now
+  // lie. A block's children are collected on pending_, since their own
+  // descendants are parsed in between, and then appended together.
+  Extent Flush(std::size_t begin) {
+    const Extent extent{nodes_.size(), pending_.size() - begin};
+    for (std::size_t i = begin; i < pending_.size(); ++i) {
+      nodes_.push_back(pending_[i].node);
+      extents_.push_back(pending_[i].extents);
     }
-    --depth_;
-    const Extent extent{nodes_.size(), children.size()};
-    for (const Pending& child : children) {
-      nodes_.push_back(child.node);
-      extents_.push_back(child.extents);
-    }
-    children.clear();
-    if (!Done()) {
-      parent.last_line = Peek().line;
-      Advance();  // consume '}'
-    } else {
-      parent.last_line = last_line_;
-    }
+    pending_.resize(begin);
     return extent;
   }
 
-  void ParseStatement(std::vector<Pending>& siblings) {
-    Pending pending;
-    Node& node = pending.node;
-    node.first_line = Peek().line;
+  // Ends the innermost open block at `last_line`: it becomes a pending
+  // child of the block around it.
+  void Close(int last_line) {
+    const Open open = open_.back();
+    open_.pop_back();
+    Pending block;
+    block.node.is_block = true;
+    block.node.first_line = open.first_line;
+    block.node.last_line = last_line;
+    block.extents.words = open.words;
+    block.extents.children = Flush(open.children_begin);
+    pending_.push_back(block);
+  }
+
+  // Reads one statement's words, up to ';', '{' (which opens a block) or a
+  // '}' that it leaves for the caller.
+  void ParseStatement() {
+    const int first_line = Peek().line;
+    int last_line = 0;
     // A statement's words are all read before its children, so they are
     // contiguous in the arena.
-    pending.extents.words.begin = words_.size();
-    while (!Done()) {
+    Extent words{words_.size(), 0};
+    bool is_block = false;
+    bool ended = false;
+    while (!ended && !Done()) {
       const Token& token = Peek();
-      if (token.text == "{") {
-        Advance();
-        node.is_block = true;
-        break;
+      switch (token.kind) {
+        case TokenKind::kOpenBrace:
+          Advance();
+          is_block = true;
+          ended = true;
+          break;
+        case TokenKind::kSemicolon:
+          last_line = token.line;
+          Advance();
+          ended = true;
+          break;
+        case TokenKind::kOpenBracket:
+        case TokenKind::kCloseBracket:
+          // Brackets only group list words; the words join the statement.
+          Advance();
+          break;
+        case TokenKind::kCloseBrace:
+          // Missing semicolon before '}': tolerate.
+          diagnostics_->push_back(filename_ + ":" +
+                                  std::to_string(token.line) +
+                                  ": expected ';' before '}'");
+          last_line = token.line;
+          ended = true;
+          break;
+        case TokenKind::kWord:
+          words_.push_back(token.text);
+          last_line = token.line;
+          Advance();
+          break;
       }
-      if (token.text == ";") {
-        node.last_line = token.line;
-        Advance();
-        break;
-      }
-      if (token.text == "[" || token.text == "]") {
-        // Brackets only group list words; the words join the statement.
-        Advance();
-        continue;
-      }
-      if (token.text == "}") {
-        // Missing semicolon before '}': tolerate.
-        diagnostics_->push_back(filename_ + ":" +
-                                std::to_string(token.line) +
-                                ": expected ';' before '}'");
-        node.last_line = token.line;
-        break;
-      }
-      words_.push_back(token.text);
-      node.last_line = token.line;
-      Advance();
     }
-    pending.extents.words.size = words_.size() - pending.extents.words.begin;
-    if (node.is_block) pending.extents.children = ParseChildren(node);
-    if (pending.extents.words.size != 0 || node.is_block) {
-      siblings.push_back(pending);
+    words.size = words_.size() - words.begin;
+    if (is_block) {
+      open_.push_back({words, first_line, pending_.size()});
+    } else if (words.size != 0) {
+      Pending statement;
+      statement.node.first_line = first_line;
+      statement.node.last_line = last_line;
+      statement.extents.words = words;
+      pending_.push_back(statement);
     }
   }
 
@@ -207,8 +236,8 @@ class TreeBuilder {
   std::vector<std::string_view> words_;
   std::vector<Node> nodes_;
   std::vector<Extents> extents_;  // Parallel to nodes_.
-  std::deque<std::vector<Pending>> pending_;  // Per depth; stable addresses.
-  std::size_t depth_ = 0;
+  std::vector<Pending> pending_;  // Children of the root and open blocks.
+  std::vector<Open> open_;        // Innermost last.
   std::vector<std::string>* diagnostics_;
   std::string filename_;
 };
@@ -1175,6 +1204,7 @@ ParseResult ParseJuniperConfig(const std::string& text,
   const frontend::LineIndex lines(text);
   Converter converter(lines, filename);
   ParseResult result = converter.Run(tree.root);
+  result.lines = lines.size();
   result.diagnostics.insert(result.diagnostics.begin(), diagnostics.begin(),
                             diagnostics.end());
   return result;

@@ -27,6 +27,8 @@ namespace campion::juniper {
 struct ParseResult {
   ir::RouterConfig config;
   std::vector<std::string> diagnostics;
+  // The text's lines, as frontend::LineIndex splits them.
+  int lines = 0;
 };
 
 ParseResult ParseJuniperConfig(const std::string& text,

@@ -1,6 +1,8 @@
 // The JunOS parser as it stood before the shared zero-copy lexer
 // (src/frontend/lexer.h), kept verbatim apart from its namespace as the
-// oracle of parser_oracle_test. Not part of the library.
+// oracle of parser_oracle_test. Not part of the library. One fix has been
+// made to both since: a quoted string is a word, never punctuation
+// (`description "}";` closes no block).
 
 #include "tests/frontend/legacy_parsers.h"
 
@@ -46,7 +48,13 @@ std::optional<IpPrefix> ParseV6Prefix(std::string_view text) {
 struct Token {
   std::string text;
   int line = 0;
+  bool quoted = false;  // A string's contents: a word, never punctuation.
 };
+
+// Whether `token` is the punctuation `text`.
+bool IsPunct(const Token& token, const char* text) {
+  return !token.quoted && token.text == text;
+}
 
 std::vector<Token> Tokenize(const std::string& text,
                             std::vector<std::string>* diagnostics,
@@ -80,7 +88,7 @@ std::vector<Token> Tokenize(const std::string& text,
         if (text[i] == '\n') ++line;
         ++i;
       }
-      tokens.push_back({text.substr(start, i - start), line});
+      tokens.push_back({text.substr(start, i - start), line, true});
       if (i < n) {
         ++i;
       } else {
@@ -134,11 +142,11 @@ class TreeBuilder {
     // The root has no '}': stray ones are skipped, with one diagnostic per
     // run of them.
     while (!Done()) {
-      if (Peek().text == "}") {
+      if (IsPunct(Peek(), "}")) {
         diagnostics_->push_back(filename_ + ":" +
                                 std::to_string(Peek().line) +
                                 ": unmatched '}'");
-        while (!Done() && Peek().text == "}") ++pos_;
+        while (!Done() && IsPunct(Peek(), "}")) ++pos_;
         continue;
       }
       ParseStatement(root);
@@ -152,7 +160,7 @@ class TreeBuilder {
   const Token& Peek() const { return tokens_[pos_]; }
 
   void ParseChildren(Node& parent) {
-    while (!Done() && Peek().text != "}") {
+    while (!Done() && !IsPunct(Peek(), "}")) {
       ParseStatement(parent);
     }
     if (!Done()) {
@@ -169,28 +177,28 @@ class TreeBuilder {
     bool in_bracket = false;
     while (!Done()) {
       const Token& token = Peek();
-      if (token.text == "{") {
+      if (IsPunct(token, "{")) {
         ++pos_;
         node.is_block = true;
         ParseChildren(node);
         break;
       }
-      if (token.text == ";") {
+      if (IsPunct(token, ";")) {
         node.last_line = token.line;
         ++pos_;
         break;
       }
-      if (token.text == "[") {
+      if (IsPunct(token, "[")) {
         in_bracket = true;
         ++pos_;
         continue;
       }
-      if (token.text == "]") {
+      if (IsPunct(token, "]")) {
         in_bracket = false;
         ++pos_;
         continue;
       }
-      if (token.text == "}") {
+      if (IsPunct(token, "}")) {
         // Missing semicolon before '}': tolerate.
         diagnostics_->push_back(filename_ + ":" +
                                 std::to_string(token.line) +

@@ -3,9 +3,10 @@
 // The Cisco IOS and JunOS parsers as they stood before the shared zero-copy
 // lexer (src/frontend/lexer.h): a line-copying istringstream tokenizer and a
 // token-copying JunOS tokenizer. They are kept verbatim, apart from their
-// namespaces, as the oracle that parser_oracle_test holds the lexer-based
-// parsers to: the same RouterConfig, spans included, and the same
-// diagnostics. The JunOS one loops forever on a NUL byte.
+// namespaces and one fix made to both JunOS parsers since (a quoted string
+// is a word, never punctuation), as the oracle that parser_oracle_test
+// holds the lexer-based parsers to: the same RouterConfig, spans included,
+// and the same diagnostics. The JunOS one loops forever on a NUL byte.
 
 #include <string>
 

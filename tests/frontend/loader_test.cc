@@ -93,6 +93,32 @@ TEST(DetectVendorTest, SinglePassMatchesFindPerMarkerOnEveryMarkerSubset) {
   }
 }
 
+// The stride scan samples only some windows of the text, so a marker must
+// be found wherever it starts: each marker at every start offset in filler
+// (beyond any stride plus the marker's length), then ending the text, then
+// cut one byte short by its end. A one-byte pair marker comes with its
+// partner, so that finding it decides the verdict.
+TEST(DetectVendorTest, StrideFindsEveryMarkerAtEveryOffset) {
+  const std::string markers[] = {
+      "policy-options", "routing-options", "host-name", "policy-statement",
+      "family inet", "prefix-length-range", "{", ";",
+      "hostname ", "ip route ", "router bgp", "router ospf",
+      "route-map ", "ip prefix-list", "access-list", "ip community-list"};
+  for (const std::string& marker : markers) {
+    const std::string partner =
+        marker == "{" ? ";" : marker == ";" ? "{" : "";
+    for (std::size_t offset = 0; offset <= 16 + marker.size(); ++offset) {
+      const std::string head = partner + std::string(offset, 'x');
+      for (const std::string& text :
+           {head + marker + std::string(17, 'x'), head + marker,
+            head + marker.substr(0, marker.size() - 1)}) {
+        ASSERT_EQ(DetectVendor(text), FindPerMarkerDetectVendor(text))
+            << '"' << text << '"';
+      }
+    }
+  }
+}
+
 TEST(DetectVendorTest, SinglePassMatchesFindPerMarkerOnExampleConfigs) {
   int files = 0;
   for (const auto& entry : std::filesystem::directory_iterator(
@@ -144,6 +170,26 @@ TEST(LoadConfigTest, NulByteIsAWordByte) {
   LoadResult cisco = LoadConfig("hostname " + nul_name + "\n", "nul.cfg");
   EXPECT_EQ(cisco.config.vendor, ir::Vendor::kCisco);
   EXPECT_EQ(cisco.config.hostname, nul_name);
+}
+
+// The JunOS tree builder keeps its own stack of open blocks: nesting as
+// deep as the text allows returns instead of overflowing the thread's
+// stack. Blocks left open at the end of the text end with it.
+TEST(LoadConfigTest, DeepNestingReturns) {
+  const std::string system = "system { host-name deep; }\n";
+  LoadResult braces =
+      LoadConfig(system + std::string(1'000'000, '{'), "braces.conf");
+  EXPECT_EQ(braces.config.hostname, "deep");
+  EXPECT_TRUE(braces.diagnostics.empty());
+
+  constexpr int kDepth = 100'000;
+  std::string nested = system;
+  for (int i = 0; i < kDepth; ++i) nested += "a {\n";
+  nested += "b;\n";
+  for (int i = 0; i < kDepth; ++i) nested += "}\n";
+  LoadResult blocks = LoadConfig(nested, "nested.conf");
+  EXPECT_EQ(blocks.config.hostname, "deep");
+  EXPECT_TRUE(blocks.diagnostics.empty());
 }
 
 TEST(LoadConfigTest, ThrowsWhenUndetectable) {

@@ -57,6 +57,23 @@ interfaces {
   EXPECT_TRUE(config.interfaces[2].shutdown);
 }
 
+// A quoted string is a word whatever it holds: `description "}";` closes
+// no block, and the interface below keeps its unit and address.
+TEST(JuniperParserTest, QuotedPunctuationIsAWord) {
+  for (const std::string punctuation : {"{", "}", ";", "[", "]"}) {
+    const ParseResult result = ParseJuniperConfig(
+        "interfaces { ge-0/0/1 { description \"" + punctuation +
+            "\"; unit 0 { family inet { address 10.0.1.1/24; } } } }\n",
+        "test.conf");
+    EXPECT_TRUE(result.diagnostics.empty())
+        << punctuation << ": " << result.diagnostics.front();
+    ASSERT_EQ(result.config.interfaces.size(), 1u) << punctuation;
+    EXPECT_EQ(result.config.interfaces[0].name, "ge-0/0/1.0");
+    EXPECT_EQ(result.config.interfaces[0].ConnectedSubnet(),
+              *IpPrefix::Parse("10.0.1.0/24"));
+  }
+}
+
 TEST(JuniperParserTest, StaticRoutesBlockAndInline) {
   auto config = Parse(R"(
 routing-options {

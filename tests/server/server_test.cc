@@ -933,6 +933,22 @@ TEST_F(ServerTest, EscapedNulInConfigReachesTheLexerAndGetsPromptAnswer) {
   EXPECT_EQ(Fetch("GET", "/healthz").status, 200);
 }
 
+// A JunOS body nested 100,000 blocks deep used to overflow a worker
+// thread's stack in the tree builder and take the daemon down. It now gets
+// an answer, and the daemon keeps serving.
+TEST_F(ServerTest, DeeplyNestedConfigGetsAnAnswerAndDaemonKeepsServing) {
+  StartServer(ServiceOptions{});
+  std::string deep = "system { host-name deep; }\n";
+  for (int i = 0; i < 100'000; ++i) deep += "a {\n";
+  HttpClientResponse reply = Fetch(
+      "POST", "/diff",
+      DiffRequestBody(deep, "system { host-name deep; }\n"));
+  EXPECT_EQ(reply.status, 200) << reply.body;
+  EXPECT_NE(reply.body.find("behaviorally equivalent"), std::string::npos)
+      << reply.body;
+  EXPECT_EQ(Fetch("GET", "/healthz").status, 200);
+}
+
 // After framing errors the daemon keeps serving, and well-framed pipelined
 // requests on one connection stay in sync.
 TEST_F(ServerTest, DaemonServesHealthzAfterFramingErrors) {

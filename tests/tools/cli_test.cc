@@ -176,6 +176,25 @@ TEST_F(CliTest, JunosAddressBlockMatchesTheCiscoAcl) {
       << result.output;
 }
 
+// A quoted "}" in a description is a word: the two interfaces differ only
+// in their descriptions, which Campion does not compare.
+TEST_F(CliTest, QuotedBraceInDescriptionIsNoDifference) {
+  auto interfaces = [](const char* description) {
+    std::string text = "interfaces { ge-0/0/1 { description \"";
+    text += description;
+    text += "\"; unit 0 { family inet { address 10.0.1.1/24; } } } }\n";
+    return text;
+  };
+  Write("brace.conf", interfaces("}"));
+  Write("plain.conf", interfaces("x"));
+  RunResult result = RunCli(Path("brace.conf") + " " + Path("plain.conf"));
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("behaviorally equivalent"), std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("warning"), std::string::npos)
+      << result.output;
+}
+
 TEST_F(CliTest, UsageOnBadInvocation) {
   EXPECT_EQ(RunCli("").exit_code, 1);
   EXPECT_EQ(RunCli("onlyone.cfg").exit_code, 1);
